@@ -28,9 +28,13 @@ from .config import (
     make_window,
 )
 from .fock import (
+    MAX_MODES,
     FockError,
+    boundary_sum,
     build_interaction_hamiltonian,
+    convergence_envelope,
     lr_check,
+    lr_envelope,
     mode_basis,
     volume_convergence,
 )
@@ -75,10 +79,6 @@ EXIT_INTERNAL = 3
 
 _MODULE_ERRORS = (LatticeError, TruncationError, RegimeError, FrameAnalysisError,
                   InteractionError, FockError, SerializeError)
-
-# lr_check and volume_convergence hold full evolved operators per mode; the
-# Fock dimension 2^n makes 12 the practical window cap for those commands
-_DYNAMICS_MODE_CAP = 12
 
 
 @dataclass
@@ -371,10 +371,31 @@ def _chain_and_interaction(cfg: RunConfig, length: int):
     if lp.level_max != 0:
         raise FockError("dynamics commands run on lowest-level chains; set level_max = 0")
     w = build_chain(lp, length)
-    if len(w) > _DYNAMICS_MODE_CAP:
-        raise FockError(f"window of {len(w)} modes exceeds the dynamics cap "
-                        f"{_DYNAMICS_MODE_CAP}")
+    # every site can carry a mode, so the window is checked against the Fock
+    # engine's mode cap before any Gram factorization or dynamics
+    if len(w) > MAX_MODES:
+        raise FockError(f"window of {len(w)} modes exceeds the dynamics cap {MAX_MODES}")
     return w
+
+
+def _require_finite_envelope(envelope, t_max: float) -> None:
+    """Reject a t_max at which envelope(t) overflows (the artifacts cannot hold
+    inf), naming the largest usable t_max; envelope grows with t."""
+    if np.isfinite(envelope(t_max)):
+        return
+    lo, hi = 0.0, t_max
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.isfinite(envelope(mid)):
+            lo = mid
+        else:
+            hi = mid
+    # round down to four significant digits so the named value stays usable
+    step = 10.0 ** (np.floor(np.log10(lo)) - 3) if lo > 0 else 1.0
+    usable = float(f"{np.floor(lo / step) * step:.4g}")
+    raise ConfigError("dynamics", "t_max",
+                      f"the bound envelope overflows at t_max = {t_max:g}; "
+                      f"the largest usable t_max is {usable:g}")
 
 
 def _cmd_lr(ctx: RunContext) -> CommandResult:
@@ -387,6 +408,9 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     velocity = lr_velocity(cres.value, rates["g"], rates["zeta"])
     if ctx.negative_control:
         velocity = velocity / 100.0
+    d_min = float(w.distance_matrix().min())
+    _require_finite_envelope(
+        lambda t: lr_envelope(rates["g"], rates["zeta"], velocity, d_min, t), cfg.t_max)
     basis = mode_basis(w, mp)
     h = build_interaction_hamiltonian(basis, inter)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
@@ -440,18 +464,20 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     inter = density_density(w_big, cfg.f0, cfg.mu)
     cres = c_phi(inter, rates["zeta"], rates["xi"])
     velocity = lr_velocity(cres.value, rates["g"], rates["zeta"])
-    basis = mode_basis(w_big, mp)
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
     center = w_big.center_index()
     lp = make_lattice_params(cfg)
+    inners = [frozenset(w_big.index(s) for s in build_chain(lp, length).sites)
+              for length in lengths[:-1]]
+    largest_boundary = max(boundary_sum(inter, inner, center, rates["zeta"]) for inner in inners)
+    _require_finite_envelope(
+        lambda t: convergence_envelope(rates["g"], rates["zeta"], velocity, largest_boundary, t),
+        cfg.t_max)
+    basis = mode_basis(w_big, mp)
+    t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
     rows = []
-    reports = []
-    for length in lengths[:-1]:
-        w_small = build_chain(lp, length)
-        inner = frozenset(w_big.index(s) for s in w_small.sites)
-        rep = volume_convergence(basis, inter, inner, center, t_grid,
-                                 rates["zeta"], velocity, rates["g"])
-        reports.append((length, rep))
+    reports = list(zip(lengths[:-1], volume_convergence(
+        basis, inter, inners, center, t_grid, rates["zeta"], velocity, rates["g"])))
+    for length, rep in reports:
         for it, t in enumerate(rep.t_grid):
             b = float(rep.bounds[it])
             d = float(rep.diffs[it])

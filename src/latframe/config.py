@@ -198,8 +198,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("certificate", "g", f"must be at least 1, got {cfg.g}")
     if cfg.n_t < 2:
         raise ConfigError("dynamics", "n_t", f"need at least 2 time points, got {cfg.n_t}")
-    if cfg.nodes < 8:
-        raise ConfigError("kernel", "nodes", f"need at least 8 nodes per axis, got {cfg.nodes}")
+    if cfg.nodes < 9:
+        # the convergence check reruns with max(8, nodes - 8) nodes, which must differ
+        raise ConfigError("kernel", "nodes", f"need at least 9 nodes per axis, got {cfg.nodes}")
     if cfg.n_quadruples < 1:
         raise ConfigError("kernel", "n_quadruples", f"must be positive, got {cfg.n_quadruples}")
     if cfg.zeta is not None and cfg.xi is not None and cfg.xi <= cfg.zeta:

@@ -9,11 +9,18 @@ operators a_g = sum_k V[g, k] c_k over Jordan-Wigner modes c_k then satisfy
 and the Fock dimension is 2**rank(Z) rather than 2**n_sites.  Everything
 downstream (Hamiltonians, Heisenberg evolution, anticommutator norms,
 propagation and volume-convergence checks) runs in this mode space.
+
+The dynamics runs in number sectors: the Jordan-Wigner basis states grouped
+by N mod q, N being the particle number (q = rank + 1 when H commutes with N,
+q = 2 for fermion parity otherwise).  H is block-diagonal over the sectors, a_g
+maps sector r + 1 into r, and every eigendecomposition, Heisenberg step and
+norm runs on blocks of one sector: at most C(rank, rank // 2) states for
+number sectors, 2**(rank - 1) for parity sectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,18 +38,26 @@ __all__ = [
     "monomial_operator",
     "build_interaction_hamiltonian",
     "build_quadratic_hamiltonian",
+    "number_sectors",
+    "SectorOperator",
     "Evolution",
     "operator_norm",
     "anticommutator_norm",
+    "lr_envelope",
+    "convergence_envelope",
     "LRReport",
     "lr_check",
     "ConvergenceReport",
+    "boundary_sum",
     "volume_convergence",
     "quasifree_expectation",
 ]
 
 GRAM_FACTOR_RTOL = 1e-12
-MAX_MODES = 14
+# mode cap of the Fock engine and of the dynamics commands: `lr` on a 12-site
+# chain (largest sector 924 states) took 17.5 min for two time points on one
+# core and peaked at 0.7 GB
+MAX_MODES = 12
 
 
 class FockError(ValueError):
@@ -140,8 +155,8 @@ def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
             continue
         m = monomial_operator(term.monomial.factors, ops)
         h = h + term.coupling * (m + m.conj().T)
-    dev = float(np.max(np.abs((h - h.conj().T).toarray()))) if h.nnz else 0.0
-    if dev > 1e-10 * max(1.0, float(np.max(np.abs(h.toarray()))) if h.nnz else 1.0):
+    dev = float(abs(h - h.conj().T).max()) if h.nnz else 0.0
+    if dev > 1e-10 * max(1.0, float(abs(h).max()) if h.nnz else 1.0):
         raise FockError(f"assembled Hamiltonian is not Hermitian: deviation {dev:.3e}")
     return h
 
@@ -170,25 +185,88 @@ def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray,
     return h.tocsr()
 
 
-class Evolution:
-    """Heisenberg evolution A -> e^{itH} A e^{-itH} from one eigendecomposition."""
+def number_sectors(hamiltonians, rank: int) -> np.ndarray:
+    """Sector label N mod q of every Jordan-Wigner basis state, N being its
+    particle number (the popcount of its index).  q = rank + 1 when every
+    Hamiltonian commutes with N and q = 2 (fermion parity) when one only
+    conserves N mod 2; both are checked exactly on the nonzero patterns."""
+    index = np.arange(1 << rank)
+    count = np.zeros(len(index), dtype=np.intp)
+    for k in range(rank):
+        count += (index >> k) & 1
+    q = rank + 1
+    for h in hamiltonians:
+        rows, cols = h.nonzero()
+        step = count[rows] - count[cols]
+        if np.any(step % 2):
+            raise FockError("Hamiltonian does not conserve fermion parity")
+        if np.any(step):
+            q = 2
+    return count % q
 
-    def __init__(self, h: sp.spmatrix | np.ndarray):
-        hd = h.toarray() if sp.issparse(h) else np.asarray(h)
-        dev = float(np.max(np.abs(hd - hd.conj().T)))
-        if dev > 1e-9 * max(1.0, float(np.max(np.abs(hd)))):
+
+@dataclass(frozen=True)
+class SectorOperator:
+    """An operator that lowers the sector by one, as a_g does: block r maps
+    sector (r + 1) mod q into sector r and is held densely in the eigenbasis
+    of an Evolution."""
+
+    blocks: tuple[np.ndarray, ...]
+
+
+class Evolution:
+    """Heisenberg evolution A -> e^{itH} A e^{-itH} from one eigendecomposition
+    per sector of H.  sectors labels every basis state 0..q-1 (one sector when
+    omitted); H must not couple different labels."""
+
+    def __init__(self, h: sp.spmatrix | np.ndarray, sectors: np.ndarray | None = None):
+        hs = sp.csr_matrix(h)
+        dev = float(abs(hs - hs.conj().T).max()) if hs.nnz else 0.0
+        if dev > 1e-9 * max(1.0, float(abs(hs).max()) if hs.nnz else 0.0):
             raise FockError(f"Hamiltonian is not Hermitian: deviation {dev:.3e}")
-        self.eigvals, self.eigvecs = np.linalg.eigh(hd)
-        self._props: dict[float, np.ndarray] = {}
+        labels = np.zeros(hs.shape[0], dtype=np.intp) if sectors is None else np.asarray(sectors)
+        rows, cols = hs.nonzero()
+        if np.any(labels[rows] != labels[cols]):
+            raise FockError("Hamiltonian couples different sectors")
+        self.dim = hs.shape[0]
+        self.sectors = [np.flatnonzero(labels == r) for r in range(int(labels.max()) + 1)]
+        self.eigvals, self.eigvecs = [], []
+        for idx in self.sectors:
+            e, u = np.linalg.eigh(hs[idx][:, idx].toarray())
+            self.eigvals.append(e)
+            self.eigvecs.append(u)
+
+    def eigenbasis(self, a: sp.spmatrix | np.ndarray) -> SectorOperator:
+        """The blocks U_r* a U_{r+1} of an operator that lowers the sector by one;
+        entries of a outside those blocks are an error."""
+        a = sp.csr_matrix(a)
+        q = len(self.sectors)
+        blocks, kept = [], 0
+        for r, idx in enumerate(self.sectors):
+            s = (r + 1) % q
+            part = a[idx][:, self.sectors[s]]
+            kept += part.count_nonzero()
+            blocks.append(self.eigvecs[r].conj().T @ (part @ self.eigvecs[s]))
+        if kept != a.count_nonzero():
+            raise FockError("operator does not lower the sector by one")
+        return SectorOperator(tuple(blocks))
 
     def propagator(self, t: float) -> np.ndarray:
-        key = float(t)
-        if key not in self._props:
-            phase = np.exp(1j * key * self.eigvals)
-            self._props[key] = (self.eigvecs * phase) @ self.eigvecs.conj().T
-        return self._props[key]
+        u = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for idx, e, v in zip(self.sectors, self.eigvals, self.eigvecs):
+            u[np.ix_(idx, idx)] = (v * np.exp(1j * t * e)) @ v.conj().T
+        return u
 
-    def heisenberg(self, a: sp.spmatrix | np.ndarray, t: float) -> np.ndarray:
+    def heisenberg(self, a, t: float):
+        """tau_t(a).  A SectorOperator of this evolution is phased block by block,
+        e^{itE_r} A_r e^{-itE_{r+1}}, and stays in the eigenbasis; any other
+        operator is evolved as a dense matrix in the mode basis."""
+        if isinstance(a, SectorOperator):
+            q = len(self.sectors)
+            phases = [np.exp(1j * t * e) for e in self.eigvals]
+            return SectorOperator(tuple(
+                phases[r][:, None] * b * phases[(r + 1) % q].conj()[None, :]
+                for r, b in enumerate(a.blocks)))
         u = self.propagator(t)
         ad = a.toarray() if sp.issparse(a) else np.asarray(a)
         return u @ ad @ u.conj().T
@@ -216,7 +294,28 @@ def anticommutator_norm(p: np.ndarray, q: np.ndarray) -> float:
     return operator_norm(pd @ qd + qd @ pd)
 
 
-_FLAVORS = ((False, False), (False, True), (True, False), (True, True))
+def _anticommutator_norms(x: SectorOperator, y: SectorOperator) -> tuple[float, float]:
+    """||{x, y}|| and ||{x, y*}||.  {x, y} maps sector r + 2 into r and {x, y*}
+    keeps every sector, so each norm is the largest of its block norms."""
+    xb, yb = x.blocks, y.blocks
+    q = len(xb)
+    plain = max(operator_norm(xb[r] @ yb[(r + 1) % q] + yb[r] @ xb[(r + 1) % q])
+                for r in range(q))
+    mixed = max(operator_norm(xb[r] @ yb[r].conj().T + yb[r - 1].conj().T @ xb[r - 1])
+                for r in range(q))
+    return plain, mixed
+
+
+def lr_envelope(g: float, zeta: float, velocity: float, d, t):
+    """Light-cone envelope g exp(-zeta (d - v|t|)); inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return g * np.exp(-zeta * (np.asarray(d, dtype=float) - velocity * np.abs(t)))
+
+
+def convergence_envelope(g: float, zeta: float, velocity: float, boundary: float, t):
+    """Boundary-sum envelope 2 g (e^{zeta v |t|} - 1) * boundary; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return 2.0 * g * (np.exp(zeta * velocity * np.abs(t)) - 1.0) * boundary
 
 
 @dataclass(frozen=True)
@@ -242,31 +341,38 @@ def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
              pairs: list[tuple[int, int]] | None = None,
              rel_slack: float = 1e-9) -> LRReport:
     """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for each pair
-    and compare with g * exp(-zeta(d(g, g') - v|t|))."""
+    and compare with g * exp(-zeta(d(g, g') - v|t|)).
+
+    The work runs in the number sectors of H in its eigenbasis; the flavors
+    come in adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||,
+    so two norms per pair and time fill the four columns of f_table."""
     if zeta <= 0 or g <= 0:
         raise FockError("zeta and g must be positive")
+    if h.shape != (basis.dim, basis.dim):
+        raise FockError(f"Hamiltonian shape {h.shape} mismatches Fock dimension {basis.dim}")
     t_grid = np.asarray(t_grid, dtype=float)
     n = basis.n_sites
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     dists = basis.window.distance_matrix()
+    evol = Evolution(h, number_sectors([h], basis.rank))
     ops = mode_operators(basis)
-    dense = [op.toarray() for op in ops]
-    evol = Evolution(h)
-    moving = sorted({i for i, _ in pairs})
+    sites = sorted({s for pair in pairs for s in pair})
+    static = {s: evol.eigenbasis(ops[s]) for s in sites}
+    by_moving: dict[int, list[int]] = {}
+    for ip, (i, _) in enumerate(pairs):
+        by_moving.setdefault(i, []).append(ip)
     f_table = np.zeros((len(t_grid), len(pairs), 4))
-    bounds = np.zeros((len(t_grid), len(pairs)))
     for it, t in enumerate(t_grid):
-        evolved = {i: evol.heisenberg(dense[i], float(t)) for i in moving}
-        for ip, (i, j) in enumerate(pairs):
-            at = evolved[i]
-            bstat = dense[j]
-            for ifl, (dag_mov, dag_stat) in enumerate(_FLAVORS):
-                x = at.conj().T if dag_mov else at
-                y = bstat.conj().T if dag_stat else bstat
-                f_table[it, ip, ifl] = operator_norm(x @ y + y @ x)
-            with np.errstate(over="ignore"):  # inf bound is trivially satisfied
-                bounds[it, ip] = g * np.exp(-zeta * (dists[i, j] - velocity * abs(float(t))))
+        for i, ips in sorted(by_moving.items()):
+            x = evol.heisenberg(static[i], float(t))
+            for ip in ips:
+                plain, mixed = _anticommutator_norms(x, static[pairs[ip][1]])
+                f_table[it, ip] = (plain, mixed, mixed, plain)
+    # an overflowing envelope holds trivially; callers that write the bounds
+    # out reject such a t_max before the run
+    d_pairs = np.array([dists[i, j] for i, j in pairs], dtype=float)
+    bounds = lr_envelope(g, zeta, velocity, d_pairs[None, :], t_grid[:, None])
     fmax = f_table.max(axis=2)
     ratios = fmax / bounds
     exceed = ratios > 1.0 + rel_slack
@@ -293,39 +399,63 @@ class ConvergenceReport:
     max_ratio: float
 
 
-def volume_convergence(basis: ModeBasis, interaction: Interaction,
-                       inner_sites: frozenset[int], site: int, t_grid,
-                       zeta: float, velocity: float, g: float,
-                       rel_slack: float = 1e-9) -> ConvergenceReport:
-    """Compare tau_t under the full interaction against the dynamics generated
-    by the terms supported inside inner_sites, for the annihilator at one site."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    ops = mode_operators(basis)
-    h_full = build_interaction_hamiltonian(basis, interaction, ops=ops)
-    h_small = build_interaction_hamiltonian(basis, interaction, ops=ops,
-                                            support_within=inner_sites)
-    ev_full = Evolution(h_full)
-    ev_small = Evolution(h_small)
-    dists = basis.window.distance_matrix()
-    boundary = 0.0
+def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: int,
+                 zeta: float) -> float:
+    """Sum of k * coupling * e^{-zeta d(site, support)} over the terms whose
+    support leaves inner_sites."""
+    dists = interaction.window.distance_matrix()
+    total = 0.0
     for term in interaction.terms:
         if term.support <= inner_sites:
             continue
         d_site = min(dists[site, s] for s in term.support)
-        boundary += term.k * term.coupling * np.exp(-zeta * d_site)
-    a = ops[site].toarray()
-    diffs = np.zeros(len(t_grid))
-    bounds = np.zeros(len(t_grid))
-    for it, t in enumerate(t_grid):
-        diffs[it] = operator_norm(ev_full.heisenberg(a, float(t)) - ev_small.heisenberg(a, float(t)))
-        with np.errstate(over="ignore"):  # inf bound is trivially satisfied
-            bounds[it] = 2.0 * g * (np.exp(zeta * velocity * abs(float(t))) - 1.0) * boundary
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
-    passed = bool(np.all(diffs <= bounds * (1.0 + rel_slack) + 1e-12))
-    return ConvergenceReport(t_grid=t_grid, site=site, diffs=diffs, bounds=bounds,
-                             boundary_sum=boundary, passed=passed,
-                             max_ratio=float(np.max(ratios)) if ratios.size else 0.0)
+        total += term.k * term.coupling * np.exp(-zeta * d_site)
+    return total
+
+
+def volume_convergence(basis: ModeBasis, interaction: Interaction,
+                       inner_windows: list[frozenset[int]], site: int, t_grid,
+                       zeta: float, velocity: float, g: float,
+                       rel_slack: float = 1e-9) -> list[ConvergenceReport]:
+    """Compare tau_t under the full interaction against the dynamics generated
+    by the terms supported inside each of inner_windows (site-index sets), for
+    the annihilator at one site; one report per inner window.
+
+    The full Hamiltonian is diagonalised once.  Each difference is taken block
+    by block in the full eigenbasis, where the restricted evolution enters
+    through the overlaps W_r = U_r* V_r of the two eigenbases."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    ops = mode_operators(basis)
+    h_full = build_interaction_hamiltonian(basis, interaction, ops=ops)
+    h_inner = [build_interaction_hamiltonian(basis, interaction, ops=ops, support_within=inner)
+               for inner in inner_windows]
+    sectors = number_sectors([h_full, *h_inner], basis.rank)
+    ev_full = Evolution(h_full, sectors)
+    a_full = ev_full.eigenbasis(ops[site])
+    q = len(ev_full.sectors)
+    reports = []
+    for inner, h_small in zip(inner_windows, h_inner):
+        ev_small = Evolution(h_small, sectors)
+        a_small = ev_small.eigenbasis(ops[site])
+        overlap = [u.conj().T @ v for u, v in zip(ev_full.eigvecs, ev_small.eigvecs)]
+        diffs = np.zeros(len(t_grid))
+        for it, t in enumerate(t_grid):
+            xf = ev_full.heisenberg(a_full, float(t)).blocks
+            xs = ev_small.heisenberg(a_small, float(t)).blocks
+            diffs[it] = max(
+                operator_norm(xf[r] - overlap[r] @ xs[r] @ overlap[(r + 1) % q].conj().T)
+                for r in range(q))
+        boundary = boundary_sum(interaction, inner, site, zeta)
+        # an overflowing envelope holds trivially; callers that write the bounds
+        # out reject such a t_max before the run
+        bounds = convergence_envelope(g, zeta, velocity, boundary, t_grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
+        passed = bool(np.all(diffs <= bounds * (1.0 + rel_slack) + 1e-12))
+        reports.append(ConvergenceReport(t_grid=t_grid, site=site, diffs=diffs, bounds=bounds,
+                                         boundary_sum=boundary, passed=passed,
+                                         max_ratio=float(np.max(ratios)) if ratios.size else 0.0))
+    return reports
 
 
 def quasifree_expectation(window: Window, mp: MagneticParams, p_matrix: np.ndarray,

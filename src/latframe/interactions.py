@@ -477,6 +477,8 @@ def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
         raise InteractionError("need at least 8 nodes per axis")
     if check_nodes is None:
         check_nodes = max(8, nodes - 8)
+    if check_nodes == nodes:
+        raise InteractionError(f"the check rule must differ from the {nodes}-node rule")
     radial = hasattr(pair_w, "c1") and hasattr(pair_w, "sigma1")
     if radial:
         val = _w_value_radial(gammas, v, pair_w.c1, pair_w.sigma1, mp, nodes)

@@ -321,12 +321,9 @@ def test_a09_volume_convergence():
     basis = mode_basis(w8, MP)
     center = w8.center_index()
     t_grid = np.linspace(0.0, 0.2, 6)
-    reports = []
-    for length in (4, 6):
-        small = build_chain(w8.params, length)
-        inner = frozenset(w8.index(s) for s in small.sites)
-        reports.append(volume_convergence(basis, inter, inner, center, t_grid,
-                                          zeta, velocity, g))
+    inners = [frozenset(w8.index(s) for s in build_chain(w8.params, length).sites)
+              for length in (4, 6)]
+    reports = volume_convergence(basis, inter, inners, center, t_grid, zeta, velocity, g)
     within = all(rep.passed for rep in reports)
     # the smaller inner window omits more of the generator
     monotone = bool(np.all(reports[0].diffs >= reports[1].diffs - 1e-12))

@@ -1,14 +1,18 @@
 """Command-line front end: artifacts, verdicts, exit codes, error records."""
 
 import json
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import latframe.cli
 from latframe.cli import main
 from latframe.config import REFERENCE_CONFIG
+from latframe.fock import MAX_MODES
 from latframe.serialize import read_csv, read_matrix_text
 
 SMALL_GRAM = """\
@@ -295,6 +299,72 @@ def test_bad_seed_rejected(tmp_path, capsys):
     record = read_error(capsys, out)
     assert record["error"]["section"] == "run"
     assert record["error"]["key"] == "seed"
+
+
+# the alpha = beta = 1 chain of eight sites with the default dynamics: its
+# bound envelope e^{zeta v t} overflows long before t_max = 2
+CHAIN8_DEFAULT_DYNAMICS = """\
+[lattice]
+alpha = 1.0
+beta = 1.0
+shape = chain
+chain_length = 8
+"""
+
+
+def _forbid_dynamics(monkeypatch):
+    """Make any Gram factorization or dynamics end the run with exit 3."""
+    def reached(*args, **kwargs):
+        raise AssertionError("dynamics reached")
+
+    for name in ("mode_basis", "lr_check", "volume_convergence"):
+        monkeypatch.setattr(latframe.cli, name, reached)
+
+
+@pytest.mark.parametrize("command", ["lr", "converge"])
+def test_envelope_overflow_rejected_before_dynamics(tmp_path, capsys, monkeypatch, command):
+    _forbid_dynamics(monkeypatch)
+    cfg = tmp_path / "chain8.ini"
+    cfg.write_text(CHAIN8_DEFAULT_DYNAMICS)
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert elapsed < 10.0
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "config"
+    assert (record["error"]["section"], record["error"]["key"]) == ("dynamics", "t_max")
+    usable = float(re.search(r"largest usable t_max is (\S+)$", record["error"]["message"])[1])
+    assert 0.0 < usable < 2.0
+
+
+def test_envelope_overflow_names_a_usable_t_max(tmp_path, capsys):
+    cfg = tmp_path / "chain8.ini"
+    cfg.write_text(CHAIN8_DEFAULT_DYNAMICS)
+    assert main(["lr", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    message = read_error(capsys, tmp_path / "bad")["error"]["message"]
+    usable = re.search(r"largest usable t_max is (\S+)$", message)[1]
+    code, out, _ = run_cli(tmp_path, "lr", CHAIN8_DEFAULT_DYNAMICS
+                           + f"\n[dynamics]\nt_max = {usable}\nn_t = 2\n", name="usable")
+    assert code == 0
+    header, rows = read_csv(out / "lr.csv")
+    assert max(float(r[header.index("bound")]) for r in rows) > 1e300
+
+
+@pytest.mark.parametrize("command", ["lr", "converge"])
+def test_window_over_mode_cap_rejected_before_dynamics(tmp_path, capsys, monkeypatch, command):
+    _forbid_dynamics(monkeypatch)
+    cfg = tmp_path / "long.ini"
+    n = MAX_MODES + 1
+    cfg.write_text("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n"
+                   f"chain_length = {n}\n\n[windows]\nchain_lengths = 4 {n}\n\n"
+                   "[dynamics]\nt_max = 0.0001\nn_t = 2\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "FockError"
+    assert f"cap {MAX_MODES}" in record["error"]["message"]
 
 
 def test_unknown_command_exits_via_parser(tmp_path, capsys):

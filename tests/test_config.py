@@ -84,6 +84,7 @@ def test_chain_shape_window():
         ("[dynamics]\nn_t = 1\n", "dynamics", "n_t"),
         ("[dynamics]\nchain_length = 0\n", "dynamics", "chain_length"),
         ("[kernel]\nnodes = 7\n", "kernel", "nodes"),
+        ("[kernel]\nnodes = 8\n", "kernel", "nodes"),
         ("[kernel]\nn_quadruples = 0\n", "kernel", "n_quadruples"),
         ("[windows]\nradii = 3 2 1\n", "windows", "radii"),
         ("[windows]\nchain_lengths = 4 4\n", "windows", "chain_lengths"),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import svdvals
+from scipy.linalg import expm, svdvals
 
 from latframe.lattice import LatticeParams, build_chain, build_window, window_from_triples
 from latframe.magnetic import MagneticParams, overlap_matrix, window_coords
@@ -29,6 +29,7 @@ from latframe.fock import (
     mode_basis,
     mode_operators,
     monomial_operator,
+    number_sectors,
     operator_norm,
     quasifree_expectation,
     volume_convergence,
@@ -241,8 +242,8 @@ def chain4_setup():
 def test_volume_convergence_full_inner_is_exact(chain4_setup):
     w, basis, inter = chain4_setup
     all_sites = frozenset(range(4))
-    rep = volume_convergence(basis, inter, all_sites, w.center_index(),
-                             [0.0, 0.5], zeta=0.125, velocity=2.0, g=1.0)
+    [rep] = volume_convergence(basis, inter, [all_sites], w.center_index(),
+                               [0.0, 0.5], zeta=0.125, velocity=2.0, g=1.0)
     assert rep.boundary_sum == 0.0
     assert np.allclose(rep.diffs, 0.0, atol=1e-12)
     assert rep.passed
@@ -255,7 +256,7 @@ def test_volume_convergence_boundary_envelope(chain4_setup):
     inner = frozenset({0, 1, 2})
     site = w.center_index()
     t_grid = np.array([0.0, 0.05, 0.1])
-    rep = volume_convergence(basis, inter, inner, site, t_grid, zeta, vel, g)
+    [rep] = volume_convergence(basis, inter, [inner], site, t_grid, zeta, vel, g)
     assert rep.diffs[0] < 1e-12  # nothing moves at t = 0
     assert rep.diffs[-1] > 1e-6  # the truncated generator genuinely differs
     d = w.distance_matrix()
@@ -269,6 +270,114 @@ def test_volume_convergence_boundary_envelope(chain4_setup):
         want = 2.0 * g * (math.exp(zeta * vel * t) - 1.0) * boundary
         assert rep.bounds[it] == pytest.approx(want, rel=1e-12)
     assert rep.passed
+
+
+# ------------------------------------------------- sector engine vs dense oracle
+
+_FLAVORS = ((False, False), (False, True), (True, False), (True, True))
+
+
+@pytest.fixture(scope="module", params=["chain", "patch"])
+def six_modes(request):
+    """A 6-site chain, and a 3 x 2 patch whose overlaps carry phases: there H is
+    not real and the fronts at t and -t differ (on a straight chain they coincide)."""
+    params = LatticeParams(1.0, 1.0, 10.0)
+    if request.param == "chain":
+        w = build_chain(params, 6)
+    else:
+        w = window_from_triples(params, [(0, i, j) for i in range(3) for j in range(2)])
+        assert np.max(np.abs(overlap_matrix(w, MP).imag)) > 0.1
+    basis = mode_basis(w, MP)
+    assert basis.rank == 6
+    return w, basis, density_density(w, f0=1.0, mu=1.0)
+
+
+def _with_pairing(inter, coupling=0.4):
+    """Add c (a_0 a_1 + a*_1 a*_0): even, but it changes the particle number by 2."""
+    pair = InteractionTerm(support=frozenset({0, 1}), k=1, coupling=coupling,
+                           monomial=MonomialDescriptor(factors=((0, False), (1, False))))
+    return Interaction(window=inter.window, terms=inter.terms + (pair,))
+
+
+def _dense_evolved(h, a, t):
+    u = expm(1j * t * h.toarray())
+    return u @ a.toarray() @ u.conj().T
+
+
+def _dense_f_table(basis, h, t_grid):
+    """All four flavors of ||{tau_t(a#_i), a#_j}|| on full matrices, e^{itH} by expm."""
+    ops = mode_operators(basis)
+    n = basis.n_sites
+    out = np.zeros((len(t_grid), n * n, 4))
+    for it, t in enumerate(t_grid):
+        moved = [_dense_evolved(h, a, t) for a in ops]
+        for i in range(n):
+            for j in range(n):
+                for ifl, (dag_mov, dag_stat) in enumerate(_FLAVORS):
+                    x = moved[i].conj().T if dag_mov else moved[i]
+                    y = ops[j].toarray()
+                    y = y.conj().T if dag_stat else y
+                    out[it, i * n + j, ifl] = anticommutator_norm(x, y)
+    return out
+
+
+@pytest.mark.parametrize("pairing", [False, True], ids=["number", "parity"])
+def test_lr_check_sectors_match_dense_oracle(six_modes, pairing):
+    w, basis, inter = six_modes
+    if pairing:
+        inter = _with_pairing(inter)
+    h = build_interaction_hamiltonian(basis, inter)
+    q = int(number_sectors([h], basis.rank).max()) + 1
+    assert q == (2 if pairing else basis.rank + 1)
+    t_grid = np.array([0.0, 0.35, 1.1])
+    rep = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    oracle = _dense_f_table(basis, h, t_grid)
+    assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
+    # the dynamics genuinely moves the fronts
+    assert np.max(np.abs(rep.f_table[-1] - rep.f_table[0])) > 1e-2
+
+
+@pytest.mark.parametrize("pairing", [False, True], ids=["number", "parity"])
+def test_volume_convergence_sectors_match_dense_oracle(six_modes, pairing):
+    w, basis, inter = six_modes
+    if pairing:
+        inter = _with_pairing(inter)
+    site = w.center_index()
+    inners = [frozenset({0, 1, 2, 3}), frozenset({2, 3})]
+    t_grid = np.array([0.0, 0.3, 0.9])
+    reports = volume_convergence(basis, inter, inners, site, t_grid,
+                                 zeta=0.125, velocity=1.0, g=1.0)
+    a = mode_operators(basis)[site]
+    h_full = build_interaction_hamiltonian(basis, inter)
+    for inner, rep in zip(inners, reports):
+        h_small = build_interaction_hamiltonian(basis, inter, support_within=inner)
+        oracle = [operator_norm(_dense_evolved(h_full, a, t) - _dense_evolved(h_small, a, t))
+                  for t in t_grid]
+        assert np.max(np.abs(rep.diffs - oracle)) < 1e-12
+        assert rep.diffs[-1] > 1e-3
+
+
+def test_parity_breaking_hamiltonian_rejected_before_eigh(six_modes, monkeypatch):
+    _, basis, _ = six_modes
+    a0 = mode_operators(basis)[0]
+    h = a0 + a0.conj().T  # odd: flips fermion parity
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(FockError, match="parity"):
+        lr_check(basis, h, [0.0, 0.5], zeta=0.125, velocity=1.0, g=1.0)
+
+
+def test_evolution_sector_validation():
+    h = np.array([[1.0, 0.5], [0.5, 2.0]])
+    with pytest.raises(FockError):
+        Evolution(h, np.array([0, 1]))  # h couples the two labels
+    ev = Evolution(np.diag([1.0, 2.0]), np.array([0, 1]))
+    assert np.allclose(ev.propagator(0.3), np.diag(np.exp(0.3j * np.array([1.0, 2.0]))))
+    with pytest.raises(FockError):
+        ev.eigenbasis(np.eye(2))  # diagonal entries do not lower the sector
 
 
 # ------------------------------------------------------------ quasifree state

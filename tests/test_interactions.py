@@ -333,6 +333,13 @@ def test_w_kernel_validation(riesz_window, dual_generator):
     with pytest.raises(InteractionError):
         w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
                  exponential_potential(1.0, 1.0), MP, nodes=4)
+    # at 8 nodes the default check rule would be the main rule itself
+    with pytest.raises(InteractionError, match="check rule"):
+        w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
+                 exponential_potential(1.0, 1.0), MP, nodes=8)
+    with pytest.raises(InteractionError, match="check rule"):
+        w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
+                 exponential_potential(1.0, 1.0), MP, nodes=20, check_nodes=20)
 
 
 def test_w_kernel_radial_vs_generic_route(riesz_window, dual_generator):
