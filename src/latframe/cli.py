@@ -49,12 +49,15 @@ from .frame_analysis import (
     verify_decay,
 )
 from .interactions import (
+    KERNEL_FFT_MAX,
     InteractionError,
     c_phi,
     density_density,
     exponential_potential,
     k_sigma,
+    kernel_fft_side,
     lr_velocity,
+    smallest_kernel_sigma1,
     v_omega,
     w_kernel,
 )
@@ -258,10 +261,28 @@ def _cmd_cphi(ctx: RunContext) -> CommandResult:
     return CommandResult(checks, ["cphi.json"], params)
 
 
+def _require_kernel_grid(cfg: RunConfig, ell: float) -> None:
+    """Reject a sigma1 whose padded kernel grid exceeds KERNEL_FFT_MAX at the
+    diameter cap, which bounds the distance of any sampled pair centers."""
+    cap = cfg.diam_max_ell * ell
+    m = kernel_fft_side(cap, cfg.sigma1, ell, cfg.nodes)
+    if m <= KERNEL_FFT_MAX:
+        return
+    lo = smallest_kernel_sigma1(cap, ell, cfg.nodes)
+    where = (f"the padded kernel grid needs side {m} > {KERNEL_FFT_MAX} at sigma1 = "
+             f"{cfg.sigma1:g}, nodes = {cfg.nodes}")
+    if not np.isfinite(lo):
+        raise ConfigError("kernel", "nodes", f"{where}; no sigma1 fits, use fewer nodes")
+    scale = 10.0 ** (np.floor(np.log10(lo)) - 3)
+    usable = float(f"{np.ceil(lo / scale) * scale:.4g}")
+    raise ConfigError("kernel", "sigma1", f"{where}; the smallest usable sigma1 is {usable:g}")
+
+
 def _cmd_wkernel(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
+    _require_kernel_grid(cfg, mp.ell_b)
     vres = v_omega(w, mp)
     omega = 1.0 / (2.0 * mp.ell_b)
     sigma, kconst = k_sigma(cfg.c1, vres.c2, cfg.sigma1, vres.sigma2, omega)
@@ -272,6 +293,8 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
     rows = []
     all_bounded = True
     all_converged = True
+    max_ratio = 0.0
+    max_rel_err = 0.0
     for _ in range(cfg.n_quadruples):
         for _attempt in range(100000):
             idx = ctx.rng.integers(0, n, size=4)
@@ -287,6 +310,8 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
         ok = abs(res.value) <= bound * (1 + 1e-9)
         all_bounded = all_bounded and ok
         all_converged = all_converged and res.converged
+        max_ratio = max(max_ratio, abs(res.value) / bound)
+        max_rel_err = max(max_rel_err, res.error_estimate / max(abs(res.value), 1e-12))
         rows.append((quad[0, 0], quad[0, 1], quad[1, 0], quad[1, 1],
                      quad[2, 0], quad[2, 1], quad[3, 0], quad[3, 1],
                      diam, float(res.value.real), float(res.value.imag),
@@ -298,8 +323,10 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
     checks = [
         Check("dual_generator_residual", vres.residual < 1e-7, {"residual": vres.residual}),
         Check("all_within_decay_bound", all_bounded,
-              {"n_quadruples": cfg.n_quadruples, "sigma": sigma, "k": kconst}),
-        Check("quadrature_converged", all_converged, {"nodes": cfg.nodes}),
+              {"n_quadruples": cfg.n_quadruples, "sigma": sigma, "k": kconst,
+               "max_ratio": max_ratio}),
+        Check("quadrature_converged", all_converged,
+              {"nodes": cfg.nodes, "max_rel_err": max_rel_err}),
     ]
     params = {"c2": vres.c2, "sigma2": vres.sigma2, "sigma": sigma, "k": kconst,
               "omega": omega, "n_quadruples": cfg.n_quadruples}

@@ -13,14 +13,14 @@ closed metric balls; on windows small enough to enumerate, a brute-force
 sweep over every nonempty subset is available to confirm that this family
 attains the supremum.
 
-The kernel quadrature at the end of the module reduces two-body matrix
-elements between dressed states to Gauss-type tensor rules.  Radial
-exponential potentials have a cusp on the diagonal x = y, so they are
-integrated in relative/center variables: the center integral is a
-cross-correlation evaluated spectrally on a uniform grid, and the relative
-integral uses a radial Gauss-Legendre rule crossed with an angular
-trapezoid, which keeps |x - y| on a coordinate axis where it is smooth.
-Generic smooth kernels take the direct two-cloud Gauss-Hermite tensor rule.
+The kernel quadrature at the end of the module computes two-body matrix
+elements between dressed states.  Radial exponential potentials have a cusp
+on the diagonal x = y, so they are integrated on the Fourier side, where the
+potential has the closed form 2 pi c1 sigma1 / (sigma1^2 + |k|^2)^{3/2}: the
+two pair densities are sampled on one uniform grid, zero-padded so that the
+periodic images of the potential sit far past their support, and w is one
+Parseval sum over the discrete spectrum.  Generic smooth kernels take the
+direct two-cloud Gauss-Hermite tensor rule.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ __all__ = [
     "v_omega",
     "ExponentialPotential",
     "exponential_potential",
+    "KERNEL_FFT_MAX",
+    "kernel_fft_side",
+    "smallest_kernel_sigma1",
     "WKernelResult",
     "w_kernel",
     "k_sigma",
@@ -325,9 +328,10 @@ def v_omega(window: Window, mp: MagneticParams, fit_lo: float = 2.0, fit_hi: flo
 class ExponentialPotential:
     """Two-body kernel W(x, y) = c1 * exp(-sigma1 |x - y|), vectorized over grids.
 
-    Carrying (c1, sigma1) as fields lets w_kernel route the cusped radial
-    profile through the relative-coordinate quadrature instead of the plain
-    tensor rule, which stalls near 1e-4 relative on the diagonal kink.
+    w_kernel recognizes this type and integrates it on the Fourier side with
+    the closed-form transform of the profile, instead of the plain tensor
+    rule, which stalls near 1e-4 relative on the diagonal kink.  Calling it
+    evaluates W on two point clouds, the convention of generic kernels.
     """
 
     c1: float
@@ -393,29 +397,68 @@ def _w_value(gammas: np.ndarray, v: LaguerreCoords, pair_w, mp: MagneticParams,
     return complex(fx @ kmat @ fy)
 
 
-def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, c1: float, sigma1: float,
-                    mp: MagneticParams, nodes: int, tail: float = 20.0) -> complex:
-    """Kernel element for a radial exponential potential, in relative/center
-    variables x = S + u/2, y = S - u/2 (unit Jacobian):
+KERNEL_FFT_MAX = 2048
+"""Largest side of the padded FFT grid of the radial route: 2048^2 complex
+entries take 64 MiB per array."""
 
-        w = int du W(|u|) H(u),   H(u) = int dS Bx(S + u/2) By(S - u/2),
+_TAIL_ELL = 20.0  # dressed-state margin of the synthesis grid, in magnetic lengths
+_IMAGE_RATE = 30.0  # periodic images of W sit >= _IMAGE_RATE / sigma1 past H's support
 
-    with Bx = conj(A4) A3 and By = conj(A2) A1.  H is a cross-correlation and
-    is evaluated from uniform samples of Bx, By through their discrete
-    spectra (spacing 10 ell / nodes; aliasing and domain truncation are far
-    below the target accuracy).  The u integral uses a radial Gauss-Legendre
-    rule crossed with an angular trapezoid, so the cusp |u| lies on a
-    coordinate axis where the integrand is smooth."""
-    from scipy.fft import fft2, next_fast_len
+
+def _synthesis_grid(dmid: float, ell: float, nodes: int) -> tuple[float, int]:
+    """Step and side n of the uniform grid holding both pair densities, for
+    pair centers dmid apart."""
+    from scipy.fft import next_fast_len
+
+    step = ell * 10.0 / nodes
+    half = 0.5 * dmid + _TAIL_ELL * ell
+    return step, next_fast_len(int(np.ceil(2.0 * half / step)))
+
+
+def kernel_fft_side(dmid: float, sigma1: float, ell: float, nodes: int) -> int:
+    """Side m of the zero-padded FFT grid of the radial route for pair centers
+    dmid apart: the synthesis grid plus _IMAGE_RATE / sigma1 of padding."""
+    from scipy.fft import next_fast_len
+
+    step, n = _synthesis_grid(dmid, ell, nodes)
+    return next_fast_len(n + int(np.ceil(_IMAGE_RATE / (sigma1 * step))))
+
+
+def smallest_kernel_sigma1(dmid: float, ell: float, nodes: int) -> float:
+    """Smallest sigma1 whose padded grid fits KERNEL_FFT_MAX (inf when the
+    synthesis grid alone does not fit)."""
+    step, n = _synthesis_grid(dmid, ell, nodes)
+    room = KERNEL_FFT_MAX - n
+    return _IMAGE_RATE / (step * room) if room > 0 else float("inf")
+
+
+def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPotential,
+                    mp: MagneticParams, nodes: int) -> complex:
+    """Kernel element for a radial exponential potential by Parseval,
+
+        w = (2 pi)^-2 int dk W^(k) Bx^(k) By^(-k),
+        W^(k) = 2 pi c1 sigma1 / (sigma1^2 + |k|^2)^{3/2},
+
+    with Bx = conj(A4) A3 and By = conj(A2) A1 sampled on one uniform grid
+    (step 10 ell / nodes, half-width dmid / 2 + 20 ell about the midpoint of
+    the pair centers).  The discrete sum is exact for the periodization of W
+    with the FFT period, so the transforms are zero-padded to a side m that
+    puts every periodic image at least _IMAGE_RATE / sigma1 beyond the
+    support of H(u) = int dS Bx(S + u/2) By(S - u/2), where each image is
+    below c1 e^-30.  The grid origin's phase cancels between k and -k."""
+    from scipy.fft import fft2
 
     ell = mp.ell_b
     cx = 0.5 * (gammas[2] + gammas[3])
     cy = 0.5 * (gammas[0] + gammas[1])
     gc = 0.5 * (cx + cy)
     dmid = float(np.linalg.norm(cx - cy))
-    step = ell * 10.0 / nodes
-    half = 0.5 * dmid + tail * ell
-    n = next_fast_len(int(np.ceil(2.0 * half / step)))
+    step, n = _synthesis_grid(dmid, ell, nodes)
+    m = kernel_fft_side(dmid, pot.sigma1, ell, nodes)
+    if m > KERNEL_FFT_MAX:
+        raise InteractionError(
+            f"the padded kernel grid needs side {m} > {KERNEL_FFT_MAX}; the smallest "
+            f"usable sigma1 is {smallest_kernel_sigma1(dmid, ell, nodes):.4g}")
     x0 = gc[0] - 0.5 * n * step
     y0 = gc[1] - 0.5 * n * step
     grid = np.empty((n, n, 2))
@@ -426,35 +469,13 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, c1: float, sigma1: fl
     ay = _dressed_grid(gammas[0:2], flat, v, mp)
     bx = (np.conj(ax[1]) * ax[0]).reshape(n, n)
     by = (np.conj(ay[1]) * ay[0]).reshape(n, n)
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
-    shift = np.exp(-1j * (k1[:, None] * x0 + k1[None, :] * y0))
-    fx = fft2(bx) * (step * step) * shift
-    fy = fft2(by) * (step * step) * shift
-    neg = (-np.arange(n)) % n
-    spec = (fx * fy[np.ix_(neg, neg)]).ravel()
-    kx = np.broadcast_to(k1[:, None], (n, n)).ravel()
-    ky = np.broadcast_to(k1[None, :], (n, n)).ravel()
-    keep = np.abs(spec) > 1e-16 * np.abs(spec).max()
-    kx, ky, spec = kx[keep], ky[keep], spec[keep]
-    dk = 2.0 * np.pi / (n * step)
-    pref = dk * dk / (4.0 * np.pi * np.pi)
-    n_rho = nodes + 8
-    n_th = 2 * nodes
-    leg_x, leg_w = np.polynomial.legendre.leggauss(n_rho)
-    rho_max = dmid + 24.0 * ell
-    rho = 0.5 * rho_max * (leg_x + 1.0)
-    w_rho = 0.5 * rho_max * leg_w
-    theta = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
-    ux = (rho[:, None] * np.cos(theta)[None, :]).ravel()
-    uy = (rho[:, None] * np.sin(theta)[None, :]).ravel()
-    hvals = np.empty(len(ux), dtype=np.complex128)
-    chunk = max(1, 20_000_000 // max(len(spec), 1))
-    for i0 in range(0, len(ux), chunk):
-        phase = np.exp(1j * (np.outer(ux[i0:i0 + chunk], kx)
-                             + np.outer(uy[i0:i0 + chunk], ky)))
-        hvals[i0:i0 + chunk] = pref * (phase @ spec)
-    angular = hvals.reshape(n_rho, n_th).sum(axis=1) * (2.0 * np.pi / n_th)
-    return c1 * complex(np.sum(w_rho * rho * np.exp(-sigma1 * rho) * angular))
+    k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=step)
+    k2 = k1[:, None] ** 2 + k1[None, :] ** 2
+    w_hat = 2.0 * np.pi * pot.sigma1 / (pot.sigma1**2 + k2) ** 1.5
+    # By^(-k) is the conjugate of the transform of conj(By), which vdot conjugates
+    total = np.vdot(fft2(np.conj(by), s=(m, m)), w_hat * fft2(bx, s=(m, m)))
+    # (2 pi)^-2 dk^2 step^4 = step^2 / m^2
+    return pot.c1 * step**2 / m**2 * complex(total)
 
 
 def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
@@ -464,9 +485,14 @@ def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
 
         w = int int W(x, y) conj(A4(x)) A3(x) conj(A2(y)) A1(y) dx dy,
 
-    by a Gauss-Hermite tensor rule centered between each pair's sites with
-    scale ell sqrt(2).  gammas lists (g1, g2, g3, g4) row-wise.  The error
-    estimate is the difference against a coarser rule; values whose estimate
+    gammas lists (g1, g2, g3, g4) row-wise.  An ExponentialPotential takes
+    the Fourier-side route (_w_value_radial), where nodes sets the grid step
+    10 ell / nodes; any other kernel takes a Gauss-Hermite tensor rule with
+    nodes points per axis, centered between each pair's sites with scale
+    ell sqrt(2).  The error estimate is the difference against the same
+    route at check_nodes (default max(8, nodes - 8)).  On the Fourier side
+    both rules keep the periodic images of W e^-30 away, so the estimate
+    measures the change in grid spacing alone.  Values whose estimate
     exceeds rel_tol relative (with a tiny absolute floor) are flagged as
     unconverged rather than silently accepted.
     """
@@ -479,10 +505,9 @@ def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
         check_nodes = max(8, nodes - 8)
     if check_nodes == nodes:
         raise InteractionError(f"the check rule must differ from the {nodes}-node rule")
-    radial = hasattr(pair_w, "c1") and hasattr(pair_w, "sigma1")
-    if radial:
-        val = _w_value_radial(gammas, v, pair_w.c1, pair_w.sigma1, mp, nodes)
-        ref = _w_value_radial(gammas, v, pair_w.c1, pair_w.sigma1, mp, check_nodes)
+    if isinstance(pair_w, ExponentialPotential):
+        val = _w_value_radial(gammas, v, pair_w, mp, nodes)
+        ref = _w_value_radial(gammas, v, pair_w, mp, check_nodes)
     else:
         val = _w_value(gammas, v, pair_w, mp, nodes)
         ref = _w_value(gammas, v, pair_w, mp, check_nodes)

@@ -11,8 +11,9 @@ import pytest
 
 import latframe.cli
 from latframe.cli import main
-from latframe.config import REFERENCE_CONFIG
+from latframe.config import REFERENCE_CONFIG, RunConfig
 from latframe.fock import MAX_MODES
+from latframe.interactions import KERNEL_FFT_MAX, kernel_fft_side
 from latframe.serialize import read_csv, read_matrix_text
 
 SMALL_GRAM = """\
@@ -171,6 +172,13 @@ def test_wkernel_sampling(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert float(row[11]) <= float(row[12]) * (1 + 1e-9)  # abs_w vs bound
+    # each check records its slack
+    values = {c["name"]: c["values"] for c in summary["checks"]}
+    ratios = [float(r[11]) / float(r[12]) for r in rows]
+    assert values["all_within_decay_bound"]["max_ratio"] == pytest.approx(max(ratios), rel=1e-12)
+    rel_errs = [float(r[13]) / float(r[11]) for r in rows]
+    assert values["quadrature_converged"]["max_rel_err"] == pytest.approx(max(rel_errs), rel=1e-12)
+    assert values["quadrature_converged"]["max_rel_err"] <= 1e-6
 
 
 def test_wkernel_seed_reproducible(tmp_path):
@@ -350,6 +358,38 @@ def test_envelope_overflow_names_a_usable_t_max(tmp_path, capsys):
     assert code == 0
     header, rows = read_csv(out / "lr.csv")
     assert max(float(r[header.index("bound")]) for r in rows) > 1e300
+
+
+def test_tiny_sigma1_rejected_before_kernel_work(tmp_path, capsys, monkeypatch):
+    # the padded FFT grid of the radial kernel route grows as 1 / sigma1
+    def reached(*args, **kwargs):
+        raise AssertionError("kernel work reached")
+
+    monkeypatch.setattr(latframe.cli, "v_omega", reached)
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(WKERNEL_FAST + "sigma1 = 0.001\n")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    code = main(["wkernel", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert time.perf_counter() - t0 < 10.0
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "config"
+    assert (record["error"]["section"], record["error"]["key"]) == ("kernel", "sigma1")
+    usable = float(re.search(r"smallest usable sigma1 is (\S+)$", record["error"]["message"])[1])
+    ell = RunConfig().ell_b
+    cap = RunConfig().diam_max_ell * ell
+    assert kernel_fft_side(cap, usable, ell, 32) <= KERNEL_FFT_MAX
+    assert kernel_fft_side(cap, usable * (1 - 1e-3), ell, 32) > KERNEL_FFT_MAX
+    # the named sigma1 passes the grid check and reaches the kernel work
+    cfg.write_text(WKERNEL_FAST + f"sigma1 = {usable}\n")
+    assert main(["wkernel", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "kernel work reached" in read_error(capsys, out)["error"]["message"]
+    # so many nodes that the unpadded grid alone is too large: no sigma1 fits
+    cfg.write_text(WKERNEL_FAST.replace("nodes = 32", "nodes = 500"))
+    assert main(["wkernel", "--config", str(cfg), "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert (record["error"]["section"], record["error"]["key"]) == ("kernel", "nodes")
 
 
 @pytest.mark.parametrize("command", ["lr", "converge"])

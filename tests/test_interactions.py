@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latframe.lattice import LatticeParams, Site, build_chain, build_window, window_from_triples
-from latframe.magnetic import MagneticParams
+from latframe.magnetic import LaguerreCoords, MagneticParams
 from latframe.interactions import (
     FrameAnalysisError,
     Interaction,
@@ -340,6 +340,27 @@ def test_w_kernel_validation(riesz_window, dual_generator):
     with pytest.raises(InteractionError, match="check rule"):
         w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
                  exponential_potential(1.0, 1.0), MP, nodes=20, check_nodes=20)
+    # the padded Fourier grid of the radial route grows as 1 / sigma1
+    with pytest.raises(InteractionError, match="smallest usable sigma1"):
+        w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
+                 exponential_potential(1.0, 1e-3), MP)
+
+
+@pytest.mark.parametrize("sigma1", [1.0, 0.25, 0.1])
+def test_w_kernel_radial_closed_form_oracle(sigma1):
+    # coherent states at the origin: A(x) = e^{-|x|^2/4}, so Bx = By = e^{-|x|^2/2},
+    # H(u) = pi e^{-|u|^2/4} and w = c1 pi int e^{-sigma1 |u|} e^{-|u|^2/4} du;
+    # a too-short FFT period shows here as the images of the slow tail of W
+    from scipy.integrate import quad
+
+    c1 = 1.3
+    radial, _ = quad(lambda r: r * math.exp(-sigma1 * r - r * r / 4.0), 0.0, np.inf,
+                     epsabs=0.0, epsrel=1e-13)
+    ref = c1 * math.pi * 2.0 * math.pi * radial
+    coherent = LaguerreCoords(level=0, coeffs=np.array([1.0 + 0.0j]), ell_b=MP.ell_b)
+    res = w_kernel(np.zeros((4, 2)), coherent, exponential_potential(c1, sigma1), MP, nodes=40)
+    assert res.converged
+    assert abs(res.value - ref) / ref < 1e-10
 
 
 def test_w_kernel_radial_vs_generic_route(riesz_window, dual_generator):
