@@ -62,7 +62,6 @@ from .interactions import (
     w_kernel,
 )
 from .quadratic import (
-    QuadraticCoefficients,
     SingleParticleOperator,
     constant_terms,
     hopping_coeffs,
@@ -102,7 +101,7 @@ __all__ = [
     "Interaction", "InteractionError", "InteractionTerm", "MonomialDescriptor",
     "c_phi", "density_density", "ExponentialPotential", "exponential_potential", "k_sigma",
     "lr_velocity", "v_omega", "w_kernel",
-    "QuadraticCoefficients", "SingleParticleOperator", "constant_terms",
+    "SingleParticleOperator", "constant_terms",
     "hopping_coeffs", "landau_coefficients", "landau_operator", "level_projector",
     "Evolution", "FockError", "LRReport", "ModeBasis", "anticommutator_norm",
     "build_interaction_hamiltonian", "build_quadratic_hamiltonian", "lr_check",

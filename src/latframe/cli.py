@@ -462,6 +462,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     write_json(ctx.out / "lr_summary.json", {
         "verdict": "pass" if report.passed else "fail",
         "n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
+        "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
+        "informative_cells": report.informative_cells,
         "g": report.g, "zeta": report.zeta, "xi": rates["xi"],
         "velocity": report.velocity, "c_phi": cres.value,
         "negative_control": ctx.negative_control,
@@ -473,6 +475,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     })
     checks = [Check("light_cone_bound", report.passed,
                     {"n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
+                     "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
+                     "informative_cells": report.informative_cells,
                      "velocity": report.velocity})]
     params = {"g": report.g, "zeta": report.zeta, "velocity": report.velocity,
               "c_phi": cres.value, "negative_control": ctx.negative_control,

@@ -21,9 +21,12 @@ number sectors, 2**(rank - 1) for parity sectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .interactions import Interaction
 from .lattice import Window
@@ -101,6 +104,8 @@ def mode_basis(window: Window, mp: MagneticParams, rtol: float = GRAM_FACTOR_RTO
 
 def jw_lowering(n_modes: int) -> list[sp.csr_matrix]:
     """Jordan-Wigner lowering operators on (C^2)^{n_modes}, basis |0>, |1> per mode."""
+    import scipy.sparse as sp
+
     lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     zphase = sp.csr_matrix(np.diag([1.0, -1.0]))
     ident = sp.identity(2, format="csr")
@@ -116,6 +121,8 @@ def jw_lowering(n_modes: int) -> list[sp.csr_matrix]:
 
 def mode_operators(basis: ModeBasis) -> list[sp.csr_matrix]:
     """Annihilators a_g = sum_k V[g, k] c_k for every window site."""
+    import scipy.sparse as sp
+
     cs = jw_lowering(basis.rank)
     out = []
     for g in range(basis.n_sites):
@@ -134,6 +141,8 @@ def mode_operators(basis: ModeBasis) -> list[sp.csr_matrix]:
 
 def monomial_operator(factors, ops: list[sp.csr_matrix]) -> sp.csr_matrix:
     """Ordered product of a / a* factors, as (site, dagger) pairs left to right."""
+    import scipy.sparse as sp
+
     dim = ops[0].shape[0]
     acc = sp.identity(dim, format="csr", dtype=np.complex128)
     for site, dagger in factors:
@@ -147,6 +156,8 @@ def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
                                   support_within: frozenset[int] | None = None) -> sp.csr_matrix:
     """H = sum over terms of f * (M + M*), optionally keeping only terms whose
     support lies inside the given site subset."""
+    import scipy.sparse as sp
+
     if ops is None:
         ops = mode_operators(basis)
     h = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
@@ -165,6 +176,8 @@ def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray,
                                 constants: np.ndarray | None = None,
                                 ops: list[sp.csr_matrix] | None = None) -> sp.csr_matrix:
     """H = sum t[g', g] a*_g' a_g - sum c(g), with t Hermitian."""
+    import scipy.sparse as sp
+
     n = basis.n_sites
     if hopping.shape != (n, n):
         raise FockError(f"hopping shape {hopping.shape} mismatches {n} sites")
@@ -220,6 +233,8 @@ class Evolution:
     omitted); H must not couple different labels."""
 
     def __init__(self, h: sp.spmatrix | np.ndarray, sectors: np.ndarray | None = None):
+        import scipy.sparse as sp
+
         hs = sp.csr_matrix(h)
         dev = float(abs(hs - hs.conj().T).max()) if hs.nnz else 0.0
         if dev > 1e-9 * max(1.0, float(abs(hs).max()) if hs.nnz else 0.0):
@@ -239,6 +254,8 @@ class Evolution:
     def eigenbasis(self, a: sp.spmatrix | np.ndarray) -> SectorOperator:
         """The blocks U_r* a U_{r+1} of an operator that lowers the sector by one;
         entries of a outside those blocks are an error."""
+        import scipy.sparse as sp
+
         a = sp.csr_matrix(a)
         q = len(self.sectors)
         blocks, kept = [], 0
@@ -267,6 +284,8 @@ class Evolution:
             return SectorOperator(tuple(
                 phases[r][:, None] * b * phases[(r + 1) % q].conj()[None, :]
                 for r, b in enumerate(a.blocks)))
+        import scipy.sparse as sp
+
         u = self.propagator(t)
         ad = a.toarray() if sp.issparse(a) else np.asarray(a)
         return u @ ad @ u.conj().T
@@ -274,6 +293,8 @@ class Evolution:
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value; exact for the sizes used here."""
+    import scipy.sparse as sp
+
     ad = a.toarray() if sp.issparse(a) else np.asarray(a)
     if min(ad.shape) == 0:
         return 0.0
@@ -289,6 +310,8 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def anticommutator_norm(p: np.ndarray, q: np.ndarray) -> float:
+    import scipy.sparse as sp
+
     pd = p.toarray() if sp.issparse(p) else np.asarray(p)
     qd = q.toarray() if sp.issparse(q) else np.asarray(q)
     return operator_norm(pd @ qd + qd @ pd)
@@ -321,7 +344,12 @@ def convergence_envelope(g: float, zeta: float, velocity: float, boundary: float
 @dataclass(frozen=True)
 class LRReport:
     """Propagation-front table: measured anticommutator norms against the
-    exponential light-cone envelope g * exp(-zeta * (d - v|t|))."""
+    exponential light-cone envelope g * exp(-zeta * (d - v|t|)).
+
+    max_ratio includes the diagonal cells, where F(0) = Z_gg = g at t = 0;
+    max_ratio_off_diagonal is the maximum over pairs at distance d > 0, and
+    informative_cells counts the (time, pair) cells whose bound lies below
+    the trivial limit F <= 2."""
 
     zeta: float
     velocity: float
@@ -332,6 +360,8 @@ class LRReport:
     bounds: np.ndarray
     n_exceed: int
     max_ratio: float
+    max_ratio_off_diagonal: float
+    informative_cells: int
     passed: bool
     flavor_labels: tuple[str, ...] = ("a,a", "a,a*", "a*,a", "a*,a*")
 
@@ -376,11 +406,14 @@ def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
     fmax = f_table.max(axis=2)
     ratios = fmax / bounds
     exceed = ratios > 1.0 + rel_slack
+    off_diagonal = ratios[:, d_pairs > 0]
     return LRReport(
         zeta=zeta, velocity=velocity, g=g, t_grid=t_grid, pairs=tuple(pairs),
         f_table=f_table, bounds=bounds,
         n_exceed=int(np.count_nonzero(exceed)),
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
+        max_ratio_off_diagonal=float(off_diagonal.max()) if off_diagonal.size else 0.0,
+        informative_cells=int(np.count_nonzero(bounds < 2.0)),
         passed=not bool(exceed.any()),
     )
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, pi
+from math import exp, lgamma, log, pi
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammainc, gammaincc
 
 from .lattice import LatticeParams, Site, Window
 
@@ -41,7 +40,6 @@ __all__ = [
     "regime",
     "displacement_matrix",
     "translate_coords",
-    "translate_pointwise",
     "coords_pointwise",
     "window_coords",
 ]
@@ -108,6 +106,37 @@ class LaguerreCoords:
         return float(np.linalg.norm(self.coeffs))
 
 
+def poisson_tail(m: int, u: float) -> float:
+    """Poisson tail sum_{k>m} e^-u u^k / k! (the regularized lower incomplete
+    gamma function P(m + 1, u)), for m >= 0 and u >= 0.
+
+    Above the mean (m + 1 > u) the upper terms are summed directly; otherwise
+    the tail is 1 minus the head sum_{k<=m}, which is then at most about 1/2,
+    so the subtraction loses no relative accuracy.  Either series starts at
+    its largest term and shrinks by a ratio below 1, so it stops once a term
+    is below 1e-17 of the running sum; the sum is scaled by its first term,
+    whose logarithm carries the magnitude, so nothing overflows.
+    """
+    if u == 0.0:
+        return 0.0
+    upper = m + 1 > u
+    k = m + 1 if upper else m
+    log_first = -u + k * log(u) - lgamma(k + 1)
+    total, term = 1.0, 1.0
+    while term > 1e-17 * total:
+        if upper:
+            k += 1
+            term *= u / k
+        else:
+            if k == 0:
+                break
+            term *= k / u
+            k -= 1
+        total += term
+    part = exp(log_first + log(total))
+    return part if upper else 1.0 - part
+
+
 def choose_truncation(radius_max: float, ell_b: float, tol: float = TAIL_TOL) -> int:
     """Angular cutoff M for states localized within |gamma| <= radius_max.
 
@@ -117,7 +146,7 @@ def choose_truncation(radius_max: float, ell_b: float, tol: float = TAIL_TOL) ->
     """
     u = (radius_max / ell_b) ** 2 / 2.0
     m = int(np.ceil(np.e * u / 2.0 + 40))
-    while gammainc(m + 1, u) >= tol:
+    while poisson_tail(m, u) >= tol:
         m = int(np.ceil(1.1 * m)) + 8
         if m > 200_000:
             raise TruncationError(f"no acceptable truncation below 200000 for radius {radius_max}")
@@ -127,7 +156,7 @@ def choose_truncation(radius_max: float, ell_b: float, tol: float = TAIL_TOL) ->
 def coords_tail(gamma: tuple[float, float], ell_b: float, m: int) -> float:
     """Exact squared-norm tail sum_{k>m} |c_k(gamma)|^2."""
     u = (gamma[0] ** 2 + gamma[1] ** 2) / (2.0 * ell_b**2)
-    return float(gammainc(m + 1, u))
+    return poisson_tail(m, u)
 
 
 def chi_coords(gamma: tuple[float, float], ell_b: float, trunc: int, level: int = 0) -> LaguerreCoords:
@@ -166,6 +195,8 @@ def laguerre_psi(n1: int, n2: int, x: np.ndarray, ell_b: float) -> np.ndarray:
     """
     if n1 < 0 or n2 < 0:
         raise ValueError(f"indices must be non-negative, got ({n1}, {n2})")
+    from scipy.special import eval_genlaguerre
+
     x = np.asarray(x, dtype=np.float64)
     z = (x[..., 0] + 1j * x[..., 1]) / (ell_b * np.sqrt(2.0))
     u = np.abs(z) ** 2
@@ -317,6 +348,8 @@ def displacement_matrix(gamma: tuple[float, float], ell_b: float, trunc: int) ->
     callers should keep trunc comfortably above the support of the states
     being translated.
     """
+    from scipy.special import eval_genlaguerre
+
     a = complex(gamma[0], gamma[1]) / (ell_b * np.sqrt(2.0))
     n = trunc + 1
     if abs(a) == 0.0:
@@ -338,18 +371,6 @@ def translate_coords(gamma: tuple[float, float], phi: LaguerreCoords) -> Laguerr
     """Magnetic translation of a coordinate vector within its level."""
     d = displacement_matrix(gamma, phi.ell_b, phi.trunc)
     return LaguerreCoords(level=phi.level, coeffs=d @ phi.coeffs, ell_b=phi.ell_b)
-
-
-def translate_pointwise(gamma: tuple[float, float], f, mp: MagneticParams):
-    """Magnetic translation of a pointwise wavefunction: x -> phase * f(x - gamma)."""
-    g = np.asarray(gamma, dtype=np.float64)
-    ell2 = mp.ell_b**2
-
-    def translated(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-1j * mp.wedge(g, x) / (2.0 * ell2)) * f(x - g)
-
-    return translated
 
 
 def coords_pointwise(phi: LaguerreCoords, x: np.ndarray) -> np.ndarray:

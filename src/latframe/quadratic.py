@@ -30,7 +30,6 @@ from .magnetic import MagneticParams, window_coords
 
 __all__ = [
     "SingleParticleOperator",
-    "QuadraticCoefficients",
     "landau_operator",
     "level_projector",
     "hopping_coeffs",
@@ -86,25 +85,6 @@ def level_projector(n_levels: int, trunc: int, levels: list[int]) -> SingleParti
     for r in levels:
         blocks[r, r] = np.eye(m)
     return SingleParticleOperator(blocks=blocks)
-
-
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Hopping matrix over window sites and per-site real constants."""
-
-    hopping: np.ndarray
-    constants: np.ndarray
-    window: Window
-
-    def __post_init__(self) -> None:
-        n = len(self.window)
-        if self.hopping.shape != (n, n):
-            raise FrameAnalysisError(f"hopping shape {self.hopping.shape} mismatches window size {n}")
-        dev = np.max(np.abs(self.hopping - self.hopping.conj().T))
-        if dev > 1e-10:
-            raise FrameAnalysisError(f"hopping is not Hermitian: deviation {dev:.3e}")
-        if np.max(np.abs(np.imag(self.constants))) > 0:
-            raise FrameAnalysisError("constants must be real")
 
 
 def _stacked_coords(window: Window, mp: MagneticParams) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,6 +1,7 @@
 """Command-line front end: artifacts, verdicts, exit codes, error records."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import latframe
 import latframe.cli
 from latframe.cli import main
 from latframe.config import REFERENCE_CONFIG, RunConfig
@@ -201,6 +203,28 @@ def test_lr_light_cone(tmp_path):
     assert len(rows) == 3 * 16  # t points x site pairs
     _, exceed = read_csv(out / "lr_exceedances.csv")
     assert exceed == []
+
+
+def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
+    # the 8-site chain up to its saturation time d_max / v = 7 / 12861.4
+    cfg = ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\nchain_length = 8\n\n"
+           "[dynamics]\nt_max = 5.44272e-4\nn_t = 2\n")
+    code, out, summary = run_cli(tmp_path, "lr", cfg)
+    assert code == 0
+    payload = json.loads((out / "lr_summary.json").read_text())
+    record = next(c for c in summary["checks"] if c["name"] == "light_cone_bound")
+    for key in ("max_ratio_off_diagonal", "informative_cells"):
+        assert record["values"][key] == payload[key]
+    header, rows = read_csv(out / "lr.csv")
+    col = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)
+           if name in ("d", "bound", "ratio")}
+    # the diagonal cell at t = 0 has F = Z_gg = g, so the plain maximum carries no information
+    assert payload["max_ratio"] == pytest.approx(1.0, rel=1e-12)
+    off = col["d"] > 0
+    assert payload["max_ratio_off_diagonal"] == pytest.approx(col["ratio"][off].max(), rel=1e-12)
+    assert payload["max_ratio_off_diagonal"] < 1.0
+    assert payload["informative_cells"] == int(np.count_nonzero(col["bound"] < 2.0))
+    assert 0 < payload["informative_cells"] < len(rows)
 
 
 def test_lr_negative_control_mechanics(tmp_path):
@@ -505,3 +529,41 @@ def test_module_entrypoint(tmp_path):
     assert proc.returncode == 0
     assert "gram" in proc.stdout
     assert (out / "summary.json").exists()
+
+
+def _scipy_modules(tmp_path, argv):
+    """scipy modules loaded in a fresh interpreter after `import latframe.cli`,
+    and after main(argv) has run in that interpreter."""
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import latframe\n"
+        "import latframe.cli\n"
+        "after_import = scipy_modules()\n"
+        f"code = latframe.cli.main({argv!r})\n"
+        "print(json.dumps({'import': after_import, 'run': scipy_modules(), 'code': code}))\n")
+    src = os.path.dirname(os.path.dirname(latframe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_and_certificate_command_load_no_scipy(tmp_path):
+    # decay on the default radius-12 sqrt(pi) lattice
+    loaded = _scipy_modules(tmp_path, ["decay", "--out", str(tmp_path / "out")])
+    assert loaded["code"] == 0
+    assert loaded["import"] == []
+    assert loaded["run"] == []
+
+
+def test_lr_loads_scipy_sparse_when_it_runs(tmp_path):
+    cfg = tmp_path / "lr.ini"
+    cfg.write_text(LR_FAST)
+    loaded = _scipy_modules(tmp_path, ["lr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert loaded["code"] == 0
+    assert loaded["import"] == []
+    assert "scipy.sparse" in loaded["run"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latframe.lattice import LatticeParams, Site, build_window
 from latframe.magnetic import (
+    TAIL_TOL,
     LaguerreCoords,
     MagneticParams,
     TruncationError,
@@ -17,10 +18,12 @@ from latframe.magnetic import (
     chi_pointwise,
     choose_truncation,
     coords_pointwise,
+    coords_tail,
     displacement_matrix,
     laguerre_psi,
     overlap,
     overlap_matrix,
+    poisson_tail,
     regime,
     reproducing_eval,
     theta3,
@@ -159,6 +162,81 @@ def test_choose_truncation_tail():
         u = r * r / 2.0
         # kept coefficient mass is a Poisson head sum
         assert 1.0 - poisson.cdf(m, u) < 1e-12
+
+
+def _poisson_cases():
+    for u in (0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 10.0, 72.0, 100.0, 500.0, 1000.0, 1999.5, 2000.0):
+        ms = set(range(40))
+        ms |= {int(u * f) for f in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0)}
+        ms |= {int(u) + d for d in range(-3, 4) if int(u) + d >= 0}
+        for m in sorted(ms):
+            yield m, u
+
+
+def test_poisson_tail_matches_gammainc():
+    from scipy.special import gammainc
+
+    checked = 0
+    for m, u in _poisson_cases():
+        ref = float(gammainc(m + 1, u))
+        got = poisson_tail(m, u)
+        if ref > 1e-300:
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (m, u)
+            checked += 1
+        else:
+            assert got <= 1e-290, (m, u)
+    assert poisson_tail(0, 0.0) == 0.0 and poisson_tail(7, 0.0) == 0.0
+    assert checked > 500
+
+
+def test_poisson_tail_near_tail_tol():
+    from scipy.special import gammainc
+
+    for u in (0.5, 8.0, 72.0, 128.0, 450.0, 1800.0):
+        # the first m whose tail is below TAIL_TOL, and its neighbours
+        m = int(u)
+        while gammainc(m + 1, u) >= TAIL_TOL:
+            m += 1
+        for k in (m - 2, m - 1, m, m + 1, m + 2):
+            ref = float(gammainc(k + 1, u))
+            got = poisson_tail(k, u)
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (k, u)
+            assert (got >= TAIL_TOL) == (ref >= TAIL_TOL), (k, u)
+
+
+def test_choose_truncation_matches_gammainc_rule():
+    from scipy.special import gammainc
+
+    def scipy_rule(radius, ell):
+        u = (radius / ell) ** 2 / 2.0
+        m = int(np.ceil(np.e * u / 2.0 + 40))
+        while gammainc(m + 1, u) >= TAIL_TOL:
+            m = int(np.ceil(1.1 * m)) + 8
+        return m
+
+    for r in np.linspace(0.01, 60.0, 3000):
+        assert choose_truncation(float(r), 1.0) == scipy_rule(float(r), 1.0), r
+    for ell in (0.5, 2.0):
+        for r in (3.0, 12.0, 16.0, 20.5):
+            assert choose_truncation(r, ell) == scipy_rule(r, ell)
+
+
+def test_coords_tail_on_window_sites():
+    from scipy.special import gammainc
+
+    lp = LatticeParams(math.sqrt(math.pi), math.sqrt(math.pi), 12.0)
+    w = build_window(lp)
+    trunc, _ = window_coords(w, MP)
+    for s in w.sites:
+        g = s.gamma(lp)
+        u = (g[0] ** 2 + g[1] ** 2) / 2.0
+        for m in (trunc, trunc // 2, 10):
+            ref = float(gammainc(m + 1, u))
+            got = coords_tail(g, 1.0, m)
+            if ref > 1e-300:
+                assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+            else:
+                assert got <= 1e-290
 
 
 def test_coords_inner_product_matches_overlap(rng):
