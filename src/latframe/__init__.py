@@ -38,7 +38,6 @@ from .frame_analysis import (
     FrameAnalysisError,
     GramMatrix,
     frame_bounds_estimate,
-    frame_coefficients,
     frame_operator,
     gram,
     localization_rate,
@@ -95,7 +94,7 @@ __all__ = [
     "bessel_bound", "chi_coords", "chi_pointwise", "overlap", "overlap_matrix",
     "regime", "theta3",
     "DecayCertificate", "FrameAnalysisError", "GramMatrix",
-    "frame_bounds_estimate", "frame_coefficients", "frame_operator", "gram",
+    "frame_bounds_estimate", "frame_operator", "gram",
     "localization_rate", "neumann_certificate", "overlap_rate_constant",
     "s_inverse_power_elements", "verify_decay",
     "Interaction", "InteractionError", "InteractionTerm", "MonomialDescriptor",

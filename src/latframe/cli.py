@@ -521,9 +521,12 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
         tol = 1e-9 * max(1.0, float(np.max(r1.diffs))) + 1e-12
         if np.any(r2.diffs > r1.diffs + tol):
             monotone = False
+    # cells whose bound is below the trivial limit ||tau_t(a) - tau'_t(a)|| <= 2
+    informative = sum(int(np.count_nonzero(rep.bounds < 2.0)) for _, rep in reports)
     checks = [
         Check("within_bound", within,
-              {"max_ratio": max(rep.max_ratio for _, rep in reports)}),
+              {"max_ratio": max(rep.max_ratio for _, rep in reports),
+               "informative": informative}),
         Check("monotone_in_window_gap", monotone,
               {"lengths": list(lengths)}),
     ]

@@ -85,16 +85,15 @@ class ModeBasis:
         return 1 << self.rank
 
 
-def mode_basis(window: Window, mp: MagneticParams, rtol: float = GRAM_FACTOR_RTOL,
-               max_modes: int = MAX_MODES) -> ModeBasis:
+def mode_basis(window: Window, mp: MagneticParams) -> ModeBasis:
     z = overlap_matrix(window, mp)
     w, u = np.linalg.eigh(z)
-    keep = w > rtol * max(w[-1], 0.0)
+    keep = w > GRAM_FACTOR_RTOL * max(w[-1], 0.0)
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         raise FockError("window Gram matrix has no retained modes")
-    if rank > max_modes:
-        raise FockError(f"rank {rank} exceeds the mode cap {max_modes} (dim 2^{rank})")
+    if rank > MAX_MODES:
+        raise FockError(f"rank {rank} exceeds the mode cap {MAX_MODES} (dim 2^{rank})")
     v = u[:, keep] * np.sqrt(w[keep])
     resid = float(np.max(np.abs(z - v @ v.conj().T)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(z)))):
@@ -274,39 +273,21 @@ class Evolution:
             u[np.ix_(idx, idx)] = (v * np.exp(1j * t * e)) @ v.conj().T
         return u
 
-    def heisenberg(self, a, t: float):
-        """tau_t(a).  A SectorOperator of this evolution is phased block by block,
-        e^{itE_r} A_r e^{-itE_{r+1}}, and stays in the eigenbasis; any other
-        operator is evolved as a dense matrix in the mode basis."""
-        if isinstance(a, SectorOperator):
-            q = len(self.sectors)
-            phases = [np.exp(1j * t * e) for e in self.eigvals]
-            return SectorOperator(tuple(
-                phases[r][:, None] * b * phases[(r + 1) % q].conj()[None, :]
-                for r, b in enumerate(a.blocks)))
-        import scipy.sparse as sp
-
-        u = self.propagator(t)
-        ad = a.toarray() if sp.issparse(a) else np.asarray(a)
-        return u @ ad @ u.conj().T
+    def heisenberg(self, a: SectorOperator, t: float) -> SectorOperator:
+        """tau_t(a) for a SectorOperator of this evolution, phased block by
+        block, e^{itE_r} A_r e^{-itE_{r+1}}; it stays in the eigenbasis."""
+        q = len(self.sectors)
+        phases = [np.exp(1j * t * e) for e in self.eigvals]
+        return SectorOperator(tuple(
+            phases[r][:, None] * b * phases[(r + 1) % q].conj()[None, :]
+            for r, b in enumerate(a.blocks)))
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value; exact for the sizes used here."""
-    import scipy.sparse as sp
-
-    ad = a.toarray() if sp.issparse(a) else np.asarray(a)
-    if min(ad.shape) == 0:
-        return 0.0
-    if max(ad.shape) <= 2048:
-        return float(np.linalg.norm(ad, 2))
-    from scipy.sparse.linalg import svds
-
-    try:
-        s = svds(ad, k=1, return_singular_vectors=False)
-        return float(s[0])
-    except Exception:
-        return float(np.linalg.norm(ad, 2))
+    """Largest singular value of a dense matrix.  Sector blocks have at most
+    2**(MAX_MODES - 1) = 2048 rows (a parity sector at the mode cap)."""
+    a = np.asarray(a)
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def anticommutator_norm(p: np.ndarray, q: np.ndarray) -> float:
@@ -367,11 +348,10 @@ class LRReport:
 
 
 def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
-             zeta: float, velocity: float, g: float,
-             pairs: list[tuple[int, int]] | None = None,
-             rel_slack: float = 1e-9) -> LRReport:
-    """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for each pair
-    and compare with g * exp(-zeta(d(g, g') - v|t|)).
+             zeta: float, velocity: float, g: float) -> LRReport:
+    """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for every
+    ordered site pair and compare with g * exp(-zeta(d(g, g') - v|t|)); a cell
+    exceeds when F is above the bound by more than 1e-9 relative.
 
     The work runs in the number sectors of H in its eigenbasis; the flavors
     come in adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||,
@@ -382,30 +362,23 @@ def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
         raise FockError(f"Hamiltonian shape {h.shape} mismatches Fock dimension {basis.dim}")
     t_grid = np.asarray(t_grid, dtype=float)
     n = basis.n_sites
-    if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    dists = basis.window.distance_matrix()
+    pairs = [(i, j) for i in range(n) for j in range(n)]
     evol = Evolution(h, number_sectors([h], basis.rank))
-    ops = mode_operators(basis)
-    sites = sorted({s for pair in pairs for s in pair})
-    static = {s: evol.eigenbasis(ops[s]) for s in sites}
-    by_moving: dict[int, list[int]] = {}
-    for ip, (i, _) in enumerate(pairs):
-        by_moving.setdefault(i, []).append(ip)
-    f_table = np.zeros((len(t_grid), len(pairs), 4))
+    static = [evol.eigenbasis(a) for a in mode_operators(basis)]
+    f_table = np.zeros((len(t_grid), n * n, 4))
     for it, t in enumerate(t_grid):
-        for i, ips in sorted(by_moving.items()):
+        for i in range(n):
             x = evol.heisenberg(static[i], float(t))
-            for ip in ips:
-                plain, mixed = _anticommutator_norms(x, static[pairs[ip][1]])
-                f_table[it, ip] = (plain, mixed, mixed, plain)
+            for j in range(n):
+                plain, mixed = _anticommutator_norms(x, static[j])
+                f_table[it, i * n + j] = (plain, mixed, mixed, plain)
     # an overflowing envelope holds trivially; callers that write the bounds
     # out reject such a t_max before the run
-    d_pairs = np.array([dists[i, j] for i, j in pairs], dtype=float)
+    d_pairs = basis.window.distance_matrix().ravel()
     bounds = lr_envelope(g, zeta, velocity, d_pairs[None, :], t_grid[:, None])
     fmax = f_table.max(axis=2)
     ratios = fmax / bounds
-    exceed = ratios > 1.0 + rel_slack
+    exceed = ratios > 1.0 + 1e-9
     off_diagonal = ratios[:, d_pairs > 0]
     return LRReport(
         zeta=zeta, velocity=velocity, g=g, t_grid=t_grid, pairs=tuple(pairs),
@@ -448,8 +421,7 @@ def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: in
 
 def volume_convergence(basis: ModeBasis, interaction: Interaction,
                        inner_windows: list[frozenset[int]], site: int, t_grid,
-                       zeta: float, velocity: float, g: float,
-                       rel_slack: float = 1e-9) -> list[ConvergenceReport]:
+                       zeta: float, velocity: float, g: float) -> list[ConvergenceReport]:
     """Compare tau_t under the full interaction against the dynamics generated
     by the terms supported inside each of inner_windows (site-index sets), for
     the annihilator at one site; one report per inner window.
@@ -484,7 +456,7 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
         bounds = convergence_envelope(g, zeta, velocity, boundary, t_grid)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
-        passed = bool(np.all(diffs <= bounds * (1.0 + rel_slack) + 1e-12))
+        passed = bool(np.all(diffs <= bounds * (1.0 + 1e-9) + 1e-12))
         reports.append(ConvergenceReport(t_grid=t_grid, site=site, diffs=diffs, bounds=bounds,
                                          boundary_sum=boundary, passed=passed,
                                          max_ratio=float(np.max(ratios)) if ratios.size else 0.0))

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import log, pi
+from math import log
 
 import numpy as np
 
 from .lattice import LatticeParams, Window, build_window, m_epsilon
-from .magnetic import MagneticParams, RegimeError, bessel_bound, overlap_matrix, regime, window_coords, LaguerreCoords
+from .magnetic import MagneticParams, RegimeError, bessel_bound, overlap_matrix, regime, window_coords
 
 __all__ = [
     "PSEUDO_INVERSE_RTOL",
@@ -43,7 +43,6 @@ __all__ = [
     "overlap_rate_constant",
     "neumann_certificate",
     "verify_decay",
-    "frame_coefficients",
     "inner_indices",
 ]
 
@@ -324,13 +323,13 @@ class DecayReport:
 
 
 def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate,
-                 scale: float = 1.0, rel_slack: float = 1e-9) -> DecayReport:
+                 scale: float = 1.0) -> DecayReport:
     """Check every element against scale * a_p * exp(-lambda_p * dist).
 
     Also fits a decay rate to the off-diagonal elements above the numerical
     floor; certificates are honest when the fitted rate is at least
     lambda_p.  A pair violates when |entry| exceeds the bound by more than
-    the relative slack.
+    1e-9 relative.
     """
     entries = np.asarray(entries)
     dists = np.asarray(dists, dtype=np.float64)
@@ -339,7 +338,7 @@ def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate,
     mags = np.abs(entries)
     bounds = scale * cert.a_p * np.exp(-cert.lambda_p * dists)
     ratio = mags / bounds
-    violations = int(np.sum(ratio > 1.0 + rel_slack))
+    violations = int(np.sum(ratio > 1.0 + 1e-9))
     floor = 1e-14 * mags.max() if mags.size and mags.max() > 0 else 0.0
     mask = (dists > 0) & (mags > floor)
     fitted = None
@@ -354,35 +353,3 @@ def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate,
         lambda_p=cert.lambda_p,
         a_p=cert.a_p,
     )
-
-
-@dataclass(frozen=True)
-class FrameCoefficients:
-    values: np.ndarray
-    residual: float
-
-
-def frame_coefficients(phi: LaguerreCoords, window: Window, mp: MagneticParams) -> FrameCoefficients:
-    """Canonical expansion coefficients s_gamma = <S^-1 chi_gamma, phi>.
-
-    The reconstruction sum_gamma s_gamma chi_gamma reproduces phi up to the
-    numerical kernel of the window synthesis; the residual reported is the
-    coordinate-space reconstruction error.  Among all coefficient vectors
-    reproducing phi to that accuracy the canonical one has minimal norm.
-    """
-    if phi.level != 0:
-        raise FrameAnalysisError("frame coefficients are computed within the lowest level")
-    w0 = _spatial_subwindow(window)
-    op = frame_operator(w0, mp)
-    _, rows = window_coords(w0, mp)
-    b = rows.T
-    vec = np.zeros(op.trunc + 1, dtype=np.complex128)
-    if phi.trunc > op.trunc:
-        raise FrameAnalysisError(
-            f"state truncation {phi.trunc} exceeds window truncation {op.trunc}"
-        )
-    vec[: phi.trunc + 1] = phi.coeffs
-    sinv_phi = op.power(-1) @ vec
-    s = b.conj().T @ sinv_phi
-    residual = float(np.linalg.norm(b @ s - vec))
-    return FrameCoefficients(values=s, residual=residual)

@@ -163,14 +163,13 @@ def _term_geometry(inter: Interaction, nu: float) -> tuple[np.ndarray, np.ndarra
     return tmat, weights, dists
 
 
-def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto",
-          ball_radius_cap: float | None = None) -> CPhiResult:
+def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> CPhiResult:
     """The propagation functional C(zeta, xi) over singleton-and-ball probes.
 
-    family='auto' uses singletons plus closed metric balls around every site,
-    optionally capped in radius; family='brute' sweeps every nonempty subset
-    and is limited to small windows.  Both report where the supremum was
-    attained.  An interaction with no terms evaluates to zero.
+    family='auto' uses singletons plus closed metric balls around every site;
+    family='brute' sweeps every nonempty subset and is limited to small
+    windows.  Both report where the supremum was attained.  An interaction
+    with no terms evaluates to zero.
     """
     if zeta <= 0 or xi <= zeta:
         raise InteractionError(f"need 0 < zeta < xi, got zeta={zeta}, xi={xi}")
@@ -207,10 +206,6 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto",
         radii = dists[order, c]
         # complete balls end where the next radius strictly increases
         ends = np.nonzero(np.diff(radii, append=np.inf) > 1e-12)[0]
-        if ball_radius_cap is not None:
-            ends = ends[radii[ends] <= ball_radius_cap]
-            if ends.size == 0:
-                continue
         cm_terms = np.minimum.accumulate(tmat[:, order], axis=1)
         cm_sites = np.minimum.accumulate(dists[:, order], axis=1)
         diam = np.zeros(n)
@@ -353,7 +348,6 @@ class WKernelResult:
     value: complex
     error_estimate: float
     nodes: int
-    check_nodes: int
     converged: bool
 
 
@@ -479,8 +473,7 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
 
 
 def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
-             nodes: int = 40, check_nodes: int | None = None,
-             rel_tol: float = 1e-6) -> WKernelResult:
+             nodes: int = 40) -> WKernelResult:
     """Two-body kernel element between dressed states,
 
         w = int int W(x, y) conj(A4(x)) A3(x) conj(A2(y)) A1(y) dx dy,
@@ -490,31 +483,29 @@ def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
     10 ell / nodes; any other kernel takes a Gauss-Hermite tensor rule with
     nodes points per axis, centered between each pair's sites with scale
     ell sqrt(2).  The error estimate is the difference against the same
-    route at check_nodes (default max(8, nodes - 8)).  On the Fourier side
-    both rules keep the periodic images of W e^-30 away, so the estimate
-    measures the change in grid spacing alone.  Values whose estimate
-    exceeds rel_tol relative (with a tiny absolute floor) are flagged as
-    unconverged rather than silently accepted.
+    route at max(8, nodes - 8) nodes, so nodes must be at least 9.  On the
+    Fourier side both rules keep the periodic images of W e^-30 away, so the
+    estimate measures the change in grid spacing alone.  Values whose
+    estimate exceeds 1e-6 relative (with a tiny absolute floor) are flagged
+    as unconverged rather than silently accepted.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.shape != (4, 2):
         raise InteractionError(f"gammas must be (4, 2), got {gammas.shape}")
-    if nodes < 8:
-        raise InteractionError("need at least 8 nodes per axis")
-    if check_nodes is None:
-        check_nodes = max(8, nodes - 8)
-    if check_nodes == nodes:
-        raise InteractionError(f"the check rule must differ from the {nodes}-node rule")
+    if nodes < 9:
+        raise InteractionError(
+            f"need at least 9 nodes per axis, got {nodes}: the check rule runs "
+            f"max(8, nodes - 8) nodes and must differ from the main rule")
+    coarse = max(8, nodes - 8)
     if isinstance(pair_w, ExponentialPotential):
         val = _w_value_radial(gammas, v, pair_w, mp, nodes)
-        ref = _w_value_radial(gammas, v, pair_w, mp, check_nodes)
+        ref = _w_value_radial(gammas, v, pair_w, mp, coarse)
     else:
         val = _w_value(gammas, v, pair_w, mp, nodes)
-        ref = _w_value(gammas, v, pair_w, mp, check_nodes)
+        ref = _w_value(gammas, v, pair_w, mp, coarse)
     err = abs(val - ref)
-    converged = err <= rel_tol * max(abs(val), 1e-12)
-    return WKernelResult(value=val, error_estimate=err, nodes=nodes,
-                         check_nodes=check_nodes, converged=converged)
+    converged = err <= 1e-6 * max(abs(val), 1e-12)
+    return WKernelResult(value=val, error_estimate=err, nodes=nodes, converged=converged)
 
 
 def k_sigma(c1: float, c2: float, sigma1: float, sigma2: float,

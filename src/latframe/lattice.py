@@ -7,8 +7,8 @@ gamma of the rectangular lattice alpha*Z x beta*Z.  The label metric is
 
 with alpha_star = min(alpha, beta).  Everything downstream (overlap decay
 certificates, interaction localization sums, light-cone checks) measures
-distances with this metric, so the window enumeration and the geometric
-functionals (m_eps sums, covering constants, set diameters) live here.
+distances with this metric, so the window enumeration and the m_eps
+localization sum live here.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ __all__ = [
     "build_window",
     "window_from_triples",
     "build_chain",
-    "site_from_gamma",
     "distance",
     "m_epsilon",
-    "dimension_constant",
-    "set_geometry",
 ]
 
 
@@ -53,8 +50,9 @@ class LatticeParams:
     level_max : int
         Highest level index included (0 keeps only the lowest level).
     nu : int or None
-        Metric-space dimension used by covering constants; defaults to
-        2 for a single level and 3 when several levels are present.
+        Metric-space dimension in the volume weight (1 + diam Z)**nu of
+        the propagation functional; defaults to 2 for a single level and
+        3 when several levels are present.
     """
 
     alpha: float
@@ -100,17 +98,6 @@ class Site:
 
     def triple(self) -> tuple[int, int, int]:
         return (self.r, self.i, self.j)
-
-
-def site_from_gamma(r: int, gamma: tuple[float, float], params: LatticeParams) -> Site:
-    """Recover lattice indices from a spatial point, enforcing commensurability."""
-    i = round(gamma[0] / params.alpha)
-    j = round(gamma[1] / params.beta)
-    for label, want, got in (("gamma_1", gamma[0], i * params.alpha), ("gamma_2", gamma[1], j * params.beta)):
-        scale = max(1.0, abs(want))
-        if abs(want - got) > 1e-12 * scale:
-            raise LatticeError(f"{label}={want} is not a lattice multiple (nearest {got})")
-    return Site(r, i, j)
 
 
 @dataclass(frozen=True)
@@ -244,35 +231,3 @@ def m_epsilon(window: Window, eps: float) -> tuple[float, float]:
     if window.params.level_max > 0:
         bound *= (1.0 + np.exp(-eps)) / (1.0 - np.exp(-eps))
     return estimate, float(bound)
-
-
-def dimension_constant(window: Window, nu: int | None = None) -> float:
-    """Measured covering constant kappa with |ball(gamma, rho)| <= kappa * rho**nu.
-
-    Scans every window site and every distinct pairwise distance rho > 0 up
-    to the window diameter, returning the largest count / rho**nu ratio.
-    """
-    if nu is None:
-        nu = window.params.dim
-    d = window.distance_matrix()
-    radii = np.unique(d[d > 0])
-    if radii.size == 0:
-        raise LatticeError("window has fewer than two sites")
-    kappa = 0.0
-    for rho in radii:
-        counts = (d <= rho * (1 + 1e-12)).sum(axis=1)
-        kappa = max(kappa, counts.max() / rho ** nu)
-    return float(kappa)
-
-
-def set_geometry(z: list[Site], zp: list[Site], params: LatticeParams) -> tuple[float, float, float]:
-    """Diameter of z, distance between z and zp, and the volume weight D(z).
-
-    D(z) = (1 + diam z)**nu with nu the metric dimension of the lattice.
-    """
-    if not z or not zp:
-        raise LatticeError("set_geometry requires non-empty site sets")
-    diam = max(distance(a, b, params) for a in z for b in z)
-    dist_zzp = min(distance(a, b, params) for a in z for b in zp)
-    d_z = (1.0 + diam) ** params.dim
-    return diam, dist_zzp, d_z

@@ -34,12 +34,9 @@ __all__ = [
     "chi_pointwise",
     "overlap",
     "overlap_matrix",
-    "reproducing_eval",
     "theta3",
     "bessel_bound",
     "regime",
-    "displacement_matrix",
-    "translate_coords",
     "coords_pointwise",
     "window_coords",
 ]
@@ -271,27 +268,6 @@ def overlap_matrix(window: Window, mp: MagneticParams) -> np.ndarray:
     return np.where(same_level, z, 0.0 + 0.0j)
 
 
-def reproducing_eval(phi: LaguerreCoords, gamma: tuple[float, float], mp: MagneticParams) -> tuple[complex, complex]:
-    """Inner product <chi_gamma, phi> and its pointwise prediction.
-
-    On the lowest level the localized states reproduce point values:
-    <chi_gamma, phi> = ell_b * sqrt(2 pi) * phi(gamma).  Returns the pair
-    (coordinate-space inner product, prediction) so callers can compare.
-    Defined on the lowest level only.
-    """
-    if phi.level != 0:
-        raise RegimeError("point-evaluation identity holds on the lowest level only")
-    ell = mp.ell_b
-    c = chi_coords(gamma, ell, phi.trunc)
-    inner = complex(np.vdot(c.coeffs, phi.coeffs))
-    xs = np.asarray(gamma, dtype=np.float64)
-    val = 0.0 + 0.0j
-    for m, a in enumerate(phi.coeffs):
-        if abs(a) > 1e-18:
-            val += a * complex(laguerre_psi(0, m, xs, ell))
-    return inner, ell * np.sqrt(2.0 * pi) * val
-
-
 def theta3(tau_im: float, tol: float = 1e-16) -> float:
     """Lattice Gaussian series sum_n exp(-pi * tau_im * n^2) on the imaginary axis.
 
@@ -338,39 +314,6 @@ def regime(lp: LatticeParams, mp: MagneticParams, rel_tol: float = 1e-9) -> str:
 @lru_cache(maxsize=32)
 def _lgamma_vec(n: int) -> np.ndarray:
     return np.array([lgamma(k + 1) for k in range(n)])
-
-
-def displacement_matrix(gamma: tuple[float, float], ell_b: float, trunc: int) -> np.ndarray:
-    """Matrix of the magnetic translation by gamma in one level's angular basis.
-
-    Acts identically in every level; the column at angular index 0 is the
-    coefficient vector of chi_gamma.  Unitary up to the truncation tail, so
-    callers should keep trunc comfortably above the support of the states
-    being translated.
-    """
-    from scipy.special import eval_genlaguerre
-
-    a = complex(gamma[0], gamma[1]) / (ell_b * np.sqrt(2.0))
-    n = trunc + 1
-    if abs(a) == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    u = abs(a) ** 2
-    m_idx, n_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    lo = np.minimum(m_idx, n_idx)
-    delta = np.abs(m_idx - n_idx)
-    lg = _lgamma_vec(n)
-    logmag = -u / 2.0 + delta * np.log(abs(a)) + 0.5 * (lg[lo] - lg[lo + delta])
-    lag = eval_genlaguerre(lo, delta, u)
-    ph = np.angle(a)
-    sign = np.where((m_idx < n_idx) & (delta % 2 == 1), -1.0, 1.0)
-    phase = np.where(m_idx >= n_idx, np.exp(1j * delta * ph), np.exp(-1j * delta * ph))
-    return sign * np.exp(logmag) * phase * lag
-
-
-def translate_coords(gamma: tuple[float, float], phi: LaguerreCoords) -> LaguerreCoords:
-    """Magnetic translation of a coordinate vector within its level."""
-    d = displacement_matrix(gamma, phi.ell_b, phi.trunc)
-    return LaguerreCoords(level=phi.level, coeffs=d @ phi.coeffs, ell_b=phi.ell_b)
 
 
 def coords_pointwise(phi: LaguerreCoords, x: np.ndarray) -> np.ndarray:

@@ -61,13 +61,6 @@ class SingleParticleOperator:
     def trunc(self) -> int:
         return self.blocks.shape[2] - 1
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        dev = 0.0
-        for r1 in range(self.n_levels):
-            for r2 in range(self.n_levels):
-                dev = max(dev, float(np.max(np.abs(self.blocks[r1, r2] - self.blocks[r2, r1].conj().T))))
-        return dev <= tol
-
 
 def landau_operator(n_levels: int, trunc: int, eps_b: float) -> SingleParticleOperator:
     """The level Hamiltonian: eps_b * (r + 1/2) on level r, diagonal over levels."""
@@ -87,15 +80,10 @@ def level_projector(n_levels: int, trunc: int, levels: list[int]) -> SingleParti
     return SingleParticleOperator(blocks=blocks)
 
 
-def _stacked_coords(window: Window, mp: MagneticParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-site angular coefficient rows plus level indices."""
-    trunc, rows = window_coords(window, mp)
-    return rows, window.levels, trunc
-
-
 def hopping_coeffs(h: SingleParticleOperator, window: Window, mp: MagneticParams) -> np.ndarray:
     """Generic double-dressed hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g>."""
-    rows, levels, trunc = _stacked_coords(window, mp)
+    trunc, rows = window_coords(window, mp)
+    levels = window.levels
     if h.trunc != trunc:
         raise FrameAnalysisError(
             f"operator truncation {h.trunc} mismatches window truncation {trunc}; "
@@ -131,7 +119,8 @@ def constant_terms(h: SingleParticleOperator, p: SingleParticleOperator, window:
     the residue vanishes (to rounding) when P H P commutes with the frame
     operator, which covers the level-Hamiltonian uses.
     """
-    rows, levels, trunc = _stacked_coords(window, mp)
+    trunc, rows = window_coords(window, mp)
+    levels = window.levels
     for name, oper in (("H", h), ("P", p)):
         if oper.trunc != trunc:
             raise FrameAnalysisError(f"{name} truncation {oper.trunc} mismatches window {trunc}")

@@ -1,4 +1,4 @@
-"""Deterministic text formats for matrices, tables, reports and interactions.
+"""Deterministic text formats for matrices, tables and reports.
 
 Every float is printed with %.15g so that reruns of the same configuration
 produce byte-identical artifacts; negative zero is normalized away for the
@@ -9,9 +9,6 @@ matrix   header "latframe-matrix <rows> <cols> <window-hash>", then one
 csv      comma-separated with a header row; fields never contain commas
          (site ids use the colon form "r:i:j").
 json     plain JSON with sorted keys and two-space indent.
-terms    one interaction term per line, "k f sites monomial"; sites are
-         semicolon-joined "r:i:j" tokens and monomial factors append "*"
-         for a creation operator.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .interactions import Interaction, InteractionError, InteractionTerm, MonomialDescriptor
-from .lattice import LatticeError, Site, Window
+from .lattice import Site
 
 __all__ = [
     "SerializeError",
@@ -36,11 +32,6 @@ __all__ = [
     "json_text",
     "write_json",
     "site_token",
-    "parse_site_token",
-    "interaction_lines",
-    "parse_interaction_lines",
-    "write_interaction",
-    "read_interaction",
 ]
 
 
@@ -161,70 +152,3 @@ def write_json(path: str | Path, obj) -> None:
 
 def site_token(site: Site) -> str:
     return f"{site.r}:{site.i}:{site.j}"
-
-
-def parse_site_token(token: str) -> tuple[int, int, int]:
-    parts = token.split(":")
-    if len(parts) != 3:
-        raise SerializeError(f"malformed site token {token!r}")
-    try:
-        r, i, j = (int(p) for p in parts)
-    except ValueError as exc:
-        raise SerializeError(f"malformed site token {token!r}") from exc
-    return r, i, j
-
-
-def interaction_lines(inter: Interaction) -> list[str]:
-    """One term per line: degree, coupling, support sites, ordered monomial."""
-    window = inter.window
-    out = []
-    for term in inter.terms:
-        sites = ";".join(site_token(window.sites[k]) for k in sorted(term.support))
-        mono = ";".join(
-            site_token(window.sites[k]) + ("*" if dag else "")
-            for k, dag in term.monomial.factors
-        )
-        out.append(f"{term.k} {fmt_float(term.coupling)} {sites} {mono}")
-    return out
-
-
-def parse_interaction_lines(lines: Iterable[str], window: Window) -> Interaction:
-    terms = []
-    for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 4:
-            raise SerializeError(f"malformed term line {ln!r}")
-        try:
-            k = int(parts[0])
-            coupling = float(parts[1])
-            support = frozenset(
-                window.index(Site(*parse_site_token(tok))) for tok in parts[2].split(";")
-            )
-            factors = []
-            for tok in parts[3].split(";"):
-                dagger = tok.endswith("*")
-                triple = parse_site_token(tok[:-1] if dagger else tok)
-                factors.append((window.index(Site(*triple)), dagger))
-            mono = MonomialDescriptor(factors=tuple(factors))
-            term = InteractionTerm(support=support, k=k, coupling=coupling, monomial=mono)
-        except SerializeError:
-            raise
-        except (ValueError, LatticeError, InteractionError) as exc:
-            raise SerializeError(f"bad term line {ln!r}: {exc}") from exc
-        terms.append(term)
-    return Interaction(window=window, terms=tuple(terms))
-
-
-def write_interaction(path: str | Path, inter: Interaction) -> None:
-    Path(path).write_text("\n".join(interaction_lines(inter)) + "\n", encoding="utf-8")
-
-
-def read_interaction(path: str | Path, window: Window) -> Interaction:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SerializeError(f"{path}: {exc}") from exc
-    return parse_interaction_lines(text.splitlines(), window)

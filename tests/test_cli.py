@@ -1,11 +1,13 @@
 """Command-line front end: artifacts, verdicts, exit codes, error records."""
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +253,25 @@ def test_converge_nested_chains(tmp_path):
     header, rows = read_csv(out / "converge.csv")
     assert len(rows) == 2 * 5  # two inner lengths x five times
     assert len(summary["parameters"]["boundary_sums"]) == 2
+
+
+@pytest.mark.parametrize("t_max, n_t, informative", [(0.2, 2, 2), (1e-5, 3, 6)],
+                         ids=["benchmark", "tiny_t_max"])
+def test_converge_informative_cells(tmp_path, t_max, n_t, informative):
+    # the benchmark's convergence chains: past t = 0 their bounds are near
+    # 1e181, far above the trivial limit 2; at t_max = 1e-5 every bound is below it
+    cfg = ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n\n"
+           "[model]\nf0 = 1.0\nmu = 1.0\n\n"
+           "[windows]\nchain_lengths = 6 8 10\n\n"
+           f"[dynamics]\nt_max = {t_max}\nn_t = {n_t}\n")
+    code, out, summary = run_cli(tmp_path, "converge", cfg)
+    assert code == 0
+    within = next(c for c in summary["checks"] if c["name"] == "within_bound")
+    assert within["values"]["informative"] == informative
+    header, rows = read_csv(out / "converge.csv")
+    bounds = [float(r[header.index("bound")]) for r in rows]
+    assert len(bounds) == 2 * n_t
+    assert sum(b < 2.0 for b in bounds) == informative
 
 
 def test_plotdata_lifecycle(tmp_path):
@@ -567,3 +588,24 @@ def test_lr_loads_scipy_sparse_when_it_runs(tmp_path):
     assert loaded["code"] == 0
     assert loaded["import"] == []
     assert "scipy.sparse" in loaded["run"]
+
+
+def test_benchmark_tracer_binds_every_traced_name(tmp_path):
+    # the benchmark's per-layer tracer wraps every __all__ function and a few
+    # named methods; a stale __all__ entry or a deleted method breaks install()
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = latframe.cli.gram
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.counts["trace.bindings"] > 0
+        assert latframe.cli.gram is not original
+        code, _, _ = run_cli(tmp_path, "gram", SMALL_GRAM)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "frame_analysis.gram" in {span[0] for span in tracer.spans}
+    assert latframe.cli.gram is original

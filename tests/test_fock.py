@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm, svdvals
 
-from latframe.lattice import LatticeParams, build_chain, build_window, window_from_triples
+from latframe.lattice import LatticeParams, build_chain, window_from_triples
 from latframe.magnetic import MagneticParams, overlap_matrix, window_coords
 from latframe.interactions import (
     Interaction,
@@ -181,7 +181,8 @@ def test_evolution_group_law(rng):
     assert np.max(np.abs(u12 - u1 @ u2)) < 1e-10
     assert np.max(np.abs(u1 @ u1.conj().T - np.eye(6))) < 1e-12
     # generator is a fixed point of its own flow
-    assert np.max(np.abs(ev.heisenberg(h, 0.7) - h)) < 1e-10
+    u = ev.propagator(0.7)
+    assert np.max(np.abs(u @ h @ u.conj().T - h)) < 1e-10
 
 
 def test_evolution_rejects_non_hermitian():

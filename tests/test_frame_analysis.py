@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from latframe.lattice import LatticeParams, build_window, window_from_triples
-from latframe.magnetic import MagneticParams, bessel_bound, chi_coords
+from latframe.magnetic import MagneticParams, bessel_bound
 from latframe.frame_analysis import (
     FrameAnalysisError,
     RegimeError,
     frame_bounds_estimate,
-    frame_coefficients,
     frame_operator,
     gram,
     inner_indices,
@@ -287,57 +286,6 @@ def test_decay_certificate_end_to_end():
         rep = verify_decay(np.abs(el.entries), d, cert)
         assert rep.violations == 0
         assert rep.fitted_rate >= cert.lambda_p
-
-
-def test_frame_coefficients_reconstruct_member():
-    lp = LatticeParams(SQRT_PI, SQRT_PI, 8.0)
-    w = build_window(lp)
-    trunc, rows = window_coords(w, MP)
-    center = w.center_index()
-    phi = chi_coords(w.sites[center].gamma(lp), 1.0, trunc)
-    fc = frame_coefficients(phi, w, MP)
-    assert fc.residual < 1e-7
-    recon = (fc.values[:, None] * rows).sum(axis=0)
-    assert np.linalg.norm(recon - phi.coeffs) < 1e-7
-
-
-def test_frame_coefficients_minimal_norm(rng):
-    # a window dense enough that the Gram has a numerical near-kernel;
-    # perturbing along it keeps the representation but grows the length
-    lp = LatticeParams(SQRT_PI, SQRT_PI, 15.8)
-    w = build_window(lp)
-    trunc, rows = window_coords(w, MP)
-    phi = chi_coords(w.sites[w.center_index()].gamma(lp), 1.0, trunc)
-    fc = frame_coefficients(phi, w, MP)
-    assert fc.residual < 1e-6
-    a = rows.T
-    _, sv, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int((sv > sv[0] * 1e-5).sum())  # matches the 1e-10 spectral cutoff
-    null = vh[rank:].conj().T
-    assert null.shape[1] >= 1
-    # least-squares oracle agrees with the published coefficients
-    s_lstsq, *_ = np.linalg.lstsq(a, phi.coeffs, rcond=1e-5)
-    assert np.max(np.abs(s_lstsq - fc.values)) < 1e-9
-    base = np.linalg.norm(fc.values)
-    for _ in range(20):
-        coef = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])
-        v = null @ coef
-        v *= 0.05 * base / np.linalg.norm(v)
-        alt = fc.values + v
-        assert np.linalg.norm(a @ alt - phi.coeffs) < 1e-6
-        assert np.linalg.norm(alt) > base * (1 + 1e-7)
-
-
-def test_frame_coefficients_zero_vector():
-    lp = LatticeParams(SQRT_PI, SQRT_PI, 6.0)
-    w = build_window(lp)
-    trunc, _ = window_coords(w, MP)
-    from latframe.magnetic import LaguerreCoords
-
-    phi = LaguerreCoords(level=0, coeffs=np.zeros(trunc + 1, dtype=complex), ell_b=1.0)
-    fc = frame_coefficients(phi, w, MP)
-    assert np.all(fc.values == 0)
-    assert fc.residual == 0.0
 
 
 def test_inner_indices_margins():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from latframe.lattice import LatticeParams, Site, build_chain, build_window, window_from_triples
+from latframe.lattice import LatticeParams, build_chain, build_window, window_from_triples
 from latframe.magnetic import LaguerreCoords, MagneticParams
 from latframe.interactions import (
     FrameAnalysisError,
@@ -235,7 +235,7 @@ def dual_generator(riesz_window):
 
 def test_v_omega_solves_frame_equation(riesz_window, dual_generator):
     assert dual_generator.residual < 1e-7
-    from latframe.magnetic import chi_coords, window_coords
+    from latframe.magnetic import window_coords
 
     trunc, rows = window_coords(riesz_window, MP)
     c0 = rows[riesz_window.center_index()]
@@ -337,9 +337,6 @@ def test_w_kernel_validation(riesz_window, dual_generator):
     with pytest.raises(InteractionError, match="check rule"):
         w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
                  exponential_potential(1.0, 1.0), MP, nodes=8)
-    with pytest.raises(InteractionError, match="check rule"):
-        w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
-                 exponential_potential(1.0, 1.0), MP, nodes=20, check_nodes=20)
     # the padded Fourier grid of the radial route grows as 1 / sigma1
     with pytest.raises(InteractionError, match="smallest usable sigma1"):
         w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,

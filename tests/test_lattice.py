@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,11 +12,8 @@ from latframe.lattice import (
     Site,
     build_chain,
     build_window,
-    dimension_constant,
     distance,
     m_epsilon,
-    set_geometry,
-    site_from_gamma,
     window_from_triples,
 )
 
@@ -128,59 +124,12 @@ def test_m_epsilon_level_factor_and_validation():
         m_epsilon(build_window(lp0), 0.0)
 
 
-def test_dimension_constant_unit_lattice():
-    w = build_window(LatticeParams(1.0, 1.0, 6.0))
-    d = w.distance_matrix()
-    radii = np.unique(d[d > 0])
-    # independent scan of counts over the same distance set
-    expected = max(
-        (d <= rho * (1 + 1e-12)).sum(axis=1).max() / rho**2 for rho in radii
-    )
-    kappa = dimension_constant(w, nu=2)
-    assert kappa == pytest.approx(expected, rel=1e-12)
-    # closed ball of radius 1 holds five points: kappa is at least 5
-    assert kappa >= 5.0
-
-
-def test_dimension_constant_needs_two_sites():
-    w = window_from_triples(LatticeParams(1.0, 1.0, 4.0), [(0, 0, 0)])
-    with pytest.raises(LatticeError):
-        dimension_constant(w)
-
-
-def test_set_geometry_singleton():
-    lp = LatticeParams(1.0, 1.0, 8.0)
-    s = Site(0, 0, 0)
-    assert set_geometry([s], [s], lp) == (0.0, 0.0, 1.0)
-
-
-def test_set_geometry_pair_values():
-    lp = LatticeParams(1.0, 1.0, 8.0)
-    z = [Site(0, 0, 0), Site(0, 2, 0)]
-    zp = [Site(0, 3, 0)]
-    diam, dist, dz = set_geometry(z, zp, lp)
-    assert diam == pytest.approx(2.0)
-    assert dist == pytest.approx(1.0)  # closest member of z is (0,2,0)
-    assert dz == pytest.approx(3.0**2)
-    with pytest.raises(LatticeError):
-        set_geometry([], zp, lp)
-
-
 def test_window_from_triples_validation():
     lp = LatticeParams(1.0, 1.0, 2.0)
     with pytest.raises(LatticeError):
         window_from_triples(lp, [(0, 3, 0)])  # outside the radius
     with pytest.raises(LatticeError):
         window_from_triples(lp, [(1, 0, 0)])  # above level_max
-
-
-def test_site_from_gamma_round_trip():
-    lp = LatticeParams(0.5, 1.5, 30.0)
-    s = Site(0, 3, -2)
-    back = site_from_gamma(0, s.gamma(lp), lp)
-    assert back.triple() == s.triple()
-    with pytest.raises(LatticeError):
-        site_from_gamma(0, (0.7, 0.0), lp)  # not a lattice point
 
 
 def test_content_hash_identity_and_sensitivity():

@@ -19,15 +19,12 @@ from latframe.magnetic import (
     choose_truncation,
     coords_pointwise,
     coords_tail,
-    displacement_matrix,
     laguerre_psi,
     overlap,
     overlap_matrix,
     poisson_tail,
     regime,
-    reproducing_eval,
     theta3,
-    translate_coords,
     window_coords,
 )
 
@@ -268,9 +265,12 @@ def test_reproducing_property(rng):
     trunc, rows = window_coords(w, MP)
     coef = rng.normal(size=len(w.sites)) + 1j * rng.normal(size=len(w.sites))
     phi = LaguerreCoords(level=0, coeffs=(coef[:, None] * rows).sum(axis=0), ell_b=1.0)
+    # on the lowest level <chi_gamma, phi> = ell_b sqrt(2 pi) phi(gamma)
     for gamma in [(0.3, -1.2), (2.0, 0.5)]:
-        inner, predicted = reproducing_eval(phi, gamma, MP)
-        assert inner == pytest.approx(predicted, abs=1e-9)
+        inner = np.vdot(chi_coords(gamma, 1.0, trunc).coeffs, phi.coeffs)
+        by_basis = sum(a * laguerre_psi(0, m, np.array(gamma), 1.0)
+                       for m, a in enumerate(phi.coeffs))
+        assert inner == pytest.approx(math.sqrt(2.0 * math.pi) * by_basis, abs=1e-9)
         pointwise = coords_pointwise(phi, np.array([list(gamma)]))[0]
         assert inner == pytest.approx(
             math.sqrt(2.0 * math.pi) * pointwise, abs=1e-9
@@ -334,48 +334,6 @@ def test_laguerre_psi_orthonormal():
             inner = np.sum(np.conj(vals[a]) * vals[b] * rescale * w2)
             expected = 1.0 if a == b else 0.0
             assert abs(inner - expected) < 1e-8
-
-
-def test_displacement_composition_phase(rng):
-    trunc = 80
-    g1 = (0.6, -0.3)
-    g2 = (-0.2, 0.8)
-    g12 = (g1[0] + g2[0], g1[1] + g2[1])
-    vec = chi_coords((0.1, 0.2), 1.0, trunc).coeffs
-    d1 = displacement_matrix(g1, 1.0, trunc)
-    d2 = displacement_matrix(g2, 1.0, trunc)
-    d12 = displacement_matrix(g12, 1.0, trunc)
-    wedge = g1[0] * g2[1] - g1[1] * g2[0]
-    phase = np.exp(1j * wedge / 2.0)
-    lhs = d12 @ vec
-    rhs = phase * (d1 @ (d2 @ vec))
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_displacement_identity_and_column():
-    trunc = 60
-    d0 = displacement_matrix((0.0, 0.0), 1.0, trunc)
-    assert np.allclose(d0, np.eye(trunc + 1), atol=1e-14)
-    gamma = (1.2, 0.4)
-    d = displacement_matrix(gamma, 1.0, trunc)
-    c = chi_coords(gamma, 1.0, trunc)
-    assert np.max(np.abs(d[:, 0] - c.coeffs)) < 1e-12
-    # unitarity on the retained block, up to truncation leakage
-    assert np.max(np.abs((d.conj().T @ d - np.eye(trunc + 1))[:10, :10])) < 1e-10
-
-
-def test_translate_coords_matches_matrix():
-    trunc = 70
-    phi = chi_coords((0.5, 0.5), 1.0, trunc)
-    gamma = (0.8, -0.6)
-    via_fn = translate_coords(gamma, phi)
-    via_mat = displacement_matrix(gamma, 1.0, trunc) @ phi.coeffs
-    assert np.max(np.abs(via_fn.coeffs - via_mat)) < 1e-12
-    # translating the origin state lands on the coherent state at gamma
-    origin = chi_coords((0.0, 0.0), 1.0, trunc)
-    moved = translate_coords(gamma, origin)
-    target = chi_coords(gamma, 1.0, trunc)
-    assert np.max(np.abs(moved.coeffs - target.coeffs)) < 1e-12
 
 
 def test_window_coords_truncation_matches_radius():

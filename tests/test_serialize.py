@@ -1,4 +1,4 @@
-"""Deterministic text formats: floats, CSV, matrix dumps, interaction files."""
+"""Deterministic text formats: floats, CSV, matrix dumps, JSON, site tokens."""
 
 import json
 import math
@@ -8,21 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latframe.lattice import LatticeParams, Site, build_chain, build_window
-from latframe.interactions import density_density
+from latframe.lattice import Site
 from latframe.serialize import (
     SerializeError,
     fmt_float,
-    interaction_lines,
     json_text,
-    parse_interaction_lines,
-    parse_site_token,
     read_csv,
-    read_interaction,
     read_matrix_text,
     site_token,
     write_csv,
-    write_interaction,
     write_matrix_text,
 )
 
@@ -112,41 +106,4 @@ def test_json_text_rejects_unknown_types():
 def test_site_token_round_trip():
     s = Site(1, -3, 12)
     assert site_token(s) == "1:-3:12"
-    assert parse_site_token("1:-3:12") == (1, -3, 12)
-    for bad in ("1:-3", "a:b:c", "1:2:3:4", ""):
-        with pytest.raises(SerializeError):
-            parse_site_token(bad)
-
-
-def test_interaction_lines_round_trip(tmp_path):
-    w = build_chain(LatticeParams(1.0, 1.0, 20.0), 4)
-    inter = density_density(w, 0.8, 1.3)
-    lines = interaction_lines(inter)
-    assert len(lines) == 6  # 4 choose 2
-    back = parse_interaction_lines(lines, w)
-    assert len(back.terms) == len(inter.terms)
-    for t1, t2 in zip(inter.terms, back.terms):
-        assert t1.support == t2.support
-        assert t1.k == t2.k
-        assert t1.monomial.factors == t2.monomial.factors
-        assert t2.coupling == pytest.approx(t1.coupling, rel=1e-14)
-    path = tmp_path / "inter.txt"
-    write_interaction(path, inter)
-    again = read_interaction(path, w)
-    assert len(again.terms) == len(inter.terms)
-
-
-def test_interaction_lines_reject_malformed():
-    w = build_chain(LatticeParams(1.0, 1.0, 20.0), 4)
-    with pytest.raises(SerializeError):
-        parse_interaction_lines(["2 1.0 0:9:0 0:9:0*;0:9:0"], w)  # site not in window
-    with pytest.raises(SerializeError):
-        parse_interaction_lines(["nonsense"], w)
-    with pytest.raises(SerializeError):
-        parse_interaction_lines(["2 notanumber 0:0:0;0:1:0 0:0:0*;0:0:0;0:1:0*;0:1:0"], w)
-
-
-def test_read_interaction_missing_file(tmp_path):
-    w = build_window(LatticeParams(1.0, 1.0, 2.0))
-    with pytest.raises(SerializeError):
-        read_interaction(tmp_path / "absent.txt", w)
+    assert Site(*(int(part) for part in site_token(s).split(":"))) == s
