@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from math import pi, sqrt
 from pathlib import Path
 
+from .frame_analysis import INNER_MARGIN_ELL
 from .lattice import LatticeParams, Window, build_chain, build_window
 from .magnetic import MagneticParams
 
@@ -67,7 +68,7 @@ class RunConfig:
     g: float | None = None
     eps: float | None = None
     theta: float | None = None
-    margin_ell: float = 6.0
+    margin_ell: float = INNER_MARGIN_ELL
     # dynamics
     t_max: float = 2.0
     n_t: int = 21
@@ -281,11 +282,12 @@ def make_window(cfg: RunConfig) -> Window:
 
 REFERENCE_CONFIG = """\
 # latframe reference configuration; every key is optional and shown at
-# its default.  "none" selects the computed default where allowed.
+# its default.  "none" selects the computed default where allowed, and an
+# empty radii list means radius / 2, 3 radius / 4 and radius.
 
 [lattice]
-alpha = 1.77245385090552
-beta = 1.77245385090552
+alpha = 1.7724538509055159
+beta = 1.7724538509055159
 radius = 12.0
 level_max = 0
 nu = none
@@ -322,7 +324,7 @@ n_quadruples = 30
 diam_max_ell = 8.0
 
 [windows]
-radii = 8.0 10.0 12.0
+radii =
 chain_lengths = 4 6 8
 
 [run]

@@ -1,12 +1,12 @@
 """Frame-operator numerics: Gram spectra, inverse powers, decay certificates.
 
-The window frame operator of one level is assembled in the truncated angular
-basis as S = sum_gamma |chi_gamma><chi_gamma|.  Its nonzero spectrum equals
-the nonzero spectrum of the Gram matrix (the two orderings of the same
-analysis/synthesis product), which the tests pin down.  Inverse powers are
-spectral pseudo-inverses with a fixed relative threshold; matrix elements of
-S^-p between window states are only reported on an inner window whose margin
-keeps boundary truncation out of the quoted digits.
+The window frame operator S = sum_gamma |chi_gamma><chi_gamma| is assembled
+in the truncated angular basis from the window's level-0 states; every level
+carries the same operator.  Its nonzero spectrum equals that of the Gram
+matrix, which the tests pin down.  `frame_operator` alone forms the spectral
+pseudo-inverse S^+, with a fixed relative threshold, and keeps the dual rows
+S^+ chi_gamma; elements of S^-p are products of those rows, reported on an
+inner window whose margin keeps boundary truncation out of the quoted digits.
 
 Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d)
 turns, via a geometric series for S^-p, into a certified element bound
@@ -17,13 +17,12 @@ spectrum, so spectral estimates from finite windows can be fed in directly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
-from .lattice import LatticeParams, Window, build_window, m_epsilon
+from .lattice import LatticeParams, Window, m_epsilon
 from .magnetic import MagneticParams, RegimeError, bessel_bound, overlap_matrix, regime, window_coords
 
 __all__ = [
@@ -77,33 +76,13 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class FrameOperatorTrunc:
-    """Spectral data of one level's window frame operator in the angular basis."""
+    """Angular coefficients rows[k] of window state k, S = matrix from the
+    level-0 rows, and the dual rows dual[k] = S^+ rows[k]."""
 
     trunc: int
+    rows: np.ndarray
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    threshold: float
-    window_hash: str
-
-    @property
-    def numerical_rank(self) -> int:
-        return int(np.sum(self.eigenvalues > self.threshold))
-
-    def power(self, p: float) -> np.ndarray:
-        """Spectral pseudo-power: eigenvalues below the threshold are dropped."""
-        keep = self.eigenvalues > self.threshold
-        vals = np.zeros_like(self.eigenvalues)
-        vals[keep] = self.eigenvalues[keep] ** p
-        return (self.eigenvectors * vals) @ self.eigenvectors.conj().T
-
-
-def _spatial_subwindow(window: Window) -> Window:
-    """The level-0 slice of a window (identical spatial sites in every level)."""
-    if window.params.level_max == 0:
-        return window
-    params0 = dataclasses.replace(window.params, level_max=0)
-    return build_window(params0)
+    dual: np.ndarray
 
 
 def gram(window: Window, mp: MagneticParams) -> GramMatrix:
@@ -112,22 +91,21 @@ def gram(window: Window, mp: MagneticParams) -> GramMatrix:
 
 
 def frame_operator(window: Window, mp: MagneticParams) -> FrameOperatorTrunc:
-    """Truncated frame operator of the spatial window within one level."""
-    w0 = _spatial_subwindow(window)
-    trunc, rows = window_coords(w0, mp)
-    b = rows.T  # columns are coefficient vectors
+    """Frame operator of the window's level-0 states and the dual rows of all
+    window states; eigenvalues of S below PSEUDO_INVERSE_RTOL times the
+    largest are dropped from S^+."""
+    trunc, rows = window_coords(window, mp)
+    b = rows[window.levels == 0].T  # columns are coefficient vectors
+    if b.shape[1] == 0:
+        raise FrameAnalysisError("the window has no level-0 sites to build S from")
     s0 = b @ b.conj().T
     vals, vecs = np.linalg.eigh(s0)
     vals = np.clip(vals, 0.0, None)
-    thr = PSEUDO_INVERSE_RTOL * float(vals[-1])
-    return FrameOperatorTrunc(
-        trunc=trunc,
-        matrix=s0,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        threshold=thr,
-        window_hash=w0.content_hash(),
-    )
+    keep = vals > PSEUDO_INVERSE_RTOL * float(vals[-1])
+    inv = np.zeros_like(vals)
+    inv[keep] = 1.0 / vals[keep]
+    s_plus = (vecs * inv) @ vecs.conj().T
+    return FrameOperatorTrunc(trunc=trunc, rows=rows, matrix=s0, dual=(s_plus @ rows.T).T)
 
 
 @dataclass(frozen=True)
@@ -197,20 +175,21 @@ def inner_indices(window: Window, mp: MagneticParams, margin: float | None = Non
 
 @dataclass(frozen=True)
 class SInversePowerElements:
-    """Inner-window matrix elements <chi_g, S^-p chi_g'> for one level."""
+    """Inner-window matrix elements <chi_g, S^-p chi_g'> between level-0 sites."""
 
     p: int
     inner: list[int]
     entries: np.ndarray
-    operator: FrameOperatorTrunc
 
 
 def s_inverse_power_elements(window: Window, mp: MagneticParams, p: int,
                              margin: float | None = None) -> SInversePowerElements:
     """Matrix elements of the inverse frame-operator power on the inner window.
 
-    Defined in the overcomplete regime only; at and above the critical
-    density the lower frame bound degenerates and the inverse is unbounded.
+    With dual rows D, the elements are chi* D for p = 1 and D* (S^+)^(p-2) D
+    otherwise, where S^+ = D0^T conj(D0) over the level-0 rows.  Defined in
+    the overcomplete regime only; at and above the critical density the
+    lower frame bound degenerates and the inverse is unbounded.
     """
     if regime(window.params, mp) != "overcomplete":
         raise RegimeError(
@@ -218,14 +197,15 @@ def s_inverse_power_elements(window: Window, mp: MagneticParams, p: int,
         )
     if p < 1:
         raise FrameAnalysisError(f"power must be a positive integer, got {p}")
-    w0 = _spatial_subwindow(window)
-    op = frame_operator(w0, mp)
-    _, rows = window_coords(w0, mp)
-    b = rows.T
-    inner = inner_indices(w0, mp, margin)
-    binner = b[:, inner]
-    entries = binner.conj().T @ op.power(-p) @ binner
-    return SInversePowerElements(p=p, inner=inner, entries=entries, operator=op)
+    op = frame_operator(window, mp)
+    inner = [k for k in inner_indices(window, mp, margin) if window.levels[k] == 0]
+    d = op.dual[inner]
+    if p == 1:
+        entries = op.rows[inner].conj() @ d.T
+    else:
+        d0 = op.dual[window.levels == 0]
+        entries = d.conj() @ np.linalg.matrix_power(d0.T @ d0.conj(), p - 2) @ d.T
+    return SInversePowerElements(p=p, inner=inner, entries=entries)
 
 
 def overlap_rate_constant(window: Window, mp: MagneticParams) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .frame_analysis import FrameAnalysisError, frame_operator
 from .lattice import Window
-from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise, window_coords
+from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise
 
 __all__ = [
     "InteractionError",
@@ -264,6 +264,10 @@ def lr_velocity(c: float, g: float, zeta: float) -> float:
     return 16.0 * g * c / zeta
 
 
+# v_omega's envelope fit: radii span in ell_b, numbers of radii and angles
+_FIT_LO_ELL, _FIT_HI_ELL, _FIT_RADII, _FIT_ANGLES = 2.0, 8.0, 25, 16
+
+
 @dataclass(frozen=True)
 class VOmega:
     """Dual generator v = S^+ chi_0 with its fitted exponential envelope."""
@@ -276,30 +280,25 @@ class VOmega:
     envelope: np.ndarray
 
 
-def v_omega(window: Window, mp: MagneticParams, fit_lo: float = 2.0, fit_hi: float = 8.0,
-            n_radii: int = 25, n_angles: int = 16) -> VOmega:
-    """Solve S v = chi_0 on the window and fit |v| <= c2 exp(-sigma2 |x|).
+def v_omega(window: Window, mp: MagneticParams) -> VOmega:
+    """Take v = S^+ chi_0 on the window and fit |v| <= c2 exp(-sigma2 |x|).
 
-    The fit uses the angular maximum of |v| on radii in [fit_lo, fit_hi]
-    magnetic lengths; c2 is then inflated so the envelope dominates every
-    sample from the origin out to fit_hi.
+    The fit uses the angular maximum of |v| on radii in [_FIT_LO_ELL,
+    _FIT_HI_ELL] magnetic lengths; c2 is then inflated so the envelope
+    dominates every sample from the origin out to _FIT_HI_ELL.
     """
     if window.params.level_max != 0:
         raise FrameAnalysisError("dual generator is defined on the lowest-level window")
     op = frame_operator(window, mp)
     center = window.center_index()
-    trunc, rows = window_coords(window, mp)
-    c0 = rows[center]
-    v = op.power(-1) @ c0
-    resid = float(np.linalg.norm(op.matrix @ v - c0))
+    v = op.dual[center]
+    resid = float(np.linalg.norm(op.matrix @ v - op.rows[center]))
     vc = LaguerreCoords(level=0, coeffs=v, ell_b=mp.ell_b)
     ell = mp.ell_b
-    radii = np.linspace(fit_lo * ell, fit_hi * ell, n_radii)
-    angles = np.linspace(0.0, 2.0 * pi, n_angles, endpoint=False)
-    pts = np.empty((n_radii, n_angles, 2))
-    pts[..., 0] = radii[:, None] * np.cos(angles)[None, :]
-    pts[..., 1] = radii[:, None] * np.sin(angles)[None, :]
-    vals = np.abs(coords_pointwise(vc, pts))
+    radii = np.linspace(_FIT_LO_ELL * ell, _FIT_HI_ELL * ell, _FIT_RADII)
+    angles = np.linspace(0.0, 2.0 * pi, _FIT_ANGLES, endpoint=False)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    vals = np.abs(coords_pointwise(vc, radii[:, None, None] * ring))
     env = vals.max(axis=1)
     if np.any(env <= 0):
         raise FrameAnalysisError("dual generator vanished on a fit radius")
@@ -308,11 +307,8 @@ def v_omega(window: Window, mp: MagneticParams, fit_lo: float = 2.0, fit_hi: flo
     if sigma2 <= 0:
         raise FrameAnalysisError(f"fitted envelope rate {sigma2:.3e} is not positive")
     # inflate c2 so the bound holds at every sampled radius, including r ~ 0
-    radii_all = np.linspace(0.0, fit_hi * ell, 2 * n_radii)
-    pts_all = np.empty((len(radii_all), n_angles, 2))
-    pts_all[..., 0] = radii_all[:, None] * np.cos(angles)[None, :]
-    pts_all[..., 1] = radii_all[:, None] * np.sin(angles)[None, :]
-    env_all = np.abs(coords_pointwise(vc, pts_all)).max(axis=1)
+    radii_all = np.linspace(0.0, _FIT_HI_ELL * ell, 2 * _FIT_RADII)
+    env_all = np.abs(coords_pointwise(vc, radii_all[:, None, None] * ring)).max(axis=1)
     c2 = float(np.max(env_all * np.exp(sigma2 * radii_all)))
     c2 = max(c2, float(np.exp(intercept)))
     return VOmega(coords=vc, residual=resid, c2=c2, sigma2=sigma2,

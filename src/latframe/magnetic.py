@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-12
+_THETA3_TOL = 1e-16  # theta3 stops at a term below this fraction of the sum
+_REGIME_RTOL = 1e-9  # relative width of regime()'s 'threshold' band
 
 
 class TruncationError(ValueError):
@@ -134,16 +136,16 @@ def poisson_tail(m: int, u: float) -> float:
     return part if upper else 1.0 - part
 
 
-def choose_truncation(radius_max: float, ell_b: float, tol: float = TAIL_TOL) -> int:
+def choose_truncation(radius_max: float, ell_b: float) -> int:
     """Angular cutoff M for states localized within |gamma| <= radius_max.
 
     Starts from the a-priori value ceil(e * R^2 / 4 ell^2 + 40) and verifies
     the exact coefficient tail (a Poisson tail with mean R^2 / 2 ell^2),
-    growing M until the tail is below tol.
+    growing M until the tail is below TAIL_TOL.
     """
     u = (radius_max / ell_b) ** 2 / 2.0
     m = int(np.ceil(np.e * u / 2.0 + 40))
-    while poisson_tail(m, u) >= tol:
+    while poisson_tail(m, u) >= TAIL_TOL:
         m = int(np.ceil(1.1 * m)) + 8
         if m > 200_000:
             raise TruncationError(f"no acceptable truncation below 200000 for radius {radius_max}")
@@ -268,11 +270,11 @@ def overlap_matrix(window: Window, mp: MagneticParams) -> np.ndarray:
     return np.where(same_level, z, 0.0 + 0.0j)
 
 
-def theta3(tau_im: float, tol: float = 1e-16) -> float:
+def theta3(tau_im: float) -> float:
     """Lattice Gaussian series sum_n exp(-pi * tau_im * n^2) on the imaginary axis.
 
     Requires tau_im > 0; terms are accumulated symmetrically until they fall
-    below tol relative to the running sum.
+    below _THETA3_TOL relative to the running sum.
     """
     if tau_im <= 0:
         raise ValueError(f"theta3 needs a positive imaginary modulus, got {tau_im}")
@@ -281,7 +283,7 @@ def theta3(tau_im: float, tol: float = 1e-16) -> float:
     while True:
         term = 2.0 * np.exp(-pi * tau_im * n * n)
         total += term
-        if term < tol * total:
+        if term < _THETA3_TOL * total:
             return float(total)
         n += 1
         if n > 10_000_000:
@@ -298,15 +300,15 @@ def bessel_bound(lp: LatticeParams, mp: MagneticParams) -> float:
     return theta3(lp.alpha**2 / (4.0 * pi * ell2)) * theta3(lp.beta**2 / (4.0 * pi * ell2))
 
 
-def regime(lp: LatticeParams, mp: MagneticParams, rel_tol: float = 1e-9) -> str:
+def regime(lp: LatticeParams, mp: MagneticParams) -> str:
     """Density trichotomy of the lattice: one flux quantum per cell is critical.
 
     Returns 'overcomplete' (alpha*beta < 2 pi ell^2), 'threshold' (equal
-    within rel_tol), or 'incomplete' (above).
+    within _REGIME_RTOL relative), or 'incomplete' (above).
     """
     crit = 2.0 * pi * mp.ell_b**2
     cell = lp.alpha * lp.beta
-    if abs(cell - crit) <= rel_tol * crit:
+    if abs(cell - crit) <= _REGIME_RTOL * crit:
         return "threshold"
     return "overcomplete" if cell < crit else "incomplete"
 

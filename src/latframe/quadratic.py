@@ -5,12 +5,14 @@ angular basis: blocks[r1, r2] maps level r2 into level r1.  The hopping
 matrix between localized states double-dresses the operator with the
 inverse frame operator,
 
-    t(g', g) = <chi_g', S^-1 H S^-1 chi_g>,
+    t(g', g) = <chi_g', S^-1 H S^-1 chi_g> = conj(D_g') H D_g,
 
-so that sum t(g', g) a*_g' a_g generates the same free dynamics as H on the
+where D are the dual rows S^+ chi of `frame_analysis.frame_operator`, so
+that sum t(g', g) a*_g' a_g generates the same free dynamics as H on the
 span of the frame.  Level Hamiltonians have the closed route
-t_r = q(r) * (S^-2 sandwich) with q(r) = eps_b * (r + 1/2), kept as an
-independent code path so the generic assembly can be cross-checked.
+t_r = q(r) * (S^-2 sandwich) with q(r) = eps_b * (r + 1/2), kept as a
+second code path (through `s_inverse_power_elements`) so the generic
+blockwise assembly can be cross-checked.
 """
 
 from __future__ import annotations
@@ -19,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_analysis import (
-    FrameAnalysisError,
-    frame_operator,
-    s_inverse_power_elements,
-    _spatial_subwindow,
-)
+from .frame_analysis import FrameAnalysisError, frame_operator, s_inverse_power_elements
 from .lattice import Window
-from .magnetic import MagneticParams, window_coords
+from .magnetic import MagneticParams
 
 __all__ = [
     "SingleParticleOperator",
@@ -82,32 +79,23 @@ def level_projector(n_levels: int, trunc: int, levels: list[int]) -> SingleParti
 
 def hopping_coeffs(h: SingleParticleOperator, window: Window, mp: MagneticParams) -> np.ndarray:
     """Generic double-dressed hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g>."""
-    trunc, rows = window_coords(window, mp)
+    op = frame_operator(window, mp)
     levels = window.levels
-    if h.trunc != trunc:
+    if h.trunc != op.trunc:
         raise FrameAnalysisError(
-            f"operator truncation {h.trunc} mismatches window truncation {trunc}; "
+            f"operator truncation {h.trunc} mismatches window truncation {op.trunc}; "
             f"build the operator with the window's truncation"
         )
     lmax = int(levels.max())
     if h.n_levels < lmax + 1:
         raise FrameAnalysisError(f"operator covers {h.n_levels} levels, window needs {lmax + 1}")
-    op = frame_operator(window, mp)
-    sinv = op.power(-1)
-    n = len(window)
-    t = np.zeros((n, n), dtype=np.complex128)
-    # dressed blocks: S^-1 H_{r1 r2} S^-1, shared by all site pairs on (r1, r2)
-    dressed: dict[tuple[int, int], np.ndarray] = {}
-    for r1 in range(lmax + 1):
-        for r2 in range(lmax + 1):
+    t = np.zeros((len(window), len(window)), dtype=np.complex128)
+    sels = [np.nonzero(levels == r)[0] for r in range(lmax + 1)]
+    for r1, sel1 in enumerate(sels):
+        for r2, sel2 in enumerate(sels):
             blk = h.blocks[r1, r2]
-            if np.any(blk):
-                dressed[(r1, r2)] = sinv @ blk @ sinv
-    for (r1, r2), mblk in dressed.items():
-        sel1 = np.nonzero(levels == r1)[0]
-        sel2 = np.nonzero(levels == r2)[0]
-        if sel1.size and sel2.size:
-            t[np.ix_(sel1, sel2)] = rows[sel1].conj() @ mblk @ rows[sel2].T
+            if sel1.size and sel2.size and np.any(blk):
+                t[np.ix_(sel1, sel2)] = op.dual[sel1].conj() @ blk @ op.dual[sel2].T
     return t
 
 
@@ -119,33 +107,23 @@ def constant_terms(h: SingleParticleOperator, p: SingleParticleOperator, window:
     the residue vanishes (to rounding) when P H P commutes with the frame
     operator, which covers the level-Hamiltonian uses.
     """
-    trunc, rows = window_coords(window, mp)
+    op = frame_operator(window, mp)
     levels = window.levels
     for name, oper in (("H", h), ("P", p)):
-        if oper.trunc != trunc:
-            raise FrameAnalysisError(f"{name} truncation {oper.trunc} mismatches window {trunc}")
+        if oper.trunc != op.trunc:
+            raise FrameAnalysisError(f"{name} truncation {oper.trunc} mismatches window {op.trunc}")
     # projector contract: idempotent and Hermitian blockwise
-    lmax = int(levels.max())
-    m = trunc + 1
-    big = np.zeros(((lmax + 1) * m, (lmax + 1) * m), dtype=np.complex128)
-    bigh = np.zeros_like(big)
-    for r1 in range(lmax + 1):
-        for r2 in range(lmax + 1):
-            big[r1 * m:(r1 + 1) * m, r2 * m:(r2 + 1) * m] = p.blocks[r1, r2]
-            bigh[r1 * m:(r1 + 1) * m, r2 * m:(r2 + 1) * m] = h.blocks[r1, r2]
+    nl = int(levels.max()) + 1
+    m = op.trunc + 1
+    # block (r1, r2) of a SingleParticleOperator as one (nl m) x (nl m) matrix
+    big, bigh = (o.blocks[:nl, :nl].transpose(0, 2, 1, 3).reshape(nl * m, nl * m) for o in (p, h))
     if np.max(np.abs(big @ big - big)) > 1e-10 or np.max(np.abs(big - big.conj().T)) > 1e-10:
         raise FrameAnalysisError("P is not an orthogonal projection (within 1e-10)")
-    op = frame_operator(window, mp)
-    sinv = op.power(-1)
     php = big @ bigh @ big
     c = np.zeros(len(window), dtype=np.complex128)
-    for k in range(len(window)):
-        r = int(levels[k])
-        vec = np.zeros((lmax + 1) * m, dtype=np.complex128)
-        vec[r * m:(r + 1) * m] = rows[k]
-        target = np.zeros_like(vec)
-        target[r * m:(r + 1) * m] = sinv @ rows[k]
-        c[k] = np.vdot(vec, php @ target)
+    for k, r in enumerate(levels):
+        blk = php[r * m:(r + 1) * m, r * m:(r + 1) * m]
+        c[k] = np.vdot(op.rows[k], blk @ op.dual[k])
     max_imag = float(np.max(np.abs(c.imag))) if len(c) else 0.0
     return c.real.copy(), max_imag
 
@@ -156,15 +134,22 @@ def landau_coefficients(r: int, window: Window, mp: MagneticParams,
 
     Returns (t_r, c_r, inner) where t_r = q(r) * <chi, S^-2 chi'> on the
     inner window, c_r = <chi, S^-1 chi> on the same sites, and
-    q(r) = eps_b * (r + 1/2).  Levels decouple exactly, so elements between
-    different levels vanish identically and are not materialized.
+    q(r) = eps_b * (r + 1/2).  The elements are those between the level-0
+    sites; level r must repeat those sites, and inner lists positions among
+    them.  Levels decouple exactly, so elements between different levels
+    vanish identically and are not materialized.
     """
     if r < 0:
         raise FrameAnalysisError(f"level must be non-negative, got {r}")
+    levels = window.levels
+    if not np.array_equal(window.gxy[levels == r], window.gxy[levels == 0]):
+        raise FrameAnalysisError(
+            f"level {r} of the window does not repeat its {int(np.sum(levels == 0))} "
+            f"level-0 sites (it has {int(np.sum(levels == r))})"
+        )
     q = mp.level_spacing * (r + 0.5)
-    w0 = _spatial_subwindow(window)
-    el2 = s_inverse_power_elements(w0, mp, p=2, margin=margin)
-    el1 = s_inverse_power_elements(w0, mp, p=1, margin=margin)
+    el2 = s_inverse_power_elements(window, mp, p=2, margin=margin)
+    el1 = s_inverse_power_elements(window, mp, p=1, margin=margin)
     t_r = q * el2.entries
     c_r = np.real(np.diag(el1.entries)).copy()
     return t_r, c_r, el2.inner

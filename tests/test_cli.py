@@ -219,14 +219,16 @@ def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
         assert record["values"][key] == payload[key]
     header, rows = read_csv(out / "lr.csv")
     col = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)
-           if name in ("d", "bound", "ratio")}
-    # the diagonal cell at t = 0 has F = Z_gg = g, so the plain maximum carries no information
+           if name in ("t", "d", "bound", "ratio")}
+    # the diagonal cell at t = 0 has F = Z_gg = 1, so the plain maximum carries no information
     assert payload["max_ratio"] == pytest.approx(1.0, rel=1e-12)
     off = col["d"] > 0
     assert payload["max_ratio_off_diagonal"] == pytest.approx(col["ratio"][off].max(), rel=1e-12)
     assert payload["max_ratio_off_diagonal"] < 1.0
-    assert payload["informative_cells"] == int(np.count_nonzero(col["bound"] < 2.0))
-    assert 0 < payload["informative_cells"] < len(rows)
+    # only cells past t = 0 count: at t = 0 the bound holds by construction
+    later = col["t"] > 0
+    assert payload["informative_cells"] == int(np.count_nonzero(col["bound"][later] < 2.0))
+    assert 0 < payload["informative_cells"] < np.count_nonzero(later)
 
 
 def test_lr_negative_control_mechanics(tmp_path):
@@ -255,11 +257,12 @@ def test_converge_nested_chains(tmp_path):
     assert len(summary["parameters"]["boundary_sums"]) == 2
 
 
-@pytest.mark.parametrize("t_max, n_t, informative", [(0.2, 2, 2), (1e-5, 3, 6)],
+@pytest.mark.parametrize("t_max, n_t, informative", [(0.2, 2, 0), (1e-5, 3, 4)],
                          ids=["benchmark", "tiny_t_max"])
 def test_converge_informative_cells(tmp_path, t_max, n_t, informative):
     # the benchmark's convergence chains: past t = 0 their bounds are near
-    # 1e181, far above the trivial limit 2; at t_max = 1e-5 every bound is below it
+    # 1e181, far above the trivial limit 2; at t_max = 1e-5 every bound is
+    # below it.  The t = 0 cells, where both dynamics coincide, never count.
     cfg = ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n\n"
            "[model]\nf0 = 1.0\nmu = 1.0\n\n"
            "[windows]\nchain_lengths = 6 8 10\n\n"
@@ -269,9 +272,9 @@ def test_converge_informative_cells(tmp_path, t_max, n_t, informative):
     within = next(c for c in summary["checks"] if c["name"] == "within_bound")
     assert within["values"]["informative"] == informative
     header, rows = read_csv(out / "converge.csv")
-    bounds = [float(r[header.index("bound")]) for r in rows]
-    assert len(bounds) == 2 * n_t
-    assert sum(b < 2.0 for b in bounds) == informative
+    cells = [(float(r[header.index("t")]), float(r[header.index("bound")])) for r in rows]
+    assert len(cells) == 2 * n_t
+    assert sum(t > 0 and b < 2.0 for t, b in cells) == informative
 
 
 def test_plotdata_lifecycle(tmp_path):
@@ -335,6 +338,30 @@ def test_module_error_record(tmp_path, capsys):
     record = read_error(capsys, out)
     assert record["error"]["type"] == "RegimeError"
     assert "section" not in record["error"]
+
+
+# a chain window on a lattice with two levels: the chain holds level-0 sites only
+MULTI_LEVEL_CHAIN = ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\nchain_length = 8\n"
+                     "level_max = 1\nradius = 10\n")
+
+
+@pytest.mark.parametrize("command", ["decay", "landau"])
+def test_multi_level_chain_runs(tmp_path, command):
+    # S is built from the chain's own level-0 sites, not from a ball of the radius
+    code, out, summary = run_cli(tmp_path, command, MULTI_LEVEL_CHAIN)
+    assert code in (0, 1)
+    assert summary["parameters"]["inner_sites"] <= 8
+
+
+def test_landau_level_without_sites(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "level1.ini"
+    cfg.write_text(MULTI_LEVEL_CHAIN + "\n[landau]\nlevel = 1\n")
+    code = main(["landau", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "FrameAnalysisError"
+    assert "level 1" in record["error"]["message"]
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -539,6 +566,13 @@ def test_non_utf8_config(tmp_path, capsys):
     assert record["error"]["type"] == "config"
 
 
+def _package_env():
+    """Environment for a fresh interpreter that imports this latframe."""
+    src = os.path.dirname(os.path.dirname(latframe.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_module_entrypoint(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(SMALL_GRAM)
@@ -546,7 +580,7 @@ def test_module_entrypoint(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "latframe", "gram", "--config", str(cfg),
          "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, env=_package_env(), timeout=300)
     assert proc.returncode == 0
     assert "gram" in proc.stdout
     assert (out / "summary.json").exists()
@@ -564,11 +598,8 @@ def _scipy_modules(tmp_path, argv):
         "after_import = scipy_modules()\n"
         f"code = latframe.cli.main({argv!r})\n"
         "print(json.dumps({'import': after_import, 'run': scipy_modules(), 'code': code}))\n")
-    src = os.path.dirname(os.path.dirname(latframe.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=300)
+                          env=_package_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

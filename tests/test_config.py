@@ -43,6 +43,10 @@ def test_reference_config_parses():
     assert len(w.sites) >= 1
 
 
+def test_reference_config_shows_every_default():
+    assert parse_config_text(REFERENCE_CONFIG) == RunConfig()
+
+
 def test_section_scoped_overrides():
     cfg = parse_config_text(
         "[lattice]\nalpha = 1.0\nbeta = 1.25\nradius = 6.0\n"
