@@ -41,6 +41,7 @@ from .fock import (
 from .frame_analysis import (
     FrameAnalysisError,
     frame_bounds_estimate,
+    frame_operator,
     gram,
     localization_rate,
     neumann_certificate,
@@ -62,7 +63,7 @@ from .interactions import (
     w_kernel,
 )
 from .lattice import LatticeError, build_chain, build_window
-from .magnetic import MagneticParams, RegimeError, TruncationError, regime, window_coords
+from .magnetic import MagneticParams, RegimeError, TruncationError, regime
 from .quadratic import hopping_coeffs, landau_coefficients, level_projector
 from .serialize import (
     SerializeError,
@@ -364,21 +365,23 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
               rows)
     write_csv(ctx.out / "landau_constants.csv", ["i", "site", "c"],
               [(int(g_), site_token(w.sites[g_]), float(c_r[a])) for a, g_ in enumerate(inner_global)])
-    # independent route: dress the level Hamiltonian q(r) * Pi_r generically
-    n_levels = cfg.level_max + 1
-    trunc, _ = window_coords(w, mp)
-    proj = level_projector(n_levels, trunc, [r])
-    h_op = replace(proj, blocks=q * proj.blocks)
-    hop = hopping_coeffs(h_op, w, mp)
-    dual_dev = float(np.max(np.abs(hop[np.ix_(inner_global, inner_global)] - t_r)))
+    # the dual rows must solve S dual_g = chi_g on every level-0 site; this
+    # needs no inverse, so it also catches a wrongly formed S^+
+    op = frame_operator(w, mp)
+    lvl0 = levels == 0
+    residual = float(np.max(np.abs(op.matrix @ op.dual[lvl0].T - op.rows[lvl0].T)))
     checks = [
         Check("zero_violations", report.violations == 0,
               {"violations": report.violations, "max_ratio": report.max_ratio}),
-        Check("dual_route_agreement", dual_dev <= 1e-8, {"max_deviation": dual_dev}),
+        Check("dual_inverts_frame_operator", residual <= 1e-8, {"max_residual": residual}),
         Check("constants_real_positive", bool(np.all(c_r > 0)),
               {"min_c": float(np.min(c_r)) if len(c_r) else None}),
     ]
     if cfg.level_max >= 1:
+        # dress the level Hamiltonian q(r) * Pi_r generically across all levels
+        n_levels = cfg.level_max + 1
+        proj = level_projector(n_levels, op.trunc, [r])
+        hop = hopping_coeffs(replace(proj, blocks=q * proj.blocks), w, mp)
         cross = 0.0
         for r2 in range(n_levels):
             if r2 == r:

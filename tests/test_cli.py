@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 
 import latframe
 import latframe.cli
+import latframe.frame_analysis
+import latframe.quadratic
 from latframe.cli import main
 from latframe.config import REFERENCE_CONFIG, RunConfig
 from latframe.fock import MAX_MODES
@@ -157,12 +160,30 @@ def test_landau_two_level_run(tmp_path):
     assert code == 0
     cm = check_map(summary)
     assert cm["zero_violations"]
-    assert cm["dual_route_agreement"]
+    assert cm["dual_inverts_frame_operator"]
     assert cm["constants_real_positive"]
     assert cm["cross_level_exactly_zero"]
     assert summary["parameters"]["q"] == pytest.approx(1.5)  # level spacing * (1 + 1/2)
     header, rows = read_csv(out / "landau_constants.csv")
     assert len(rows) == summary["parameters"]["inner_sites"]
+
+
+def test_landau_dual_check_catches_a_scaled_dual(tmp_path, monkeypatch):
+    # every S^-p route reads the same dual rows, so a dual off by 1e-6
+    # agrees with itself; S dual = chi does not hold for it
+    real = latframe.frame_analysis.frame_operator
+
+    def scaled(window, mp):
+        op = real(window, mp)
+        return replace(op, dual=op.dual * (1 + 1e-6))
+
+    for module in (latframe.frame_analysis, latframe.quadratic, latframe.cli):
+        monkeypatch.setattr(module, "frame_operator", scaled)
+    code, _, summary = run_cli(tmp_path, "landau", "[lattice]\nradius = 10\nlevel_max = 1\n")
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["dual_inverts_frame_operator"]
+    assert failed[0]["values"]["max_residual"] > 1e-8
 
 
 def test_wkernel_sampling(tmp_path):

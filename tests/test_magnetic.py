@@ -1,6 +1,7 @@
 """Coherent states over Landau levels: coordinates, overlaps, translations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,82 @@ def test_coords_pointwise_matches_chi(rng):
     direct = chi_pointwise(gamma, pts, MP)
     via_coords = coords_pointwise(phi, pts)
     assert np.max(np.abs(direct - via_coords)) < 1e-9
+
+
+def _log_space_synthesis(coeffs, x):
+    """Level-0 synthesis by the explicit (points x modes) log-space basis
+    exp(-u/2 + m log|z| - lgamma(m+1)/2 - i m arg z), in long double and in
+    chunks of points; ell_b = 1."""
+    ld = np.longdouble
+    c = np.asarray(coeffs, dtype=np.clongdouble)
+    m = np.arange(len(c), dtype=ld)
+    half_lgamma = np.concatenate([[ld(0)], np.cumsum(np.log(m[1:]))]) / 2
+    x = np.asarray(x, dtype=ld) / np.sqrt(ld(2))
+    out = np.empty(len(x), dtype=np.clongdouble)
+    for s in range(0, len(x), 128):
+        x1, x2 = x[s:s + 128, 0], x[s:s + 128, 1]
+        u = x1 * x1 + x2 * x2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logmag = -u[:, None] / 2 + m[None, :] * (np.log(u) / 2)[:, None] - half_lgamma[None, :]
+        logmag[:, 0] = -u / 2  # m = 0 at the origin: 0 * log 0
+        phase = m[None, :] * np.arctan2(x2, x1)[:, None]
+        out[s:s + 128] = (np.exp(logmag) * (np.cos(phase) - 1j * np.sin(phase))) @ c
+    return (out / np.sqrt(2 * np.pi)).astype(np.complex128)
+
+
+def _probe_points(rng, gamma):
+    """Points in the disk out to |gamma| + 30, points near gamma, and the origin."""
+    reach = math.hypot(*gamma) + 30.0
+    r = reach * np.sqrt(rng.uniform(size=500))
+    t = rng.uniform(0.0, 2.0 * np.pi, size=500)
+    return np.vstack([np.c_[r * np.cos(t), r * np.sin(t)],
+                      np.asarray(gamma) + rng.normal(scale=3.0, size=(300, 2)),
+                      [[reach, 0.0], [0.0, 0.0]]])
+
+
+@pytest.mark.parametrize("radius", [12.0, 40.0, 60.0])
+def test_coords_pointwise_far_from_origin(rng, radius):
+    # the recurrence restarts every 64 indices; past u ~ 1490 its seed
+    # e^(-u/2) underflows, so at 60 ell a product without restarts loses
+    # the whole value near gamma
+    trunc = choose_truncation(radius, 1.0)
+    assert trunc == {12.0: 160, 40.0: 1128, 60.0: 2487}[radius]
+    gamma = (radius * math.cos(2.0), radius * math.sin(2.0))
+    pts = _probe_points(rng, gamma)
+    chi = chi_coords(gamma, 1.0, trunc)
+    got = coords_pointwise(chi, pts)
+    oracle = _log_space_synthesis(chi.coeffs, pts)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # the closed form differs from the truncated expansion by at most
+    # (sum_{m>M} |c_m|^2)^(1/2) (sum_{m>M} |b_m(x)|^2)^(1/2) / sqrt(2 pi)
+    tail_c = coords_tail(gamma, 1.0, trunc)
+    tail = np.array([math.sqrt(tail_c * poisson_tail(trunc, (p @ p) / 2.0)) for p in pts])
+    exact = chi_pointwise(gamma, pts, MP)
+    assert np.all(np.abs(got - exact) <= 1e-12 * np.max(np.abs(exact))
+                  + tail / math.sqrt(2.0 * math.pi))
+    assert got[-1] == pytest.approx(chi.coeffs[0] / math.sqrt(2.0 * math.pi), abs=1e-300)
+    coeffs = rng.normal(size=trunc + 1) + 1j * rng.normal(size=trunc + 1)
+    coeffs /= np.linalg.norm(coeffs)
+    got = coords_pointwise(LaguerreCoords(level=0, coeffs=coeffs, ell_b=1.0), pts)
+    oracle = _log_space_synthesis(coeffs, pts)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert got[-1] == pytest.approx(coeffs[0] / math.sqrt(2.0 * math.pi), abs=1e-300)
+
+
+def test_coords_pointwise_memory_is_linear_in_points(rng):
+    # 175 x 175 grid at truncation 62: the kernel's largest synthesis call
+    coeffs = rng.normal(size=63) + 1j * rng.normal(size=63)
+    phi = LaguerreCoords(level=0, coeffs=coeffs / np.linalg.norm(coeffs), ell_b=1.0)
+    axis = np.linspace(-20.0, 20.0, 175)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    tracemalloc.start()
+    try:
+        vals = coords_pointwise(phi, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (175, 175)
+    assert peak < 10 * 175 * 175 * 16  # ten point-length complex arrays
 
 
 def test_reproducing_property(rng):
