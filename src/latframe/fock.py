@@ -118,28 +118,32 @@ def jw_lowering(n_modes: int) -> list[sp.csr_matrix]:
     return ops
 
 
-def mode_operators(basis: ModeBasis) -> list[sp.csr_matrix]:
-    """Annihilators a_g = sum_k V[g, k] c_k for every window site."""
+def _combine(coefs: np.ndarray, cs: list[sp.csr_matrix], dim: int) -> sp.csr_matrix:
+    """sum_k coefs[k] cs[k] over the nonzero coefficients."""
     import scipy.sparse as sp
 
+    acc = None
+    for coef, c in zip(coefs, cs):
+        if coef == 0:
+            continue
+        term = coef * c
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return sp.csr_matrix((dim, dim), dtype=np.complex128)
+    return acc.tocsr()
+
+
+def mode_operators(basis: ModeBasis) -> list[sp.csr_matrix]:
+    """Annihilators a_g = sum_k V[g, k] c_k for every window site."""
     cs = jw_lowering(basis.rank)
-    out = []
-    for g in range(basis.n_sites):
-        acc = None
-        for k in range(basis.rank):
-            coef = basis.v[g, k]
-            if coef == 0:
-                continue
-            term = coef * cs[k]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-        out.append(acc.tocsr())
-    return out
+    return [_combine(basis.v[g], cs, basis.dim) for g in range(basis.n_sites)]
 
 
 def monomial_operator(factors, ops: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """Ordered product of a / a* factors, as (site, dagger) pairs left to right."""
+    """Ordered product of a / a* factors, as (site, dagger) pairs left to right.
+
+    This is the per-term oracle of build_interaction_hamiltonian: one word at a
+    time, with no grouping or caching."""
     import scipy.sparse as sp
 
     dim = ops[0].shape[0]
@@ -154,17 +158,58 @@ def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
                                   ops: list[sp.csr_matrix] | None = None,
                                   support_within: frozenset[int] | None = None) -> sp.csr_matrix:
     """H = sum over terms of f * (M + M*), optionally keeping only terms whose
-    support lies inside the given site subset."""
+    support lies inside the given site subset.
+
+    A word of 2k factors is the product of its k adjacent pairs a#_i a#_j, and
+    the pair operators are formed once and cached.  The kept terms are grouped
+    by their leading pair L, so that sum_t f_t M_t = sum_L L @ R_L with
+    R_L = sum f_t * (product of the remaining pairs); the k = 1 terms form one
+    group of their own that needs no product.  Only one group's R_L and
+    product are alive at a time: one sparse product per group replaces 2k per
+    term and the sum over terms."""
     import scipy.sparse as sp
 
     if ops is None:
         ops = mode_operators(basis)
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    adj = [a.conj().T.tocsr() for a in ops]
+    pair_cache: dict = {}
+
+    def pair(first, second):
+        op = pair_cache.get((first, second))
+        if op is None:
+            (i, di), (j, dj) = first, second
+            op = (adj[i] if di else ops[i]) @ (adj[j] if dj else ops[j])
+            pair_cache[first, second] = op
+        return op
+
+    def remaining_sum(terms, skip):
+        """R = sum f_t * (product of the pairs of word t past its first skip factors)."""
+        r = None
+        for term in terms:
+            rest = term.monomial.factors[skip:]
+            prod = pair(*rest[:2])
+            for j in range(2, len(rest), 2):
+                prod = prod @ pair(*rest[j:j + 2])
+            r = term.coupling * prod if r is None else r + term.coupling * prod
+        return r
+
+    groups: dict = {}
     for term in interaction.terms:
         if support_within is not None and not term.support <= support_within:
             continue
-        m = monomial_operator(term.monomial.factors, ops)
-        h = h + term.coupling * (m + m.conj().T)
+        lead = term.monomial.factors[:2] if term.k > 1 else None
+        groups.setdefault(lead, []).append(term)
+    m = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    for lead, terms in groups.items():
+        if lead is None:
+            m = m + remaining_sum(terms, 0)
+        else:
+            m = m + pair(*lead) @ remaining_sum(terms, 2)
+    pair_cache.clear()
+    # csr + keeps a view into an nnz(A) + nnz(B) buffer when the sum fills
+    # exactly half of it, as M + M* does; the copy holds only H's own entries
+    h = (m + m.conj().T).copy()
+    del m
     dev = float(abs(h - h.conj().T).max()) if h.nnz else 0.0
     if dev > 1e-10 * max(1.0, float(abs(h).max()) if h.nnz else 1.0):
         raise FockError(f"assembled Hamiltonian is not Hermitian: deviation {dev:.3e}")
@@ -172,8 +217,7 @@ def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
 
 
 def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray,
-                                constants: np.ndarray | None = None,
-                                ops: list[sp.csr_matrix] | None = None) -> sp.csr_matrix:
+                                constants: np.ndarray | None = None) -> sp.csr_matrix:
     """H = sum t[g', g] a*_g' a_g - sum c(g), with t Hermitian."""
     import scipy.sparse as sp
 
@@ -182,16 +226,13 @@ def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray,
         raise FockError(f"hopping shape {hopping.shape} mismatches {n} sites")
     if np.max(np.abs(hopping - hopping.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(hopping)))):
         raise FockError("hopping matrix is not Hermitian")
-    if ops is None:
-        ops = mode_operators(basis)
-    # collapse through the mode map first: sum t a*a = sum (V* t V)[k,l] c*_k c_l
+    # collapse through the mode map first: sum t a*a = sum_k c*_k (sum_l T[k, l] c_l)
+    # with T = V* t V, one sparse product per mode
     tmode = basis.v.conj().T @ hopping @ basis.v
     cs = jw_lowering(basis.rank)
     h = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for k in range(basis.rank):
-        for l in range(basis.rank):
-            if tmode[k, l] != 0:
-                h = h + tmode[k, l] * (cs[k].conj().T @ cs[l])
+        h = h + cs[k].conj().T @ _combine(tmode[k], cs, basis.dim)
     if constants is not None:
         h = h - float(np.sum(constants)) * sp.identity(basis.dim, format="csr", dtype=np.complex128)
     return h.tocsr()

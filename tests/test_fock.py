@@ -358,6 +358,91 @@ def test_volume_convergence_sectors_match_dense_oracle(six_modes, pairing):
         assert rep.diffs[-1] > 1e-3
 
 
+# ------------------------------------------- grouped assembly vs per-term oracles
+
+def _with_words(inter):
+    """Add words whose leading pairs differ from the density pairs n_p: one
+    leading with an annihilator before a creator, and two k = 3 words, the
+    first sharing its leading pair n_0 with the density terms."""
+    words = (
+        (0.3, ((1, False), (2, True), (3, True), (0, False))),
+        (0.7, ((0, True), (0, False), (2, True), (1, False), (3, True), (3, False))),
+        (0.5, ((2, True), (0, False), (3, True), (3, False), (1, True), (2, False))),
+    )
+    extra = tuple(
+        InteractionTerm(support=frozenset(s for s, _ in word), k=len(word) // 2,
+                        coupling=c, monomial=MonomialDescriptor(factors=word))
+        for c, word in words)
+    return Interaction(window=inter.window, terms=inter.terms + extra)
+
+
+_ASSEMBLY_CASES = {
+    "density": lambda inter: inter,
+    "pairing": _with_pairing,
+    "words": lambda inter: _with_words(_with_pairing(inter)),
+}
+
+
+def _kept(inter, support_within):
+    return [t for t in inter.terms if support_within is None or t.support <= support_within]
+
+
+@pytest.mark.parametrize("support_within", [None, frozenset({0, 1, 2, 3}), frozenset({2, 3})],
+                         ids=["all", "0123", "23"])
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_CASES))
+def test_interaction_hamiltonian_matches_per_term_oracles(six_modes, case, support_within):
+    """The grouped assembly against sum f (M + M*) one term at a time, through
+    monomial_operator and through dense products of the mode operators."""
+    _, basis, inter = six_modes
+    inter = _ASSEMBLY_CASES[case](inter)
+    ops = mode_operators(basis)
+    h = build_interaction_hamiltonian(basis, inter, ops=ops, support_within=support_within)
+    dense = [a.toarray() for a in ops]
+    by_term = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    by_dense = np.zeros_like(by_term)
+    kept = _kept(inter, support_within)
+    assert kept
+    for term in kept:
+        m = monomial_operator(term.monomial.factors, ops).toarray()
+        by_term += term.coupling * (m + m.conj().T)
+        md = np.eye(basis.dim, dtype=np.complex128)
+        for site, dagger in term.monomial.factors:
+            md = md @ (dense[site].conj().T if dagger else dense[site])
+        by_dense += term.coupling * (md + md.conj().T)
+    hd = h.toarray()
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(hd))))
+    assert np.max(np.abs(hd - by_term)) < tol
+    assert np.max(np.abs(hd - by_dense)) < tol
+
+
+def test_interaction_hamiltonian_without_kept_terms(six_modes):
+    _, basis, inter = six_modes
+    inter = _with_words(_with_pairing(inter))
+    empty = frozenset({5})
+    assert not _kept(inter, empty)
+    h = build_interaction_hamiltonian(basis, inter, support_within=empty)
+    assert h.shape == (basis.dim, basis.dim)
+    assert h.nnz == 0
+
+
+def test_interaction_hamiltonian_holds_only_its_own_entries():
+    """The returned H owns exactly-sized arrays: scipy's csr + can return a
+    view into a buffer twice the size of the sum.  The full H and the inner
+    H's of `converge` on the 10-site chain (inner chains of 6 and 8 sites)."""
+    params = LatticeParams(1.0, 1.0, 10.0)
+    w = build_chain(params, 10)
+    basis = mode_basis(w, MP)
+    assert basis.dim == 1024
+    inter = density_density(w, f0=1.0, mu=1.0)
+    ops = mode_operators(basis)
+    inners = [frozenset(w.index(s) for s in build_chain(params, n).sites) for n in (6, 8)]
+    for support_within in (None, *inners):
+        h = build_interaction_hamiltonian(basis, inter, ops=ops, support_within=support_within)
+        assert h.nnz
+        for arr in (h.data, h.indices, h.indptr):
+            assert arr.base is None or arr.base.size == arr.size
+
+
 def test_parity_breaking_hamiltonian_rejected_before_eigh(six_modes, monkeypatch):
     _, basis, _ = six_modes
     a0 = mode_operators(basis)[0]
