@@ -60,14 +60,7 @@ from .interactions import (
     v_omega,
     w_kernel,
 )
-from .quadratic import (
-    SingleParticleOperator,
-    constant_terms,
-    hopping_coeffs,
-    landau_coefficients,
-    landau_operator,
-    level_projector,
-)
+from .quadratic import hopping_coeffs, landau_coefficients, landau_operator
 from .fock import (
     Evolution,
     FockError,
@@ -100,8 +93,7 @@ __all__ = [
     "Interaction", "InteractionError", "InteractionTerm", "MonomialDescriptor",
     "c_phi", "density_density", "ExponentialPotential", "exponential_potential", "k_sigma",
     "lr_velocity", "v_omega", "w_kernel",
-    "SingleParticleOperator", "constant_terms",
-    "hopping_coeffs", "landau_coefficients", "landau_operator", "level_projector",
+    "hopping_coeffs", "landau_coefficients", "landau_operator",
     "Evolution", "FockError", "LRReport", "ModeBasis", "anticommutator_norm",
     "build_interaction_hamiltonian", "build_quadratic_hamiltonian", "lr_check",
     "mode_basis", "mode_operators", "operator_norm", "quasifree_expectation",

@@ -216,9 +216,8 @@ def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
     return h
 
 
-def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray,
-                                constants: np.ndarray | None = None) -> sp.csr_matrix:
-    """H = sum t[g', g] a*_g' a_g - sum c(g), with t Hermitian."""
+def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray) -> sp.csr_matrix:
+    """H = sum t[g', g] a*_g' a_g, with t Hermitian."""
     import scipy.sparse as sp
 
     n = basis.n_sites
@@ -233,8 +232,6 @@ def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray,
     h = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for k in range(basis.rank):
         h = h + cs[k].conj().T @ _combine(tmode[k], cs, basis.dim)
-    if constants is not None:
-        h = h - float(np.sum(constants)) * sp.identity(basis.dim, format="csr", dtype=np.complex128)
     return h.tocsr()
 
 

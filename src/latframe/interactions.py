@@ -100,25 +100,16 @@ class InteractionTerm:
 
 @dataclass(frozen=True)
 class Interaction:
-    """A window together with its interaction terms.
-
-    metadata records the constants of the generating pair potential when
-    there is one (keys f0, mu for the exponential density-density family).
-    """
+    """A window together with its interaction terms."""
 
     window: Window
     terms: tuple[InteractionTerm, ...]
-    metadata: dict | None = None
 
     def __post_init__(self) -> None:
         n = len(self.window)
         for t in self.terms:
             if any(s >= n for s in t.support):
                 raise InteractionError("term support outside the window")
-
-    @property
-    def max_k(self) -> int:
-        return max((t.k for t in self.terms), default=0)
 
 
 def density_density(window: Window, f0: float, mu: float) -> Interaction:
@@ -134,7 +125,7 @@ def density_density(window: Window, f0: float, mu: float) -> Interaction:
             c = f0 * float(np.exp(-mu * dists[p, q]))
             mono = MonomialDescriptor(factors=((p, True), (p, False), (q, True), (q, False)))
             terms.append(InteractionTerm(support=frozenset({p, q}), k=2, coupling=c, monomial=mono))
-    return Interaction(window=window, terms=tuple(terms), metadata={"f0": f0, "mu": mu})
+    return Interaction(window=window, terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -229,11 +220,15 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
                       member_kind=best_kind, member_sites=best_members, family_size=count)
 
 
+_BRUTE_MAX_SITES = 12  # family='brute' sweeps all 2^n - 1 subsets
+
+
 def _c_phi_brute(inter: Interaction, zeta: float, xi: float, tmat: np.ndarray,
-                 weights: np.ndarray, dists: np.ndarray, max_sites: int = 12) -> CPhiResult:
+                 weights: np.ndarray, dists: np.ndarray) -> CPhiResult:
     n = len(inter.window)
-    if n > max_sites:
-        raise InteractionError(f"brute-force probe sweep limited to {max_sites} sites, window has {n}")
+    if n > _BRUTE_MAX_SITES:
+        raise InteractionError(
+            f"brute-force probe sweep limited to {_BRUTE_MAX_SITES} sites, window has {n}")
     nu = inter.window.params.dim
     emat = weights[:, None] * np.exp(-zeta * tmat)
     best = -np.inf

@@ -221,8 +221,9 @@ def chi_pointwise(site_gamma: tuple[float, float], x: np.ndarray, mp: MagneticPa
                   level: int = 0, trunc: int | None = None) -> np.ndarray:
     """Values of chi_(level, gamma) at planar points x, shape (..., 2).
 
-    The lowest level uses the closed Gaussian form; higher levels are
-    synthesized from the coefficient vector and laguerre_psi.
+    The lowest level uses the closed Gaussian form, the oracle for
+    coords_pointwise; higher levels are synthesized from the coefficient
+    vector by coords_pointwise.
     """
     ell = mp.ell_b
     x = np.asarray(x, dtype=np.float64)
@@ -233,12 +234,7 @@ def chi_pointwise(site_gamma: tuple[float, float], x: np.ndarray, mp: MagneticPa
         return phase * np.exp(-np.sum(d * d, axis=-1) / (4.0 * ell**2)) / (ell * np.sqrt(2.0 * pi))
     if trunc is None:
         trunc = choose_truncation(float(np.hypot(*g)) + 1e-9, ell)
-    coords = chi_coords(tuple(g), ell, trunc, level=level)
-    out = np.zeros(x.shape[:-1], dtype=np.complex128)
-    for m, c in enumerate(coords.coeffs):
-        if abs(c) > 1e-18:
-            out += c * laguerre_psi(level, m, x, ell)
-    return out
+    return coords_pointwise(chi_coords(tuple(g), ell, trunc, level=level), x)
 
 
 def overlap(p: Site, q: Site, lp: LatticeParams, mp: MagneticParams) -> complex:

@@ -1,23 +1,22 @@
 """Frame coefficients of one-particle Hamiltonians: hopping and constants.
 
-A one-particle operator is stored blockwise over levels in the truncated
-angular basis: blocks[r1, r2] maps level r2 into level r1.  The hopping
-matrix between localized states double-dresses the operator with the
-inverse frame operator,
+The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r, and are
+stored as their level blocks h[r] in the truncated angular basis.  The
+hopping matrix between localized states double-dresses H with the inverse
+frame operator,
 
-    t(g', g) = <chi_g', S^-1 H S^-1 chi_g> = conj(D_g') H D_g,
+    t(g', g) = <chi_g', S^-1 H S^-1 chi_g> = conj(D_g') h[r] D_g    (g', g on level r),
 
 where D are the dual rows S^+ chi of `frame_analysis.frame_operator`, so
 that sum t(g', g) a*_g' a_g generates the same free dynamics as H on the
-span of the frame.  Level Hamiltonians have the closed route
-t_r = q(r) * (S^-2 sandwich) with q(r) = eps_b * (r + 1/2), kept as a
-second code path (through `s_inverse_power_elements`) so the generic
-blockwise assembly can be cross-checked.
+span of the frame.  Entries between different levels vanish exactly, since
+neither H nor S mixes levels.  For the level Hamiltonian q(r) Pi_r with
+q(r) = eps_b * (r + 1/2) this is t_r = q(r) * <chi, S^-2 chi'>, which
+`landau_coefficients` reads from `s_inverse_power_elements` together with
+the constants c_r = <chi, S^-1 chi>.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,106 +25,44 @@ from .lattice import Window
 from .magnetic import MagneticParams
 
 __all__ = [
-    "SingleParticleOperator",
     "landau_operator",
-    "level_projector",
     "hopping_coeffs",
-    "constant_terms",
     "landau_coefficients",
 ]
 
 
-@dataclass(frozen=True)
-class SingleParticleOperator:
-    """Blockwise one-particle operator over levels 0..level_max.
+def landau_operator(n_levels: int, trunc: int, eps_b: float) -> np.ndarray:
+    """Level blocks of the Landau Hamiltonian: eps_b * (r + 1/2) * I on level r."""
+    q = eps_b * (np.arange(n_levels) + 0.5)
+    return q[:, None, None] * np.eye(trunc + 1, dtype=np.complex128)
 
-    blocks has shape (L+1, L+1, M+1, M+1) with blocks[r1, r2] the component
-    mapping level r2 to level r1 in the angular basis.
+
+def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndarray:
+    """Double-dressed hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g>.
+
+    h holds the level blocks of H, shape (levels, M+1, M+1) with M the
+    window's truncation; h[r] acts on level r.  Entries between sites of
+    different levels are exact zeros.
     """
-
-    blocks: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.blocks.ndim != 4 or self.blocks.shape[0] != self.blocks.shape[1] \
-                or self.blocks.shape[2] != self.blocks.shape[3]:
-            raise FrameAnalysisError(f"blocks must be (L+1, L+1, M+1, M+1), got {self.blocks.shape}")
-
-    @property
-    def n_levels(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def trunc(self) -> int:
-        return self.blocks.shape[2] - 1
-
-
-def landau_operator(n_levels: int, trunc: int, eps_b: float) -> SingleParticleOperator:
-    """The level Hamiltonian: eps_b * (r + 1/2) on level r, diagonal over levels."""
-    m = trunc + 1
-    blocks = np.zeros((n_levels, n_levels, m, m), dtype=np.complex128)
-    for r in range(n_levels):
-        blocks[r, r] = eps_b * (r + 0.5) * np.eye(m)
-    return SingleParticleOperator(blocks=blocks)
-
-
-def level_projector(n_levels: int, trunc: int, levels: list[int]) -> SingleParticleOperator:
-    """Projection onto the listed levels (identity blocks there, zero elsewhere)."""
-    m = trunc + 1
-    blocks = np.zeros((n_levels, n_levels, m, m), dtype=np.complex128)
-    for r in levels:
-        blocks[r, r] = np.eye(m)
-    return SingleParticleOperator(blocks=blocks)
-
-
-def hopping_coeffs(h: SingleParticleOperator, window: Window, mp: MagneticParams) -> np.ndarray:
-    """Generic double-dressed hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g>."""
+    h = np.asarray(h)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise FrameAnalysisError(f"level blocks must be (levels, M+1, M+1), got {h.shape}")
     op = frame_operator(window, mp)
     levels = window.levels
-    if h.trunc != op.trunc:
+    if h.shape[1] - 1 != op.trunc:
         raise FrameAnalysisError(
-            f"operator truncation {h.trunc} mismatches window truncation {op.trunc}; "
+            f"operator truncation {h.shape[1] - 1} mismatches window truncation {op.trunc}; "
             f"build the operator with the window's truncation"
         )
     lmax = int(levels.max())
-    if h.n_levels < lmax + 1:
-        raise FrameAnalysisError(f"operator covers {h.n_levels} levels, window needs {lmax + 1}")
+    if h.shape[0] < lmax + 1:
+        raise FrameAnalysisError(f"operator covers {h.shape[0]} levels, window needs {lmax + 1}")
     t = np.zeros((len(window), len(window)), dtype=np.complex128)
-    sels = [np.nonzero(levels == r)[0] for r in range(lmax + 1)]
-    for r1, sel1 in enumerate(sels):
-        for r2, sel2 in enumerate(sels):
-            blk = h.blocks[r1, r2]
-            if sel1.size and sel2.size and np.any(blk):
-                t[np.ix_(sel1, sel2)] = op.dual[sel1].conj() @ blk @ op.dual[sel2].T
+    for r in range(lmax + 1):
+        sel = np.nonzero(levels == r)[0]
+        if sel.size:
+            t[np.ix_(sel, sel)] = op.dual[sel].conj() @ h[r] @ op.dual[sel].T
     return t
-
-
-def constant_terms(h: SingleParticleOperator, p: SingleParticleOperator, window: Window,
-                   mp: MagneticParams) -> tuple[np.ndarray, float]:
-    """Per-site constants c(g) = <chi_g, P H P S^-1 chi_g>.
-
-    Returns the real parts together with the largest imaginary residue;
-    the residue vanishes (to rounding) when P H P commutes with the frame
-    operator, which covers the level-Hamiltonian uses.
-    """
-    op = frame_operator(window, mp)
-    levels = window.levels
-    for name, oper in (("H", h), ("P", p)):
-        if oper.trunc != op.trunc:
-            raise FrameAnalysisError(f"{name} truncation {oper.trunc} mismatches window {op.trunc}")
-    # projector contract: idempotent and Hermitian blockwise
-    nl = int(levels.max()) + 1
-    m = op.trunc + 1
-    # block (r1, r2) of a SingleParticleOperator as one (nl m) x (nl m) matrix
-    big, bigh = (o.blocks[:nl, :nl].transpose(0, 2, 1, 3).reshape(nl * m, nl * m) for o in (p, h))
-    if np.max(np.abs(big @ big - big)) > 1e-10 or np.max(np.abs(big - big.conj().T)) > 1e-10:
-        raise FrameAnalysisError("P is not an orthogonal projection (within 1e-10)")
-    php = big @ bigh @ big
-    c = np.zeros(len(window), dtype=np.complex128)
-    for k, r in enumerate(levels):
-        blk = php[r * m:(r + 1) * m, r * m:(r + 1) * m]
-        c[k] = np.vdot(op.rows[k], blk @ op.dual[k])
-    max_imag = float(np.max(np.abs(c.imag))) if len(c) else 0.0
-    return c.real.copy(), max_imag
 
 
 def landau_coefficients(r: int, window: Window, mp: MagneticParams,

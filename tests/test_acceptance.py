@@ -31,12 +31,7 @@ from latframe.frame_analysis import (
     s_inverse_power_elements,
     verify_decay,
 )
-from latframe.quadratic import (
-    SingleParticleOperator,
-    hopping_coeffs,
-    landau_coefficients,
-    landau_operator,
-)
+from latframe.quadratic import hopping_coeffs, landau_coefficients, landau_operator
 from latframe.interactions import (
     c_phi,
     density_density,
@@ -207,7 +202,7 @@ def test_a05_level_hamiltonian_coefficients():
     # the energy prefactor is the exact level spacing law
     diag_dev = 0.0
     for lvl in range(2):
-        blk = h.blocks[lvl, lvl]
+        blk = h[lvl]
         diag_dev = max(diag_dev, float(np.max(np.abs(
             blk - eps_b * (lvl + 0.5) * np.eye(trunc + 1)))))
     ok = (report.violations == 0 and cross == 0.0 and cross0 == 0.0
@@ -251,7 +246,7 @@ def test_a07_free_dynamics_oracle():
     trunc, rows = window_coords(w, MP)
     op = frame_operator(w, MP)
     h1 = op.matrix
-    t = hopping_coeffs(SingleParticleOperator(blocks=h1[None, None]), w, MP)
+    t = hopping_coeffs(h1[None], w, MP)
     basis = mode_basis(w, MP)
     h_many = build_quadratic_hamiltonian(basis, t)
     t_grid = np.linspace(0.0, 2.0, 20)

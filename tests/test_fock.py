@@ -155,10 +155,6 @@ def test_quadratic_hamiltonian_subset_sums():
         for combo in itertools.combinations([1.0, 2.5, 4.25], size)
     )
     assert np.allclose(eigs, sums, atol=1e-9)
-    consts = np.array([0.5, 0.25, 0.1])
-    h2 = build_quadratic_hamiltonian(basis, t, constants=consts).toarray()
-    eigs2 = np.sort(np.linalg.eigvalsh(h2))
-    assert np.allclose(eigs2, np.array(sums) - consts.sum(), atol=1e-9)
 
 
 def test_quadratic_hamiltonian_validation():

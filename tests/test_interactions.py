@@ -41,8 +41,6 @@ def test_density_density_structure():
         seen.add((p, q))
         assert term.coupling == pytest.approx(0.7 * math.exp(-1.3 * d[p, q]), rel=1e-13)
         assert term.monomial.factors == ((p, True), (p, False), (q, True), (q, False))
-    assert inter.metadata["f0"] == 0.7
-    assert inter.metadata["mu"] == 1.3
 
 
 def test_density_density_single_site_empty():

@@ -1,4 +1,4 @@
-"""Hopping and constant coefficients of frame-projected quadratic operators."""
+"""Hopping and constant coefficients of level-diagonal quadratic operators."""
 
 import math
 
@@ -9,14 +9,11 @@ from latframe.lattice import LatticeParams, build_window
 from latframe.magnetic import MagneticParams, window_coords
 from latframe.quadratic import (
     FrameAnalysisError,
-    SingleParticleOperator,
-    constant_terms,
     hopping_coeffs,
     landau_coefficients,
     landau_operator,
-    level_projector,
 )
-from latframe.frame_analysis import s_inverse_power_elements
+from latframe.frame_analysis import frame_operator, s_inverse_power_elements
 
 MP = MagneticParams(ell_b=1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -32,29 +29,15 @@ def two_level_window(radius=4.0):
 
 def test_landau_operator_blocks():
     h = landau_operator(n_levels=2, trunc=5, eps_b=0.5)
-    assert h.blocks.shape == (2, 2, 6, 6)
+    assert h.shape == (2, 6, 6)
     for r in range(2):
-        assert np.allclose(h.blocks[r, r], 0.5 * (r + 0.5) * np.eye(6))
-    assert np.allclose(h.blocks[0, 1], 0.0)
-    assert np.allclose(h.blocks[1, 0], 0.0)
-
-
-def test_level_projector_is_projection():
-    p = level_projector(n_levels=3, trunc=4, levels=[0, 2])
-    for r1 in range(3):
-        for r2 in range(3):
-            blk = p.blocks[r1, r2]
-            if r1 == r2 and r1 in (0, 2):
-                assert np.allclose(blk, np.eye(5))
-            else:
-                assert np.allclose(blk, 0.0)
+        assert np.array_equal(h[r], 0.5 * (r + 0.5) * np.eye(6))
 
 
 def test_zero_operator_gives_zero_hopping():
     w = lll_window()
     trunc, _ = window_coords(w, MP)
-    h = SingleParticleOperator(blocks=np.zeros((1, 1, trunc + 1, trunc + 1), dtype=complex))
-    t = hopping_coeffs(h, w, MP)
+    t = hopping_coeffs(np.zeros((1, trunc + 1, trunc + 1), dtype=complex), w, MP)
     assert t.shape == (len(w.sites), len(w.sites))
     assert np.all(t == 0)
 
@@ -63,53 +46,59 @@ def test_projector_hopping_matches_inverse_square():
     # H = lowest-level projector: t = <chi, S^-2 chi'> elementwise
     w = lll_window()
     trunc, _ = window_coords(w, MP)
-    h = level_projector(n_levels=1, trunc=trunc, levels=[0])
-    t = hopping_coeffs(h, w, MP)
+    t = hopping_coeffs(np.eye(trunc + 1)[None], w, MP)
     el = s_inverse_power_elements(w, MP, p=2, margin=0.0)
     assert np.max(np.abs(t - el.entries)) < 1e-9
     assert np.allclose(t, t.conj().T, atol=1e-10)
 
 
+def test_hopping_level_blocks_match_dual_sandwich(rng):
+    # a different Hermitian block on each level: within level r the matrix is
+    # conj(D) h[r] D^T on that level's sites, across levels it is exactly 0
+    w = two_level_window()
+    trunc, _ = window_coords(w, MP)
+    m = trunc + 1
+    a = rng.normal(size=(2, m, m)) + 1j * rng.normal(size=(2, m, m))
+    h = a + a.conj().transpose(0, 2, 1)
+    t = hopping_coeffs(h, w, MP)
+    dual = frame_operator(w, MP).dual
+    levels = w.levels
+    for r in (0, 1):
+        sel = np.nonzero(levels == r)[0]
+        expected = dual[sel].conj() @ h[r] @ dual[sel].T
+        scale = float(np.max(np.abs(expected)))
+        assert scale > 0
+        assert np.max(np.abs(t[np.ix_(sel, sel)] - expected)) < 1e-12 * scale
+    cross = t[levels[:, None] != levels[None, :]]
+    assert cross.size and np.all(cross == 0.0)  # exact, not merely small
+
+
 def test_hopping_trunc_mismatch_raises():
     w = lll_window()
     h = landau_operator(n_levels=1, trunc=10, eps_b=1.0)
-    with pytest.raises(FrameAnalysisError):
+    with pytest.raises(FrameAnalysisError, match="truncation"):
         hopping_coeffs(h, w, MP)
 
 
-def test_constant_terms_zero_projector():
-    w = lll_window(6.0)
+def test_hopping_coeffs_rejects_bad_block_shapes():
+    w = two_level_window()
     trunc, _ = window_coords(w, MP)
-    h = landau_operator(n_levels=1, trunc=trunc, eps_b=1.0)
-    p0 = SingleParticleOperator(blocks=np.zeros_like(h.blocks))
-    c, max_imag = constant_terms(h, p0, w, MP)
-    assert np.all(c == 0)
-    assert max_imag == 0.0
+    m = trunc + 1
+    with pytest.raises(FrameAnalysisError, match="level blocks"):
+        hopping_coeffs(np.zeros((2, 2, m, m), dtype=complex), w, MP)  # (L+1, L+1, M+1, M+1)
+    with pytest.raises(FrameAnalysisError, match="level blocks"):
+        hopping_coeffs(np.zeros((2, m, m + 1), dtype=complex), w, MP)
 
 
-def test_constant_terms_projector_diagonal():
-    # P = H = Pi_0 collapses to the diagonal of S^-1
-    w = lll_window(6.0)
+def test_hopping_coeffs_rejects_too_few_levels():
+    w = two_level_window()
     trunc, _ = window_coords(w, MP)
-    proj = level_projector(n_levels=1, trunc=trunc, levels=[0])
-    c, max_imag = constant_terms(proj, proj, w, MP)
-    el = s_inverse_power_elements(w, MP, p=1, margin=0.0)
-    assert max_imag < 1e-10
-    assert np.all(c > 0)
-    assert np.max(np.abs(c - np.diag(el.entries).real)) < 1e-9
-
-
-def test_constant_terms_rejects_non_projection():
-    w = lll_window(6.0)
-    trunc, _ = window_coords(w, MP)
-    h = landau_operator(n_levels=1, trunc=trunc, eps_b=1.0)
-    bad = SingleParticleOperator(blocks=2.0 * level_projector(1, trunc, [0]).blocks)
-    with pytest.raises(FrameAnalysisError):
-        constant_terms(h, bad, w, MP)
+    with pytest.raises(FrameAnalysisError, match="covers 1 levels, window needs 2"):
+        hopping_coeffs(landau_operator(n_levels=1, trunc=trunc, eps_b=1.0), w, MP)
 
 
 def test_landau_coefficients_match_blockwise_route():
-    # closed route q(r) <chi, S^-2 chi'> vs the generic blockwise sandwich
+    # closed route q(r) <chi, S^-2 chi'> vs the level-block sandwich
     w = two_level_window()
     trunc, _ = window_coords(w, MP)
     mp = MagneticParams(ell_b=1.0, eps_b=0.7)
@@ -121,15 +110,6 @@ def test_landau_coefficients_match_blockwise_route():
         assert len(stacked) == len(inner)
         block = t[np.ix_(stacked, stacked)]
         assert np.max(np.abs(t_r - block)) < 1e-8
-    # constants: generic route carries the q(r) factor, closed route does not
-    proj = level_projector(n_levels=2, trunc=trunc, levels=[0, 1])
-    c, max_imag = constant_terms(h, proj, w, mp)
-    assert max_imag < 1e-8
-    for r in (0, 1):
-        _, c_r, _ = landau_coefficients(r, w, mp, margin=0.0)
-        stacked = [k for k, s in enumerate(w.sites) if s.r == r]
-        q = 0.7 * (r + 0.5)
-        assert np.max(np.abs(c[stacked] - q * c_r)) < 1e-8
 
 
 def test_landau_cross_level_hopping_vanishes():
@@ -154,10 +134,3 @@ def test_landau_q_factor_exact():
             assert np.array_equal(t_r, factor * base) or np.max(
                 np.abs(t_r - factor * base)
             ) < 1e-14
-
-
-def test_single_particle_operator_validation():
-    with pytest.raises(FrameAnalysisError):
-        SingleParticleOperator(blocks=np.zeros((2, 3, 4, 4), dtype=complex))
-    with pytest.raises(FrameAnalysisError):
-        SingleParticleOperator(blocks=np.zeros((2, 2, 4, 5), dtype=complex))
