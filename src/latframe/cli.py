@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,17 @@ from .fock import (
     volume_convergence,
 )
 from .frame_analysis import (
+    DUAL_RESIDUAL_TOL,
     FrameAnalysisError,
+    dual_coefficients,
+    dual_residual,
     frame_bounds_estimate,
-    frame_operator,
     gram,
     localization_rate,
     neumann_certificate,
     overlap_rate_constant,
     s_inverse_power_elements,
+    schur_lower_bound,
     verify_decay,
 )
 from .interactions import (
@@ -63,7 +66,7 @@ from .interactions import (
     w_kernel,
 )
 from .lattice import LatticeError, build_chain, build_window
-from .magnetic import MagneticParams, RegimeError, TruncationError, regime
+from .magnetic import MagneticParams, RegimeError, TruncationError, bessel_bound, regime
 from .quadratic import landau_coefficients
 from .serialize import (
     SerializeError,
@@ -125,15 +128,9 @@ def _cmd_gram(ctx: RunContext) -> CommandResult:
     diag_dev = float(np.max(np.abs(np.diag(gm.entries) - 1.0)))
     vals = gm.eigenvalues()
     min_eig, max_eig = float(vals[0]), float(vals[-1])
-    dists = w.distance_matrix()
     n = len(w)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            z = gm.entries[i, j]
-            rows.append((i, j, site_token(w.sites[i]), site_token(w.sites[j]),
-                         float(dists[i, j]), float(z.real), float(z.imag)))
-    write_csv(ctx.out / "gram.csv", ["i", "j", "site_i", "site_j", "d", "re", "im"], rows)
+    write_csv(ctx.out / "gram.csv", ["i", "j", "site_i", "site_j", "d", "re", "im"],
+              _pair_rows(w, range(n), gm.entries.real, gm.entries.imag))
     write_matrix_text(ctx.out / "gram_matrix.txt", gm.entries, w.content_hash())
     checks = [
         Check("hermitian", dev <= 1e-12, {"max_deviation": dev}),
@@ -186,36 +183,51 @@ def _cmd_bounds(ctx: RunContext) -> CommandResult:
     return CommandResult(checks, ["bounds.csv"], params)
 
 
+def _inverse_power_certificate(w, mp: MagneticParams, cfg: RunConfig, p: int):
+    """The S^-p decay certificate between the Schur lower frame bound and the
+    closed-form upper one."""
+    rates = _rates(w, mp, cfg)
+    return neumann_certificate(w, g=rates["g"], lam=rates["lam"],
+                               s_min=schur_lower_bound(w.params, mp),
+                               s_max=bessel_bound(w.params, mp), p=p, eps=cfg.eps, theta=cfg.theta)
+
+
+def _pair_rows(w, sites, *columns) -> list[tuple]:
+    """Rows (i, j, site_i, site_j, d, *columns[a, b]) over all pairs of `sites`."""
+    d = w.distance_matrix()[np.ix_(sites, sites)]
+    return [(int(gi), int(gj), site_token(w.sites[gi]), site_token(w.sites[gj]), float(d[a, b]),
+             *(float(c[a, b]) for c in columns))
+            for a, gi in enumerate(sites) for b, gj in enumerate(sites)]
+
+
+def _decay_columns(w, sites, entries, cert, scale: float = 1.0):
+    """|entry|, bound and ratio columns of an element table checked against
+    scale * a_p exp(-lambda_p d), and the verify_decay report of its pairs."""
+    dists = w.distance_matrix()[np.ix_(sites, sites)]
+    mags, bounds = np.abs(entries), scale * cert.a_p * np.exp(-cert.lambda_p * dists)
+    return [mags, bounds, mags / bounds], verify_decay(entries, dists, cert, scale=scale)
+
+
+def _residual_check(dual, lp, mp: MagneticParams) -> Check:
+    """S w_q = w_(q-1) for the adjoint dual, checked without any inverse."""
+    res = dual_residual(dual, lp, mp)
+    return Check("dual_residual", res <= DUAL_RESIDUAL_TOL,
+                 {"max_residual": res, "bound": DUAL_RESIDUAL_TOL,
+                  "patch_edge": dual.edge, "patch_sites": int(np.count_nonzero(dual.coeffs[0]))})
+
+
 def _cmd_decay(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
-    rates = _rates(w, mp, cfg)
-    rec = frame_bounds_estimate([w], mp)[0]
-    margin = cfg.margin_ell * mp.ell_b
-    cert = neumann_certificate(w, g=rates["g"], lam=rates["lam"], s_min=rec.a_est,
-                               s_max=rec.upper_closed_form, p=cfg.p,
-                               eps=cfg.eps, theta=cfg.theta)
-    elems = s_inverse_power_elements(w, mp, cfg.p, margin=margin)
-    inner = elems.inner
-    dists = w.distance_matrix()[np.ix_(inner, inner)]
-    report = verify_decay(elems.entries, dists, cert)
-    rows = []
-    for a, ga in enumerate(inner):
-        for b, gb in enumerate(inner):
-            mag = float(np.abs(elems.entries[a, b]))
-            bound = cert.a_p * float(np.exp(-cert.lambda_p * dists[a, b]))
-            rows.append((ga, gb, site_token(w.sites[ga]), site_token(w.sites[gb]),
-                         float(dists[a, b]), mag, bound, mag / bound))
+    cert = _inverse_power_certificate(w, mp, cfg, cfg.p)
+    elems = s_inverse_power_elements(w, mp, cfg.p)
+    cols, report = _decay_columns(w, elems.sites, elems.entries, cert)
     write_csv(ctx.out / "decay_check.csv",
-              ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"], rows)
-    write_json(ctx.out / "decay_certificate.json", {
-        "p": cert.p, "g": cert.g, "lam": cert.lam, "delta": cert.delta,
-        "eps": cert.eps, "theta": cert.theta, "s_min": cert.s_min, "s_max": cert.s_max,
-        "c_eps": cert.c_eps, "r_p": cert.r_p, "d_p": cert.d_p, "e_p": cert.e_p,
-        "lambda_p": cert.lambda_p, "a_p": cert.a_p,
-        "window_hash": w.content_hash(), "inner_sites": len(inner),
-    })
+              ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"],
+              _pair_rows(w, elems.sites, *cols))
+    write_json(ctx.out / "decay_certificate.json",
+               {**asdict(cert), "window_hash": w.content_hash(), "n_sites": len(elems.sites)})
     fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
     checks = [
         Check("zero_violations", report.violations == 0,
@@ -223,10 +235,10 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
                "n_pairs": report.n_pairs}),
         Check("fitted_rate_at_least_lambda_p", fit_ok,
               {"fitted_rate": report.fitted_rate, "lambda_p": cert.lambda_p}),
+        _residual_check(elems.dual, w.params, mp),
     ]
-    params = {"p": cfg.p, "lambda_p": cert.lambda_p, "a_p": cert.a_p,
-              "g": rates["g"], "lam": rates["lam"], "s_min": rec.a_est,
-              "s_max": rec.upper_closed_form, "inner_sites": len(inner)}
+    params = {"p": cfg.p, "lambda_p": cert.lambda_p, "a_p": cert.a_p, "g": cert.g, "lam": cert.lam,
+              "s_min": cert.s_min, "s_max": cert.s_max, "n_sites": len(elems.sites)}
     return CommandResult(checks, ["decay_check.csv", "decay_certificate.json"], params)
 
 
@@ -337,48 +349,26 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
-    rates = _rates(w, mp, cfg)
-    margin = cfg.margin_ell * mp.ell_b
     r = cfg.level
-    t_r, c_r, inner = landau_coefficients(r, w, mp, margin=margin)
+    cert = _inverse_power_certificate(w, mp, cfg, 2)
+    t_r, c_r = landau_coefficients(r, w, mp)
     q = mp.level_spacing * (r + 0.5)
-    rec = frame_bounds_estimate([w], mp)[0]
-    cert = neumann_certificate(w, g=rates["g"], lam=rates["lam"], s_min=rec.a_est,
-                               s_max=rec.upper_closed_form, p=2,
-                               eps=cfg.eps, theta=cfg.theta)
-    w0_dists = w.distance_matrix()
-    levels = w.levels
-    sel_r = np.nonzero(levels == r)[0]
-    inner_global = sel_r[inner]
-    dists = w0_dists[np.ix_(inner_global, inner_global)]
-    report = verify_decay(t_r, dists, cert, scale=q)
-    rows = []
-    for a, ga in enumerate(inner_global):
-        for b, gb in enumerate(inner_global):
-            mag = float(np.abs(t_r[a, b]))
-            bound = q * cert.a_p * float(np.exp(-cert.lambda_p * dists[a, b]))
-            rows.append((int(ga), int(gb), site_token(w.sites[ga]), site_token(w.sites[gb]),
-                         float(dists[a, b]), float(t_r[a, b].real), float(t_r[a, b].imag),
-                         mag, bound, mag / bound))
+    sites = np.nonzero(w.levels == r)[0]
+    cols, report = _decay_columns(w, sites, t_r, cert, scale=q)
     write_csv(ctx.out / "landau.csv",
               ["i", "j", "site_i", "site_j", "d", "re_t", "im_t", "abs_t", "bound", "ratio"],
-              rows)
+              _pair_rows(w, sites, t_r.real, t_r.imag, *cols))
     write_csv(ctx.out / "landau_constants.csv", ["i", "site", "c"],
-              [(int(g_), site_token(w.sites[g_]), float(c_r[a])) for a, g_ in enumerate(inner_global)])
-    # the dual rows must solve S dual_g = chi_g on every level-0 site; this
-    # needs no inverse, so it also catches a wrongly formed S^+
-    op = frame_operator(w, mp)
-    lvl0 = levels == 0
-    residual = float(np.max(np.abs(op.matrix @ op.dual[lvl0].T - op.rows[lvl0].T)))
+              [(int(g_), site_token(w.sites[g_]), float(c_r[a])) for a, g_ in enumerate(sites)])
     checks = [
         Check("zero_violations", report.violations == 0,
               {"violations": report.violations, "max_ratio": report.max_ratio}),
-        Check("dual_inverts_frame_operator", residual <= 1e-8, {"max_residual": residual}),
+        _residual_check(dual_coefficients(w.params, mp, 2), w.params, mp),
         Check("constants_real_positive", bool(np.all(c_r > 0)),
               {"min_c": float(np.min(c_r)) if len(c_r) else None}),
     ]
     params = {"level": r, "q": q, "lambda_2": cert.lambda_p, "a_2": cert.a_p,
-              "inner_sites": len(inner_global)}
+              "n_sites": len(sites)}
     return CommandResult(checks, ["landau.csv", "landau_constants.csv"], params)
 
 
@@ -566,11 +556,11 @@ def _cmd_plotdata(ctx: RunContext) -> CommandResult:
 
 _COMMANDS = {
     "gram": (_cmd_gram, "Gram matrix of the configured window with its invariants"),
-    "bounds": (_cmd_bounds, "frame-bound estimates across nested windows"),
+    "bounds": (_cmd_bounds, "finite-window proxy of the frame bounds across nested windows"),
     "decay": (_cmd_decay, "inverse-power matrix elements against their certificate"),
     "cphi": (_cmd_cphi, "interaction decay functional and propagation speed"),
     "wkernel": (_cmd_wkernel, "two-body kernel samples against the decay budget"),
-    "landau": (_cmd_landau, "level Hamiltonian coefficients with decay and dual-route checks"),
+    "landau": (_cmd_landau, "level Hamiltonian coefficients with decay and dual checks"),
     "lr": (_cmd_lr, "light-cone verification for the density-density chain"),
     "converge": (_cmd_converge, "finite-window dynamics convergence study"),
     "plotdata": (_cmd_plotdata, "collect report CSVs into one long-format table"),

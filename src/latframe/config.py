@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from math import pi, sqrt
 from pathlib import Path
 
-from .frame_analysis import INNER_MARGIN_ELL
 from .lattice import LatticeParams, Window, build_chain, build_window
 from .magnetic import MagneticParams
 
@@ -68,7 +67,6 @@ class RunConfig:
     g: float | None = None
     eps: float | None = None
     theta: float | None = None
-    margin_ell: float = INNER_MARGIN_ELL
     # dynamics
     t_max: float = 2.0
     n_t: int = 21
@@ -141,7 +139,6 @@ _SCHEMA = {
     ("certificate", "g"): ("g", _parse_float, True),
     ("certificate", "eps"): ("eps", _parse_float, True),
     ("certificate", "theta"): ("theta", _parse_float, True),
-    ("certificate", "margin_ell"): ("margin_ell", _parse_float, False),
     ("dynamics", "t_max"): ("t_max", _parse_float, False),
     ("dynamics", "n_t"): ("n_t", _parse_int, False),
     ("kernel", "c1"): ("c1", _parse_float, False),
@@ -182,8 +179,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
     ):
         _check_positive(cfg, field, section, key)
     for field, section, key in (
-        ("f0", "model", "f0"), ("margin_ell", "certificate", "margin_ell"),
-        ("level_max", "lattice", "level_max"), ("level", "landau", "level"),
+        ("f0", "model", "f0"), ("level_max", "lattice", "level_max"),
+        ("level", "landau", "level"),
         ("seed", "run", "seed"),
     ):
         _check_positive(cfg, field, section, key, strict=False)
@@ -310,7 +307,6 @@ p = 1
 g = none
 eps = none
 theta = none
-margin_ell = 6.0
 
 [dynamics]
 t_max = 2.0

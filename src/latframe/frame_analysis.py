@@ -1,56 +1,69 @@
 """Frame-operator numerics: Gram spectra, inverse powers, decay certificates.
 
-The window frame operator S = sum_gamma |chi_gamma><chi_gamma| is assembled
-in the truncated angular basis from the window's level-0 states; every level
-carries the same operator.  Its nonzero spectrum equals that of the Gram
-matrix, which the tests pin down.  `frame_operator` alone forms the spectral
-pseudo-inverse S^+, with a fixed relative threshold, and keeps the dual rows
-S^+ chi_gamma; elements of S^-p are products of those rows, reported on an
-inner window whose margin keeps boundary truncation out of the quoted digits.
+S = sum_gamma |chi_gamma><chi_gamma| runs over the infinite lattice.  By
+Wexler-Raz duality S^-p chi_0 is a short sum of adjoint-lattice states whose
+coefficients solve one small, well-conditioned system (`dual_coefficients`);
+every element <chi_g, S^-p chi_g'> follows by translation covariance,
+`dual_residual` checks the dual without any inverse, and `schur_lower_bound`
+is a rigorous lower frame bound.  The finite-window Fock model keeps the
+window route: `frame_operator` pseudo-inverts S in the truncated angular
+basis of a window, and `frame_bounds_estimate` reports window Gram spectra
+as a finite-window proxy of the frame bounds.
 
 Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d)
 turns, via a geometric series for S^-p, into a certified element bound
-a_p * exp(-lambda_p d).  The certificate is sound whenever s_max dominates
-the top of the spectrum and s_min sits below the bottom of the retained
-spectrum, so spectral estimates from finite windows can be fed in directly.
+a_p * exp(-lambda_p d), sound whenever [s_min, s_max] holds the spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import log
+from dataclasses import dataclass, replace
+from math import log, pi, sqrt
 
 import numpy as np
 
 from .lattice import LatticeParams, Window, m_epsilon
-from .magnetic import MagneticParams, RegimeError, bessel_bound, overlap_matrix, regime, window_coords
+from .magnetic import (
+    MagneticParams,
+    RegimeError,
+    bessel_bound,
+    overlap_matrix,
+    regime,
+    window_coords,
+)
 
 __all__ = [
     "PSEUDO_INVERSE_RTOL",
-    "INNER_MARGIN_ELL",
+    "DUAL_TOL",
+    "DUAL_RESIDUAL_TOL",
     "FrameAnalysisError",
     "GramMatrix",
     "FrameOperatorTrunc",
+    "AdjointDual",
     "DecayCertificate",
     "DecayReport",
     "FrameBoundsRecord",
     "gram",
     "frame_operator",
     "frame_bounds_estimate",
+    "schur_lower_bound",
+    "dual_coefficients",
+    "dual_residual",
     "s_inverse_power_elements",
     "localization_rate",
     "overlap_rate_constant",
     "neumann_certificate",
     "verify_decay",
-    "inner_indices",
 ]
 
-# eigenvalues below this fraction of the largest are treated as numerical kernel
+# window route: eigenvalues below this fraction of the largest are treated as kernel
 PSEUDO_INVERSE_RTOL = 1e-10
-
-# inner-window margin, in units of ell_b; Gaussian overlap tails beyond the
-# margin stay far below the tolerances quoted on inner-window elements
-INNER_MARGIN_ELL = 6.0
+# adjoint dual: its patch grows until the rim coefficients are below DUAL_TOL,
+# and the commands' residual check fails above DUAL_RESIDUAL_TOL
+DUAL_TOL = 1e-12
+DUAL_RESIDUAL_TOL = 1e-10
+_DUAL_MAX_SITES = 1600
+_OVERLAP_CUT_ELL = 2.0 * sqrt(log(1e16))  # Gaussian overlaps past this many ell_b are < 1e-16
 
 
 class FrameAnalysisError(ValueError):
@@ -92,8 +105,8 @@ def gram(window: Window, mp: MagneticParams) -> GramMatrix:
 
 def frame_operator(window: Window, mp: MagneticParams) -> FrameOperatorTrunc:
     """Frame operator of the window's level-0 states and the dual rows of all
-    window states; eigenvalues of S below PSEUDO_INVERSE_RTOL times the
-    largest are dropped from S^+."""
+    window states, for the finite-window Fock model; eigenvalues of S below
+    PSEUDO_INVERSE_RTOL times the largest are dropped from S^+."""
     trunc, rows = window_coords(window, mp)
     b = rows[window.levels == 0].T  # columns are coefficient vectors
     if b.shape[1] == 0:
@@ -121,11 +134,13 @@ class FrameBoundsRecord:
 
 
 def frame_bounds_estimate(windows: list[Window], mp: MagneticParams) -> list[FrameBoundsRecord]:
-    """Two-sided spectral estimates from the Gram matrices of nested windows.
+    """Two-sided spectral estimates from the Gram matrices of nested windows,
+    a finite-window proxy of the frame bounds.
 
-    a_est is the smallest retained eigenvalue (above the pseudo-inverse
-    threshold), b_est the largest; b_est must stay below the closed-form
-    upper constant, which is enforced here rather than reported as advice.
+    a_est is the smallest eigenvalue above PSEUDO_INVERSE_RTOL times the
+    largest, so in the overcomplete regime it follows that cutoff, not the
+    lattice; b_est is the largest, and must stay below the closed-form upper
+    constant, which is enforced here rather than reported as advice.
     """
     out = []
     for w in windows:
@@ -159,53 +174,149 @@ def frame_bounds_estimate(windows: list[Window], mp: MagneticParams) -> list[Fra
     return out
 
 
-def inner_indices(window: Window, mp: MagneticParams, margin: float | None = None) -> list[int]:
-    """Window sites at least `margin` inside the spatial boundary (default 6 ell_b)."""
-    if margin is None:
-        margin = INNER_MARGIN_ELL * mp.ell_b
-    a_star = window.params.alpha_star
-    keep = a_star * np.abs(window.gxy).sum(axis=1) <= window.params.radius - margin
-    idx = [int(k) for k in np.nonzero(keep)[0]]
-    if not idx:
-        raise FrameAnalysisError(
-            f"inner window is empty: radius {window.params.radius} with margin {margin}"
-        )
-    return idx
+def schur_lower_bound(lp: LatticeParams, mp: MagneticParams) -> float:
+    """Lower frame bound N (2 - sum_mu |<chi_0, chi_mu>|) by the Schur test on the Gram
+    matrix of the adjoint lattice (2 pi ell^2 / beta) Z x (2 pi ell^2 / alpha) Z, whose
+    Riesz bounds times N = 2 pi ell^2 / (alpha beta) are the frame bounds; the row sum
+    is `bessel_bound` at the adjoint spacings."""
+    if regime(lp, mp) != "overcomplete":
+        raise RegimeError(f"a lower frame bound needs the overcomplete regime, "
+                          f"got {regime(lp, mp)}")
+    ell2 = mp.ell_b**2
+    adjoint = replace(lp, alpha=2.0 * pi * ell2 / lp.beta, beta=2.0 * pi * ell2 / lp.alpha)
+    row = bessel_bound(adjoint, mp)
+    if row >= 2.0:
+        raise FrameAnalysisError(f"the Schur test gives no lower frame bound: adjoint "
+                                 f"overlap row sum {row:.6f} >= 2")
+    return 2.0 * pi * ell2 / (lp.alpha * lp.beta) * (2.0 - row)
+
+
+def _axis(step: float, extent: float) -> np.ndarray:
+    k = int(np.ceil(extent / step - 1e-9))
+    return step * np.arange(-k, k + 1)
+
+
+def _grid_factors(x1, x2, y1, y2, ell2: float) -> tuple[np.ndarray, ...]:
+    """Factors u[i, k] pv[i, l] v[j, l] pu[j, k] = <chi_(x1_i, x2_j), chi_(y1_k, y2_l)>
+    of the closed-form overlap on rectangular grids: u and v are the Gaussians
+    exp(-(x - y)^2 / 4 ell^2) of each axis, pv = exp(i x1 y2 / 2 ell^2) and
+    pu = exp(-i x2 y1 / 2 ell^2).  Gaussian factors below 1e-16 are zeroed: they
+    move no sum, and their subnormal products slow BLAS down."""
+    def gauss(s, t):
+        d2 = np.subtract.outer(s, t) ** 2 / (4.0 * ell2)
+        return np.where(d2 <= _OVERLAP_CUT_ELL**2 / 4.0, np.exp(-d2), 0.0)
+
+    return (gauss(x1, y1), np.exp(0.5j * np.multiply.outer(x1, y2) / ell2),
+            gauss(x2, y2), np.exp(-0.5j * np.multiply.outer(x2, y1) / ell2))
+
+
+def _grid_overlap_sum(x1, x2, y1, y2, coef: np.ndarray, ell2: float) -> np.ndarray:
+    """sum_(k, l) <chi_(x1_i, x2_j), chi_(y1_k, y2_l)> coef[k, l] for every (i, j),
+    one row i at a time, so memory stays at one grid's size."""
+    u, pv, v, pu = _grid_factors(x1, x2, y1, y2, ell2)
+    return np.array([np.sum(v * (pu @ (np.outer(u[i], pv[i]) * coef)), axis=1)
+                     for i in range(len(x1))])
+
+
+@dataclass(frozen=True)
+class AdjointDual:
+    """S^-q chi_0 = sum_(k, l) coeffs[q - 1, k, l] chi_(mu1[k], mu2[l]), q = 1..p; edge is
+    the largest coefficient on the outer ring of the patch disc."""
+
+    mu1: np.ndarray
+    mu2: np.ndarray
+    coeffs: np.ndarray
+    edge: float
+
+
+def dual_coefficients(lp: LatticeParams, mp: MagneticParams, p: int,
+                      tol: float = DUAL_TOL) -> AdjointDual:
+    """Adjoint-lattice coefficients c^(q) = (N G)^-q e_0 of S^-q chi_0, q = 1..p.
+
+    On the span of the adjoint states S acts as N G, G their Gram matrix (the
+    identity behind Wexler-Raz duality; Janssen, JFAA 1 (1995) 403).  G is well
+    conditioned, so c^(q) decays exponentially: the patch disc starts at radius
+    2 ell sqrt(ln(1 / tol)) and grows by the factor ln(tol) / ln(edge) that
+    such decay predicts until its outer ring is at most tol.
+    """
+    if regime(lp, mp) != "overcomplete":
+        raise RegimeError(f"S^-p requires the overcomplete regime, got {regime(lp, mp)}")
+    if p < 1 or int(p) != p:
+        raise FrameAnalysisError(f"power must be a positive integer, got {p}")
+    ell2 = mp.ell_b**2
+    step1, step2 = 2.0 * pi * ell2 / lp.beta, 2.0 * pi * ell2 / lp.alpha
+    radius = max(2.0 * mp.ell_b * sqrt(log(1.0 / tol)), step1, step2)
+    while True:
+        mu1, mu2 = _axis(step1, radius), _axis(step2, radius)
+        dist = np.hypot(mu1[:, None], mu2[None, :]).ravel()
+        disc = dist <= radius
+        if np.count_nonzero(disc) > _DUAL_MAX_SITES:
+            raise FrameAnalysisError(f"adjoint dual coefficients stay above {tol:g} on "
+                                     f"{np.count_nonzero(disc)} sites; the lattice is too "
+                                     f"close to the critical density")
+        gram = np.einsum("ik,il,jl,jk->ijkl", *_grid_factors(mu1, mu2, mu1, mu2, ell2))
+        gram = gram.reshape(dist.size, -1)[np.ix_(disc, disc)]
+        gram *= 2.0 * pi * ell2 / (lp.alpha * lp.beta)  # N G
+        ring = dist[disc] > radius - max(step1, step2)
+        c = (dist[disc] == 0.0).astype(np.complex128)
+        coeffs, edge = np.zeros((p, dist.size), dtype=np.complex128), 0.0
+        for q in range(p):
+            c = np.linalg.solve(gram, c)
+            coeffs[q, disc] = c
+            edge = max(edge, float(np.abs(c[ring]).max()))
+        if edge <= tol:
+            return AdjointDual(mu1=mu1, mu2=mu2, coeffs=coeffs.reshape(p, len(mu1), len(mu2)),
+                               edge=edge)
+        radius *= 2.0 if edge >= 1.0 else min(2.0, max(1.1, log(tol) / log(edge)))
+
+
+def dual_residual(dual: AdjointDual, lp: LatticeParams, mp: MagneticParams) -> float:
+    """Largest |<chi_x, S w_q - w_(q-1)>| over q = 1..p and the half-spacing points x
+    of the patch box, with w_q = S^-q chi_0 from `dual`, w_0 = chi_0 and S summed over
+    the lattice itself: no inverse and no adjoint-lattice identity enter."""
+    ell2, cut = mp.ell_b**2, _OVERLAP_CUT_ELL * mp.ell_b
+    x1, x2 = _axis(lp.alpha / 2.0, dual.mu1[-1]), _axis(lp.beta / 2.0, dual.mu2[-1])
+    l1, l2 = _axis(lp.alpha, dual.mu1[-1] + cut), _axis(lp.beta, dual.mu2[-1] + cut)
+    prev = np.zeros_like(dual.coeffs[0])
+    prev[len(dual.mu1) // 2, len(dual.mu2) // 2] = 1.0
+    worst = 0.0
+    for c in dual.coeffs:
+        on_lattice = _grid_overlap_sum(l1, l2, dual.mu1, dual.mu2, c, ell2)
+        s_w = _grid_overlap_sum(x1, x2, l1, l2, on_lattice, ell2)
+        w_prev = _grid_overlap_sum(x1, x2, dual.mu1, dual.mu2, prev, ell2)
+        worst = max(worst, float(np.max(np.abs(s_w - w_prev))))
+        prev = c
+    return worst
 
 
 @dataclass(frozen=True)
 class SInversePowerElements:
-    """Inner-window matrix elements <chi_g, S^-p chi_g'> between level-0 sites."""
+    """<chi_g, S^-p chi_g'> between the level-0 `sites` and the dual they come from."""
 
     p: int
-    inner: list[int]
+    sites: np.ndarray
     entries: np.ndarray
+    dual: AdjointDual
 
 
-def s_inverse_power_elements(window: Window, mp: MagneticParams, p: int,
-                             margin: float | None = None) -> SInversePowerElements:
-    """Matrix elements of the inverse frame-operator power on the inner window.
-
-    With dual rows D, the elements are chi* D for p = 1 and D* (S^+)^(p-2) D
-    otherwise, where S^+ = D0^T conj(D0) over the level-0 rows.  Defined in
-    the overcomplete regime only; at and above the critical density the
-    lower frame bound degenerates and the inverse is unbounded.
-    """
-    if regime(window.params, mp) != "overcomplete":
-        raise RegimeError(
-            f"S^-p requires the overcomplete regime, got {regime(window.params, mp)}"
-        )
-    if p < 1:
-        raise FrameAnalysisError(f"power must be a positive integer, got {p}")
-    op = frame_operator(window, mp)
-    inner = [k for k in inner_indices(window, mp, margin) if window.levels[k] == 0]
-    d = op.dual[inner]
-    if p == 1:
-        entries = op.rows[inner].conj() @ d.T
-    else:
-        d0 = op.dual[window.levels == 0]
-        entries = d.conj() @ np.linalg.matrix_power(d0.T @ d0.conj(), p - 2) @ d.T
-    return SInversePowerElements(p=p, inner=inner, entries=entries)
+def s_inverse_power_elements(window: Window, mp: MagneticParams, p: int) -> SInversePowerElements:
+    """Infinite-lattice S^-p elements between all level-0 window sites, as
+    exp(i g ^ g' / 2 ell^2) <chi_(g - g'), S^-p chi_0> once per site difference.
+    Overcomplete regime only: at and above critical density S^-1 is unbounded."""
+    lp, ell2 = window.params, mp.ell_b**2
+    sites = np.nonzero(window.levels == 0)[0]
+    if sites.size == 0:
+        raise FrameAnalysisError("the window has no level-0 sites")
+    dual = dual_coefficients(lp, mp, p)
+    ij = np.array([(window.sites[k].i, window.sites[k].j) for k in sites])
+    diff = ij[:, None, :] - ij[None, :, :]
+    s1, s2 = np.abs(diff).max(axis=(0, 1))
+    table = _grid_overlap_sum(lp.alpha * np.arange(-s1, s1 + 1), lp.beta * np.arange(-s2, s2 + 1),
+                              dual.mu1, dual.mu2, dual.coeffs[p - 1], ell2)
+    g = window.gxy[sites]
+    phase = np.exp(0.5j * mp.wedge(g[:, None, :], g[None, :, :]) / ell2)
+    entries = phase * table[diff[..., 0] + s1, diff[..., 1] + s2]
+    return SInversePowerElements(p=p, sites=sites, entries=entries, dual=dual)
 
 
 def overlap_rate_constant(window: Window, mp: MagneticParams) -> float:
@@ -256,8 +367,8 @@ def neumann_certificate(window: Window, g: float, lam: float, s_min: float, s_ma
                         m_eps_value: float | None = None) -> DecayCertificate:
     """Decay certificate for S^-p elements from spectral bounds and a rate.
 
-    Sound whenever s_max >= the top of the spectrum, 0 < s_min <= the bottom
-    of the retained spectrum, and the window states satisfy
+    Sound whenever s_max >= the top of the spectrum, 0 < s_min <= its
+    bottom, and the window states satisfy
     |<chi, chi'>| <= g * exp(-lam * dist).  delta is fixed at lam / 2; eps
     and theta default to lam / 4.  The localization budget c_eps uses the
     closed-form dominating value of the m_eps sum unless one is supplied.
@@ -281,6 +392,9 @@ def neumann_certificate(window: Window, g: float, lam: float, s_min: float, s_ma
         m_eps_value = m_epsilon(window, eps)[1]
     c_eps = g * m_eps_value
     r_p = 1.0 - (s_min / s_max) ** p
+    if r_p >= 1.0:
+        raise FrameAnalysisError(f"(s_min / s_max)^p = ({s_min / s_max:.3e})^{p} is below rounding: "
+                                 f"the Neumann rate r_p rounds to 1 and nothing decays")
     d_p = g * (1.0 + (c_eps / s_max) ** p)
     e_p = (lam - delta - theta) / log(d_p / r_p)
     lambda_p = min(theta, log(1.0 / r_p) * e_p)

@@ -199,11 +199,8 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
         ends = np.nonzero(np.diff(radii, append=np.inf) > 1e-12)[0]
         cm_terms = np.minimum.accumulate(tmat[:, order], axis=1)
         cm_sites = np.minimum.accumulate(dists[:, order], axis=1)
-        diam = np.zeros(n)
-        running = 0.0
-        for k in range(1, n):
-            running = max(running, float(dists[np.ix_(order[k:k + 1], order[:k + 1])].max()))
-            diam[k] = running
+        # diameter of the first k + 1 sites: running max of the lower-triangle row maxima
+        diam = np.maximum.accumulate(np.tril(dists[np.ix_(order, order)]).max(axis=1))
         sel = cm_terms[:, ends]
         inner = np.exp(-xi * sel).T @ emat
         dfac = (1.0 + diam[ends]) ** nu

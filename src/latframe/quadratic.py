@@ -1,19 +1,14 @@
 """Frame coefficients of one-particle Hamiltonians: hopping and constants.
 
-The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r, and are
-stored as their level blocks h[r] in the truncated angular basis.  The
-hopping matrix between localized states double-dresses H with the inverse
-frame operator,
-
-    t(g', g) = <chi_g', S^-1 H S^-1 chi_g> = conj(D_g') h[r] D_g    (g', g on level r),
-
-where D are the dual rows S^+ chi of `frame_analysis.frame_operator`, so
-that sum t(g', g) a*_g' a_g generates the same free dynamics as H on the
-span of the frame.  Entries between different levels vanish exactly, since
-neither H nor S mixes levels.  For the level Hamiltonian q(r) Pi_r with
-q(r) = eps_b * (r + 1/2) this is t_r = q(r) * <chi, S^-2 chi'>, which
-`landau_coefficients` reads from `s_inverse_power_elements` together with
-the constants c_r = <chi, S^-1 chi>.
+The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r, stored as
+level blocks h[r] in the truncated angular basis.  Their hopping matrix
+t(g', g) = <chi_g', S^-1 H S^-1 chi_g> generates the same free dynamics as
+H on the span of the frame, and vanishes exactly between levels.
+`hopping_coeffs` serves the finite-window Fock model: it sandwiches a
+general h[r] between the window dual rows of `frame_analysis.frame_operator`.
+For the level Hamiltonian q(r) Pi_r, q(r) = eps_b * (r + 1/2),
+`landau_coefficients` reads t_r = q(r) * <chi, S^-2 chi'> and the constants
+c_r = <chi, S^-1 chi> from the infinite-lattice `s_inverse_power_elements`.
 """
 
 from __future__ import annotations
@@ -38,7 +33,8 @@ def landau_operator(n_levels: int, trunc: int, eps_b: float) -> np.ndarray:
 
 
 def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndarray:
-    """Double-dressed hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g>.
+    """Double-dressed hopping matrix t(g', g) = conj(D_g') h[r] D_g of the
+    finite-window Fock model, with D the window dual rows.
 
     h holds the level blocks of H, shape (levels, M+1, M+1) with M the
     window's truncation; h[r] acts on level r.  Entries between sites of
@@ -65,16 +61,16 @@ def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndar
     return t
 
 
-def landau_coefficients(r: int, window: Window, mp: MagneticParams,
-                        margin: float | None = None) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Closed-route coefficients of the pure level-r Hamiltonian.
+def landau_coefficients(r: int, window: Window,
+                        mp: MagneticParams) -> tuple[np.ndarray, np.ndarray]:
+    """Infinite-lattice coefficients of the pure level-r Hamiltonian.
 
-    Returns (t_r, c_r, inner) where t_r = q(r) * <chi, S^-2 chi'> on the
-    inner window, c_r = <chi, S^-1 chi> on the same sites, and
+    Returns (t_r, c_r) with t_r = q(r) * <chi, S^-2 chi'> and
+    c_r = <chi, S^-1 chi> over the level-r sites in window order, and
     q(r) = eps_b * (r + 1/2).  The elements are those between the level-0
-    sites; level r must repeat those sites, and inner lists positions among
-    them.  Levels decouple exactly, so elements between different levels
-    vanish identically and are not materialized.
+    sites; level r must repeat those sites.  Levels decouple exactly, so
+    elements between different levels vanish identically and are not
+    materialized.
     """
     if r < 0:
         raise FrameAnalysisError(f"level must be non-negative, got {r}")
@@ -85,8 +81,6 @@ def landau_coefficients(r: int, window: Window, mp: MagneticParams,
             f"level-0 sites (it has {int(np.sum(levels == r))})"
         )
     q = mp.level_spacing * (r + 0.5)
-    el2 = s_inverse_power_elements(window, mp, p=2, margin=margin)
-    el1 = s_inverse_power_elements(window, mp, p=1, margin=margin)
-    t_r = q * el2.entries
-    c_r = np.real(np.diag(el1.entries)).copy()
-    return t_r, c_r, el2.inner
+    t_r = q * s_inverse_power_elements(window, mp, p=2).entries
+    c_r = np.real(np.diag(s_inverse_power_elements(window, mp, p=1).entries)).copy()
+    return t_r, c_r

@@ -29,6 +29,7 @@ from latframe.frame_analysis import (
     neumann_certificate,
     overlap_rate_constant,
     s_inverse_power_elements,
+    schur_lower_bound,
     verify_decay,
 )
 from latframe.quadratic import hopping_coeffs, landau_coefficients, landau_operator
@@ -156,16 +157,15 @@ def test_a03_eigenvalue_trend_across_densities():
 
 def test_a04_inverse_power_decay_certificate():
     w = build_window(LatticeParams(SQPI, SQPI, 12.0))
-    rec = frame_bounds_estimate([w], MP)[0]
     g = overlap_rate_constant(w, MP)
     lam = localization_rate(w.params, MP)
     details = []
     ok = True
     for p in (1, 2):
-        cert = neumann_certificate(w, g=g, lam=lam, s_min=rec.a_est,
-                                   s_max=rec.upper_closed_form, p=p)
+        cert = neumann_certificate(w, g=g, lam=lam, s_min=schur_lower_bound(w.params, MP),
+                                   s_max=bessel_bound(w.params, MP), p=p)
         elems = s_inverse_power_elements(w, MP, p)
-        dists = w.distance_matrix()[np.ix_(elems.inner, elems.inner)]
+        dists = w.distance_matrix()[np.ix_(elems.sites, elems.sites)]
         report = verify_decay(elems.entries, dists, cert)
         fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
         ok = ok and report.violations == 0 and fit_ok
@@ -182,15 +182,14 @@ def test_a05_level_hamiltonian_coefficients():
     w = build_window(LatticeParams(SQPI, SQPI, 10.0, level_max=1))
     r = 1
     q = eps_b * (r + 0.5)
-    t_r, c_r, inner = landau_coefficients(r, w, mp, margin=6.0)
-    rec = frame_bounds_estimate([w], mp)[0]
+    t_r, c_r = landau_coefficients(r, w, mp)
     cert = neumann_certificate(w, g=overlap_rate_constant(w, mp),
                                lam=localization_rate(w.params, mp),
-                               s_min=rec.a_est, s_max=rec.upper_closed_form, p=2)
+                               s_min=schur_lower_bound(w.params, mp),
+                               s_max=bessel_bound(w.params, mp), p=2)
     levels = w.levels
     sel_r = np.nonzero(levels == r)[0]
-    inner_global = sel_r[inner]
-    dists = w.distance_matrix()[np.ix_(inner_global, inner_global)]
+    dists = w.distance_matrix()[np.ix_(sel_r, sel_r)]
     report = verify_decay(t_r, dists, cert, scale=q)
     # generic route for the cross-level statement
     trunc, _ = window_coords(w, mp)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -128,9 +129,11 @@ def test_decay_certificate_and_table(tmp_path):
     for key in ("p", "g", "lam", "delta", "eps", "theta", "s_min", "s_max",
                 "c_eps", "r_p", "d_p", "e_p", "lambda_p", "a_p"):
         assert key in cert
+    assert cm["dual_residual"]
     header, rows = read_csv(out / "decay_check.csv")
-    n_inner = cert["inner_sites"]
-    assert len(rows) == n_inner * n_inner
+    n_sites = cert["n_sites"]
+    assert n_sites == 13  # every level-0 site of the radius-8 window
+    assert len(rows) == n_sites * n_sites
     for row in rows:
         assert float(row[5]) <= float(row[6]) * (1 + 1e-9)  # abs_entry vs bound
 
@@ -159,30 +162,56 @@ def test_landau_two_level_run(tmp_path):
     code, out, summary = run_cli(tmp_path, "landau", cfg)
     assert code == 0
     cm = check_map(summary)
-    assert list(cm) == ["zero_violations", "dual_inverts_frame_operator",
-                        "constants_real_positive"]
+    assert list(cm) == ["zero_violations", "dual_residual", "constants_real_positive"]
     assert all(cm.values())
     assert summary["parameters"]["q"] == pytest.approx(1.5)  # level spacing * (1 + 1/2)
     header, rows = read_csv(out / "landau_constants.csv")
-    assert len(rows) == summary["parameters"]["inner_sites"]
+    assert len(rows) == summary["parameters"]["n_sites"] == 25
+
+
+def _scale_dual(monkeypatch):
+    # the elements and the residual read the same dual, so a dual off by 1e-6
+    # agrees with itself; S w_1 = chi_0 does not hold for it
+    real = latframe.frame_analysis.dual_coefficients
+
+    def scaled(lp, mp, p, tol=latframe.frame_analysis.DUAL_TOL):
+        dual = real(lp, mp, p, tol)
+        return replace(dual, coeffs=dual.coeffs * (1 + 1e-6))
+
+    for module in (latframe.frame_analysis, latframe.cli):
+        monkeypatch.setattr(module, "dual_coefficients", scaled)
 
 
 def test_landau_dual_check_catches_a_scaled_dual(tmp_path, monkeypatch):
-    # every S^-p route reads the same dual rows, so a dual off by 1e-6
-    # agrees with itself; S dual = chi does not hold for it
-    real = latframe.frame_analysis.frame_operator
-
-    def scaled(window, mp):
-        op = real(window, mp)
-        return replace(op, dual=op.dual * (1 + 1e-6))
-
-    for module in (latframe.frame_analysis, latframe.quadratic, latframe.cli):
-        monkeypatch.setattr(module, "frame_operator", scaled)
+    _scale_dual(monkeypatch)
     code, _, summary = run_cli(tmp_path, "landau", "[lattice]\nradius = 10\nlevel_max = 1\n")
     assert code == 1
     failed = [c for c in summary["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["dual_inverts_frame_operator"]
-    assert failed[0]["values"]["max_residual"] > 1e-8
+    assert [c["name"] for c in failed] == ["dual_residual"]
+    assert failed[0]["values"]["max_residual"] > 1e-7
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_decay_dual_check_catches_a_scaled_dual(tmp_path, monkeypatch, p):
+    _scale_dual(monkeypatch)
+    code, _, summary = run_cli(tmp_path, "decay", f"[lattice]\nradius = 10\n[certificate]\np = {p}\n")
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["dual_residual"]
+    assert failed[0]["values"]["max_residual"] > 1e-7
+
+
+ROOT_PI = repr(math.sqrt(math.pi))
+ROOT_PI_R16 = f"[lattice]\nalpha = {ROOT_PI}\nbeta = {ROOT_PI}\nradius = 16.0\n"
+
+
+@pytest.mark.parametrize("command,extra", [("decay", "[certificate]\np = 2\n"), ("landau", "")])
+def test_inverse_powers_at_radius_16(tmp_path, command, extra):
+    # (s_min / s_max)^2 once rounded r_p to 1 here and the commands exited 3
+    code, out, summary = run_cli(tmp_path, command, ROOT_PI_R16 + extra)
+    assert code == 0 and summary["status"] == "ok"
+    assert summary["parameters"]["n_sites"] == 61
+    assert all(check_map(summary).values())
 
 
 def test_wkernel_sampling(tmp_path):
@@ -370,7 +399,7 @@ def test_multi_level_chain_runs(tmp_path, command):
     # S is built from the chain's own level-0 sites, not from a ball of the radius
     code, out, summary = run_cli(tmp_path, command, MULTI_LEVEL_CHAIN)
     assert code in (0, 1)
-    assert summary["parameters"]["inner_sites"] <= 8
+    assert summary["parameters"]["n_sites"] == 8
 
 
 def test_landau_level_without_sites(tmp_path, capsys):

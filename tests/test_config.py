@@ -1,6 +1,7 @@
 """INI schema: defaults, parsing, and rejection of malformed input."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,18 @@ def test_reference_config_parses():
 
 def test_reference_config_shows_every_default():
     assert parse_config_text(REFERENCE_CONFIG) == RunConfig()
+
+
+def test_readme_config_block_shows_every_default():
+    # the README's reference block, REFERENCE_CONFIG and the schema move together
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config_text(block) == RunConfig()
+    def keys(text):
+        return [line.split("=")[0].strip() for line in text.splitlines()
+                if "=" in line and not line.startswith("#")]
+
+    assert keys(block) == keys(REFERENCE_CONFIG)
 
 
 def test_section_scoped_overrides():

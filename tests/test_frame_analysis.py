@@ -5,20 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from latframe.cli import _MODULE_ERRORS
 from latframe.lattice import LatticeParams, build_window, window_from_triples
-from latframe.magnetic import MagneticParams, bessel_bound
+from latframe.magnetic import MagneticParams, bessel_bound, theta3
 from latframe.frame_analysis import (
+    DUAL_RESIDUAL_TOL,
     PSEUDO_INVERSE_RTOL,
     FrameAnalysisError,
     RegimeError,
+    dual_coefficients,
+    dual_residual,
     frame_bounds_estimate,
     frame_operator,
     gram,
-    inner_indices,
     localization_rate,
     neumann_certificate,
     overlap_rate_constant,
     s_inverse_power_elements,
+    schur_lower_bound,
     verify_decay,
     window_coords,
 )
@@ -109,32 +115,97 @@ def test_frame_bounds_regime_labels():
     assert [r.regime for r in recs] == ["overcomplete", "threshold", "incomplete"]
 
 
-def test_s_inverse_elements_against_pinv(rng):
+def _overlaps(x, mu):
+    """Closed-form <chi_x, chi_mu> for points x (2,) and mu (..., 2), ell = 1."""
+    wedge = x[0] * mu[..., 1] - x[1] * mu[..., 0]
+    d2 = np.sum((mu - x) ** 2, axis=-1)
+    return np.exp(0.5j * wedge - d2 / 4.0)
+
+
+def _symbol_route(p, x):
+    """<chi_x, S^-p chi_0> on the sqrt(pi) lattice from the Janssen symbol.
+
+    There N = 2 and the adjoint lattice is 2 sqrt(pi) Z^2, whose magnetic
+    phases are trivial: N G is the Toeplitz matrix of 2 s(t1) s(t2) with
+    s(t) = sum_k exp(-pi k^2 + i k t), so the coefficients of S^-p chi_0 are
+    the Fourier coefficients of (2 s s)^-p, taken here by an FFT.
+    """
+    n = 64
+    k = np.arange(-10, 11)
+    s = np.exp(-np.pi * k**2) @ np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n)
+    h = np.real(np.fft.fft(s ** -p) / n)[k]
+    mu = 2.0 * SQRT_PI * np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1)
+    return complex(np.sum(2.0**-p * np.outer(h, h) * _overlaps(np.asarray(x), mu)))
+
+
+def _dual_at(dual, q, x):
+    """<chi_x, S^-q chi_0> from adjoint-lattice coefficients, ell = 1."""
+    mu = np.stack(np.meshgrid(dual.mu1, dual.mu2, indexing="ij"), axis=-1)
+    return complex(np.sum(dual.coeffs[q - 1] * _overlaps(np.asarray(x), mu)))
+
+
+def test_s_inverse_elements_match_symbol_route():
+    w = build_window(LatticeParams(SQRT_PI, SQRT_PI, 8.0))
+    for p in (1, 2):
+        el = s_inverse_power_elements(w, MP, p=p)
+        assert list(el.sites) == list(range(len(w.sites)))
+        # translation covariance: <chi_a, S^-p chi_b> = exp(i a ^ b / 2) <chi_(a - b), S^-p chi_0>
+        expected = np.array([[np.exp(0.5j * (a[0] * b[1] - a[1] * b[0])) * _symbol_route(p, a - b)
+                              for b in w.gxy] for a in w.gxy])
+        assert np.max(np.abs(el.entries - expected)) < 1e-12
+        # Hermitian, up to rounding
+        assert np.max(np.abs(el.entries - el.entries.conj().T)) < 1e-14
+
+
+@pytest.mark.parametrize("spacing,s1_e1,s2_00", [
+    (SQRT_PI, 0.220545, 0.2518815),  # N = 2
+    (math.sqrt(2.0 * math.pi / 3.0), 0.197188, 0.1111470),  # N = 3
+])
+def test_s_inverse_reference_values_converge(spacing, s1_e1, s2_00):
+    lp = LatticeParams(spacing, spacing, 4.0 * spacing)
+    e1 = np.array([spacing, 0.0])
+    errs = []
+    for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        dual = dual_coefficients(lp, MP, 2, tol)
+        errs.append(max(abs(abs(_dual_at(dual, 1, -e1)) - s1_e1),
+                        abs(_dual_at(dual, 2, [0.0, 0.0]) - s2_00)))
+    assert errs[-1] < 1e-6
+    assert all(b <= a + 1e-7 for a, b in zip(errs, errs[1:]))
+    assert dual_residual(dual_coefficients(lp, MP, 2), lp, MP) <= DUAL_RESIDUAL_TOL
+    # the library's own element table carries the same values
+    w = window_from_triples(lp, [(0, 0, 0), (0, 1, 0)])
+    assert abs(s_inverse_power_elements(w, MP, 1).entries[0, 1]) == pytest.approx(s1_e1, abs=1e-6)
+    assert s_inverse_power_elements(w, MP, 2).entries[0, 0] == pytest.approx(s2_00, abs=1e-6)
+
+
+def test_dual_residual_sees_a_scaled_dual():
     lp = LatticeParams(SQRT_PI, SQRT_PI, 8.0)
-    w = build_window(lp)
-    trunc, rows = window_coords(w, MP)
-    # independent route: assemble S from rank-one terms and pseudo-invert
-    s = np.zeros((trunc + 1, trunc + 1), dtype=complex)
-    for k in range(len(w.sites)):
-        s += np.outer(rows[k], np.conj(rows[k]))
-    pinv = np.linalg.pinv(s, rcond=1e-10, hermitian=True)
-    for p in (1, 2, 3):
-        el = s_inverse_power_elements(w, MP, p=p, margin=0.0)
-        assert el.inner == list(range(len(w.sites)))
-        ref = np.linalg.matrix_power(pinv, p)
-        expected = rows.conj() @ ref @ rows.T
-        # the elements grow by about 1e3 per power on this window
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        assert np.max(np.abs(el.entries - expected)) < 1e-12 * scale
+    dual = dual_coefficients(lp, MP, 2)
+    assert dual_residual(dual, lp, MP) <= DUAL_RESIDUAL_TOL
+    bad = replace(dual, coeffs=dual.coeffs * (1 + 1e-6))
+    assert dual_residual(bad, lp, MP) > 1e-7
+
+
+def test_schur_lower_bound():
+    lp = LatticeParams(SQRT_PI, SQRT_PI, 8.0)
+    a = schur_lower_bound(lp, MP)
+    assert a == pytest.approx(2.0 * (2.0 - theta3(1.0) ** 2), rel=1e-14)
+    # at N = 2 the bottom of the spectrum is 2 s(pi)^2, s(pi) = sum_k (-1)^k exp(-pi k^2)
+    k = np.arange(-10, 11)
+    bottom = 2.0 * float(np.sum((-1.0) ** k * np.exp(-np.pi * k**2))) ** 2
+    assert a == pytest.approx(1.6393188, abs=1e-6) and a < bottom == pytest.approx(1.6693, abs=1e-4)
+    with pytest.raises(FrameAnalysisError, match="Schur"):
+        schur_lower_bound(LatticeParams(1.0, 6.0, 12.0), MP)  # elongated: row sum above 2
 
 
 def test_s_inverse_sandwich_recovers_gram():
-    # sum_g <chi_i, S^-1 chi_g><chi_g, chi_j> ~ <chi_i, chi_j> deep inside
-    lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
+    # sum_g <chi_i, S^-1 chi_g><chi_g, chi_j> = <chi_i, chi_j> summed over the
+    # lattice; the window sum misses only the S^-1 tails past a 12-unit margin
+    lp = LatticeParams(SQRT_PI, SQRT_PI, 18.0)
     w = build_window(lp)
-    t = s_inverse_power_elements(w, MP, p=1, margin=0.0).entries
+    t = s_inverse_power_elements(w, MP, p=1).entries
     z = gram(w, MP).entries
-    inner = inner_indices(w, MP)
+    inner = lp.alpha_star * np.abs(w.gxy).sum(axis=1) <= 18.0 - 12.0
     resid = (t @ z - z)[np.ix_(inner, inner)]
     assert np.max(np.abs(resid)) < 1e-6
 
@@ -247,6 +318,15 @@ def test_certificate_validation():
         neumann_certificate(w, **{**kw, "p": 0})
 
 
+def test_certificate_rejects_rate_rounding_to_one():
+    # (s_min / s_max)^p below rounding: r_p = 1 and a_p would divide by zero
+    w = build_window(LatticeParams(1.0, 1.0, 3.0))
+    with pytest.raises(FrameAnalysisError, match=r"s_min / s_max\)\^p = \(1\.000e-17\)") as err:
+        neumann_certificate(w, g=1.0, lam=1.0, s_min=1e-17, s_max=1.0, p=1,
+                            m_eps_value=M_EPS_1D)
+    assert isinstance(err.value, _MODULE_ERRORS)  # an input rejection (exit 2), not a crash
+
+
 @pytest.fixture(scope="module")
 def small_cert():
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
@@ -291,27 +371,13 @@ def test_verify_decay_scale_and_fit(small_cert):
 def test_decay_certificate_end_to_end():
     lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
     w = build_window(lp)
-    rec = frame_bounds_estimate([w], MP)[0]
     lam = localization_rate(lp, MP)
     g = overlap_rate_constant(w, MP)
     for p in (1, 2):
-        cert = neumann_certificate(w, g=g, lam=lam, s_min=rec.a_est,
-                                   s_max=rec.b_est, p=p)
+        cert = neumann_certificate(w, g=g, lam=lam, s_min=schur_lower_bound(lp, MP),
+                                   s_max=bessel_bound(lp, MP), p=p)
         el = s_inverse_power_elements(w, MP, p=p)
-        d = w.distance_matrix()[np.ix_(el.inner, el.inner)]
+        d = w.distance_matrix()[np.ix_(el.sites, el.sites)]
         rep = verify_decay(np.abs(el.entries), d, cert)
         assert rep.violations == 0
         assert rep.fitted_rate >= cert.lambda_p
-
-
-def test_inner_indices_margins():
-    lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
-    w = build_window(lp)
-    assert inner_indices(w, MP, margin=0.0) == list(range(len(w.sites)))
-    inner = inner_indices(w, MP)  # default 6 ell margin
-    a_star = lp.alpha_star
-    for k in inner:
-        assert a_star * np.abs(w.gxy[k]).sum() <= 12.0 - 6.0
-    assert 0 < len(inner) < len(w.sites)
-    with pytest.raises(FrameAnalysisError):
-        inner_indices(w, MP, margin=1e6)

@@ -13,7 +13,7 @@ from latframe.quadratic import (
     landau_coefficients,
     landau_operator,
 )
-from latframe.frame_analysis import frame_operator, s_inverse_power_elements
+from latframe.frame_analysis import PSEUDO_INVERSE_RTOL, dual_coefficients, frame_operator
 
 MP = MagneticParams(ell_b=1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -43,12 +43,15 @@ def test_zero_operator_gives_zero_hopping():
 
 
 def test_projector_hopping_matches_inverse_square():
-    # H = lowest-level projector: t = <chi, S^-2 chi'> elementwise
+    # H = lowest-level projector: t = <chi, S_W^+2 chi'> elementwise, with the
+    # window frame operator S_W pseudo-inverted independently
     w = lll_window()
-    trunc, _ = window_coords(w, MP)
+    trunc, rows = window_coords(w, MP)
     t = hopping_coeffs(np.eye(trunc + 1)[None], w, MP)
-    el = s_inverse_power_elements(w, MP, p=2, margin=0.0)
-    assert np.max(np.abs(t - el.entries)) < 1e-9
+    s_plus = np.linalg.pinv(rows.T @ rows.conj(), rcond=PSEUDO_INVERSE_RTOL, hermitian=True)
+    expected = rows.conj() @ s_plus @ s_plus @ rows.T
+    # the elements grow by about 1e3 per power on this window
+    assert np.max(np.abs(t - expected)) < 1e-12 * float(np.max(np.abs(expected)))
     assert np.allclose(t, t.conj().T, atol=1e-10)
 
 
@@ -97,19 +100,31 @@ def test_hopping_coeffs_rejects_too_few_levels():
         hopping_coeffs(landau_operator(n_levels=1, trunc=trunc, eps_b=1.0), w, MP)
 
 
+def _overlaps(x, y):
+    """Closed-form <chi_x, chi_y> for point sets x (n, 2), y (m, 2), ell = 1."""
+    wedge = x[:, None, 0] * y[None, :, 1] - x[:, None, 1] * y[None, :, 0]
+    d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+    return np.exp(0.5j * wedge - d2 / 4.0)
+
+
 def test_landau_coefficients_match_blockwise_route():
-    # closed route q(r) <chi, S^-2 chi'> vs the level-block sandwich
+    # per level, q(r) <chi_g, S^-2 chi_g'> = q(r) <v_g, v_g'> with the duals
+    # v_g = S^-1 chi_g = sum_mu c_mu(g) chi_(g + mu) written out as a double sum
     w = two_level_window()
-    trunc, _ = window_coords(w, MP)
     mp = MagneticParams(ell_b=1.0, eps_b=0.7)
-    h = landau_operator(n_levels=2, trunc=trunc, eps_b=0.7)
-    t = hopping_coeffs(h, w, mp)
+    dual = dual_coefficients(w.params, mp, 1)
+    mu = np.stack(np.meshgrid(dual.mu1, dual.mu2, indexing="ij"), axis=-1).reshape(-1, 2)
+    c = dual.coeffs[0].ravel()
     for r in (0, 1):
-        t_r, c_r, inner = landau_coefficients(r, w, mp, margin=0.0)
-        stacked = [k for k, s in enumerate(w.sites) if s.r == r]
-        assert len(stacked) == len(inner)
-        block = t[np.ix_(stacked, stacked)]
-        assert np.max(np.abs(t_r - block)) < 1e-8
+        t_r, c_r = landau_coefficients(r, w, mp)
+        g = w.gxy[w.levels == r]
+        assert t_r.shape == (len(g), len(g)) and c_r.shape == (len(g),)
+        # c_mu(g) = exp(-i g ^ mu / 2) c_mu, the patch translated to g
+        duals = [(np.exp(-0.5j * (gk[0] * mu[:, 1] - gk[1] * mu[:, 0])) * c, gk + mu) for gk in g]
+        expected = np.array([[ca.conj() @ _overlaps(pa, pb) @ cb for cb, pb in duals]
+                             for ca, pa in duals])
+        assert np.max(np.abs(t_r - 0.7 * (r + 0.5) * expected)) < 1e-12
+        assert np.allclose(c_r, c_r[0]) and c_r[0] > 0  # <chi, S^-1 chi> is translation invariant
 
 
 def test_landau_cross_level_hopping_vanishes():
@@ -125,11 +140,11 @@ def test_landau_cross_level_hopping_vanishes():
 def test_landau_q_factor_exact():
     # t_r scales exactly as eps_b (r + 1/2); the spatial factor cancels
     w = two_level_window()
-    base, _, _ = landau_coefficients(0, w, MagneticParams(1.0, eps_b=1.0), margin=0.0)
+    base, _ = landau_coefficients(0, w, MagneticParams(1.0, eps_b=1.0))
     for eps_b in (0.5, 1.0, 2.0):
         mp = MagneticParams(ell_b=1.0, eps_b=eps_b)
         for r in (0, 1):
-            t_r, _, _ = landau_coefficients(r, w, mp, margin=0.0)
+            t_r, _ = landau_coefficients(r, w, mp)
             factor = eps_b * (r + 0.5) / 0.5
             assert np.array_equal(t_r, factor * base) or np.max(
                 np.abs(t_r - factor * base)
