@@ -26,6 +26,7 @@ from .config import (
     make_lattice_params,
     make_magnetic_params,
     make_window,
+    validate,
 )
 from .fock import (
     MAX_MODES,
@@ -41,7 +42,6 @@ from .fock import (
 from .frame_analysis import (
     DUAL_RESIDUAL_TOL,
     FrameAnalysisError,
-    dual_coefficients,
     dual_residual,
     frame_bounds_estimate,
     gram,
@@ -216,6 +216,14 @@ def _residual_check(dual, lp, mp: MagneticParams) -> Check:
                   "patch_edge": dual.edge, "patch_sites": int(np.count_nonzero(dual.coeffs[0]))})
 
 
+def _density_check(c_r: np.ndarray, lp, mp: MagneticParams) -> Check:
+    """<chi, S^-1 chi> = 1 / N on every site, N = 2 pi ell^2 / (alpha beta)."""
+    inv_n = lp.alpha * lp.beta / (2.0 * np.pi * mp.ell_b**2)
+    dev = float(np.max(np.abs(c_r - inv_n)))
+    return Check("constants_equal_inverse_density", dev <= DUAL_RESIDUAL_TOL,
+                 {"max_deviation": dev, "inverse_density": inv_n, "bound": DUAL_RESIDUAL_TOL})
+
+
 def _cmd_decay(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     w = make_window(cfg)
@@ -351,7 +359,7 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     mp = make_magnetic_params(cfg)
     r = cfg.level
     cert = _inverse_power_certificate(w, mp, cfg, 2)
-    t_r, c_r = landau_coefficients(r, w, mp)
+    t_r, c_r, dual = landau_coefficients(r, w, mp)
     q = mp.level_spacing * (r + 0.5)
     sites = np.nonzero(w.levels == r)[0]
     cols, report = _decay_columns(w, sites, t_r, cert, scale=q)
@@ -363,9 +371,8 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     checks = [
         Check("zero_violations", report.violations == 0,
               {"violations": report.violations, "max_ratio": report.max_ratio}),
-        _residual_check(dual_coefficients(w.params, mp, 2), w.params, mp),
-        Check("constants_real_positive", bool(np.all(c_r > 0)),
-              {"min_c": float(np.min(c_r)) if len(c_r) else None}),
+        _residual_check(dual, w.params, mp),
+        _density_check(c_r, w.params, mp),
     ]
     params = {"level": r, "q": q, "lambda_2": cert.lambda_p, "a_2": cert.a_p,
               "n_sites": len(sites)}
@@ -581,7 +588,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="override [run] seed")
         sp.add_argument("--negative-control", action="store_true",
                         help="shrink the propagation speed 100x to force exceedances")
-        sp.add_argument("--threads", type=int, default=None, help="override [run] threads")
     return parser
 
 
@@ -621,31 +627,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("run", "seed", "must be non-negative")
-            cfg = replace(cfg, seed=args.seed)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("run", "threads", "must be positive")
-            cfg = replace(cfg, threads=args.threads)
+            cfg = validate(replace(cfg, seed=args.seed))
         out.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(cfg=cfg, out=out, rng=np.random.default_rng(cfg.seed),
                          negative_control=args.negative_control)
-        threads_applied = False
-        limiter = None
-        if cfg.threads is not None:
-            try:
-                from threadpoolctl import threadpool_limits
-
-                limiter = threadpool_limits(limits=cfg.threads)
-                threads_applied = True
-            except ImportError:
-                pass
-        try:
-            result = _COMMANDS[command][0](ctx)
-        finally:
-            if limiter is not None:
-                limiter.unregister()
+        result = _COMMANDS[command][0](ctx)
         passed = all(c.passed for c in result.checks)
         code = EXIT_OK if passed else EXIT_VERIFY
         _print_checks(command, result.checks)
@@ -655,7 +641,6 @@ def main(argv=None) -> int:
             "exit_code": code,
             "seed": cfg.seed,
             "negative_control": args.negative_control,
-            "threads": {"requested": cfg.threads, "applied": threads_applied},
             "parameters": result.parameters,
             "checks": [{"name": c.name, "passed": c.passed, "values": c.values}
                        for c in result.checks],

@@ -1,16 +1,19 @@
 """Run configuration: flat key/value text with sections, strictly validated.
 
-Unknown sections or keys are rejected, every value is type- and
-range-checked, and failures carry the section/key they belong to so the
-front end can report them as structured records.  Optional keys accept the
-literal "none".  The full schema, with defaults, is documented in the
-project README.
+Each key is declared once, as a `RunConfig` field that carries its section,
+its default and its lower bound; its parser follows from the annotation, and
+an annotation ending in "| None" lets the key take the literal "none".  The
+parse table, the bound checks and `REFERENCE_CONFIG` are all read off those
+fields.  Unknown sections or keys are rejected, and failures carry the
+section/key they belong to so the front end can report them as structured
+records.  The full schema is documented in the project README.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from math import pi, sqrt
 from pathlib import Path
 
@@ -21,6 +24,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config_text",
+    "validate",
     "load_config",
     "make_lattice_params",
     "make_magnetic_params",
@@ -40,50 +44,48 @@ class ConfigError(ValueError):
         super().__init__(f"config error: {where}{message}")
 
 
+def _key(section: str, default, *, gt: float | None = None, ge: float | None = None,
+         choices: tuple[str, ...] = ()):
+    """A config key in [section] with its default: a number, or each number of a
+    list, must be > gt or >= ge, and a string one of `choices`."""
+    return field(default=default,
+                 metadata={"section": section, "gt": gt, "ge": ge, "choices": choices})
+
+
 _ROOT_PI = sqrt(pi)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    # lattice
-    alpha: float = _ROOT_PI
-    beta: float = _ROOT_PI
-    radius: float = 12.0
-    level_max: int = 0
-    nu: float | None = None
-    shape: str = "ball"
-    chain_length: int = 8
-    # magnetic
-    ell_b: float = 1.0
-    eps_b: float = 1.0
-    trunc: int | None = None
-    # model
-    f0: float = 1.0
-    mu: float = 1.0
-    zeta: float | None = None
-    xi: float | None = None
-    # certificate
-    p: int = 1
-    g: float | None = None
-    eps: float | None = None
-    theta: float | None = None
-    # dynamics
-    t_max: float = 2.0
-    n_t: int = 21
-    # kernel
-    c1: float = 1.0
-    sigma1: float = 0.5
-    nodes: int = 40
-    n_quadruples: int = 30
-    diam_max_ell: float = 8.0
-    # windows
-    radii: tuple[float, ...] = ()
-    chain_lengths: tuple[int, ...] = (4, 6, 8)
-    # landau
-    level: int = 0
-    # run
-    seed: int = 0
-    threads: int | None = None
+    alpha: float = _key("lattice", _ROOT_PI, gt=0)
+    beta: float = _key("lattice", _ROOT_PI, gt=0)
+    radius: float = _key("lattice", 12.0, gt=0)
+    level_max: int = _key("lattice", 0, ge=0)
+    nu: float | None = _key("lattice", None, ge=0)
+    shape: str = _key("lattice", "ball", choices=("ball", "chain"))
+    chain_length: int = _key("lattice", 8, ge=1)
+    ell_b: float = _key("magnetic", 1.0, gt=0)
+    eps_b: float = _key("magnetic", 1.0, gt=0)
+    f0: float = _key("model", 1.0, ge=0)
+    mu: float = _key("model", 1.0, gt=0)
+    zeta: float | None = _key("model", None, gt=0)
+    xi: float | None = _key("model", None, gt=0)
+    p: int = _key("certificate", 1, ge=1)
+    g: float | None = _key("certificate", None, ge=1)
+    eps: float | None = _key("certificate", None, gt=0)
+    theta: float | None = _key("certificate", None, gt=0)
+    t_max: float = _key("dynamics", 2.0, gt=0)
+    n_t: int = _key("dynamics", 21, ge=2)
+    c1: float = _key("kernel", 1.0, gt=0)
+    sigma1: float = _key("kernel", 0.5, gt=0)
+    # the convergence check reruns with max(8, nodes - 8) nodes, which must differ
+    nodes: int = _key("kernel", 40, ge=9)
+    n_quadruples: int = _key("kernel", 30, ge=1)
+    diam_max_ell: float = _key("kernel", 8.0, gt=0)
+    radii: tuple[float, ...] = _key("windows", (), gt=0)
+    chain_lengths: tuple[int, ...] = _key("windows", (4, 6, 8), ge=1)
+    seed: int = _key("run", 0, ge=0)
+    level: int = _key("landau", 0, ge=0)
 
 
 def _parse_float(text: str) -> float:
@@ -103,116 +105,58 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}") from exc
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    toks = [t for t in text.replace(",", " ").split() if t]
-    return tuple(_parse_float(t) for t in toks)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    toks = [t for t in text.replace(",", " ").split() if t]
-    return tuple(_parse_int(t) for t in toks)
-
-
-def _parse_shape(text: str) -> str:
-    if text not in ("ball", "chain"):
-        raise ValueError(f"shape must be 'ball' or 'chain', got {text!r}")
+def _parse_choice(choices: tuple[str, ...], text: str) -> str:
+    if text not in choices:
+        raise ValueError(f"must be one of {', '.join(map(repr, choices))}, got {text!r}")
     return text
 
 
-# (section, key) -> (RunConfig field, parser, optional)
-_SCHEMA = {
-    ("lattice", "alpha"): ("alpha", _parse_float, False),
-    ("lattice", "beta"): ("beta", _parse_float, False),
-    ("lattice", "radius"): ("radius", _parse_float, False),
-    ("lattice", "level_max"): ("level_max", _parse_int, False),
-    ("lattice", "nu"): ("nu", _parse_float, True),
-    ("lattice", "shape"): ("shape", _parse_shape, False),
-    ("lattice", "chain_length"): ("chain_length", _parse_int, False),
-    ("magnetic", "ell_b"): ("ell_b", _parse_float, False),
-    ("magnetic", "eps_b"): ("eps_b", _parse_float, False),
-    ("magnetic", "trunc"): ("trunc", _parse_int, True),
-    ("model", "f0"): ("f0", _parse_float, False),
-    ("model", "mu"): ("mu", _parse_float, False),
-    ("model", "zeta"): ("zeta", _parse_float, True),
-    ("model", "xi"): ("xi", _parse_float, True),
-    ("certificate", "p"): ("p", _parse_int, False),
-    ("certificate", "g"): ("g", _parse_float, True),
-    ("certificate", "eps"): ("eps", _parse_float, True),
-    ("certificate", "theta"): ("theta", _parse_float, True),
-    ("dynamics", "t_max"): ("t_max", _parse_float, False),
-    ("dynamics", "n_t"): ("n_t", _parse_int, False),
-    ("kernel", "c1"): ("c1", _parse_float, False),
-    ("kernel", "sigma1"): ("sigma1", _parse_float, False),
-    ("kernel", "nodes"): ("nodes", _parse_int, False),
-    ("kernel", "n_quadruples"): ("n_quadruples", _parse_int, False),
-    ("kernel", "diam_max_ell"): ("diam_max_ell", _parse_float, False),
-    ("windows", "radii"): ("radii", _parse_float_list, False),
-    ("windows", "chain_lengths"): ("chain_lengths", _parse_int_list, False),
-    ("landau", "level"): ("level", _parse_int, False),
-    ("run", "seed"): ("seed", _parse_int, False),
-    ("run", "threads"): ("threads", _parse_int, True),
-}
-
-_SECTIONS = {section for section, _ in _SCHEMA}
+_PARSERS = {"float": _parse_float, "int": _parse_int}
 
 
-def _check_positive(cfg: RunConfig, field: str, section: str, key: str,
-                    strict: bool = True) -> None:
-    v = getattr(cfg, field)
-    if v is None:
-        return
-    if (v <= 0) if strict else (v < 0):
-        kind = "positive" if strict else "non-negative"
-        raise ConfigError(section, key, f"must be {kind}, got {v}")
+def _parser(f):
+    """The parser of a field, read off its annotation: "tuple[T, ...]" reads a
+    list of T separated by spaces or commas, and "str" one of the field's choices."""
+    base = f.type.removesuffix(" | None")
+    if base.startswith("tuple["):
+        item = _PARSERS[base[len("tuple["):-len(", ...]")]]
+        return lambda text: tuple(item(t) for t in text.replace(",", " ").split())
+    if base == "str":
+        return partial(_parse_choice, f.metadata["choices"])
+    return _PARSERS[base]
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    for field, section, key in (
-        ("alpha", "lattice", "alpha"), ("beta", "lattice", "beta"),
-        ("radius", "lattice", "radius"), ("ell_b", "magnetic", "ell_b"),
-        ("eps_b", "magnetic", "eps_b"), ("mu", "model", "mu"),
-        ("zeta", "model", "zeta"), ("xi", "model", "xi"),
-        ("eps", "certificate", "eps"), ("theta", "certificate", "theta"),
-        ("t_max", "dynamics", "t_max"), ("c1", "kernel", "c1"),
-        ("sigma1", "kernel", "sigma1"), ("diam_max_ell", "kernel", "diam_max_ell"),
-        ("threads", "run", "threads"),
-    ):
-        _check_positive(cfg, field, section, key)
-    for field, section, key in (
-        ("f0", "model", "f0"), ("level_max", "lattice", "level_max"),
-        ("level", "landau", "level"),
-        ("seed", "run", "seed"),
-    ):
-        _check_positive(cfg, field, section, key, strict=False)
-    if cfg.nu is not None and cfg.nu < 0:
-        raise ConfigError("lattice", "nu", f"must be non-negative, got {cfg.nu}")
-    if cfg.trunc is not None and cfg.trunc < 0:
-        raise ConfigError("magnetic", "trunc", f"must be non-negative, got {cfg.trunc}")
-    if cfg.chain_length < 1:
-        raise ConfigError("lattice", "chain_length", f"must be at least 1, got {cfg.chain_length}")
-    if cfg.p < 1:
-        raise ConfigError("certificate", "p", f"must be a positive integer, got {cfg.p}")
-    if cfg.g is not None and cfg.g < 1:
-        raise ConfigError("certificate", "g", f"must be at least 1, got {cfg.g}")
-    if cfg.n_t < 2:
-        raise ConfigError("dynamics", "n_t", f"need at least 2 time points, got {cfg.n_t}")
-    if cfg.nodes < 9:
-        # the convergence check reruns with max(8, nodes - 8) nodes, which must differ
-        raise ConfigError("kernel", "nodes", f"need at least 9 nodes per axis, got {cfg.nodes}")
-    if cfg.n_quadruples < 1:
-        raise ConfigError("kernel", "n_quadruples", f"must be positive, got {cfg.n_quadruples}")
+# (section, key) -> (parser, optional)
+_KEYS = {(f.metadata["section"], f.name): (_parser(f), f.type.endswith(" | None"))
+         for f in fields(RunConfig)}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _check_bound(f, value) -> None:
+    gt, ge = f.metadata["gt"], f.metadata["ge"]
+    for v in value if isinstance(value, tuple) else (value,):
+        if (gt is not None and v <= gt) or (ge is not None and v < ge):
+            need = f"greater than {gt}" if gt is not None else f"at least {ge}"
+            raise ConfigError(f.metadata["section"], f.name, f"must be {need}, got {v}")
+
+
+def _increasing(values: tuple) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def validate(cfg: RunConfig) -> RunConfig:
+    """cfg, if every key is within its declared bound and the keys agree with
+    each other; otherwise a ConfigError naming the first offending key."""
+    for f in fields(cfg):
+        if getattr(cfg, f.name) is not None:
+            _check_bound(f, getattr(cfg, f.name))
     if cfg.zeta is not None and cfg.xi is not None and cfg.xi <= cfg.zeta:
         raise ConfigError("model", "xi", f"need zeta < xi, got {cfg.zeta} >= {cfg.xi}")
-    if any(r <= 0 for r in cfg.radii):
-        raise ConfigError("windows", "radii", "all radii must be positive")
-    if list(cfg.radii) != sorted(cfg.radii) or len(set(cfg.radii)) != len(cfg.radii):
+    if not _increasing(cfg.radii):
         raise ConfigError("windows", "radii", "radii must be strictly increasing")
     if not cfg.chain_lengths:
         raise ConfigError("windows", "chain_lengths", "need at least one length")
-    if any(l < 1 for l in cfg.chain_lengths):
-        raise ConfigError("windows", "chain_lengths", "lengths must be positive")
-    if list(cfg.chain_lengths) != sorted(cfg.chain_lengths) \
-            or len(set(cfg.chain_lengths)) != len(cfg.chain_lengths):
+    if not _increasing(cfg.chain_lengths):
         raise ConfigError("windows", "chain_lengths", "lengths must be strictly increasing")
     if cfg.level > cfg.level_max:
         raise ConfigError("landau", "level",
@@ -235,19 +179,19 @@ def parse_config_text(text: str) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(section, "", f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            spec = _SCHEMA.get((section, key))
+            spec = _KEYS.get((section, key))
             if spec is None:
                 raise ConfigError(section, key, f"unknown key {key!r}")
-            field, parse, optional = spec
+            parse, optional = spec
             raw = raw.strip()
             if optional and raw.lower() == "none":
-                values[field] = None
+                values[key] = None
                 continue
             try:
-                values[field] = parse(raw)
+                values[key] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(section, key, str(exc)) from None
-    return _validate(replace(RunConfig(), **values))
+    return validate(replace(RunConfig(), **values))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -267,7 +211,7 @@ def make_lattice_params(cfg: RunConfig) -> LatticeParams:
 
 
 def make_magnetic_params(cfg: RunConfig) -> MagneticParams:
-    return MagneticParams(ell_b=cfg.ell_b, eps_b=cfg.eps_b, laguerre_trunc=cfg.trunc)
+    return MagneticParams(ell_b=cfg.ell_b, eps_b=cfg.eps_b)
 
 
 def make_window(cfg: RunConfig) -> Window:
@@ -277,56 +221,20 @@ def make_window(cfg: RunConfig) -> Window:
     return build_window(lp)
 
 
-REFERENCE_CONFIG = """\
-# latframe reference configuration; every key is optional and shown at
-# its default.  "none" selects the computed default where allowed, and an
-# empty radii list means radius / 2, 3 radius / 4 and radius.
+def _reference_config() -> str:
+    lines = ['# latframe reference configuration; every key is optional and shown at',
+             '# its default.  "none" selects the computed default where allowed, and an',
+             '# empty radii list means radius / 2, 3 radius / 4 and radius.']
+    section = None
+    for f in fields(RunConfig):
+        if f.metadata["section"] != section:
+            section = f.metadata["section"]
+            lines += ["", f"[{section}]"]
+        value = f.default
+        text = ("none" if value is None
+                else " ".join(map(str, value)) if isinstance(value, tuple) else str(value))
+        lines.append(f"{f.name} = {text}".rstrip())
+    return "\n".join(lines) + "\n"
 
-[lattice]
-alpha = 1.7724538509055159
-beta = 1.7724538509055159
-radius = 12.0
-level_max = 0
-nu = none
-shape = ball
-chain_length = 8
 
-[magnetic]
-ell_b = 1.0
-eps_b = 1.0
-trunc = none
-
-[model]
-f0 = 1.0
-mu = 1.0
-zeta = none
-xi = none
-
-[certificate]
-p = 1
-g = none
-eps = none
-theta = none
-
-[dynamics]
-t_max = 2.0
-n_t = 21
-
-[kernel]
-c1 = 1.0
-sigma1 = 0.5
-nodes = 40
-n_quadruples = 30
-diam_max_ell = 8.0
-
-[windows]
-radii =
-chain_lengths = 4 6 8
-
-[run]
-seed = 0
-threads = none
-
-[landau]
-level = 0
-"""
+REFERENCE_CONFIG = _reference_config()

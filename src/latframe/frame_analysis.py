@@ -50,6 +50,7 @@ __all__ = [
     "dual_coefficients",
     "dual_residual",
     "s_inverse_power_elements",
+    "s_inverse_diagonal",
     "localization_rate",
     "overlap_rate_constant",
     "neumann_certificate",
@@ -317,6 +318,13 @@ def s_inverse_power_elements(window: Window, mp: MagneticParams, p: int) -> SInv
     phase = np.exp(0.5j * mp.wedge(g[:, None, :], g[None, :, :]) / ell2)
     entries = phase * table[diff[..., 0] + s1, diff[..., 1] + s2]
     return SInversePowerElements(p=p, sites=sites, entries=entries, dual=dual)
+
+
+def s_inverse_diagonal(dual: AdjointDual, mp: MagneticParams, q: int) -> float:
+    """<chi_g, S^-q chi_g>, the same on every site, from the q-th coefficients of `dual`."""
+    origin = np.zeros(1)
+    return float(_grid_overlap_sum(origin, origin, dual.mu1, dual.mu2, dual.coeffs[q - 1],
+                                   mp.ell_b**2)[0, 0].real)
 
 
 def overlap_rate_constant(window: Window, mp: MagneticParams) -> float:

@@ -8,14 +8,20 @@ H on the span of the frame, and vanishes exactly between levels.
 general h[r] between the window dual rows of `frame_analysis.frame_operator`.
 For the level Hamiltonian q(r) Pi_r, q(r) = eps_b * (r + 1/2),
 `landau_coefficients` reads t_r = q(r) * <chi, S^-2 chi'> and the constants
-c_r = <chi, S^-1 chi> from the infinite-lattice `s_inverse_power_elements`.
+c_r = <chi, S^-1 chi> from one infinite-lattice adjoint dual of power 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .frame_analysis import FrameAnalysisError, frame_operator, s_inverse_power_elements
+from .frame_analysis import (
+    AdjointDual,
+    FrameAnalysisError,
+    frame_operator,
+    s_inverse_diagonal,
+    s_inverse_power_elements,
+)
 from .lattice import Window
 from .magnetic import MagneticParams
 
@@ -62,14 +68,15 @@ def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndar
 
 
 def landau_coefficients(r: int, window: Window,
-                        mp: MagneticParams) -> tuple[np.ndarray, np.ndarray]:
+                        mp: MagneticParams) -> tuple[np.ndarray, np.ndarray, AdjointDual]:
     """Infinite-lattice coefficients of the pure level-r Hamiltonian.
 
-    Returns (t_r, c_r) with t_r = q(r) * <chi, S^-2 chi'> and
-    c_r = <chi, S^-1 chi> over the level-r sites in window order, and
-    q(r) = eps_b * (r + 1/2).  The elements are those between the level-0
-    sites; level r must repeat those sites.  Levels decouple exactly, so
-    elements between different levels vanish identically and are not
+    Returns (t_r, c_r, dual) with t_r = q(r) * <chi, S^-2 chi'> and
+    c_r = <chi, S^-1 chi> over the level-r sites in window order,
+    q(r) = eps_b * (r + 1/2), and the power-2 adjoint dual both are read from
+    (its q = 1 coefficients give c_r).  The elements are those between the
+    level-0 sites; level r must repeat those sites.  Levels decouple exactly,
+    so elements between different levels vanish identically and are not
     materialized.
     """
     if r < 0:
@@ -81,6 +88,6 @@ def landau_coefficients(r: int, window: Window,
             f"level-0 sites (it has {int(np.sum(levels == r))})"
         )
     q = mp.level_spacing * (r + 0.5)
-    t_r = q * s_inverse_power_elements(window, mp, p=2).entries
-    c_r = np.real(np.diag(s_inverse_power_elements(window, mp, p=1).entries)).copy()
-    return t_r, c_r
+    elems = s_inverse_power_elements(window, mp, p=2)
+    c_r = np.full(len(elems.sites), s_inverse_diagonal(elems.dual, mp, 1))
+    return q * elems.entries, c_r, elems.dual

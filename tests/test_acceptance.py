@@ -182,7 +182,7 @@ def test_a05_level_hamiltonian_coefficients():
     w = build_window(LatticeParams(SQPI, SQPI, 10.0, level_max=1))
     r = 1
     q = eps_b * (r + 0.5)
-    t_r, c_r = landau_coefficients(r, w, mp)
+    t_r, c_r, _ = landau_coefficients(r, w, mp)
     cert = neumann_certificate(w, g=overlap_rate_constant(w, mp),
                                lam=localization_rate(w.params, mp),
                                s_min=schur_lower_bound(w.params, mp),

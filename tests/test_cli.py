@@ -162,7 +162,7 @@ def test_landau_two_level_run(tmp_path):
     code, out, summary = run_cli(tmp_path, "landau", cfg)
     assert code == 0
     cm = check_map(summary)
-    assert list(cm) == ["zero_violations", "dual_residual", "constants_real_positive"]
+    assert list(cm) == ["zero_violations", "dual_residual", "constants_equal_inverse_density"]
     assert all(cm.values())
     assert summary["parameters"]["q"] == pytest.approx(1.5)  # level spacing * (1 + 1/2)
     header, rows = read_csv(out / "landau_constants.csv")
@@ -178,8 +178,7 @@ def _scale_dual(monkeypatch):
         dual = real(lp, mp, p, tol)
         return replace(dual, coeffs=dual.coeffs * (1 + 1e-6))
 
-    for module in (latframe.frame_analysis, latframe.cli):
-        monkeypatch.setattr(module, "dual_coefficients", scaled)
+    monkeypatch.setattr(latframe.frame_analysis, "dual_coefficients", scaled)
 
 
 def test_landau_dual_check_catches_a_scaled_dual(tmp_path, monkeypatch):
@@ -187,8 +186,38 @@ def test_landau_dual_check_catches_a_scaled_dual(tmp_path, monkeypatch):
     code, _, summary = run_cli(tmp_path, "landau", "[lattice]\nradius = 10\nlevel_max = 1\n")
     assert code == 1
     failed = [c for c in summary["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["dual_residual"]
+    # c_r is read from the same scaled dual, so it misses 1 / N as well
+    assert [c["name"] for c in failed] == ["dual_residual", "constants_equal_inverse_density"]
     assert failed[0]["values"]["max_residual"] > 1e-7
+
+
+def test_landau_solves_the_dual_once(tmp_path, monkeypatch):
+    # t_r, the residual and c_r all come from one power-2 dual
+    real, powers = latframe.frame_analysis.dual_coefficients, []
+
+    def counted(lp, mp, p, tol=latframe.frame_analysis.DUAL_TOL):
+        powers.append(p)
+        return real(lp, mp, p, tol)
+
+    monkeypatch.setattr(latframe.frame_analysis, "dual_coefficients", counted)
+    code, _, _ = run_cli(tmp_path, "landau", "[lattice]\nradius = 10\nlevel_max = 1\n")
+    assert code == 0
+    assert powers == [2]
+
+
+def test_landau_constants_check_catches_a_scaled_constant(tmp_path, monkeypatch):
+    real = latframe.cli.landau_coefficients
+
+    def scaled(r, window, mp):
+        t_r, c_r, dual = real(r, window, mp)
+        return t_r, c_r * (1 + 1e-9), dual
+
+    monkeypatch.setattr(latframe.cli, "landau_coefficients", scaled)
+    code, _, summary = run_cli(tmp_path, "landau", "[lattice]\nradius = 10\nlevel_max = 1\n")
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["constants_equal_inverse_density"]
+    assert failed[0]["values"]["max_deviation"] > 1e-10
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -344,12 +373,6 @@ def test_plotdata_lifecycle(tmp_path):
     assert main(["plotdata", "--out", str(out)]) == 0
     _, rows2 = read_csv(out / "plot.csv")
     assert rows2 == rows
-
-
-def test_threads_flag_recorded(tmp_path):
-    code, out, summary = run_cli(tmp_path, "gram", SMALL_GRAM, extra=["--threads", "1"])
-    assert code == 0
-    assert summary["threads"]["requested"] == 1
 
 
 # --------------------------------------------------------------- error paths

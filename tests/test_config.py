@@ -25,7 +25,7 @@ def test_defaults():
     assert cfg.level_max == 0
     assert cfg.shape == "ball"
     assert cfg.ell_b == 1.0 and cfg.eps_b == 1.0
-    assert cfg.trunc is None and cfg.zeta is None and cfg.xi is None
+    assert cfg.nu is None and cfg.zeta is None and cfg.xi is None
     assert cfg.chain_lengths == (4, 6, 8)
     assert cfg.n_t == 21 and cfg.t_max == 2.0
     assert cfg.nodes == 40 and cfg.n_quadruples == 30
@@ -70,10 +70,10 @@ def test_section_scoped_overrides():
 
 
 def test_optional_keys_accept_none():
-    cfg = parse_config_text("[magnetic]\ntrunc = none\n[certificate]\ng = none\n")
-    assert cfg.trunc is None and cfg.g is None
-    cfg2 = parse_config_text("[magnetic]\ntrunc = 80\n")
-    assert cfg2.trunc == 80
+    cfg = parse_config_text("[lattice]\nnu = none\n[certificate]\ng = none\n")
+    assert cfg.nu is None and cfg.g is None
+    cfg2 = parse_config_text("[lattice]\nnu = 2\n")
+    assert cfg2.nu == 2.0
 
 
 def test_chain_shape_window():
@@ -105,6 +105,23 @@ def test_chain_shape_window():
         ("[kernel]\nn_quadruples = 0\n", "kernel", "n_quadruples"),
         ("[windows]\nradii = 3 2 1\n", "windows", "radii"),
         ("[windows]\nchain_lengths = 4 4\n", "windows", "chain_lengths"),
+        # one just-out-of-range value for every other bounded key
+        ("[lattice]\nbeta = 0\n", "lattice", "beta"),
+        ("[lattice]\nnu = -0.001\n", "lattice", "nu"),
+        ("[lattice]\nshape = balls\n", "lattice", "shape"),
+        ("[lattice]\nchain_length = 0\n", "lattice", "chain_length"),
+        ("[magnetic]\neps_b = 0\n", "magnetic", "eps_b"),
+        ("[model]\nf0 = -0.001\n", "model", "f0"),
+        ("[model]\nzeta = 0\n", "model", "zeta"),
+        ("[model]\nxi = 0\n", "model", "xi"),
+        ("[certificate]\neps = 0\n", "certificate", "eps"),
+        ("[certificate]\ntheta = 0\n", "certificate", "theta"),
+        ("[dynamics]\nt_max = 0\n", "dynamics", "t_max"),
+        ("[kernel]\nc1 = 0\n", "kernel", "c1"),
+        ("[kernel]\nsigma1 = 0\n", "kernel", "sigma1"),
+        ("[kernel]\ndiam_max_ell = 0\n", "kernel", "diam_max_ell"),
+        ("[run]\nseed = -1\n", "run", "seed"),
+        ("[landau]\nlevel = -1\n", "landau", "level"),
     ],
 )
 def test_rejection_carries_section_and_key(text, section, key):
