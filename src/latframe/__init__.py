@@ -36,7 +36,6 @@ from .magnetic import (
 from .frame_analysis import (
     DecayCertificate,
     FrameAnalysisError,
-    GramMatrix,
     frame_bounds_estimate,
     frame_operator,
     gram,
@@ -86,7 +85,7 @@ __all__ = [
     "LaguerreCoords", "MagneticParams", "RegimeError", "TruncationError",
     "bessel_bound", "chi_coords", "chi_pointwise", "overlap", "overlap_matrix",
     "regime", "theta3",
-    "DecayCertificate", "FrameAnalysisError", "GramMatrix",
+    "DecayCertificate", "FrameAnalysisError",
     "frame_bounds_estimate", "frame_operator", "gram",
     "localization_rate", "neumann_certificate", "overlap_rate_constant",
     "s_inverse_power_elements", "verify_decay",

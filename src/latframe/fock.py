@@ -28,6 +28,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+from .frame_analysis import EXCEED_RTOL
 from .interactions import Interaction
 from .lattice import Window
 from .magnetic import MagneticParams, overlap_matrix, window_coords
@@ -369,7 +370,8 @@ class LRReport:
     bound g at t = 0; max_ratio_off_diagonal is the maximum over pairs at
     distance d > 0, and informative_cells counts the (time, pair) cells past
     t = 0 whose bound lies below the trivial limit F <= 2 (at t = 0 the
-    check holds by construction)."""
+    check holds by construction).  ratios[t, pair] is F / bound, and exceed
+    marks the cells where it is above 1 + EXCEED_RTOL."""
 
     zeta: float
     velocity: float
@@ -378,6 +380,8 @@ class LRReport:
     pairs: tuple[tuple[int, int], ...]
     f_table: np.ndarray
     bounds: np.ndarray
+    ratios: np.ndarray
+    exceed: np.ndarray
     n_exceed: int
     max_ratio: float
     max_ratio_off_diagonal: float
@@ -390,7 +394,7 @@ def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
              zeta: float, velocity: float, g: float) -> LRReport:
     """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for every
     ordered site pair and compare with g * exp(-zeta(d(g, g') - v|t|)); a cell
-    exceeds when F is above the bound by more than 1e-9 relative.
+    exceeds when F is above the bound by more than EXCEED_RTOL relative.
 
     The work runs in the number sectors of H in its eigenbasis; the flavors
     come in adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||,
@@ -417,11 +421,11 @@ def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
     bounds = lr_envelope(g, zeta, velocity, d_pairs[None, :], t_grid[:, None])
     fmax = f_table.max(axis=2)
     ratios = fmax / bounds
-    exceed = ratios > 1.0 + 1e-9
+    exceed = ratios > 1.0 + EXCEED_RTOL
     off_diagonal = ratios[:, d_pairs > 0]
     return LRReport(
         zeta=zeta, velocity=velocity, g=g, t_grid=t_grid, pairs=tuple(pairs),
-        f_table=f_table, bounds=bounds,
+        f_table=f_table, bounds=bounds, ratios=ratios, exceed=exceed,
         n_exceed=int(np.count_nonzero(exceed)),
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
         max_ratio_off_diagonal=float(off_diagonal.max()) if off_diagonal.size else 0.0,
@@ -495,7 +499,7 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
         bounds = convergence_envelope(g, zeta, velocity, boundary, t_grid)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
-        passed = bool(np.all(diffs <= bounds * (1.0 + 1e-9) + 1e-12))
+        passed = bool(np.all(diffs <= bounds * (1.0 + EXCEED_RTOL) + 1e-12))
         reports.append(ConvergenceReport(t_grid=t_grid, site=site, diffs=diffs, bounds=bounds,
                                          boundary_sum=boundary, passed=passed,
                                          max_ratio=float(np.max(ratios)) if ratios.size else 0.0))

@@ -157,10 +157,10 @@ def _term_geometry(inter: Interaction, nu: float) -> tuple[np.ndarray, np.ndarra
 def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> CPhiResult:
     """The propagation functional C(zeta, xi) over singleton-and-ball probes.
 
-    family='auto' uses singletons plus closed metric balls around every site;
-    family='brute' sweeps every nonempty subset and is limited to small
-    windows.  Both report where the supremum was attained.  An interaction
-    with no terms evaluates to zero.
+    family='auto' uses the closed metric balls around every site, the radius-0
+    balls being the singletons; family='brute' sweeps every nonempty subset
+    and is limited to small windows.  Both report where the supremum was
+    attained.  An interaction with no terms evaluates to zero.
     """
     if zeta <= 0 or xi <= zeta:
         raise InteractionError(f"need 0 < zeta < xi, got zeta={zeta}, xi={xi}")
@@ -182,15 +182,6 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
     best_members: tuple[int, ...] = ()
     count = 0
 
-    # singleton probes: D = 1, all distances direct
-    inner = np.exp(-xi * tmat).T @ emat
-    vals = np.exp(zeta * dists) * inner
-    count += n
-    s, g = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    if vals[s, g] > best:
-        best = float(vals[s, g])
-        best_site, best_kind, best_members = int(g), "singleton", (int(s),)
-
     # ball probes: prefixes of the distance ordering around each center
     for c in range(n):
         order = np.argsort(dists[:, c], kind="stable")
@@ -210,7 +201,7 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
         if vals[b, g] > best:
             best = float(vals[b, g])
             best_site = int(g)
-            best_kind = "ball"
+            best_kind = "singleton" if ends[b] == 0 else "ball"
             best_members = tuple(int(v) for v in np.sort(order[: ends[b] + 1]))
 
     return CPhiResult(value=best, zeta=zeta, xi=xi, site_index=best_site,

@@ -22,7 +22,7 @@ from latframe.cli import main
 from latframe.config import REFERENCE_CONFIG, RunConfig
 from latframe.fock import MAX_MODES
 from latframe.interactions import KERNEL_FFT_MAX, kernel_fft_side
-from latframe.serialize import read_csv, read_matrix_text
+from latframe.serialize import fmt_float, read_csv, read_matrix_text
 
 SMALL_GRAM = """\
 [lattice]
@@ -99,6 +99,22 @@ def test_gram_artifacts(tmp_path):
         assert complex(float(row[5]), float(row[6])) == pytest.approx(mat[i, j], abs=1e-13)
 
 
+def test_gram_hermitian_check_catches_a_skewed_entry(tmp_path, monkeypatch):
+    real = latframe.frame_analysis.overlap_matrix
+
+    def skewed(window, mp):
+        z = real(window, mp)
+        z[0, 1] += 1e-9  # eigvalsh reads the lower triangle, so the spectrum stays
+        return z
+
+    monkeypatch.setattr(latframe.frame_analysis, "overlap_matrix", skewed)
+    code, _, summary = run_cli(tmp_path, "gram", SMALL_GRAM)
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["hermitian"]
+    assert failed[0]["values"]["max_deviation"] == pytest.approx(1e-9, rel=1e-6)
+
+
 def test_gram_deterministic(tmp_path):
     _, out1, _ = run_cli(tmp_path, "gram", SMALL_GRAM, name="first")
     _, out2, _ = run_cli(tmp_path, "gram", SMALL_GRAM, name="second")
@@ -119,6 +135,16 @@ def test_bounds_chain_windows(tmp_path):
     assert all(a <= b for a, b in zip(a_trend, b_trend))
 
 
+def test_bounds_closed_form_check_catches_a_halved_constant(tmp_path, monkeypatch):
+    real = latframe.frame_analysis.bessel_bound
+    monkeypatch.setattr(latframe.frame_analysis, "bessel_bound", lambda lp, mp: real(lp, mp) / 2)
+    code, _, summary = run_cli(tmp_path, "bounds", SMALL_GRAM)
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["b_below_closed_form"]
+    assert failed[0]["values"]["max_b"] > failed[0]["values"]["upper"]
+
+
 def test_decay_certificate_and_table(tmp_path):
     code, out, summary = run_cli(tmp_path, "decay", SMALL_GRAM)
     assert code == 0
@@ -136,6 +162,26 @@ def test_decay_certificate_and_table(tmp_path):
     assert len(rows) == n_sites * n_sites
     for row in rows:
         assert float(row[5]) <= float(row[6]) * (1 + 1e-9)  # abs_entry vs bound
+
+
+@pytest.mark.parametrize("command,cfg,table", [
+    ("decay", SMALL_GRAM, "decay_check.csv"),
+    ("landau", "[lattice]\nradius = 10\nlevel_max = 1\n", "landau.csv"),
+])
+def test_decay_table_writes_the_report_arrays(tmp_path, monkeypatch, command, cfg, table):
+    real, reports = latframe.cli.verify_decay, []
+
+    def captured(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(latframe.cli, "verify_decay", captured)
+    code, out, _ = run_cli(tmp_path, command, cfg)
+    assert code == 0 and len(reports) == 1
+    header, rows = read_csv(out / table)
+    for name, array in (("bound", reports[0].bounds), ("ratio", reports[0].ratio)):
+        k = header.index(name)
+        assert [r[k] for r in rows] == [fmt_float(x) for x in array.ravel()], name
 
 
 def test_cphi_brute_force_agreement(tmp_path):
@@ -283,6 +329,28 @@ def test_lr_light_cone(tmp_path):
     assert len(rows) == 3 * 16  # t points x site pairs
     _, exceed = read_csv(out / "lr_exceedances.csv")
     assert exceed == []
+
+
+def test_lr_tables_write_the_report_arrays(tmp_path, monkeypatch):
+    # every third cell is marked as an exceedance: the CLI writes the marked
+    # rows and the report's ratios, and decides nothing itself
+    real, reports = latframe.cli.lr_check, []
+
+    def marked(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        marks = np.arange(rep.ratios.size).reshape(rep.ratios.shape) % 3 == 0
+        reports.append(replace(rep, exceed=marks))
+        return reports[-1]
+
+    monkeypatch.setattr(latframe.cli, "lr_check", marked)
+    _, out, _ = run_cli(tmp_path, "lr", LR_FAST)
+    report, = reports
+    header, rows = read_csv(out / "lr.csv")
+    k = header.index("ratio")
+    assert [r[k] for r in rows] == [fmt_float(x) for x in report.ratios.ravel()]
+    _, exceed = read_csv(out / "lr_exceedances.csv")
+    assert exceed == [r for r, hit in zip(rows, report.exceed.ravel()) if hit]
+    assert len(exceed) == 16
 
 
 def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
@@ -552,10 +620,25 @@ def test_window_over_mode_cap_rejected_before_dynamics(tmp_path, capsys, monkeyp
 
 
 def test_unknown_command_exits_via_parser(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    out = tmp_path / "x"
+    assert main(["no-such-command", "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert record["command"] == ""
+    assert record["error"]["type"] == "usage"
+    assert "invalid choice: 'no-such-command'" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["gram", "--bogus"], "unrecognized arguments: --bogus"),
+    (["gram", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+])
+def test_rejected_arguments_leave_a_usage_record(tmp_path, capsys, argv, fragment):
+    out = tmp_path / "x"
+    assert main(argv + [f"--out={out}"]) == 2
+    record = read_error(capsys, out)
+    assert record["command"] == "gram"
+    assert record["error"]["type"] == "usage"
+    assert fragment in record["error"]["message"]
 
 
 # ------------------------------------------------------------------- fuzzing

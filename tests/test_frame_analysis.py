@@ -37,7 +37,7 @@ M_EPS_1D = 1.0 + 2.0 / (math.e - 1.0)  # row sum of exp(-|k|) on the unit chain
 
 def test_single_site_gram():
     w = window_from_triples(LatticeParams(2.0, 2.0, 4.0), [(0, 0, 0)])
-    z = gram(w, MP).entries
+    z = gram(w, MP)
     assert z.shape == (1, 1)
     assert z[0, 0] == pytest.approx(1.0, abs=1e-14)
 
@@ -45,7 +45,7 @@ def test_single_site_gram():
 def test_two_site_gram_eigenvalues():
     # neighbours at spacing 2: overlap modulus e^{-1}
     w = window_from_triples(LatticeParams(2.0, 2.0, 4.0), [(0, 0, 0), (0, 1, 0)])
-    z = gram(w, MP).entries
+    z = gram(w, MP)
     eigs = np.sort(np.linalg.eigvalsh(z))
     assert eigs[0] == pytest.approx(0.6321205588285577, abs=1e-12)
     assert eigs[1] == pytest.approx(1.3678794411714423, abs=1e-12)
@@ -55,7 +55,7 @@ def test_two_site_gram_eigenvalues():
 def test_frame_operator_shares_gram_spectrum():
     lp = LatticeParams(SQRT_PI, SQRT_PI, 8.0)
     w = build_window(lp)
-    z = gram(w, MP).entries
+    z = gram(w, MP)
     op = frame_operator(w, MP)
     gram_eigs = np.sort(np.linalg.eigvalsh(z))[::-1]
     op_eigs = np.sort(np.linalg.eigvalsh(op.matrix))[::-1]
@@ -204,7 +204,7 @@ def test_s_inverse_sandwich_recovers_gram():
     lp = LatticeParams(SQRT_PI, SQRT_PI, 18.0)
     w = build_window(lp)
     t = s_inverse_power_elements(w, MP, p=1).entries
-    z = gram(w, MP).entries
+    z = gram(w, MP)
     inner = lp.alpha_star * np.abs(w.gxy).sum(axis=1) <= 18.0 - 12.0
     resid = (t @ z - z)[np.ix_(inner, inner)]
     assert np.max(np.abs(resid)) < 1e-6
@@ -251,7 +251,7 @@ def test_overlap_rate_constant_at_least_one():
         w = build_window(LatticeParams(alpha, alpha, 6.0 * alpha * alpha))
         g = overlap_rate_constant(w, MP)
         lam = localization_rate(w.params, MP)
-        z = np.abs(gram(w, MP).entries)
+        z = np.abs(gram(w, MP))
         d = w.distance_matrix()
         assert g >= 1.0
         assert np.all(z <= g * np.exp(-lam * d) * (1 + 1e-12))

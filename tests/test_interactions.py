@@ -158,6 +158,15 @@ def test_c_phi_reported_member_reproduces_value():
         assert res.value == pytest.approx(val, rel=1e-12)
 
 
+def test_c_phi_probes_each_complete_ball_once():
+    # the radius-0 balls are the singletons, so none is probed twice
+    w = build_chain(LatticeParams(1.0, 1.0, 30.0), 6)
+    d = w.distance_matrix()
+    res = c_phi(density_density(w, f0=1.0, mu=1.0), 0.1, 0.3)
+    assert res.family_size == sum(np.unique(np.round(d[:, c], 9)).size for c in range(6))
+    assert res.member_kind == "singleton" and len(res.member_sites) == 1
+
+
 def test_c_phi_single_term_singleton_formula():
     # one two-site term: the singleton slice has a closed form
     w = build_chain(LatticeParams(1.0, 1.0, 30.0), 3)
