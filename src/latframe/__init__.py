@@ -59,7 +59,7 @@ from .interactions import (
     v_omega,
     w_kernel,
 )
-from .quadratic import hopping_coeffs, landau_coefficients, landau_operator
+from .quadratic import hopping_coeffs, landau_coefficients
 from .fock import (
     Evolution,
     FockError,
@@ -92,7 +92,7 @@ __all__ = [
     "Interaction", "InteractionError", "InteractionTerm", "MonomialDescriptor",
     "c_phi", "density_density", "ExponentialPotential", "exponential_potential", "k_sigma",
     "lr_velocity", "v_omega", "w_kernel",
-    "hopping_coeffs", "landau_coefficients", "landau_operator",
+    "hopping_coeffs", "landau_coefficients",
     "Evolution", "FockError", "LRReport", "ModeBasis", "anticommutator_norm",
     "build_interaction_hamiltonian", "build_quadratic_hamiltonian", "lr_check",
     "mode_basis", "mode_operators", "operator_norm", "quasifree_expectation",

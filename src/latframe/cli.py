@@ -501,14 +501,10 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
         tol = EXCEED_RTOL * max(1.0, float(np.max(r1.diffs))) + 1e-12
         if np.any(r2.diffs > r1.diffs + tol):
             monotone = False
-    # cells past t = 0 whose bound is below the trivial limit
-    # ||tau_t(a) - tau'_t(a)|| <= 2; at t = 0 the two dynamics coincide
-    informative = sum(int(np.count_nonzero(rep.bounds[rep.t_grid > 0] < 2.0))
-                      for _, rep in reports)
     checks = [
         Check("within_bound", within,
               {"max_ratio": max(rep.max_ratio for _, rep in reports),
-               "informative": informative}),
+               "informative": sum(rep.informative_cells for _, rep in reports)}),
         Check("monotone_in_window_gap", monotone,
               {"lengths": list(lengths)}),
     ]
@@ -532,6 +528,7 @@ _PLOT_SOURCES = (
 def _cmd_plotdata(ctx: RunContext) -> CommandResult:
     out_rows = []
     found = []
+    expected = {}  # source stem -> its data rows times its y columns
     for name, xcol, ycols, keycols in _PLOT_SOURCES:
         path = ctx.out / name
         if not path.exists():
@@ -545,13 +542,20 @@ def _cmd_plotdata(ctx: RunContext) -> CommandResult:
         except ValueError as exc:
             raise SerializeError(f"{name}: unexpected columns {header}") from exc
         stem = name[:-4]
+        expected[stem] = len(rows) * len(ycols)
         for row in rows:
             suffix = "".join(":" + row[k] for k in kis)
             for y, yi in zip(ycols, yis):
                 out_rows.append((stem, y + suffix, float(row[xi]), float(row[yi])))
     write_csv(ctx.out / "plot.csv", ["source", "series", "x", "y"], out_rows)
-    checks = [Check("plot_rows_emitted", True,
-                    {"n_rows": len(out_rows), "sources": found})]
+    # read the table back: every source row must be there once per y column
+    _, written = read_csv(ctx.out / "plot.csv")
+    counts = dict.fromkeys(expected, 0)
+    for row in written:
+        counts[row[0]] = counts.get(row[0], 0) + 1
+    checks = [Check("plot_rows_match_sources", counts == expected,
+                    {"n_rows": len(written), "sources": found, "rows": counts,
+                     "expected": expected})]
     return CommandResult(checks, ["plot.csv"], {"sources": found})
 
 

@@ -437,7 +437,11 @@ def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Norm differences between full- and restricted-support dynamics against
-    the boundary-sum envelope 2 g (e^{zeta v |t|} - 1) * boundary_sum."""
+    the boundary-sum envelope 2 g (e^{zeta v |t|} - 1) * boundary_sum.
+
+    informative_cells counts the times past t = 0 whose bound lies below the
+    trivial limit ||tau_t(a) - tau'_t(a)|| <= 2, as in LRReport; at t = 0 the
+    two dynamics coincide."""
 
     t_grid: np.ndarray
     site: int
@@ -446,6 +450,7 @@ class ConvergenceReport:
     boundary_sum: float
     passed: bool
     max_ratio: float
+    informative_cells: int
 
 
 def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: int,
@@ -500,9 +505,10 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
         passed = bool(np.all(diffs <= bounds * (1.0 + EXCEED_RTOL) + 1e-12))
-        reports.append(ConvergenceReport(t_grid=t_grid, site=site, diffs=diffs, bounds=bounds,
-                                         boundary_sum=boundary, passed=passed,
-                                         max_ratio=float(np.max(ratios)) if ratios.size else 0.0))
+        reports.append(ConvergenceReport(
+            t_grid=t_grid, site=site, diffs=diffs, bounds=bounds, boundary_sum=boundary,
+            passed=passed, max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
+            informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < 2.0))))
     return reports
 
 

@@ -5,10 +5,11 @@ Wexler-Raz duality S^-p chi_0 is a short sum of adjoint-lattice states whose
 coefficients solve one small, well-conditioned system (`dual_coefficients`);
 every element <chi_g, S^-p chi_g'> follows by translation covariance,
 `dual_residual` checks the dual without any inverse, and `schur_lower_bound`
-is a rigorous lower frame bound.  The finite-window Fock model keeps the
-window route: `frame_operator` pseudo-inverts S in the truncated angular
-basis of a window, and `frame_bounds_estimate` reports window Gram spectra
-as a finite-window proxy of the frame bounds.
+is a rigorous lower frame bound.  The finite-window Fock model, which lives
+on the lowest level, keeps the window route: `frame_operator` pseudo-inverts
+S in the truncated angular basis of a lowest-level window, and
+`frame_bounds_estimate` reports window Gram spectra as a finite-window proxy
+of the frame bounds.
 
 Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d)
 turns, via a geometric series for S^-p, into a certified element bound
@@ -75,8 +76,8 @@ class FrameAnalysisError(ValueError):
 
 @dataclass(frozen=True)
 class FrameOperatorTrunc:
-    """Angular coefficients rows[k] of window state k, S = matrix from the
-    level-0 rows, and the dual rows dual[k] = S^+ rows[k]."""
+    """Angular coefficients rows[k] of the lowest-level window state k,
+    S = matrix = sum_k rows[k] rows[k]^*, and the dual rows dual[k] = S^+ rows[k]."""
 
     trunc: int
     rows: np.ndarray
@@ -90,13 +91,14 @@ def gram(window: Window, mp: MagneticParams) -> np.ndarray:
 
 
 def frame_operator(window: Window, mp: MagneticParams) -> FrameOperatorTrunc:
-    """Frame operator of the window's level-0 states and the dual rows of all
-    window states, for the finite-window Fock model; eigenvalues of S below
+    """Frame operator of a lowest-level window's states and their dual rows,
+    for the finite-window Fock model; eigenvalues of S below
     PSEUDO_INVERSE_RTOL times the largest are dropped from S^+."""
+    if window.params.level_max != 0:
+        raise FrameAnalysisError(f"the window route serves the lowest level alone; "
+                                 f"got level_max = {window.params.level_max}")
     trunc, rows = window_coords(window, mp)
-    b = rows[window.levels == 0].T  # columns are coefficient vectors
-    if b.shape[1] == 0:
-        raise FrameAnalysisError("the window has no level-0 sites to build S from")
+    b = rows.T  # columns are coefficient vectors
     s0 = b @ b.conj().T
     vals, vecs = np.linalg.eigh(s0)
     vals = np.clip(vals, 0.0, None)

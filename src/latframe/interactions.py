@@ -32,7 +32,7 @@ import numpy as np
 
 from .frame_analysis import FrameAnalysisError, frame_operator
 from .lattice import Window
-from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise
+from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise, regime
 
 __all__ = [
     "InteractionError",
@@ -270,8 +270,6 @@ def v_omega(window: Window, mp: MagneticParams) -> VOmega:
     _FIT_HI_ELL] magnetic lengths; c2 is then inflated so the envelope
     dominates every sample from the origin out to _FIT_HI_ELL.
     """
-    if window.params.level_max != 0:
-        raise FrameAnalysisError("dual generator is defined on the lowest-level window")
     op = frame_operator(window, mp)
     center = window.center_index()
     v = op.dual[center]
@@ -288,7 +286,12 @@ def v_omega(window: Window, mp: MagneticParams) -> VOmega:
     slope, intercept = np.polyfit(radii, np.log(env), 1)
     sigma2 = float(-slope)
     if sigma2 <= 0:
-        raise FrameAnalysisError(f"fitted envelope rate {sigma2:.3e} is not positive")
+        lp = window.params
+        density = 2.0 * pi * ell**2 / (lp.alpha * lp.beta)
+        raise FrameAnalysisError(
+            f"the window dual generator is not localized on this {regime(lp, mp)} lattice "
+            f"(N = 2 pi ell^2 / (alpha beta) = {density:.4g}): fitted envelope rate "
+            f"{sigma2:.3e} is not positive")
     # inflate c2 so the bound holds at every sampled radius, including r ~ 0
     radii_all = np.linspace(0.0, _FIT_HI_ELL * ell, 2 * _FIT_RADII)
     env_all = np.abs(coords_pointwise(vc, radii_all[:, None, None] * ring)).max(axis=1)

@@ -146,6 +146,12 @@ class Window:
         return set(self.sites) <= set(other.sites)
 
 
+def _inside(params: LatticeParams, i: int, j: int) -> bool:
+    """Whether alpha_star * (|i*alpha| + |j*beta|) is within the window radius."""
+    l1 = abs(i) * params.alpha + abs(j) * params.beta
+    return params.alpha_star * l1 <= params.radius * (1 + 1e-12)
+
+
 def build_window(params: LatticeParams) -> Window:
     """Enumerate the window for the given parameters.
 
@@ -155,19 +161,12 @@ def build_window(params: LatticeParams) -> Window:
     a_star = params.alpha_star
     imax = int(np.floor(params.radius / (a_star * params.alpha)))
     jmax = int(np.floor(params.radius / (a_star * params.beta)))
-    sites: list[Site] = []
-    for r in range(params.level_max + 1):
-        for i in range(-imax, imax + 1):
-            for j in range(-jmax, jmax + 1):
-                l1 = abs(i) * params.alpha + abs(j) * params.beta
-                if a_star * l1 <= params.radius * (1 + 1e-12):
-                    sites.append(Site(r, i, j))
-    if not sites:
+    triples = [(r, i, j) for r in range(params.level_max + 1)
+               for i in range(-imax, imax + 1) for j in range(-jmax, jmax + 1)
+               if _inside(params, i, j)]
+    if not triples:
         raise LatticeError("window is empty; radius too small for the given spacings")
-    sites.sort(key=lambda s: (s.r, s.i, s.j))
-    levels = np.array([s.r for s in sites], dtype=np.int64)
-    gxy = np.array([s.gamma(params) for s in sites], dtype=np.float64)
-    return Window(params=params, sites=tuple(sites), levels=levels, gxy=gxy)
+    return window_from_triples(params, triples)
 
 
 def window_from_triples(params: LatticeParams, triples) -> Window:
@@ -179,13 +178,11 @@ def window_from_triples(params: LatticeParams, triples) -> Window:
     seen = sorted({(int(r), int(i), int(j)) for r, i, j in triples})
     if not seen:
         raise LatticeError("window needs at least one site")
-    a_star = params.alpha_star
     sites = []
     for r, i, j in seen:
         if r < 0 or r > params.level_max:
             raise LatticeError(f"site level {r} outside 0..{params.level_max}")
-        l1 = abs(i) * params.alpha + abs(j) * params.beta
-        if a_star * l1 > params.radius * (1 + 1e-12):
+        if not _inside(params, i, j):
             raise LatticeError(f"site ({r},{i},{j}) outside the window radius {params.radius}")
         sites.append(Site(r, i, j))
     levels = np.array([s.r for s in sites], dtype=np.int64)

@@ -1,11 +1,11 @@
 """Frame coefficients of one-particle Hamiltonians: hopping and constants.
 
-The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r, stored as
-level blocks h[r] in the truncated angular basis.  Their hopping matrix
-t(g', g) = <chi_g', S^-1 H S^-1 chi_g> generates the same free dynamics as
-H on the span of the frame, and vanishes exactly between levels.
-`hopping_coeffs` serves the finite-window Fock model: it sandwiches a
-general h[r] between the window dual rows of `frame_analysis.frame_operator`.
+The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r.  Their
+hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g> generates the same
+free dynamics as H on the span of the frame, and vanishes exactly between
+levels.  `hopping_coeffs` serves the finite-window Fock model, which lives
+on the lowest level: it sandwiches one block h, H_0 in the truncated angular
+basis, between the window dual rows of `frame_analysis.frame_operator`.
 For the level Hamiltonian q(r) Pi_r, q(r) = eps_b * (r + 1/2),
 `landau_coefficients` reads t_r = q(r) * <chi, S^-2 chi'> and the constants
 c_r = <chi, S^-1 chi> from one infinite-lattice adjoint dual of power 2.
@@ -26,45 +26,28 @@ from .lattice import Window
 from .magnetic import MagneticParams
 
 __all__ = [
-    "landau_operator",
     "hopping_coeffs",
     "landau_coefficients",
 ]
 
 
-def landau_operator(n_levels: int, trunc: int, eps_b: float) -> np.ndarray:
-    """Level blocks of the Landau Hamiltonian: eps_b * (r + 1/2) * I on level r."""
-    q = eps_b * (np.arange(n_levels) + 0.5)
-    return q[:, None, None] * np.eye(trunc + 1, dtype=np.complex128)
-
-
 def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndarray:
-    """Double-dressed hopping matrix t(g', g) = conj(D_g') h[r] D_g of the
+    """Double-dressed hopping matrix t(g', g) = conj(D_g') h D_g of the
     finite-window Fock model, with D the window dual rows.
 
-    h holds the level blocks of H, shape (levels, M+1, M+1) with M the
-    window's truncation; h[r] acts on level r.  Entries between sites of
-    different levels are exact zeros.
+    h is the lowest-level block of H, shape (M+1, M+1) with M the window's
+    truncation; the window must hold the lowest level alone.
     """
     h = np.asarray(h)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise FrameAnalysisError(f"level blocks must be (levels, M+1, M+1), got {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise FrameAnalysisError(f"the lowest-level block must be (M+1, M+1), got {h.shape}")
     op = frame_operator(window, mp)
-    levels = window.levels
-    if h.shape[1] - 1 != op.trunc:
+    if h.shape[0] - 1 != op.trunc:
         raise FrameAnalysisError(
-            f"operator truncation {h.shape[1] - 1} mismatches window truncation {op.trunc}; "
+            f"operator truncation {h.shape[0] - 1} mismatches window truncation {op.trunc}; "
             f"build the operator with the window's truncation"
         )
-    lmax = int(levels.max())
-    if h.shape[0] < lmax + 1:
-        raise FrameAnalysisError(f"operator covers {h.shape[0]} levels, window needs {lmax + 1}")
-    t = np.zeros((len(window), len(window)), dtype=np.complex128)
-    for r in range(lmax + 1):
-        sel = np.nonzero(levels == r)[0]
-        if sel.size:
-            t[np.ix_(sel, sel)] = op.dual[sel].conj() @ h[r] @ op.dual[sel].T
-    return t
+    return op.dual.conj() @ h @ op.dual.T
 
 
 def landau_coefficients(r: int, window: Window,

@@ -441,6 +441,31 @@ def test_plotdata_lifecycle(tmp_path):
     assert main(["plotdata", "--out", str(out)]) == 0
     _, rows2 = read_csv(out / "plot.csv")
     assert rows2 == rows
+    summary = json.loads((out / "summary.json").read_text())
+    [check] = summary["checks"]
+    assert check["name"] == "plot_rows_match_sources" and check["passed"]
+    assert check["values"]["rows"] == check["values"]["expected"] == {"bounds": 9}
+
+
+def test_plotdata_check_catches_a_dropped_row(tmp_path, monkeypatch):
+    cfg = tmp_path / "b.ini"
+    cfg.write_text("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    real = latframe.cli.write_csv
+
+    def drop_last_plot_row(path, header, rows):
+        if Path(path).name == "plot.csv":
+            rows = rows[:-1]
+        return real(path, header, rows)
+
+    monkeypatch.setattr(latframe.cli, "write_csv", drop_last_plot_row)
+    assert main(["plotdata", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["plot_rows_match_sources"]
+    assert failed[0]["values"]["rows"] == {"bounds": 8}
+    assert failed[0]["values"]["expected"] == {"bounds": 9}
 
 
 # --------------------------------------------------------------- error paths
@@ -726,6 +751,24 @@ def _package_env():
     src = os.path.dirname(os.path.dirname(latframe.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_every_command_without_config_leaves_a_record(tmp_path, capsys):
+    # the defaults are the sqrt(pi) lattice at radius 12: every command ends
+    # in exit 0, 1 or 2 with a summary.json; wkernel's window dual generator is
+    # not localized there and says so
+    for command in latframe.cli._COMMANDS:
+        out = tmp_path / command
+        code = main([command, "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert code in (0, 1, 2), command
+        assert summary["exit_code"] == code and summary["status"] in ("ok", "fail", "error")
+        if command == "wkernel":
+            assert code == 2
+            message = summary["error"]["message"]
+            assert "dual generator is not localized" in message
+            assert "overcomplete" in message and "N = 2 pi ell^2 / (alpha beta) = 2" in message
+    capsys.readouterr()
 
 
 def test_module_entrypoint(tmp_path):

@@ -78,16 +78,17 @@ def test_frame_operator_power_identities():
     # S dual_g = S S^+ chi_g = chi_g on the retained range, which holds every chi_g
     assert np.allclose(op.dual @ s.T, rows, atol=1e-9)
     assert np.allclose(s @ s_plus @ s, s, atol=1e-9)
-    # the dual rows resolve S^+ itself: D0^T conj(D0) = S^+ S S^+ = S^+
-    d0 = op.dual[w.levels == 0]
-    assert np.allclose(d0.T @ d0.conj(), s_plus, atol=1e-9)
+    # the dual rows resolve S^+ itself: D^T conj(D) = S^+ S S^+ = S^+
+    assert np.allclose(op.dual.T @ op.dual.conj(), s_plus, atol=1e-9)
 
 
 def test_frame_operator_needs_level0_sites():
-    # S is summed over the window's own level-0 states; without any there is no S
-    w = window_from_triples(LatticeParams(SQRT_PI, SQRT_PI, 6.0, level_max=1), [(1, 0, 0)])
-    with pytest.raises(FrameAnalysisError):
-        frame_operator(w, MP)
+    # the window route serves the lowest level alone: a window that may hold
+    # level 1 is rejected, with or without level-0 sites to build S from
+    lp = LatticeParams(SQRT_PI, SQRT_PI, 6.0, level_max=1)
+    for triples in ([(1, 0, 0)], [(0, 0, 0), (0, 1, 0)]):
+        with pytest.raises(FrameAnalysisError, match="lowest level"):
+            frame_operator(window_from_triples(lp, triples), MP)
 
 
 def test_frame_bounds_orthonormal_limit():

@@ -1,4 +1,5 @@
-"""Hopping and constant coefficients of level-diagonal quadratic operators."""
+"""Hopping coefficients of the lowest-level window model and the infinite-lattice
+coefficients of the level Hamiltonian."""
 
 import math
 
@@ -7,13 +8,8 @@ import pytest
 
 from latframe.lattice import LatticeParams, build_window
 from latframe.magnetic import MagneticParams, window_coords
-from latframe.quadratic import (
-    FrameAnalysisError,
-    hopping_coeffs,
-    landau_coefficients,
-    landau_operator,
-)
-from latframe.frame_analysis import PSEUDO_INVERSE_RTOL, dual_coefficients, frame_operator
+from latframe.quadratic import FrameAnalysisError, hopping_coeffs, landau_coefficients
+from latframe.frame_analysis import PSEUDO_INVERSE_RTOL, dual_coefficients
 
 MP = MagneticParams(ell_b=1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -27,17 +23,10 @@ def two_level_window(radius=4.0):
     return build_window(LatticeParams(SQRT_PI, SQRT_PI, radius, level_max=1))
 
 
-def test_landau_operator_blocks():
-    h = landau_operator(n_levels=2, trunc=5, eps_b=0.5)
-    assert h.shape == (2, 6, 6)
-    for r in range(2):
-        assert np.array_equal(h[r], 0.5 * (r + 0.5) * np.eye(6))
-
-
 def test_zero_operator_gives_zero_hopping():
     w = lll_window()
     trunc, _ = window_coords(w, MP)
-    t = hopping_coeffs(np.zeros((1, trunc + 1, trunc + 1), dtype=complex), w, MP)
+    t = hopping_coeffs(np.zeros((trunc + 1, trunc + 1), dtype=complex), w, MP)
     assert t.shape == (len(w.sites), len(w.sites))
     assert np.all(t == 0)
 
@@ -47,7 +36,7 @@ def test_projector_hopping_matches_inverse_square():
     # window frame operator S_W pseudo-inverted independently
     w = lll_window()
     trunc, rows = window_coords(w, MP)
-    t = hopping_coeffs(np.eye(trunc + 1)[None], w, MP)
+    t = hopping_coeffs(np.eye(trunc + 1), w, MP)
     s_plus = np.linalg.pinv(rows.T @ rows.conj(), rcond=PSEUDO_INVERSE_RTOL, hermitian=True)
     expected = rows.conj() @ s_plus @ s_plus @ rows.T
     # the elements grow by about 1e3 per power on this window
@@ -56,48 +45,46 @@ def test_projector_hopping_matches_inverse_square():
 
 
 def test_hopping_level_blocks_match_dual_sandwich(rng):
-    # a different Hermitian block on each level: within level r the matrix is
-    # conj(D) h[r] D^T on that level's sites, across levels it is exactly 0
+    # a generic Hermitian lowest-level block: t = conj(D) h D^T with the dual
+    # rows D = rows S_W^+ from an independent pseudo-inverse
+    w = lll_window(radius=4.0)
+    trunc, rows = window_coords(w, MP)
+    m = trunc + 1
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    h = a + a.conj().T
+    t = hopping_coeffs(h, w, MP)
+    s_plus = np.linalg.pinv(rows.T @ rows.conj(), rcond=PSEUDO_INVERSE_RTOL, hermitian=True)
+    dual = rows @ s_plus.T
+    expected = dual.conj() @ h @ dual.T
+    scale = float(np.max(np.abs(expected)))
+    assert scale > 0
+    assert np.max(np.abs(t - expected)) < 1e-12 * scale
+    assert np.max(np.abs(t - t.conj().T)) < 1e-12 * scale
+
+
+def test_hopping_coeffs_rejects_multi_level_windows():
+    # the window route serves the lowest level alone, even where a level-1
+    # block would make sense
     w = two_level_window()
     trunc, _ = window_coords(w, MP)
-    m = trunc + 1
-    a = rng.normal(size=(2, m, m)) + 1j * rng.normal(size=(2, m, m))
-    h = a + a.conj().transpose(0, 2, 1)
-    t = hopping_coeffs(h, w, MP)
-    dual = frame_operator(w, MP).dual
-    levels = w.levels
-    for r in (0, 1):
-        sel = np.nonzero(levels == r)[0]
-        expected = dual[sel].conj() @ h[r] @ dual[sel].T
-        scale = float(np.max(np.abs(expected)))
-        assert scale > 0
-        assert np.max(np.abs(t[np.ix_(sel, sel)] - expected)) < 1e-12 * scale
-    cross = t[levels[:, None] != levels[None, :]]
-    assert cross.size and np.all(cross == 0.0)  # exact, not merely small
+    with pytest.raises(FrameAnalysisError, match="level_max = 1"):
+        hopping_coeffs(np.eye(trunc + 1), w, MP)
 
 
 def test_hopping_trunc_mismatch_raises():
     w = lll_window()
-    h = landau_operator(n_levels=1, trunc=10, eps_b=1.0)
     with pytest.raises(FrameAnalysisError, match="truncation"):
-        hopping_coeffs(h, w, MP)
+        hopping_coeffs(np.eye(11), w, MP)
 
 
 def test_hopping_coeffs_rejects_bad_block_shapes():
-    w = two_level_window()
+    w = lll_window()
     trunc, _ = window_coords(w, MP)
     m = trunc + 1
-    with pytest.raises(FrameAnalysisError, match="level blocks"):
-        hopping_coeffs(np.zeros((2, 2, m, m), dtype=complex), w, MP)  # (L+1, L+1, M+1, M+1)
-    with pytest.raises(FrameAnalysisError, match="level blocks"):
-        hopping_coeffs(np.zeros((2, m, m + 1), dtype=complex), w, MP)
-
-
-def test_hopping_coeffs_rejects_too_few_levels():
-    w = two_level_window()
-    trunc, _ = window_coords(w, MP)
-    with pytest.raises(FrameAnalysisError, match="covers 1 levels, window needs 2"):
-        hopping_coeffs(landau_operator(n_levels=1, trunc=trunc, eps_b=1.0), w, MP)
+    with pytest.raises(FrameAnalysisError, match=r"block must be \(M\+1, M\+1\)"):
+        hopping_coeffs(np.zeros((1, m, m), dtype=complex), w, MP)  # a stack of level blocks
+    with pytest.raises(FrameAnalysisError, match=r"block must be \(M\+1, M\+1\)"):
+        hopping_coeffs(np.zeros((m, m + 1), dtype=complex), w, MP)
 
 
 def _overlaps(x, y):
@@ -125,16 +112,6 @@ def test_landau_coefficients_match_blockwise_route():
                              for ca, pa in duals])
         assert np.max(np.abs(t_r - 0.7 * (r + 0.5) * expected)) < 1e-12
         assert np.allclose(c_r, c_r[0]) and c_r[0] > 0  # <chi, S^-1 chi> is translation invariant
-
-
-def test_landau_cross_level_hopping_vanishes():
-    w = two_level_window()
-    trunc, _ = window_coords(w, MP)
-    h = landau_operator(n_levels=2, trunc=trunc, eps_b=1.0)
-    t = hopping_coeffs(h, w, MP)
-    levels = np.array([s.r for s in w.sites])
-    cross = t[levels[:, None] != levels[None, :]]
-    assert np.all(cross == 0.0)  # exact, not merely small
 
 
 def test_landau_q_factor_exact():
