@@ -385,11 +385,20 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     return CommandResult(checks, ["landau.csv", "landau_constants.csv"], params)
 
 
-def _chain_and_interaction(cfg: RunConfig, length: int):
+def _chain_and_interaction(cfg: RunConfig, length: int, section: str, key: str):
+    """The lowest-level chain of `length` sites that the config key [section]
+    key asks for."""
     lp = make_lattice_params(cfg)
     if lp.level_max != 0:
         raise FockError("dynamics commands run on lowest-level chains; set level_max = 0")
-    w = build_chain(lp, length)
+    try:
+        w = build_chain(lp, length)
+    except LatticeError:
+        # a chain's site farthest from the origin is (0, -(length // 2), 0)
+        need = lp.alpha_star * lp.alpha * (length // 2)
+        raise ConfigError(section, key,
+                          f"{key} asks for a chain of {length} sites, which needs window "
+                          f"radius {need:.6g} > [lattice] radius = {lp.radius:g}") from None
     # every site can carry a mode, so the window is checked against the Fock
     # engine's mode cap before any Gram factorization or dynamics
     if len(w) > MAX_MODES:
@@ -417,7 +426,7 @@ def _require_finite_envelope(envelope, t_max: float) -> None:
 def _cmd_lr(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     mp = make_magnetic_params(cfg)
-    w = _chain_and_interaction(cfg, cfg.chain_length)
+    w = _chain_and_interaction(cfg, cfg.chain_length, "lattice", "chain_length")
     rates, inter, cres, velocity = _interaction_speed(w, mp, cfg)
     if ctx.negative_control:
         velocity = velocity / 100.0
@@ -473,7 +482,7 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     lengths = cfg.chain_lengths
     if len(lengths) < 2:
         raise ConfigError("windows", "chain_lengths", "need at least two nested lengths")
-    w_big = _chain_and_interaction(cfg, lengths[-1])
+    w_big = _chain_and_interaction(cfg, lengths[-1], "windows", "chain_lengths")
     rates, inter, cres, velocity = _interaction_speed(w_big, mp, cfg)
     center = w_big.center_index()
     lp = make_lattice_params(cfg)

@@ -381,23 +381,39 @@ _TAIL_ELL = 20.0  # dressed-state margin of the synthesis grid, in magnetic leng
 _IMAGE_RATE = 30.0  # periodic images of W sit >= _IMAGE_RATE / sigma1 past H's support
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2-3-5-7-11-smooth integer >= n: pocketfft's fast sizes for
+    complex transforms."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _fft2_padded(a: np.ndarray, m: int) -> np.ndarray:
+    """2-D DFT of a zero-padded to (m, m), axis 0 first.  The axis order sets
+    the rounding of the last bits, and so the bytes of wkernel.csv;
+    np.fft.fft2 would take the last axis first."""
+    return np.fft.fft(np.fft.fft(a, n=m, axis=0), n=m, axis=1)
+
+
 def _synthesis_grid(dmid: float, ell: float, nodes: int) -> tuple[float, int]:
     """Step and side n of the uniform grid holding both pair densities, for
     pair centers dmid apart."""
-    from scipy.fft import next_fast_len
-
     step = ell * 10.0 / nodes
     half = 0.5 * dmid + _TAIL_ELL * ell
-    return step, next_fast_len(int(np.ceil(2.0 * half / step)))
+    return step, _next_fast_len(int(np.ceil(2.0 * half / step)))
 
 
 def kernel_fft_side(dmid: float, sigma1: float, ell: float, nodes: int) -> int:
     """Side m of the zero-padded FFT grid of the radial route for pair centers
     dmid apart: the synthesis grid plus _IMAGE_RATE / sigma1 of padding."""
-    from scipy.fft import next_fast_len
-
     step, n = _synthesis_grid(dmid, ell, nodes)
-    return next_fast_len(n + int(np.ceil(_IMAGE_RATE / (sigma1 * step))))
+    return _next_fast_len(n + int(np.ceil(_IMAGE_RATE / (sigma1 * step))))
 
 
 def smallest_kernel_sigma1(dmid: float, ell: float, nodes: int) -> float:
@@ -422,8 +438,6 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
     puts every periodic image at least _IMAGE_RATE / sigma1 beyond the
     support of H(u) = int dS Bx(S + u/2) By(S - u/2), where each image is
     below c1 e^-30.  The grid origin's phase cancels between k and -k."""
-    from scipy.fft import fft2
-
     ell = mp.ell_b
     cx = 0.5 * (gammas[2] + gammas[3])
     cy = 0.5 * (gammas[0] + gammas[1])
@@ -449,7 +463,7 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
     k2 = k1[:, None] ** 2 + k1[None, :] ** 2
     w_hat = 2.0 * np.pi * pot.sigma1 / (pot.sigma1**2 + k2) ** 1.5
     # By^(-k) is the conjugate of the transform of conj(By), which vdot conjugates
-    total = np.vdot(fft2(np.conj(by), s=(m, m)), w_hat * fft2(bx, s=(m, m)))
+    total = np.vdot(_fft2_padded(np.conj(by), m), w_hat * _fft2_padded(bx, m))
     # (2 pi)^-2 dk^2 step^4 = step^2 / m^2
     return pot.c1 * step**2 / m**2 * complex(total)
 

@@ -164,8 +164,6 @@ def build_window(params: LatticeParams) -> Window:
     triples = [(r, i, j) for r in range(params.level_max + 1)
                for i in range(-imax, imax + 1) for j in range(-jmax, jmax + 1)
                if _inside(params, i, j)]
-    if not triples:
-        raise LatticeError("window is empty; radius too small for the given spacings")
     return window_from_triples(params, triples)
 
 

@@ -768,6 +768,15 @@ def test_every_command_without_config_leaves_a_record(tmp_path, capsys):
             message = summary["error"]["message"]
             assert "dual generator is not localized" in message
             assert "overcomplete" in message and "N = 2 pi ell^2 / (alpha beta) = 2" in message
+        if command in ("lr", "converge"):
+            # the default 8-site chain reaches |i| = 4, 4 pi from the origin
+            key = {"lr": ("lattice", "chain_length"), "converge": ("windows", "chain_lengths")}
+            error = summary["error"]
+            assert code == 2 and error["type"] == "config"
+            assert (error["section"], error["key"]) == key[command]
+            assert error["message"] == (
+                f"{key[command][1]} asks for a chain of 8 sites, which needs window radius "
+                "12.5664 > [lattice] radius = 12")
     capsys.readouterr()
 
 
@@ -784,9 +793,9 @@ def test_module_entrypoint(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def _scipy_modules(tmp_path, argv):
+def _scipy_modules(tmp_path, *argvs):
     """scipy modules loaded in a fresh interpreter after `import latframe.cli`,
-    and after main(argv) has run in that interpreter."""
+    and after main(argv) has run for each argv in turn in that interpreter."""
     script = (
         "import json, sys\n"
         "def scipy_modules():\n"
@@ -794,8 +803,8 @@ def _scipy_modules(tmp_path, argv):
         "import latframe\n"
         "import latframe.cli\n"
         "after_import = scipy_modules()\n"
-        f"code = latframe.cli.main({argv!r})\n"
-        "print(json.dumps({'import': after_import, 'run': scipy_modules(), 'code': code}))\n")
+        f"codes = [latframe.cli.main(argv) for argv in {list(argvs)!r}]\n"
+        "print(json.dumps({'import': after_import, 'run': scipy_modules(), 'codes': codes}))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_package_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -805,7 +814,7 @@ def _scipy_modules(tmp_path, argv):
 def test_import_and_certificate_command_load_no_scipy(tmp_path):
     # decay on the default radius-12 sqrt(pi) lattice
     loaded = _scipy_modules(tmp_path, ["decay", "--out", str(tmp_path / "out")])
-    assert loaded["code"] == 0
+    assert loaded["codes"] == [0]
     assert loaded["import"] == []
     assert loaded["run"] == []
 
@@ -814,9 +823,37 @@ def test_lr_loads_scipy_sparse_when_it_runs(tmp_path):
     cfg = tmp_path / "lr.ini"
     cfg.write_text(LR_FAST)
     loaded = _scipy_modules(tmp_path, ["lr", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert loaded["code"] == 0
+    assert loaded["codes"] == [0]
     assert loaded["import"] == []
     assert "scipy.sparse" in loaded["run"]
+
+
+def test_every_command_but_the_fock_engine_loads_no_scipy(tmp_path):
+    # one interpreter runs each non-Fock command on a small config; wkernel runs
+    # the benchmark's 2.8 lattice at radius 12, and plotdata reads what the
+    # others wrote to the shared directory
+    configs = {
+        "gram": SMALL_GRAM, "bounds": SMALL_GRAM, "decay": SMALL_GRAM, "landau": SMALL_GRAM,
+        "cphi": CHAIN5,
+        "wkernel": "[lattice]\nalpha = 2.8\nbeta = 2.8\nradius = 12\n\n"
+                   "[kernel]\nsigma1 = 0.75\nnodes = 40\nn_quadruples = 1\n",
+    }
+    out = str(tmp_path / "out")
+    argvs = []
+    for command, text in configs.items():
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text(text)
+        argvs.append([command, "--config", str(cfg), "--out", out, "--seed", "12"])
+    argvs.append(["plotdata", "--out", out])
+    t0 = time.perf_counter()
+    loaded = _scipy_modules(tmp_path, *argvs)
+    elapsed = time.perf_counter() - t0
+    assert loaded["codes"] == [0] * len(argvs)
+    assert loaded["import"] == []
+    assert loaded["run"] == []
+    assert {r[0] for r in read_csv(tmp_path / "out" / "plot.csv")[1]} == {
+        "bounds", "decay_check", "landau", "wkernel"}
+    assert elapsed < 10.0
 
 
 def test_benchmark_tracer_binds_every_traced_name(tmp_path):

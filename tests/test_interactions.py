@@ -13,6 +13,7 @@ from latframe.interactions import (
     Interaction,
     InteractionError,
     InteractionTerm,
+    KERNEL_FFT_MAX,
     MonomialDescriptor,
     c_phi,
     density_density,
@@ -21,6 +22,7 @@ from latframe.interactions import (
     lr_velocity,
     v_omega,
     w_kernel,
+    _next_fast_len,
 )
 
 MP = MagneticParams(ell_b=1.0)
@@ -365,6 +367,14 @@ def test_w_kernel_radial_closed_form_oracle(sigma1):
     res = w_kernel(np.zeros((4, 2)), coherent, exponential_potential(c1, sigma1), MP, nodes=40)
     assert res.converged
     assert abs(res.value - ref) / ref < 1e-10
+
+
+def test_next_fast_len_matches_scipy():
+    # the FFT side rule of the radial route; scipy is the oracle only
+    from scipy.fft import next_fast_len
+
+    sides = range(1, 4 * KERNEL_FFT_MAX + 1)
+    assert [_next_fast_len(n) for n in sides] == [next_fast_len(n) for n in sides]
 
 
 def test_w_kernel_radial_vs_generic_route(riesz_window, dual_generator):
