@@ -10,23 +10,23 @@ and the Fock dimension is 2**rank(Z) rather than 2**n_sites.  Everything
 downstream (Hamiltonians, Heisenberg evolution, anticommutator norms,
 propagation and volume-convergence checks) runs in this mode space.
 
-The dynamics runs in number sectors: the Jordan-Wigner basis states grouped
-by N mod q, N being the particle number (q = rank + 1 when H commutes with N,
-q = 2 for fermion parity otherwise).  H is block-diagonal over the sectors, a_g
-maps sector r + 1 into r, and every eigendecomposition, Heisenberg step and
-norm runs on blocks of one sector: at most C(rank, rank // 2) states for
-number sectors, 2**(rank - 1) for parity sectors.
+The dynamics runs in number sectors: sector N holds the Jordan-Wigner basis
+states with N particles.  Every Hamiltonian built here commutes with the
+particle number, so it is held as its rank + 1 diagonal blocks, built
+straight from its normal-ordered mode form, and a_g as its blocks from sector
+N to N - 1.  Every eigendecomposition, Heisenberg step and norm runs on
+blocks of one sector, at most C(rank, rank // 2) states.  jw_lowering,
+monomial_operator and anticommutator_norm act on dense matrices of the whole
+2**rank space: they are the oracle of the sector engine.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 from .frame_analysis import EXCEED_RTOL
 from .interactions import Interaction
@@ -42,8 +42,6 @@ __all__ = [
     "monomial_operator",
     "build_interaction_hamiltonian",
     "build_quadratic_hamiltonian",
-    "number_sectors",
-    "SectorOperator",
     "Evolution",
     "operator_norm",
     "anticommutator_norm",
@@ -58,9 +56,9 @@ __all__ = [
 ]
 
 GRAM_FACTOR_RTOL = 1e-12
-# mode cap of the Fock engine and of the dynamics commands: `lr` on a 12-site
-# chain (largest sector 924 states) took 17.5 min for two time points on one
-# core and peaked at 0.7 GB
+# mode cap of the Fock engine and of the dynamics commands: the largest number
+# sector at 12 modes holds C(12, 6) = 924 states, and `lr` on a 12-site chain
+# needs minutes per time step for its 144 pairs x 2 flavours of block norms
 MAX_MODES = 12
 
 
@@ -102,250 +100,210 @@ def mode_basis(window: Window, mp: MagneticParams) -> ModeBasis:
     return ModeBasis(window=window, z=z, v=v, rank=rank)
 
 
-def jw_lowering(n_modes: int) -> list[sp.csr_matrix]:
-    """Jordan-Wigner lowering operators on (C^2)^{n_modes}, basis |0>, |1> per mode."""
-    import scipy.sparse as sp
-
-    lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    zphase = sp.csr_matrix(np.diag([1.0, -1.0]))
-    ident = sp.identity(2, format="csr")
+def jw_lowering(n_modes: int) -> list[np.ndarray]:
+    """Jordan-Wigner lowering operators on (C^2)^{n_modes} as dense matrices,
+    basis |0>, |1> per mode, mode 0 the leading tensor factor.  The whole-space
+    oracle of the sector engine: 2**n_modes rows each."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    zphase = np.diag([1.0, -1.0])
     ops = []
     for k in range(n_modes):
-        factors = [zphase] * k + [lower] + [ident] * (n_modes - k - 1)
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = sp.kron(acc, f, format="csr")
+        acc = np.ones((1, 1))
+        for f in [zphase] * k + [lower] + [np.eye(2)] * (n_modes - k - 1):
+            acc = np.kron(acc, f)
         ops.append(acc.astype(np.complex128))
     return ops
 
 
-def _combine(coefs: np.ndarray, cs: list[sp.csr_matrix], dim: int) -> sp.csr_matrix:
-    """sum_k coefs[k] cs[k] over the nonzero coefficients."""
-    import scipy.sparse as sp
-
-    acc = None
-    for coef, c in zip(coefs, cs):
-        if coef == 0:
-            continue
-        term = coef * c
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return sp.csr_matrix((dim, dim), dtype=np.complex128)
-    return acc.tocsr()
-
-
-def mode_operators(basis: ModeBasis) -> list[sp.csr_matrix]:
-    """Annihilators a_g = sum_k V[g, k] c_k for every window site."""
-    cs = jw_lowering(basis.rank)
-    return [_combine(basis.v[g], cs, basis.dim) for g in range(basis.n_sites)]
+def _sector_tables(rank: int):
+    """Number sectors in jw_lowering's basis: the states of each sector N
+    (basis indices with N set bits, ascending), each state's index within its
+    sector, the occupation occ[k, s] of mode k and the Jordan-Wigner sign
+    sign[k, s] = (-1)^(modes before k occupied in s) that c_k and c*_k pick up."""
+    states = np.arange(1 << rank)
+    bit = 1 << (rank - 1 - np.arange(rank))
+    occ = (states[None, :] & bit[:, None] != 0).astype(np.intp)
+    sign = 1 - 2 * ((np.cumsum(occ, axis=0) - occ) & 1)
+    count = occ.sum(axis=0)
+    by_count = [np.flatnonzero(count == n) for n in range(rank + 1)]
+    index = np.empty(1 << rank, dtype=np.intp)
+    for members in by_count:
+        index[members] = np.arange(len(members))
+    return by_count, index, occ, sign, bit
 
 
-def monomial_operator(factors, ops: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """Ordered product of a / a* factors, as (site, dagger) pairs left to right.
+def _lowering_blocks(rank: int, coefs: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """sum_k coefs[i, k] c_k for every row i, each as its rank blocks: block
+    N - 1 maps sector N into sector N - 1."""
+    by_count, index, occ, sign, bit = _sector_tables(rank)
+    tables = []
+    for n in range(1, rank + 1):
+        s = by_count[n]
+        held = np.nonzero(occ[:, s].T)[1].reshape(len(s), n)  # occupied modes per state
+        rows = index[s[:, None] - bit[held]]
+        tables.append((len(by_count[n - 1]), rows, np.arange(len(s))[:, None], held,
+                       sign[held, s[:, None]]))
+    out = []
+    for c in coefs:
+        blocks = []
+        for d, rows, cols, held, sg in tables:
+            b = np.zeros((d, len(cols)), dtype=np.complex128)
+            b[rows, cols] = c[held] * sg
+            blocks.append(b)
+        out.append(tuple(blocks))
+    return out
 
-    This is the per-term oracle of build_interaction_hamiltonian: one word at a
-    time, with no grouping or caching."""
-    import scipy.sparse as sp
 
-    dim = ops[0].shape[0]
-    acc = sp.identity(dim, format="csr", dtype=np.complex128)
+def _conserving_blocks(rank: int, one_body: np.ndarray,
+                       two_body: np.ndarray | None = None) -> list[np.ndarray]:
+    """Sector blocks of sum T[k, n] c*_k c_n + sum_{k<m, l<n} W[k, m, l, n]
+    c*_k c*_m c_n c_l for T = one_body and W = two_body.
+
+    Such a term sends a state s of sector N through an intermediate state t of
+    sector N - j (j = 1, 2) back into sector N: s = t plus the annihilated
+    modes, s' = t plus the created ones, both among the modes free in t, and
+    the amplitude is the product of the Jordan-Wigner signs of those modes at
+    t.  Every (t, created, annihilated) triple lands in the block through one
+    bincount."""
+    by_count, index, occ, sign, bit = _sector_tables(rank)
+    blocks = []
+    for n in range(rank + 1):
+        d = len(by_count[n])
+        flat, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
+        for j, coef in ((1, one_body), (2, two_body)):
+            if coef is None or n < j:
+                continue
+            t = by_count[n - j]
+            n_free = rank - n + j
+            free = np.nonzero(occ[:, t].T == 0)[1].reshape(len(t), n_free)
+            subsets = free[:, np.array(list(itertools.combinations(range(n_free), j)))]
+            target = index[t[:, None] + bit[subsets].sum(axis=2)]
+            amp = sign[subsets, t[:, None, None]].prod(axis=2)
+            at = tuple(subsets[:, :, None, i] for i in range(j)) + \
+                tuple(subsets[:, None, :, i] for i in range(j))
+            flat.append((target[:, :, None] * d + target[:, None, :]).ravel())
+            vals.append((coef[at] * (amp[:, :, None] * amp[:, None, :])).ravel())
+        # real and imaginary parts interleaved: one scatter fills the block
+        parts = np.concatenate(vals).astype(np.complex128).view(np.float64)
+        slots = (2 * np.concatenate(flat)[:, None] + np.array([0, 1])).ravel()
+        block = np.bincount(slots, weights=parts, minlength=2 * d * d)
+        blocks.append(block.view(np.complex128).reshape(d, d))
+    return blocks
+
+
+def mode_operators(basis: ModeBasis) -> list[tuple[np.ndarray, ...]]:
+    """Annihilators a_g = sum_k V[g, k] c_k for every window site, each as its
+    blocks from sector N to N - 1 (block N - 1)."""
+    return _lowering_blocks(basis.rank, basis.v)
+
+
+def monomial_operator(factors, ops: list[np.ndarray]) -> np.ndarray:
+    """Ordered product of a / a* factors, as (site, dagger) pairs left to right,
+    of whole-space matrices: the per-term oracle of build_interaction_hamiltonian."""
+    acc = np.eye(ops[0].shape[0], dtype=np.complex128)
     for site, dagger in factors:
-        a = ops[site]
-        acc = acc @ (a.conj().T.tocsr() if dagger else a)
-    return acc.tocsr()
+        acc = acc @ (ops[site].conj().T if dagger else ops[site])
+    return acc
 
 
 def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
-                                  ops: list[sp.csr_matrix] | None = None,
-                                  support_within: frozenset[int] | None = None) -> sp.csr_matrix:
-    """H = sum over terms of f * (M + M*), optionally keeping only terms whose
-    support lies inside the given site subset.
+                                  support_within: frozenset[int] | None = None) -> list[np.ndarray]:
+    """Sector blocks of H = sum over terms of f * (M + M*), optionally keeping
+    only terms whose support lies inside the given site subset.
 
-    A word of 2k factors is the product of its k adjacent pairs a#_i a#_j, and
-    the pair operators are formed once and cached.  The kept terms are grouped
-    by their leading pair L, so that sum_t f_t M_t = sum_L L @ R_L with
-    R_L = sum f_t * (product of the remaining pairs); the k = 1 terms form one
-    group of their own that needs no product.  Only one group's R_L and
-    product are alive at a time: one sparse product per group replaces 2k per
-    term and the sum over terms."""
-    import scipy.sparse as sp
-
-    if ops is None:
-        ops = mode_operators(basis)
-    adj = [a.conj().T.tocsr() for a in ops]
-    pair_cache: dict = {}
-
-    def pair(first, second):
-        op = pair_cache.get((first, second))
-        if op is None:
-            (i, di), (j, dj) = first, second
-            op = (adj[i] if di else ops[i]) @ (adj[j] if dj else ops[j])
-            pair_cache[first, second] = op
-        return op
-
-    def remaining_sum(terms, skip):
-        """R = sum f_t * (product of the pairs of word t past its first skip factors)."""
-        r = None
-        for term in terms:
-            rest = term.monomial.factors[skip:]
-            prod = pair(*rest[:2])
-            for j in range(2, len(rest), 2):
-                prod = prod @ pair(*rest[j:j + 2])
-            r = term.coupling * prod if r is None else r + term.coupling * prod
-        return r
-
-    groups: dict = {}
+    Every term must be a density-density word n_p n_q = a*_p a_p a*_q a_q;
+    any other word raises FockError.  Then H = sum_pq F_pq n_p n_q with F
+    symmetric, and n_p = sum A_p[k, l] c*_k c_l with A_p = conj(V_p) (x) V_p.
+    Normal ordering gives the one-body part T = sum F_pq A_p A_q and the
+    two-body coefficient of c*_k c*_m c_n c_l, sum F_pq A_p[k, l] A_q[m, n],
+    antisymmetrised over k <-> m and l <-> n."""
+    n = basis.n_sites
+    f = np.zeros((n, n))
     for term in interaction.terms:
-        if support_within is not None and not term.support <= support_within:
-            continue
-        lead = term.monomial.factors[:2] if term.k > 1 else None
-        groups.setdefault(lead, []).append(term)
-    m = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-    for lead, terms in groups.items():
-        if lead is None:
-            m = m + remaining_sum(terms, 0)
-        else:
-            m = m + pair(*lead) @ remaining_sum(terms, 2)
-    pair_cache.clear()
-    # csr + keeps a view into an nnz(A) + nnz(B) buffer when the sum fills
-    # exactly half of it, as M + M* does; the copy holds only H's own entries
-    h = (m + m.conj().T).copy()
-    del m
-    dev = float(abs(h - h.conj().T).max()) if h.nnz else 0.0
-    if dev > 1e-10 * max(1.0, float(abs(h).max()) if h.nnz else 1.0):
-        raise FockError(f"assembled Hamiltonian is not Hermitian: deviation {dev:.3e}")
-    return h
+        factors = term.monomial.factors
+        p, q = factors[0][0], factors[-2][0]
+        if factors != ((p, True), (p, False), (q, True), (q, False)):
+            raise FockError(f"word {factors} is not a density-density term n_p n_q")
+        if support_within is None or term.support <= support_within:
+            f[p, q] += term.coupling
+            f[q, p] += term.coupling
+    a = basis.v.conj()[:, :, None] * basis.v[:, None, :]
+    fa = np.tensordot(f, a, axes=(1, 0))  # sum_q F_pq A_q
+    one_body = np.einsum("pkl,pln->kn", a, fa)
+    x = np.tensordot(a, fa, axes=(0, 0)).transpose(0, 2, 1, 3)  # [k, m, l, n]
+    two_body = x - x.transpose(1, 0, 2, 3) - x.transpose(0, 1, 3, 2) + x.transpose(1, 0, 3, 2)
+    return _conserving_blocks(basis.rank, one_body, two_body)
 
 
-def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray) -> sp.csr_matrix:
-    """H = sum t[g', g] a*_g' a_g, with t Hermitian."""
-    import scipy.sparse as sp
-
+def build_quadratic_hamiltonian(basis: ModeBasis, hopping: np.ndarray) -> list[np.ndarray]:
+    """Sector blocks of H = sum t[g', g] a*_g' a_g, with t Hermitian: in the
+    modes, sum_kl T[k, l] c*_k c_l with T = V* t V."""
     n = basis.n_sites
     if hopping.shape != (n, n):
         raise FockError(f"hopping shape {hopping.shape} mismatches {n} sites")
     if np.max(np.abs(hopping - hopping.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(hopping)))):
         raise FockError("hopping matrix is not Hermitian")
-    # collapse through the mode map first: sum t a*a = sum_k c*_k (sum_l T[k, l] c_l)
-    # with T = V* t V, one sparse product per mode
-    tmode = basis.v.conj().T @ hopping @ basis.v
-    cs = jw_lowering(basis.rank)
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-    for k in range(basis.rank):
-        h = h + cs[k].conj().T @ _combine(tmode[k], cs, basis.dim)
-    return h.tocsr()
-
-
-def number_sectors(hamiltonians, rank: int) -> np.ndarray:
-    """Sector label N mod q of every Jordan-Wigner basis state, N being its
-    particle number (the popcount of its index).  q = rank + 1 when every
-    Hamiltonian commutes with N and q = 2 (fermion parity) when one only
-    conserves N mod 2; both are checked exactly on the nonzero patterns."""
-    index = np.arange(1 << rank)
-    count = np.zeros(len(index), dtype=np.intp)
-    for k in range(rank):
-        count += (index >> k) & 1
-    q = rank + 1
-    for h in hamiltonians:
-        rows, cols = h.nonzero()
-        step = count[rows] - count[cols]
-        if np.any(step % 2):
-            raise FockError("Hamiltonian does not conserve fermion parity")
-        if np.any(step):
-            q = 2
-    return count % q
-
-
-@dataclass(frozen=True)
-class SectorOperator:
-    """An operator that lowers the sector by one, as a_g does: block r maps
-    sector (r + 1) mod q into sector r and is held densely in the eigenbasis
-    of an Evolution."""
-
-    blocks: tuple[np.ndarray, ...]
+    return _conserving_blocks(basis.rank, basis.v.conj().T @ hopping @ basis.v)
 
 
 class Evolution:
     """Heisenberg evolution A -> e^{itH} A e^{-itH} from one eigendecomposition
-    per sector of H.  sectors labels every basis state 0..q-1 (one sector when
-    omitted); H must not couple different labels."""
+    per sector: h holds the diagonal blocks of H, sector by sector."""
 
-    def __init__(self, h: sp.spmatrix | np.ndarray, sectors: np.ndarray | None = None):
-        import scipy.sparse as sp
-
-        hs = sp.csr_matrix(h)
-        dev = float(abs(hs - hs.conj().T).max()) if hs.nnz else 0.0
-        if dev > 1e-9 * max(1.0, float(abs(hs).max()) if hs.nnz else 0.0):
+    def __init__(self, h: list[np.ndarray]):
+        h = [np.asarray(b) for b in h]
+        dev = max(float(np.max(np.abs(b - b.conj().T))) for b in h)
+        if dev > 1e-9 * max(1.0, max(float(np.max(np.abs(b))) for b in h)):
             raise FockError(f"Hamiltonian is not Hermitian: deviation {dev:.3e}")
-        labels = np.zeros(hs.shape[0], dtype=np.intp) if sectors is None else np.asarray(sectors)
-        rows, cols = hs.nonzero()
-        if np.any(labels[rows] != labels[cols]):
-            raise FockError("Hamiltonian couples different sectors")
-        self.dim = hs.shape[0]
-        self.sectors = [np.flatnonzero(labels == r) for r in range(int(labels.max()) + 1)]
         self.eigvals, self.eigvecs = [], []
-        for idx in self.sectors:
-            e, u = np.linalg.eigh(hs[idx][:, idx].toarray())
+        for b in h:
+            e, u = np.linalg.eigh(b)
             self.eigvals.append(e)
             self.eigvecs.append(u)
 
-    def eigenbasis(self, a: sp.spmatrix | np.ndarray) -> SectorOperator:
-        """The blocks U_r* a U_{r+1} of an operator that lowers the sector by one;
-        entries of a outside those blocks are an error."""
-        import scipy.sparse as sp
+    def eigenbasis(self, a: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """The blocks U_N* a U_(N+1) of an operator held as its blocks from
+        sector N + 1 to N, as mode_operators gives them."""
+        if len(a) != len(self.eigvecs) - 1:
+            raise FockError(f"operator has {len(a)} blocks for {len(self.eigvecs)} sectors")
+        return tuple(self.eigvecs[r].conj().T @ (b @ self.eigvecs[r + 1])
+                     for r, b in enumerate(a))
 
-        a = sp.csr_matrix(a)
-        q = len(self.sectors)
-        blocks, kept = [], 0
-        for r, idx in enumerate(self.sectors):
-            s = (r + 1) % q
-            part = a[idx][:, self.sectors[s]]
-            kept += part.count_nonzero()
-            blocks.append(self.eigvecs[r].conj().T @ (part @ self.eigvecs[s]))
-        if kept != a.count_nonzero():
-            raise FockError("operator does not lower the sector by one")
-        return SectorOperator(tuple(blocks))
+    def propagator(self, t: float) -> list[np.ndarray]:
+        """The sector blocks of e^{itH}."""
+        return [(v * np.exp(1j * t * e)) @ v.conj().T for e, v in zip(self.eigvals, self.eigvecs)]
 
-    def propagator(self, t: float) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for idx, e, v in zip(self.sectors, self.eigvals, self.eigvecs):
-            u[np.ix_(idx, idx)] = (v * np.exp(1j * t * e)) @ v.conj().T
-        return u
-
-    def heisenberg(self, a: SectorOperator, t: float) -> SectorOperator:
-        """tau_t(a) for a SectorOperator of this evolution, phased block by
-        block, e^{itE_r} A_r e^{-itE_{r+1}}; it stays in the eigenbasis."""
-        q = len(self.sectors)
+    def heisenberg(self, a: tuple[np.ndarray, ...], t: float) -> tuple[np.ndarray, ...]:
+        """tau_t(a) for an operator in this evolution's eigenbasis, phased block
+        by block, e^{itE_N} A_N e^{-itE_(N+1)}; it stays in the eigenbasis."""
         phases = [np.exp(1j * t * e) for e in self.eigvals]
-        return SectorOperator(tuple(
-            phases[r][:, None] * b * phases[(r + 1) % q].conj()[None, :]
-            for r, b in enumerate(a.blocks)))
+        return tuple(phases[r][:, None] * b * phases[r + 1].conj()[None, :]
+                     for r, b in enumerate(a))
 
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of a dense matrix.  Sector blocks have at most
-    2**(MAX_MODES - 1) = 2048 rows (a parity sector at the mode cap)."""
+    C(MAX_MODES, MAX_MODES // 2) = 924 rows (the middle sector at the mode cap)."""
     a = np.asarray(a)
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def anticommutator_norm(p: np.ndarray, q: np.ndarray) -> float:
-    import scipy.sparse as sp
-
-    pd = p.toarray() if sp.issparse(p) else np.asarray(p)
-    qd = q.toarray() if sp.issparse(q) else np.asarray(q)
-    return operator_norm(pd @ qd + qd @ pd)
+    """||{p, q}|| of two dense matrices: the whole-space oracle of lr_check."""
+    return operator_norm(p @ q + q @ p)
 
 
-def _anticommutator_norms(x: SectorOperator, y: SectorOperator) -> tuple[float, float]:
-    """||{x, y}|| and ||{x, y*}||.  {x, y} maps sector r + 2 into r and {x, y*}
-    keeps every sector, so each norm is the largest of its block norms."""
-    xb, yb = x.blocks, y.blocks
-    q = len(xb)
-    plain = max(operator_norm(xb[r] @ yb[(r + 1) % q] + yb[r] @ xb[(r + 1) % q])
-                for r in range(q))
-    mixed = max(operator_norm(xb[r] @ yb[r].conj().T + yb[r - 1].conj().T @ xb[r - 1])
-                for r in range(q))
+def _anticommutator_norms(x, y) -> tuple[float, float]:
+    """||{x, y}|| and ||{x, y*}|| of two operators held as their blocks from
+    sector N + 1 to N.  {x, y} maps sector N + 2 into N and {x, y*} keeps every
+    sector (x y* alone on sector 0, y* x alone on the full sector), so each norm
+    is the largest of its block norms."""
+    top = len(x)
+    plain = max((operator_norm(x[r] @ y[r + 1] + y[r] @ x[r + 1]) for r in range(top - 1)),
+                default=0.0)
+    mixed = max(operator_norm(x[0] @ y[0].conj().T), operator_norm(y[-1].conj().T @ x[-1]),
+                *(operator_norm(x[r] @ y[r].conj().T + y[r - 1].conj().T @ x[r - 1])
+                  for r in range(1, top)))
     return plain, mixed
 
 
@@ -390,24 +348,28 @@ class LRReport:
     flavor_labels: tuple[str, ...] = ("a,a", "a,a*", "a*,a", "a*,a*")
 
 
-def lr_check(basis: ModeBasis, h: sp.spmatrix | np.ndarray, t_grid,
+def lr_check(basis: ModeBasis, h: list[np.ndarray], t_grid,
              zeta: float, velocity: float, g: float) -> LRReport:
     """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for every
     ordered site pair and compare with g * exp(-zeta(d(g, g') - v|t|)); a cell
     exceeds when F is above the bound by more than EXCEED_RTOL relative.
 
-    The work runs in the number sectors of H in its eigenbasis; the flavors
-    come in adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||,
-    so two norms per pair and time fill the four columns of f_table."""
+    h holds H's sector blocks, and the work runs sector by sector in H's
+    eigenbasis; the flavors come in adjoint pairs, ||{x*, y*}|| = ||{x, y}||
+    and ||{x*, y}|| = ||{x, y*}||, so two norms per pair and time fill the
+    four columns of f_table."""
     if zeta <= 0 or g <= 0:
         raise FockError("zeta and g must be positive")
-    if h.shape != (basis.dim, basis.dim):
-        raise FockError(f"Hamiltonian shape {h.shape} mismatches Fock dimension {basis.dim}")
+    shapes = [np.shape(b) for b in h]
+    if shapes != [(math.comb(basis.rank, k),) * 2 for k in range(basis.rank + 1)]:
+        raise FockError(f"Hamiltonian blocks {shapes} mismatch the sectors of {basis.rank} modes")
     t_grid = np.asarray(t_grid, dtype=float)
     n = basis.n_sites
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    evol = Evolution(h, number_sectors([h], basis.rank))
-    static = [evol.eigenbasis(a) for a in mode_operators(basis)]
+    evol = Evolution(h)
+    ops = mode_operators(basis)
+    # each site leaves the site basis in turn, so only one site is held twice
+    static = [evol.eigenbasis(ops.pop(0)) for _ in range(n)]
     f_table = np.zeros((len(t_grid), n * n, 4))
     for it, t in enumerate(t_grid):
         for i in range(n):
@@ -476,28 +438,24 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
 
     The full Hamiltonian is diagonalised once.  Each difference is taken block
     by block in the full eigenbasis, where the restricted evolution enters
-    through the overlaps W_r = U_r* V_r of the two eigenbases."""
+    through the overlaps W_N = U_N* V_N of the two eigenbases."""
     t_grid = np.asarray(t_grid, dtype=float)
-    ops = mode_operators(basis)
-    h_full = build_interaction_hamiltonian(basis, interaction, ops=ops)
-    h_inner = [build_interaction_hamiltonian(basis, interaction, ops=ops, support_within=inner)
-               for inner in inner_windows]
-    sectors = number_sectors([h_full, *h_inner], basis.rank)
-    ev_full = Evolution(h_full, sectors)
-    a_full = ev_full.eigenbasis(ops[site])
-    q = len(ev_full.sectors)
+    ev_full = Evolution(build_interaction_hamiltonian(basis, interaction))
+    [a] = _lowering_blocks(basis.rank, basis.v[site:site + 1])
+    a_full = ev_full.eigenbasis(a)
     reports = []
-    for inner, h_small in zip(inner_windows, h_inner):
-        ev_small = Evolution(h_small, sectors)
-        a_small = ev_small.eigenbasis(ops[site])
+    for inner in inner_windows:
+        ev_small = Evolution(build_interaction_hamiltonian(basis, interaction,
+                                                           support_within=inner))
+        a_small = ev_small.eigenbasis(a)
         overlap = [u.conj().T @ v for u, v in zip(ev_full.eigvecs, ev_small.eigvecs)]
         diffs = np.zeros(len(t_grid))
         for it, t in enumerate(t_grid):
-            xf = ev_full.heisenberg(a_full, float(t)).blocks
-            xs = ev_small.heisenberg(a_small, float(t)).blocks
+            xf = ev_full.heisenberg(a_full, float(t))
+            xs = ev_small.heisenberg(a_small, float(t))
             diffs[it] = max(
-                operator_norm(xf[r] - overlap[r] @ xs[r] @ overlap[(r + 1) % q].conj().T)
-                for r in range(q))
+                operator_norm(xf[r] - overlap[r] @ xs[r] @ overlap[r + 1].conj().T)
+                for r in range(len(xf)))
         boundary = boundary_sum(interaction, inner, site, zeta)
         # an overflowing envelope holds trivially; callers that write the bounds
         # out reject such a t_max before the run

@@ -183,6 +183,15 @@ def chi_coords(gamma: tuple[float, float], ell_b: float, trunc: int, level: int 
     return LaguerreCoords(level=level, coeffs=coeffs, ell_b=ell_b)
 
 
+def _genlaguerre(n: int, alpha: int, u: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_n^alpha(u) by the three-term recurrence
+    (k + 1) L_(k+1) = (2k + 1 + alpha - u) L_k - (k + alpha) L_(k-1)."""
+    prev, cur = np.zeros_like(u), np.ones_like(u)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - u) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
 def laguerre_psi(n1: int, n2: int, x: np.ndarray, ell_b: float) -> np.ndarray:
     """Pointwise values of the basis state psi_(n1, n2) at planar points x.
 
@@ -193,14 +202,12 @@ def laguerre_psi(n1: int, n2: int, x: np.ndarray, ell_b: float) -> np.ndarray:
     """
     if n1 < 0 or n2 < 0:
         raise ValueError(f"indices must be non-negative, got ({n1}, {n2})")
-    from scipy.special import eval_genlaguerre
-
     x = np.asarray(x, dtype=np.float64)
     z = (x[..., 0] + 1j * x[..., 1]) / (ell_b * np.sqrt(2.0))
     u = np.abs(z) ** 2
     lo, hi = min(n1, n2), max(n1, n2)
     delta = hi - lo
-    lag = eval_genlaguerre(lo, delta, u)
+    lag = _genlaguerre(lo, delta, u)
     # prefactor sqrt(lo!/hi!) combined with |z|^delta and the Gaussian in log space
     logmag = np.where(u > 0, -u / 2.0 + delta * np.log(np.where(u > 0, np.abs(z), 1.0)), -u / 2.0)
     logmag = logmag + 0.5 * (lgamma(lo + 1) - lgamma(hi + 1))

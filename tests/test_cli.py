@@ -819,24 +819,19 @@ def test_import_and_certificate_command_load_no_scipy(tmp_path):
     assert loaded["run"] == []
 
 
-def test_lr_loads_scipy_sparse_when_it_runs(tmp_path):
-    cfg = tmp_path / "lr.ini"
-    cfg.write_text(LR_FAST)
-    loaded = _scipy_modules(tmp_path, ["lr", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert loaded["codes"] == [0]
-    assert loaded["import"] == []
-    assert "scipy.sparse" in loaded["run"]
-
-
-def test_every_command_but_the_fock_engine_loads_no_scipy(tmp_path):
-    # one interpreter runs each non-Fock command on a small config; wkernel runs
-    # the benchmark's 2.8 lattice at radius 12, and plotdata reads what the
-    # others wrote to the shared directory
+def test_every_command_loads_no_scipy(tmp_path):
+    # one interpreter runs every command on a small config; wkernel runs the
+    # benchmark's 2.8 lattice at radius 12, lr and converge run the Fock engine
+    # on chains of up to 6 sites, and plotdata reads what the others wrote to
+    # the shared directory
     configs = {
         "gram": SMALL_GRAM, "bounds": SMALL_GRAM, "decay": SMALL_GRAM, "landau": SMALL_GRAM,
         "cphi": CHAIN5,
         "wkernel": "[lattice]\nalpha = 2.8\nbeta = 2.8\nradius = 12\n\n"
                    "[kernel]\nsigma1 = 0.75\nnodes = 40\nn_quadruples = 1\n",
+        "lr": LR_FAST,
+        "converge": "[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n\n"
+                    "[windows]\nchain_lengths = 4 6\n\n[dynamics]\nt_max = 0.2\nn_t = 3\n",
     }
     out = str(tmp_path / "out")
     argvs = []
@@ -852,7 +847,7 @@ def test_every_command_but_the_fock_engine_loads_no_scipy(tmp_path):
     assert loaded["import"] == []
     assert loaded["run"] == []
     assert {r[0] for r in read_csv(tmp_path / "out" / "plot.csv")[1]} == {
-        "bounds", "decay_check", "landau", "wkernel"}
+        "bounds", "decay_check", "landau", "wkernel", "lr", "converge"}
     assert elapsed < 10.0
 
 

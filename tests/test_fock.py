@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import expm, svdvals
 
 from latframe.lattice import LatticeParams, build_chain, window_from_triples
@@ -29,7 +28,6 @@ from latframe.fock import (
     mode_basis,
     mode_operators,
     monomial_operator,
-    number_sectors,
     operator_norm,
     quasifree_expectation,
     volume_convergence,
@@ -41,6 +39,39 @@ MP = MagneticParams(ell_b=1.0)
 def far_params(radius=900.0):
     # spacing 20 makes cross overlaps e^{-100}: modes are site-aligned
     return LatticeParams(20.0, 20.0, radius)
+
+
+def _sector_states(rank):
+    """Basis indices of each number sector, ascending: the popcount of the index."""
+    count = np.array([bin(s).count("1") for s in range(1 << rank)])
+    return [np.flatnonzero(count == n) for n in range(rank + 1)]
+
+
+def _embed(blocks, rank, lowering=False):
+    """The whole-space matrix of sector blocks: diagonal blocks, or blocks from
+    sector N + 1 to N when lowering."""
+    states = _sector_states(rank)
+    out = np.zeros((1 << rank, 1 << rank), dtype=np.complex128)
+    for n, b in enumerate(blocks):
+        out[np.ix_(states[n], states[n + 1 if lowering else n])] = b
+    return out
+
+
+def _whole_space_ops(basis):
+    """a_g = sum_k V[g, k] c_k on the whole space, from jw_lowering."""
+    cs = jw_lowering(basis.rank)
+    return [sum(basis.v[g, k] * cs[k] for k in range(basis.rank)) for g in range(basis.n_sites)]
+
+
+def _whole_space_h(basis, inter, support_within=None):
+    """sum f (M + M*) over the kept terms, one monomial_operator per term."""
+    ops = _whole_space_ops(basis)
+    h = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for term in inter.terms:
+        if support_within is None or term.support <= support_within:
+            m = monomial_operator(term.monomial.factors, ops)
+            h += term.coupling * (m + m.conj().T)
+    return h
 
 
 # -------------------------------------------------------------------- basis
@@ -75,11 +106,11 @@ def test_jw_lowering_matches_kron_oracle():
     ]
     got = jw_lowering(3)
     for a, b in zip(got, expect):
-        assert np.array_equal(a.toarray(), b)
+        assert np.array_equal(a, b)
 
 
 def test_jw_lowering_car():
-    cs = [c.toarray() for c in jw_lowering(4)]
+    cs = jw_lowering(4)
     eye = np.eye(16)
     for i in range(4):
         for j in range(4):
@@ -96,7 +127,7 @@ def test_mode_operators_reproduce_overlaps():
     basis = mode_basis(w, MP)
     z = basis.z
     assert abs(z[0, 1].imag) > 0.01  # the phase is actually exercised
-    ops = [a.toarray() for a in mode_operators(basis)]
+    ops = [_embed(a, basis.rank, lowering=True) for a in mode_operators(basis)]
     eye = np.eye(basis.dim)
     for p in range(2):
         for q in range(2):
@@ -109,12 +140,12 @@ def test_mode_operators_reproduce_overlaps():
 def test_monomial_operator_composition():
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 2)
     basis = mode_basis(w, MP)
-    ops = mode_operators(basis)
-    num = monomial_operator(((0, True), (0, False)), ops).toarray()
-    a0 = ops[0].toarray()
+    ops = _whole_space_ops(basis)
+    num = monomial_operator(((0, True), (0, False)), ops)
+    a0 = ops[0]
     assert np.allclose(num, a0.conj().T @ a0)
     # reversed order obeys the anticommutation rule a a* = Z00 - a* a
-    rev = monomial_operator(((0, False), (0, True)), ops).toarray()
+    rev = monomial_operator(((0, False), (0, True)), ops)
     z00 = basis.z[0, 0]
     assert np.max(np.abs(rev - (z00 * np.eye(basis.dim) - num))) < 1e-12
 
@@ -124,7 +155,7 @@ def test_monomial_operator_composition():
 def test_interaction_hamiltonian_pair_eigenstates():
     w = build_chain(far_params(), 2)
     basis = mode_basis(w, MP)
-    ops = mode_operators(basis)
+    ops = _whole_space_ops(basis)
     c = 0.35
     term = InteractionTerm(
         support=frozenset({0, 1}),
@@ -132,11 +163,12 @@ def test_interaction_hamiltonian_pair_eigenstates():
         coupling=c,
         monomial=MonomialDescriptor(factors=((0, True), (0, False), (1, True), (1, False))),
     )
-    h = build_interaction_hamiltonian(basis, Interaction(window=w, terms=(term,)), ops=ops).toarray()
+    h = _embed(build_interaction_hamiltonian(basis, Interaction(window=w, terms=(term,))),
+               basis.rank)
     vac = np.zeros(basis.dim)
     vac[0] = 1.0
-    one = ops[1].conj().T.toarray() @ vac
-    both = ops[0].conj().T.toarray() @ one
+    one = ops[1].conj().T @ vac
+    both = ops[0].conj().T @ one
     assert np.max(np.abs(h @ vac)) < 1e-12
     assert np.max(np.abs(h @ one)) < 1e-12
     # doubly occupied state picks up coupling * (M + M*) = 2c
@@ -147,8 +179,8 @@ def test_quadratic_hamiltonian_subset_sums():
     w = build_chain(far_params(), 3)
     basis = mode_basis(w, MP)
     t = np.diag([1.0, 2.5, 4.25])
-    h = build_quadratic_hamiltonian(basis, t).toarray()
-    eigs = np.sort(np.linalg.eigvalsh(h))
+    h = build_quadratic_hamiltonian(basis, t)
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in h]))
     sums = sorted(
         sum(combo)
         for size in range(4)
@@ -171,19 +203,19 @@ def test_quadratic_hamiltonian_validation():
 def test_evolution_group_law(rng):
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = m + m.conj().T
-    ev = Evolution(h)
-    assert np.allclose(ev.propagator(0.0), np.eye(6), atol=1e-14)
-    u1, u2, u12 = ev.propagator(0.3), ev.propagator(0.45), ev.propagator(0.75)
+    ev = Evolution([h])
+    assert np.allclose(ev.propagator(0.0)[0], np.eye(6), atol=1e-14)
+    [u1], [u2], [u12] = ev.propagator(0.3), ev.propagator(0.45), ev.propagator(0.75)
     assert np.max(np.abs(u12 - u1 @ u2)) < 1e-10
     assert np.max(np.abs(u1 @ u1.conj().T - np.eye(6))) < 1e-12
     # generator is a fixed point of its own flow
-    u = ev.propagator(0.7)
+    [u] = ev.propagator(0.7)
     assert np.max(np.abs(u @ h @ u.conj().T - h)) < 1e-10
 
 
 def test_evolution_rejects_non_hermitian():
     with pytest.raises(FockError):
-        Evolution(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        Evolution([np.eye(1), np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
 def test_operator_norms(rng):
@@ -201,7 +233,7 @@ def test_operator_norms(rng):
 def test_lr_check_static_dynamics():
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 4)
     basis = mode_basis(w, MP)
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    h = [np.zeros((math.comb(4, n), math.comb(4, n))) for n in range(5)]
     t_grid = np.linspace(0.0, 1.0, 3)
     rep = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
     assert rep.passed
@@ -219,11 +251,13 @@ def test_lr_check_static_dynamics():
 def test_lr_check_validation():
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 2)
     basis = mode_basis(w, MP)
-    h = np.zeros((basis.dim, basis.dim))
+    h = [np.zeros((1, 1)), np.zeros((2, 2)), np.zeros((1, 1))]
     with pytest.raises(FockError):
         lr_check(basis, h, [0.0], zeta=0.0, velocity=1.0, g=1.0)
     with pytest.raises(FockError):
         lr_check(basis, h, [0.0], zeta=0.1, velocity=1.0, g=0.0)
+    with pytest.raises(FockError, match="sectors"):
+        lr_check(basis, np.zeros((4, 4)), [0.0], zeta=0.1, velocity=1.0, g=1.0)
 
 
 # ------------------------------------------------------------- volume limits
@@ -289,21 +323,14 @@ def six_modes(request):
     return w, basis, density_density(w, f0=1.0, mu=1.0)
 
 
-def _with_pairing(inter, coupling=0.4):
-    """Add c (a_0 a_1 + a*_1 a*_0): even, but it changes the particle number by 2."""
-    pair = InteractionTerm(support=frozenset({0, 1}), k=1, coupling=coupling,
-                           monomial=MonomialDescriptor(factors=((0, False), (1, False))))
-    return Interaction(window=inter.window, terms=inter.terms + (pair,))
-
-
 def _dense_evolved(h, a, t):
-    u = expm(1j * t * h.toarray())
-    return u @ a.toarray() @ u.conj().T
+    u = expm(1j * t * h)
+    return u @ a @ u.conj().T
 
 
 def _dense_f_table(basis, h, t_grid):
-    """All four flavors of ||{tau_t(a#_i), a#_j}|| on full matrices, e^{itH} by expm."""
-    ops = mode_operators(basis)
+    """All four flavors of ||{tau_t(a#_i), a#_j}|| on whole-space matrices, e^{itH} by expm."""
+    ops = _whole_space_ops(basis)
     n = basis.n_sites
     out = np.zeros((len(t_grid), n * n, 4))
     for it, t in enumerate(t_grid):
@@ -312,70 +339,53 @@ def _dense_f_table(basis, h, t_grid):
             for j in range(n):
                 for ifl, (dag_mov, dag_stat) in enumerate(_FLAVORS):
                     x = moved[i].conj().T if dag_mov else moved[i]
-                    y = ops[j].toarray()
-                    y = y.conj().T if dag_stat else y
+                    y = ops[j].conj().T if dag_stat else ops[j]
                     out[it, i * n + j, ifl] = anticommutator_norm(x, y)
     return out
 
 
-@pytest.mark.parametrize("pairing", [False, True], ids=["number", "parity"])
-def test_lr_check_sectors_match_dense_oracle(six_modes, pairing):
+def test_lr_check_sectors_match_dense_oracle(six_modes):
     w, basis, inter = six_modes
-    if pairing:
-        inter = _with_pairing(inter)
     h = build_interaction_hamiltonian(basis, inter)
-    q = int(number_sectors([h], basis.rank).max()) + 1
-    assert q == (2 if pairing else basis.rank + 1)
     t_grid = np.array([0.0, 0.35, 1.1])
     rep = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
-    oracle = _dense_f_table(basis, h, t_grid)
+    oracle = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid)
     assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
     # the dynamics genuinely moves the fronts
     assert np.max(np.abs(rep.f_table[-1] - rep.f_table[0])) > 1e-2
 
 
-@pytest.mark.parametrize("pairing", [False, True], ids=["number", "parity"])
-def test_volume_convergence_sectors_match_dense_oracle(six_modes, pairing):
+def test_volume_convergence_sectors_match_dense_oracle(six_modes):
     w, basis, inter = six_modes
-    if pairing:
-        inter = _with_pairing(inter)
     site = w.center_index()
     inners = [frozenset({0, 1, 2, 3}), frozenset({2, 3})]
     t_grid = np.array([0.0, 0.3, 0.9])
     reports = volume_convergence(basis, inter, inners, site, t_grid,
                                  zeta=0.125, velocity=1.0, g=1.0)
-    a = mode_operators(basis)[site]
-    h_full = build_interaction_hamiltonian(basis, inter)
+    a = _whole_space_ops(basis)[site]
+    h_full = _whole_space_h(basis, inter)
     for inner, rep in zip(inners, reports):
-        h_small = build_interaction_hamiltonian(basis, inter, support_within=inner)
+        h_small = _whole_space_h(basis, inter, support_within=inner)
         oracle = [operator_norm(_dense_evolved(h_full, a, t) - _dense_evolved(h_small, a, t))
                   for t in t_grid]
         assert np.max(np.abs(rep.diffs - oracle)) < 1e-12
         assert rep.diffs[-1] > 1e-3
 
 
-# ------------------------------------------- grouped assembly vs per-term oracles
+# ------------------------------------------- sector assembly vs per-term oracles
 
-def _with_words(inter):
-    """Add words whose leading pairs differ from the density pairs n_p: one
-    leading with an annihilator before a creator, and two k = 3 words, the
-    first sharing its leading pair n_0 with the density terms."""
-    words = (
-        (0.3, ((1, False), (2, True), (3, True), (0, False))),
-        (0.7, ((0, True), (0, False), (2, True), (1, False), (3, True), (3, False))),
-        (0.5, ((2, True), (0, False), (3, True), (3, False), (1, True), (2, False))),
-    )
+def _with_onsite(inter, coupling=0.6):
+    """Add n_p n_p words: density words whose two sites coincide."""
     extra = tuple(
-        InteractionTerm(support=frozenset(s for s, _ in word), k=len(word) // 2,
-                        coupling=c, monomial=MonomialDescriptor(factors=word))
-        for c, word in words)
+        InteractionTerm(support=frozenset({p}), k=2, coupling=coupling * (p + 1),
+                        monomial=MonomialDescriptor(factors=((p, True), (p, False)) * 2))
+        for p in (0, 3))
     return Interaction(window=inter.window, terms=inter.terms + extra)
 
 
 _ASSEMBLY_CASES = {
     "density": lambda inter: inter,
-    "pairing": _with_pairing,
-    "words": lambda inter: _with_words(_with_pairing(inter)),
+    "onsite": _with_onsite,
 }
 
 
@@ -387,79 +397,88 @@ def _kept(inter, support_within):
                          ids=["all", "0123", "23"])
 @pytest.mark.parametrize("case", sorted(_ASSEMBLY_CASES))
 def test_interaction_hamiltonian_matches_per_term_oracles(six_modes, case, support_within):
-    """The grouped assembly against sum f (M + M*) one term at a time, through
-    monomial_operator and through dense products of the mode operators."""
+    """The sector blocks against sum f (M + M*) one term at a time, through
+    monomial_operator and through dense products of the whole-space a_g."""
     _, basis, inter = six_modes
     inter = _ASSEMBLY_CASES[case](inter)
-    ops = mode_operators(basis)
-    h = build_interaction_hamiltonian(basis, inter, ops=ops, support_within=support_within)
-    dense = [a.toarray() for a in ops]
+    h = build_interaction_hamiltonian(basis, inter, support_within=support_within)
+    dense = _whole_space_ops(basis)
     by_term = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
     by_dense = np.zeros_like(by_term)
     kept = _kept(inter, support_within)
     assert kept
     for term in kept:
-        m = monomial_operator(term.monomial.factors, ops).toarray()
+        m = monomial_operator(term.monomial.factors, dense)
         by_term += term.coupling * (m + m.conj().T)
         md = np.eye(basis.dim, dtype=np.complex128)
         for site, dagger in term.monomial.factors:
             md = md @ (dense[site].conj().T if dagger else dense[site])
         by_dense += term.coupling * (md + md.conj().T)
-    hd = h.toarray()
+    hd = _embed(h, basis.rank)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(hd))))
     assert np.max(np.abs(hd - by_term)) < tol
     assert np.max(np.abs(hd - by_dense)) < tol
 
 
+def test_mode_operators_match_whole_space_oracle(six_modes):
+    _, basis, _ = six_modes
+    for a, oracle in zip(mode_operators(basis), _whole_space_ops(basis)):
+        assert [b.shape for b in a] == [(math.comb(6, n), math.comb(6, n + 1)) for n in range(6)]
+        assert np.max(np.abs(_embed(a, basis.rank, lowering=True) - oracle)) < 1e-15
+
+
+def test_quadratic_hamiltonian_matches_whole_space_oracle(six_modes, rng):
+    _, basis, _ = six_modes
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    t = m + m.conj().T
+    h = _embed(build_quadratic_hamiltonian(basis, t), basis.rank)
+    ops = _whole_space_ops(basis)
+    oracle = sum(t[i, j] * ops[i].conj().T @ ops[j] for i in range(6) for j in range(6))
+    assert np.max(np.abs(h - oracle)) < 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
+
+
 def test_interaction_hamiltonian_without_kept_terms(six_modes):
     _, basis, inter = six_modes
-    inter = _with_words(_with_pairing(inter))
     empty = frozenset({5})
     assert not _kept(inter, empty)
     h = build_interaction_hamiltonian(basis, inter, support_within=empty)
-    assert h.shape == (basis.dim, basis.dim)
-    assert h.nnz == 0
+    assert [b.shape for b in h] == [(math.comb(6, n),) * 2 for n in range(7)]
+    assert not any(np.any(b) for b in h)
 
 
-def test_interaction_hamiltonian_holds_only_its_own_entries():
-    """The returned H owns exactly-sized arrays: scipy's csr + can return a
-    view into a buffer twice the size of the sum.  The full H and the inner
-    H's of `converge` on the 10-site chain (inner chains of 6 and 8 sites)."""
-    params = LatticeParams(1.0, 1.0, 10.0)
-    w = build_chain(params, 10)
-    basis = mode_basis(w, MP)
-    assert basis.dim == 1024
-    inter = density_density(w, f0=1.0, mu=1.0)
-    ops = mode_operators(basis)
-    inners = [frozenset(w.index(s) for s in build_chain(params, n).sites) for n in (6, 8)]
-    for support_within in (None, *inners):
-        h = build_interaction_hamiltonian(basis, inter, ops=ops, support_within=support_within)
-        assert h.nnz
-        for arr in (h.data, h.indices, h.indptr):
-            assert arr.base is None or arr.base.size == arr.size
+def _with_word(inter, coupling, word):
+    term = InteractionTerm(support=frozenset(s for s, _ in word), k=len(word) // 2,
+                           coupling=coupling, monomial=MonomialDescriptor(factors=word))
+    return Interaction(window=inter.window, terms=inter.terms + (term,))
 
 
-def test_parity_breaking_hamiltonian_rejected_before_eigh(six_modes, monkeypatch):
-    _, basis, _ = six_modes
-    a0 = mode_operators(basis)[0]
-    h = a0 + a0.conj().T  # odd: flips fermion parity
+@pytest.mark.parametrize("word", [
+    ((0, False), (1, False)),  # pairing: a_0 a_1 + a*_1 a*_0 changes N by 2
+    ((0, True), (0, False), (2, True), (1, False), (3, True), (3, False)),  # k = 3
+], ids=["pairing", "k3"])
+def test_non_density_word_rejected_before_eigh(six_modes, monkeypatch, word):
+    w, basis, inter = six_modes
+    inter = _with_word(inter, 0.4, word)
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh reached")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    with pytest.raises(FockError, match="parity"):
-        lr_check(basis, h, [0.0, 0.5], zeta=0.125, velocity=1.0, g=1.0)
+    with pytest.raises(FockError, match="density-density"):
+        lr_check(basis, build_interaction_hamiltonian(basis, inter), [0.0, 0.5],
+                 zeta=0.125, velocity=1.0, g=1.0)
+    with pytest.raises(FockError, match="density-density"):
+        volume_convergence(basis, inter, [frozenset({2, 3})], w.center_index(), [0.0, 0.5],
+                           zeta=0.125, velocity=1.0, g=1.0)
 
 
 def test_evolution_sector_validation():
-    h = np.array([[1.0, 0.5], [0.5, 2.0]])
+    ev = Evolution([np.eye(1), np.diag([1.0, 2.0]), np.eye(1)])
+    assert np.allclose(ev.propagator(0.3)[1], np.diag(np.exp(0.3j * np.array([1.0, 2.0]))))
+    lowering = (np.ones((1, 2)), np.ones((2, 1)))
+    assert [b.shape for b in ev.eigenbasis(lowering)] == [(1, 2), (2, 1)]
     with pytest.raises(FockError):
-        Evolution(h, np.array([0, 1]))  # h couples the two labels
-    ev = Evolution(np.diag([1.0, 2.0]), np.array([0, 1]))
-    assert np.allclose(ev.propagator(0.3), np.diag(np.exp(0.3j * np.array([1.0, 2.0]))))
-    with pytest.raises(FockError):
-        ev.eigenbasis(np.eye(2))  # diagonal entries do not lower the sector
+        ev.eigenbasis(lowering[:1])  # one block short of the three sectors
 
 
 # ------------------------------------------------------------ quasifree state
@@ -516,7 +535,7 @@ def test_quasifree_matches_representation_oracle(rng):
     assert n == 7
     q, _ = np.linalg.qr(rng.normal(size=(n, 3)))
     p = q @ q.T  # rank-3 real projection
-    cs = [c.toarray() for c in jw_lowering(n)]
+    cs = jw_lowering(n)
     reps = [_rep_lowering(rows[s], cs, p) for s in range(3)]
 
     def vac_expect(mats):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latframe.lattice import LatticeParams, Site, build_window
 from latframe.magnetic import (
     TAIL_TOL,
+    _genlaguerre,
     LaguerreCoords,
     MagneticParams,
     TruncationError,
@@ -411,6 +412,41 @@ def test_laguerre_psi_orthonormal():
             inner = np.sum(np.conj(vals[a]) * vals[b] * rescale * w2)
             expected = 1.0 if a == b else 0.0
             assert abs(inner - expected) < 1e-8
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_laguerre_recurrence_matches_scipy(level):
+    # laguerre_psi's polynomial factor L_level^order(u); scipy is the oracle only.
+    # Every term of L_n^a(-u) is positive, so it bounds the cancellation error.
+    from scipy.special import eval_genlaguerre
+
+    u = np.concatenate([np.linspace(0.0, 60.0, 601), np.linspace(60.0, 1500.0, 145)])
+    for order in (0, 1, 2, 5, 17, 40, 120):
+        got = _genlaguerre(level, order, u)
+        scale = eval_genlaguerre(level, order, -u)
+        assert np.all(np.abs(got - eval_genlaguerre(level, order, u)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_laguerre_psi_matches_scipy_laguerre(level, rng):
+    # psi_(level, m) and psi_(m, level) from the closed form with scipy's
+    # polynomial: e^{-u/2} |z|^delta L_lo^delta(u) sqrt(lo!/hi!) / (l sqrt(2 pi))
+    from scipy.special import eval_genlaguerre
+
+    pts = rng.normal(scale=3.0, size=(200, 2))
+    z = (pts[:, 0] + 1j * pts[:, 1]) / math.sqrt(2.0)
+    u = np.abs(z) ** 2
+    for m in (0, 1, 4, 9):
+        lo, hi = min(level, m), max(level, m)
+        delta = hi - lo
+        radial = (np.exp(-u / 2.0) * np.abs(z) ** delta * eval_genlaguerre(lo, delta, u)
+                  * math.sqrt(math.factorial(lo) / math.factorial(hi)) / math.sqrt(2.0 * math.pi))
+        angle = np.exp(-1j * delta * np.angle(z))
+        want_right = radial * angle  # psi_(level, m), m >= level
+        want_left = (-1.0) ** delta * radial * np.conj(angle)  # psi_(m, level)
+        got = laguerre_psi(lo, hi, pts, 1.0), laguerre_psi(hi, lo, pts, 1.0)
+        assert np.max(np.abs(got[0] - want_right)) < 1e-13
+        assert np.max(np.abs(got[1] - want_left)) < 1e-13
 
 
 def test_window_coords_truncation_matches_radius():
