@@ -48,8 +48,6 @@ from .frame_analysis import (
 from .interactions import (
     Interaction,
     InteractionError,
-    InteractionTerm,
-    MonomialDescriptor,
     c_phi,
     density_density,
     ExponentialPotential,
@@ -89,7 +87,7 @@ __all__ = [
     "frame_bounds_estimate", "frame_operator", "gram",
     "localization_rate", "neumann_certificate", "overlap_rate_constant",
     "s_inverse_power_elements", "verify_decay",
-    "Interaction", "InteractionError", "InteractionTerm", "MonomialDescriptor",
+    "Interaction", "InteractionError",
     "c_phi", "density_density", "ExponentialPotential", "exponential_potential", "k_sigma",
     "lr_velocity", "v_omega", "w_kernel",
     "hopping_coeffs", "landau_coefficients",

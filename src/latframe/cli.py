@@ -54,6 +54,7 @@ from .frame_analysis import (
     verify_decay,
 )
 from .interactions import (
+    BRUTE_MAX_SITES,
     KERNEL_FFT_MAX,
     InteractionError,
     c_phi,
@@ -86,6 +87,15 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 _DEFAULT_OUT = "latframe-out"
+
+# Window caps of the commands whose arrays grow with every site pair, timed on
+# one core of a 2-core x86_64 machine.  decay and landau hold n^2 pairs of
+# sites of one level: 545 sites took 5.5 s and 268 MB (decay), 7.0 s and
+# 327 MB (landau); 1201 sites took 26.5 s and 1.16 GB, 35.2 s and 1.38 GB.
+# cphi holds n (n - 1) / 2 terms by n sites: 181 sites took 2.3 s and 106 MB,
+# 313 sites 17.8 s and 390 MB.
+MAX_PAIR_TABLE_SITES = 1000
+MAX_CPHI_SITES = 300
 
 _MODULE_ERRORS = (LatticeError, TruncationError, RegimeError, FrameAnalysisError,
                   InteractionError, FockError, SerializeError)
@@ -217,10 +227,21 @@ def _density_check(c_r: np.ndarray, lp, mp: MagneticParams) -> Check:
                  {"max_deviation": dev, "inverse_density": inv_n, "bound": DUAL_RESIDUAL_TOL})
 
 
+def _require_window_cap(cfg: RunConfig, command: str, n: int, what: str, cap: int) -> None:
+    """Reject a window over a command's site cap before any work on it."""
+    if n > cap:
+        key = "chain_length" if cfg.shape == "chain" else "radius"
+        raise ConfigError("lattice", key,
+                          f"{command} would run on {n} {what}, over its cap of {cap}; "
+                          f"use a smaller {key}")
+
+
 def _cmd_decay(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
+    _require_window_cap(cfg, "decay", int(np.count_nonzero(w.levels == 0)), "level-0 sites",
+                        MAX_PAIR_TABLE_SITES)
     cert = _inverse_power_certificate(w, mp, cfg, cfg.p)
     elems = s_inverse_power_elements(w, mp, cfg.p)
     sites = elems.sites
@@ -257,11 +278,13 @@ def _cmd_cphi(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
+    _require_window_cap(cfg, "cphi", len(w), "sites", MAX_CPHI_SITES)
     rates, inter, res, velocity = _interaction_speed(w, mp, cfg)
+    n_terms = len(w) * (len(w) - 1) // 2
     checks = [Check("finite_nonnegative", np.isfinite(res.value) and res.value >= 0,
                     {"value": res.value})]
     brute_value = None
-    if len(w) <= 6:
+    if len(w) <= BRUTE_MAX_SITES:
         brute = c_phi(inter, rates["zeta"], rates["xi"], family="brute")
         brute_value = brute.value
         agree = abs(brute.value - res.value) <= 1e-9 * max(1.0, abs(brute.value))
@@ -272,12 +295,12 @@ def _cmd_cphi(ctx: RunContext) -> CommandResult:
         "attained_kind": res.member_kind,
         "attained_sites": [site_token(w.sites[k]) for k in res.member_sites],
         "attained_probe_site": res.site_index,
-        "family_size": res.family_size, "n_terms": len(inter.terms),
+        "family_size": res.family_size, "n_terms": n_terms,
         "g": rates["g"], "velocity": velocity,
         "brute_force_value": brute_value,
     })
     params = {"value": res.value, "velocity": velocity, "zeta": rates["zeta"],
-              "xi": rates["xi"], "g": rates["g"], "n_terms": len(inter.terms)}
+              "xi": rates["xi"], "g": rates["g"], "n_terms": n_terms}
     return CommandResult(checks, ["cphi.json"], params)
 
 
@@ -364,6 +387,8 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
     r = cfg.level
+    _require_window_cap(cfg, "landau", int(np.count_nonzero(w.levels == r)),
+                        f"level-{r} sites", MAX_PAIR_TABLE_SITES)
     cert = _inverse_power_certificate(w, mp, cfg, 2)
     t_r, c_r, dual = landau_coefficients(r, w, mp)
     q = mp.level_spacing * (r + 0.5)

@@ -208,25 +208,19 @@ def monomial_operator(factors, ops: list[np.ndarray]) -> np.ndarray:
 
 def build_interaction_hamiltonian(basis: ModeBasis, interaction: Interaction,
                                   support_within: frozenset[int] | None = None) -> list[np.ndarray]:
-    """Sector blocks of H = sum over terms of f * (M + M*), optionally keeping
-    only terms whose support lies inside the given site subset.
+    """Sector blocks of H = sum_{p<q} F_pq (n_p n_q + (n_p n_q)*), optionally
+    keeping only the pairs that lie inside the given site subset.
 
-    Every term must be a density-density word n_p n_q = a*_p a_p a*_q a_q;
-    any other word raises FockError.  Then H = sum_pq F_pq n_p n_q with F
-    symmetric, and n_p = sum A_p[k, l] c*_k c_l with A_p = conj(V_p) (x) V_p.
-    Normal ordering gives the one-body part T = sum F_pq A_p A_q and the
-    two-body coefficient of c*_k c*_m c_n c_l, sum F_pq A_p[k, l] A_q[m, n],
-    antisymmetrised over k <-> m and l <-> n."""
-    n = basis.n_sites
-    f = np.zeros((n, n))
-    for term in interaction.terms:
-        factors = term.monomial.factors
-        p, q = factors[0][0], factors[-2][0]
-        if factors != ((p, True), (p, False), (q, True), (q, False)):
-            raise FockError(f"word {factors} is not a density-density term n_p n_q")
-        if support_within is None or term.support <= support_within:
-            f[p, q] += term.coupling
-            f[q, p] += term.coupling
+    F is the interaction's coupling matrix, masked to the kept pairs, and
+    n_p = a*_p a_p = sum A_p[k, l] c*_k c_l with A_p = conj(V_p) (x) V_p.
+    Over the symmetric F, H = sum_pq F_pq n_p n_q, since the pair (q, p)
+    gives (n_p n_q)*.  Normal ordering gives the one-body part
+    T = sum F_pq A_p A_q and the two-body coefficient of c*_k c*_m c_n c_l,
+    sum F_pq A_p[k, l] A_q[m, n], antisymmetrised over k <-> m and l <-> n."""
+    f = interaction.coupling
+    if support_within is not None:
+        inside = np.isin(np.arange(basis.n_sites), list(support_within))
+        f = np.where(inside[:, None] & inside[None, :], f, 0.0)
     a = basis.v.conj()[:, :, None] * basis.v[:, None, :]
     fa = np.tensordot(f, a, axes=(1, 0))  # sum_q F_pq A_q
     one_body = np.einsum("pkl,pln->kn", a, fa)
@@ -417,23 +411,24 @@ class ConvergenceReport:
 
 def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: int,
                  zeta: float) -> float:
-    """Sum of k * coupling * e^{-zeta d(site, support)} over the terms whose
-    support leaves inner_sites."""
+    """Sum of k f e^{-zeta d(site, Z)} = 2 F_pq e^{-zeta min(d(site, p), d(site, q))}
+    over the pairs Z = {p, q} that leave inner_sites, added in term order."""
     dists = interaction.window.distance_matrix()
-    total = 0.0
-    for term in interaction.terms:
-        if term.support <= inner_sites:
-            continue
-        d_site = min(dists[site, s] for s in term.support)
-        total += term.k * term.coupling * np.exp(-zeta * d_site)
-    return total
+    p, q = interaction.pairs()
+    inside = np.isin(np.arange(len(interaction.window)), list(inner_sites))
+    leave = ~(inside[p] & inside[q])
+    p, q = p[leave], q[leave]
+    terms = 2.0 * interaction.coupling[p, q] * np.exp(-zeta * np.minimum(dists[site, p],
+                                                                          dists[site, q]))
+    # a running sum keeps the order, and so the bits, of a term-by-term sum
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def volume_convergence(basis: ModeBasis, interaction: Interaction,
                        inner_windows: list[frozenset[int]], site: int, t_grid,
                        zeta: float, velocity: float, g: float) -> list[ConvergenceReport]:
     """Compare tau_t under the full interaction against the dynamics generated
-    by the terms supported inside each of inner_windows (site-index sets), for
+    by the pairs inside each of inner_windows (site-index sets), for
     the annihilator at one site; one report per inner window.
 
     The full Hamiltonian is diagonalised once.  Each difference is taken block

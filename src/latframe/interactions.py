@@ -1,17 +1,22 @@
-"""Few-body interactions on a window and their propagation data.
+"""Two-body interactions on a window and their propagation data.
 
-An interaction assigns to finite site sets Z monic monomials of degree 2k
-with non-negative couplings f_k(Z); the Hamiltonian contribution of a term
-is f * (M + M*).  The propagation speed of the induced dynamics is
+In general an interaction assigns to finite site sets Z monic monomials of
+degree 2k with non-negative couplings f_k(Z), the Hamiltonian contribution of
+a term being f * (M + M*).  The propagation speed of the induced dynamics is
 controlled by the weighted double sum
 
     C(zeta, xi) = sup_g sup_Z' exp(zeta d(g, Z')) / D(Z')
                   * sum_Z sum_k k^2 f_k(Z) D(Z) e^{-zeta d(g, Z)} e^{-xi d(Z, Z')},
 
-with D(Z) = (1 + diam Z)^nu.  The supremum over Z' runs over singletons and
-closed metric balls; on windows small enough to enumerate, a brute-force
-sweep over every nonempty subset is available to confirm that this family
-attains the supremum.
+with D(Z) = (1 + diam Z)^nu.  The code holds the two-body density-density
+case: Z = {p, q}, k = 2, M = n_p n_q, so an interaction is one symmetric
+pair-coupling matrix.  That is the case the bound is applied to, the Landau
+Hamiltonian plus two-body electron-electron interactions, and the one the
+Fock engine can build in number sectors.  For a pair, diam Z = d(p, q) and
+d(Z, B) = min(d(p, B), d(q, B)), so every term distance comes from the
+sites' own distances.  The supremum over Z' runs over singletons and closed
+metric balls; on windows small enough to enumerate, a brute-force sweep over
+every nonempty subset confirms that this family attains the supremum.
 
 The kernel quadrature at the end of the module computes two-body matrix
 elements between dressed states.  Radial exponential potentials have a cusp
@@ -36,12 +41,11 @@ from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise, regime
 
 __all__ = [
     "InteractionError",
-    "MonomialDescriptor",
-    "InteractionTerm",
     "Interaction",
     "density_density",
     "CPhiResult",
     "c_phi",
+    "BRUTE_MAX_SITES",
     "lr_velocity",
     "VOmega",
     "v_omega",
@@ -60,56 +64,36 @@ class InteractionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialDescriptor:
-    """Ordered creation/annihilation word: (site_index, dagger) left to right."""
-
-    factors: tuple[tuple[int, bool], ...]
-
-    def __post_init__(self) -> None:
-        for site, dagger in self.factors:
-            if site < 0 or not isinstance(dagger, bool):
-                raise InteractionError(f"bad factor ({site}, {dagger})")
-
-    @property
-    def sites(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.factors)
-
-
-@dataclass(frozen=True)
-class InteractionTerm:
-    """One weighted monomial: contributes coupling * (M + M*) to the Hamiltonian."""
-
-    support: frozenset[int]
-    k: int
-    coupling: float
-    monomial: MonomialDescriptor
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InteractionError(f"degree index k must be >= 1, got {self.k}")
-        if self.coupling < 0:
-            raise InteractionError(f"couplings must be non-negative, got {self.coupling}")
-        if len(self.monomial.factors) != 2 * self.k:
-            raise InteractionError(
-                f"monomial has {len(self.monomial.factors)} factors, expected {2 * self.k}"
-            )
-        if self.monomial.sites != self.support:
-            raise InteractionError("support must equal the monomial's site set")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interaction:
-    """A window together with its interaction terms."""
+    """A window with its density-density couplings.
+
+    coupling[p, q] is the coefficient f of the word n_p n_q on Z = {p, q},
+    with k = 2; the matrix is symmetric, non-negative and finite, with a zero
+    diagonal.  The terms are the pairs p < q in np.triu_indices order."""
 
     window: Window
-    terms: tuple[InteractionTerm, ...]
+    coupling: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.window)
-        for t in self.terms:
-            if any(s >= n for s in t.support):
-                raise InteractionError("term support outside the window")
+        f = np.array(self.coupling, dtype=np.float64)
+        if f.shape != (n, n):
+            raise InteractionError(f"coupling shape {f.shape} mismatches {n} sites")
+        if not np.all(np.isfinite(f)):
+            raise InteractionError("couplings must be finite")
+        if np.any(f < 0):
+            raise InteractionError("couplings must be non-negative")
+        if np.any(f != f.T):
+            raise InteractionError("coupling matrix must be symmetric")
+        if np.any(np.diag(f) != 0):
+            raise InteractionError("coupling matrix must have a zero diagonal")
+        f.flags.writeable = False
+        object.__setattr__(self, "coupling", f)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sites p < q of every term, in term order."""
+        return np.triu_indices(len(self.window), 1)
 
 
 def density_density(window: Window, f0: float, mu: float) -> Interaction:
@@ -117,15 +101,9 @@ def density_density(window: Window, f0: float, mu: float) -> Interaction:
     coupling f0 * exp(-mu d(p, q)) on the monomial n_p n_q, k = 2."""
     if f0 < 0 or mu < 0:
         raise InteractionError("f0 and mu must be non-negative")
-    dists = window.distance_matrix()
-    terms = []
     n = len(window)
-    for p in range(n):
-        for q in range(p + 1, n):
-            c = f0 * float(np.exp(-mu * dists[p, q]))
-            mono = MonomialDescriptor(factors=((p, True), (p, False), (q, True), (q, False)))
-            terms.append(InteractionTerm(support=frozenset({p, q}), k=2, coupling=c, monomial=mono))
-    return Interaction(window=window, terms=tuple(terms))
+    return Interaction(window=window,
+                       coupling=(1.0 - np.eye(n)) * (f0 * np.exp(-mu * window.distance_matrix())))
 
 
 @dataclass(frozen=True)
@@ -139,42 +117,34 @@ class CPhiResult:
     family_size: int
 
 
-def _term_geometry(inter: Interaction, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distance-to-sites matrix T[t, s] = d(Z_t, s) and weights k^2 f D(Z)."""
-    dists = inter.window.distance_matrix()
-    n = len(inter.window)
-    nt = len(inter.terms)
-    tmat = np.empty((nt, n))
-    weights = np.empty(nt)
-    for it, term in enumerate(inter.terms):
-        idx = sorted(term.support)
-        tmat[it] = dists[idx].min(axis=0)
-        diam = float(dists[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
-        weights[it] = term.k**2 * term.coupling * (1.0 + diam) ** nu
-    return tmat, weights, dists
-
-
 def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> CPhiResult:
     """The propagation functional C(zeta, xi) over singleton-and-ball probes.
 
     family='auto' uses the closed metric balls around every site, the radius-0
     balls being the singletons; family='brute' sweeps every nonempty subset
-    and is limited to small windows.  Both report where the supremum was
-    attained.  An interaction with no terms evaluates to zero.
+    and is limited to BRUTE_MAX_SITES sites.  Both report where the supremum
+    was attained.  A window with no site pairs evaluates to zero.
+
+    A term on Z = {p, q} has D(Z) = (1 + d_pq)^nu and weight
+    k^2 f D(Z) = 4 f (1 + d_pq)^nu, and its distance to any site set B is
+    d(Z, B) = min(d(p, B), d(q, B)), read from the sites' own distances to B.
     """
     if zeta <= 0 or xi <= zeta:
         raise InteractionError(f"need 0 < zeta < xi, got zeta={zeta}, xi={xi}")
-    if not inter.terms:
+    if family not in ("auto", "brute"):
+        raise InteractionError(f"unknown family {family!r}")
+    n = len(inter.window)
+    if n < 2:
         return CPhiResult(value=0.0, zeta=zeta, xi=xi, site_index=-1,
                           member_kind="none", member_sites=(), family_size=0)
     nu = inter.window.params.dim
-    tmat, weights, dists = _term_geometry(inter, nu)
-    n = len(inter.window)
+    dists = inter.window.distance_matrix()
+    p, q = inter.pairs()
+    weights = 4.0 * inter.coupling[p, q] * (1.0 + dists[p, q]) ** nu
+    # emat[t, g] = k^2 f D(Z_t) e^{-zeta d(g, Z_t)}
+    emat = weights[:, None] * np.exp(-zeta * np.minimum(dists[p], dists[q]))
     if family == "brute":
-        return _c_phi_brute(inter, zeta, xi, tmat, weights, dists)
-    if family != "auto":
-        raise InteractionError(f"unknown family {family!r}")
-    emat = weights[:, None] * np.exp(-zeta * tmat)
+        return _c_phi_brute(inter, zeta, xi, p, q, emat, dists)
 
     best = -np.inf
     best_site = -1
@@ -188,14 +158,16 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
         radii = dists[order, c]
         # complete balls end where the next radius strictly increases
         ends = np.nonzero(np.diff(radii, append=np.inf) > 1e-12)[0]
-        cm_terms = np.minimum.accumulate(tmat[:, order], axis=1)
-        cm_sites = np.minimum.accumulate(dists[:, order], axis=1)
+        # cm_sites[b, s] = d(s, B_b), B_b the first ends[b] + 1 sites of the ordering
+        cm_sites = np.minimum.accumulate(dists[order], axis=0)[ends]
         # diameter of the first k + 1 sites: running max of the lower-triangle row maxima
         diam = np.maximum.accumulate(np.tril(dists[np.ix_(order, order)]).max(axis=1))
-        sel = cm_terms[:, ends]
-        inner = np.exp(-xi * sel).T @ emat
+        # d(Z_t, B_b) in C order: the operand layout sets BLAS's summation
+        # order, and so the last bits of C
+        sel = np.minimum(cm_sites[:, p], cm_sites[:, q], order="C")
+        inner = np.exp(-xi * sel) @ emat
         dfac = (1.0 + diam[ends]) ** nu
-        vals = np.exp(zeta * cm_sites[:, ends]).T * inner / dfac[:, None]
+        vals = np.exp(zeta * cm_sites) * inner / dfac[:, None]
         count += len(ends)
         b, g = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[b, g] > best:
@@ -208,17 +180,17 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
                       member_kind=best_kind, member_sites=best_members, family_size=count)
 
 
-_BRUTE_MAX_SITES = 12  # family='brute' sweeps all 2^n - 1 subsets
+BRUTE_MAX_SITES = 12
+"""Largest window of family='brute', which sweeps all 2^n - 1 subsets."""
 
 
-def _c_phi_brute(inter: Interaction, zeta: float, xi: float, tmat: np.ndarray,
-                 weights: np.ndarray, dists: np.ndarray) -> CPhiResult:
+def _c_phi_brute(inter: Interaction, zeta: float, xi: float, p: np.ndarray, q: np.ndarray,
+                 emat: np.ndarray, dists: np.ndarray) -> CPhiResult:
     n = len(inter.window)
-    if n > _BRUTE_MAX_SITES:
+    if n > BRUTE_MAX_SITES:
         raise InteractionError(
-            f"brute-force probe sweep limited to {_BRUTE_MAX_SITES} sites, window has {n}")
+            f"brute-force probe sweep limited to {BRUTE_MAX_SITES} sites, window has {n}")
     nu = inter.window.params.dim
-    emat = weights[:, None] * np.exp(-zeta * tmat)
     best = -np.inf
     best_site = -1
     best_members: tuple[int, ...] = ()
@@ -226,10 +198,9 @@ def _c_phi_brute(inter: Interaction, zeta: float, xi: float, tmat: np.ndarray,
     for mask in range(1, 1 << n):
         members = [s for s in range(n) if mask >> s & 1]
         count += 1
-        d_terms = tmat[:, members].min(axis=1)
         d_sites = dists[:, members].min(axis=1)
         diam = float(dists[np.ix_(members, members)].max()) if len(members) > 1 else 0.0
-        inner = emat.T @ np.exp(-xi * d_terms)
+        inner = emat.T @ np.exp(-xi * np.minimum(d_sites[p], d_sites[q]))
         vals = np.exp(zeta * d_sites) * inner / (1.0 + diam) ** nu
         g = int(np.argmax(vals))
         if vals[g] > best:

@@ -21,7 +21,7 @@ import latframe.quadratic
 from latframe.cli import main
 from latframe.config import REFERENCE_CONFIG, RunConfig
 from latframe.fock import MAX_MODES
-from latframe.interactions import KERNEL_FFT_MAX, kernel_fft_side
+from latframe.interactions import BRUTE_MAX_SITES, KERNEL_FFT_MAX, kernel_fft_side
 from latframe.serialize import fmt_float, read_csv, read_matrix_text
 
 SMALL_GRAM = """\
@@ -195,6 +195,21 @@ def test_cphi_brute_force_agreement(tmp_path):
     assert payload["velocity"] == pytest.approx(
         16.0 * payload["g"] * payload["value"] / payload["zeta"], rel=1e-12)
     assert len(payload["attained_sites"]) == payload["family_size"] or payload["family_size"] >= 1
+
+
+@pytest.mark.parametrize("cfg,n_sites", [
+    ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\nchain_length = 12\n", 12),
+    ("[lattice]\nalpha = 1.0\nbeta = 2.0\nradius = 2\n", 7),
+], ids=["chain12", "ball7"])
+def test_cphi_brute_force_agreement_up_to_the_library_cap(tmp_path, cfg, n_sites):
+    # the 12-site chain is the largest window the brute-force sweep accepts
+    assert n_sites <= BRUTE_MAX_SITES
+    code, out, summary = run_cli(tmp_path, "cphi", cfg)
+    assert code == 0
+    assert check_map(summary)["family_matches_brute_force"]
+    payload = json.loads((out / "cphi.json").read_text())
+    assert payload["n_terms"] == n_sites * (n_sites - 1) // 2
+    assert payload["brute_force_value"] == pytest.approx(payload["value"], rel=1e-9)
 
 
 def test_cphi_deterministic(tmp_path):
@@ -642,6 +657,31 @@ def test_window_over_mode_cap_rejected_before_dynamics(tmp_path, capsys, monkeyp
     record = read_error(capsys, out)
     assert record["error"]["type"] == "FockError"
     assert f"cap {MAX_MODES}" in record["error"]["message"]
+
+
+def test_oversized_pair_tables_rejected_before_work(tmp_path, capsys, monkeypatch):
+    # alpha = beta = 0.5 at radius 12 is a 4705-site window: decay and landau
+    # would hold 4705^2 site pairs, cphi 4705 x 4705 * 4704 / 2 term distances
+    def reached(*args, **kwargs):
+        raise AssertionError("window work reached")
+
+    for name in ("gram", "overlap_rate_constant", "s_inverse_power_elements",
+                 "landau_coefficients", "density_density", "c_phi"):
+        monkeypatch.setattr(latframe.cli, name, reached)
+    cfg = tmp_path / "dense.ini"
+    cfg.write_text("[lattice]\nalpha = 0.5\nbeta = 0.5\nradius = 12\n")
+    t0 = time.perf_counter()
+    pair_cap, cphi_cap = latframe.cli.MAX_PAIR_TABLE_SITES, latframe.cli.MAX_CPHI_SITES
+    for command, what in (("decay", f"4705 level-0 sites, over its cap of {pair_cap}"),
+                          ("landau", f"4705 level-0 sites, over its cap of {pair_cap}"),
+                          ("cphi", f"4705 sites, over its cap of {cphi_cap}")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        record = read_error(capsys, out)
+        assert record["error"]["type"] == "config"
+        assert (record["error"]["section"], record["error"]["key"]) == ("lattice", "radius")
+        assert what in record["error"]["message"]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_unknown_command_exits_via_parser(tmp_path, capsys):

@@ -11,8 +11,6 @@ from latframe.lattice import LatticeParams, build_chain, window_from_triples
 from latframe.magnetic import MagneticParams, overlap_matrix, window_coords
 from latframe.interactions import (
     Interaction,
-    InteractionTerm,
-    MonomialDescriptor,
     c_phi,
     density_density,
     lr_velocity,
@@ -63,14 +61,24 @@ def _whole_space_ops(basis):
     return [sum(basis.v[g, k] * cs[k] for k in range(basis.rank)) for g in range(basis.n_sites)]
 
 
+def _density_word(p, q):
+    """The word n_p n_q = a*_p a_p a*_q a_q as (site, dagger) factors."""
+    return ((p, True), (p, False), (q, True), (q, False))
+
+
+def _kept(inter, support_within):
+    """The pairs p < q of the terms inside support_within (all without it)."""
+    return [(p, q) for p, q in zip(*inter.pairs())
+            if support_within is None or {p, q} <= support_within]
+
+
 def _whole_space_h(basis, inter, support_within=None):
     """sum f (M + M*) over the kept terms, one monomial_operator per term."""
     ops = _whole_space_ops(basis)
     h = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for term in inter.terms:
-        if support_within is None or term.support <= support_within:
-            m = monomial_operator(term.monomial.factors, ops)
-            h += term.coupling * (m + m.conj().T)
+    for p, q in _kept(inter, support_within):
+        m = monomial_operator(_density_word(p, q), ops)
+        h += inter.coupling[p, q] * (m + m.conj().T)
     return h
 
 
@@ -157,14 +165,8 @@ def test_interaction_hamiltonian_pair_eigenstates():
     basis = mode_basis(w, MP)
     ops = _whole_space_ops(basis)
     c = 0.35
-    term = InteractionTerm(
-        support=frozenset({0, 1}),
-        k=2,
-        coupling=c,
-        monomial=MonomialDescriptor(factors=((0, True), (0, False), (1, True), (1, False))),
-    )
-    h = _embed(build_interaction_hamiltonian(basis, Interaction(window=w, terms=(term,))),
-               basis.rank)
+    inter = Interaction(window=w, coupling=np.array([[0.0, c], [c, 0.0]]))
+    h = _embed(build_interaction_hamiltonian(basis, inter), basis.rank)
     vac = np.zeros(basis.dim)
     vac[0] = 1.0
     one = ops[1].conj().T @ vac
@@ -292,9 +294,9 @@ def test_volume_convergence_boundary_envelope(chain4_setup):
     assert rep.diffs[-1] > 1e-6  # the truncated generator genuinely differs
     d = w.distance_matrix()
     boundary = sum(
-        term.k * term.coupling * math.exp(-zeta * min(d[site, s] for s in term.support))
-        for term in inter.terms
-        if not term.support <= inner
+        2 * inter.coupling[p, q] * math.exp(-zeta * min(d[site, p], d[site, q]))
+        for p, q in zip(*inter.pairs())
+        if not {p, q} <= inner
     )
     assert rep.boundary_sum == pytest.approx(boundary, rel=1e-12)
     for it, t in enumerate(t_grid):
@@ -374,23 +376,19 @@ def test_volume_convergence_sectors_match_dense_oracle(six_modes):
 
 # ------------------------------------------- sector assembly vs per-term oracles
 
-def _with_onsite(inter, coupling=0.6):
-    """Add n_p n_p words: density words whose two sites coincide."""
-    extra = tuple(
-        InteractionTerm(support=frozenset({p}), k=2, coupling=coupling * (p + 1),
-                        monomial=MonomialDescriptor(factors=((p, True), (p, False)) * 2))
-        for p in (0, 3))
-    return Interaction(window=inter.window, terms=inter.terms + extra)
+def _random_couplings(inter):
+    """A symmetric non-negative coupling matrix with no distance profile and
+    some pairs switched off."""
+    n = len(inter.window)
+    f = np.triu(np.random.default_rng(7).uniform(0.0, 1.0, size=(n, n)), 1)
+    f[f < 0.25] = 0.0
+    return Interaction(window=inter.window, coupling=f + f.T)
 
 
 _ASSEMBLY_CASES = {
     "density": lambda inter: inter,
-    "onsite": _with_onsite,
+    "random": _random_couplings,
 }
-
-
-def _kept(inter, support_within):
-    return [t for t in inter.terms if support_within is None or t.support <= support_within]
 
 
 @pytest.mark.parametrize("support_within", [None, frozenset({0, 1, 2, 3}), frozenset({2, 3})],
@@ -407,13 +405,14 @@ def test_interaction_hamiltonian_matches_per_term_oracles(six_modes, case, suppo
     by_dense = np.zeros_like(by_term)
     kept = _kept(inter, support_within)
     assert kept
-    for term in kept:
-        m = monomial_operator(term.monomial.factors, dense)
-        by_term += term.coupling * (m + m.conj().T)
+    for p, q in kept:
+        f = inter.coupling[p, q]
+        m = monomial_operator(_density_word(p, q), dense)
+        by_term += f * (m + m.conj().T)
         md = np.eye(basis.dim, dtype=np.complex128)
-        for site, dagger in term.monomial.factors:
+        for site, dagger in _density_word(p, q):
             md = md @ (dense[site].conj().T if dagger else dense[site])
-        by_dense += term.coupling * (md + md.conj().T)
+        by_dense += f * (md + md.conj().T)
     hd = _embed(h, basis.rank)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(hd))))
     assert np.max(np.abs(hd - by_term)) < tol
@@ -444,32 +443,6 @@ def test_interaction_hamiltonian_without_kept_terms(six_modes):
     h = build_interaction_hamiltonian(basis, inter, support_within=empty)
     assert [b.shape for b in h] == [(math.comb(6, n),) * 2 for n in range(7)]
     assert not any(np.any(b) for b in h)
-
-
-def _with_word(inter, coupling, word):
-    term = InteractionTerm(support=frozenset(s for s, _ in word), k=len(word) // 2,
-                           coupling=coupling, monomial=MonomialDescriptor(factors=word))
-    return Interaction(window=inter.window, terms=inter.terms + (term,))
-
-
-@pytest.mark.parametrize("word", [
-    ((0, False), (1, False)),  # pairing: a_0 a_1 + a*_1 a*_0 changes N by 2
-    ((0, True), (0, False), (2, True), (1, False), (3, True), (3, False)),  # k = 3
-], ids=["pairing", "k3"])
-def test_non_density_word_rejected_before_eigh(six_modes, monkeypatch, word):
-    w, basis, inter = six_modes
-    inter = _with_word(inter, 0.4, word)
-
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("eigh reached")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    with pytest.raises(FockError, match="density-density"):
-        lr_check(basis, build_interaction_hamiltonian(basis, inter), [0.0, 0.5],
-                 zeta=0.125, velocity=1.0, g=1.0)
-    with pytest.raises(FockError, match="density-density"):
-        volume_convergence(basis, inter, [frozenset({2, 3})], w.center_index(), [0.0, 0.5],
-                           zeta=0.125, velocity=1.0, g=1.0)
 
 
 def test_evolution_sector_validation():

@@ -1,4 +1,4 @@
-"""Interaction terms, the propagation functional, and the two-body kernel."""
+"""Pair couplings, the propagation functional, and the two-body kernel."""
 
 import itertools
 import math
@@ -9,12 +9,11 @@ import pytest
 from latframe.lattice import LatticeParams, build_chain, build_window, window_from_triples
 from latframe.magnetic import LaguerreCoords, MagneticParams
 from latframe.interactions import (
+    BRUTE_MAX_SITES,
     FrameAnalysisError,
     Interaction,
     InteractionError,
-    InteractionTerm,
     KERNEL_FFT_MAX,
-    MonomialDescriptor,
     c_phi,
     density_density,
     exponential_potential,
@@ -33,44 +32,53 @@ MP = MagneticParams(ell_b=1.0)
 def test_density_density_structure():
     w = build_chain(LatticeParams(1.0, 1.0, 30.0), 5)
     inter = density_density(w, f0=0.7, mu=1.3)
-    assert len(inter.terms) == 10  # 5 choose 2
+    p, q = inter.pairs()
+    assert len(p) == 10  # 5 choose 2
+    assert list(zip(p, q)) == [(a, b) for a in range(5) for b in range(a + 1, 5)]
     d = w.distance_matrix()
-    seen = set()
-    for term in inter.terms:
-        assert term.k == 2
-        p, q = sorted(term.support)
-        assert (p, q) not in seen
-        seen.add((p, q))
-        assert term.coupling == pytest.approx(0.7 * math.exp(-1.3 * d[p, q]), rel=1e-13)
-        assert term.monomial.factors == ((p, True), (p, False), (q, True), (q, False))
+    f = inter.coupling
+    for a, b in zip(p, q):
+        assert f[a, b] == pytest.approx(0.7 * math.exp(-1.3 * d[a, b]), rel=1e-13)
+        assert f[b, a] == f[a, b]
+    assert not np.any(np.diag(f))
 
 
 def test_density_density_single_site_empty():
     w = window_from_triples(LatticeParams(1.0, 1.0, 4.0), [(0, 0, 0)])
     inter = density_density(w, 1.0, 1.0)
-    assert inter.terms == ()
+    assert inter.coupling.shape == (1, 1)
+    assert len(inter.pairs()[0]) == 0
 
 
-def test_interaction_term_validation():
+def test_interaction_coupling_validation():
     w = build_chain(LatticeParams(1.0, 1.0, 30.0), 3)
-    mono = MonomialDescriptor(factors=((0, True), (0, False), (1, True), (1, False)))
-    InteractionTerm(support=frozenset({0, 1}), k=2, coupling=0.5, monomial=mono)
-    with pytest.raises(InteractionError):
-        InteractionTerm(support=frozenset({0, 1}), k=1, coupling=0.5, monomial=mono)
-    with pytest.raises(InteractionError):
-        InteractionTerm(support=frozenset({0, 2}), k=2, coupling=0.5, monomial=mono)
-    with pytest.raises(InteractionError):
-        InteractionTerm(support=frozenset({0, 1}), k=2, coupling=-0.1, monomial=mono)
-    with pytest.raises(InteractionError):
-        MonomialDescriptor(factors=((-1, True), (1, False)))
-    with pytest.raises(InteractionError):
-        # factor count must be twice the degree index
-        InteractionTerm(
-            support=frozenset({0, 1}),
-            k=2,
-            coupling=0.5,
-            monomial=MonomialDescriptor(factors=((0, True), (1, False), (1, True))),
-        )
+    good = np.array([[0.0, 0.5, 0.1], [0.5, 0.0, 0.2], [0.1, 0.2, 0.0]])
+    assert np.array_equal(Interaction(window=w, coupling=good).coupling, good)
+    asymmetric = good.copy()
+    asymmetric[0, 1] = 0.4
+    negative = good.copy()
+    negative[0, 2] = negative[2, 0] = -0.1
+    diagonal = good + np.diag([0.0, 0.3, 0.0])
+    bad = {"shape": np.zeros((2, 2)), "asymmetric": asymmetric, "negative": negative,
+           "diagonal": diagonal}
+    for value in (np.inf, np.nan):
+        nonfinite = good.copy()
+        nonfinite[1, 2] = nonfinite[2, 1] = value
+        bad[f"non-finite {value}"] = nonfinite
+    for name, coupling in bad.items():
+        with pytest.raises(InteractionError):
+            Interaction(window=w, coupling=coupling)
+            pytest.fail(name)
+
+
+def test_interaction_holds_its_own_read_only_couplings():
+    w = build_chain(LatticeParams(1.0, 1.0, 30.0), 2)
+    given = np.array([[0.0, 0.5], [0.5, 0.0]])
+    inter = Interaction(window=w, coupling=given)
+    given[0, 1] = given[1, 0] = 9.0
+    assert inter.coupling[0, 1] == 0.5
+    with pytest.raises(ValueError):
+        inter.coupling[0, 1] = 1.0
 
 
 # ------------------------------------------------------- propagation functional
@@ -81,12 +89,8 @@ def cphi_oracle(inter, zeta, xi):
     nu = w.params.dim
     d = w.distance_matrix()
     n = len(w.sites)
-    geo = []
-    for term in inter.terms:
-        idx = sorted(term.support)
-        diam = max(d[a, b] for a in idx for b in idx) if len(idx) > 1 else 0.0
-        weight = term.k**2 * term.coupling * (1.0 + diam) ** nu
-        geo.append((idx, weight))
+    f = inter.coupling
+    geo = [([p, q], 4 * f[p, q] * (1.0 + d[p, q]) ** nu) for p, q in zip(*inter.pairs())]
     best = 0.0
     for size in range(1, n + 1):
         for probe in itertools.combinations(range(n), size):
@@ -104,11 +108,14 @@ def cphi_oracle(inter, zeta, xi):
 
 
 def test_c_phi_empty_interaction():
-    w = build_chain(LatticeParams(1.0, 1.0, 30.0), 3)
-    inter = Interaction(window=w, terms=())
+    w = window_from_triples(LatticeParams(1.0, 1.0, 4.0), [(0, 0, 0)])
+    inter = Interaction(window=w, coupling=np.zeros((1, 1)))
     res = c_phi(inter, 0.1, 0.3)
     assert res.value == 0.0
     assert res.member_kind == "none"
+    # pairs with zero couplings contribute nothing either
+    chain = build_chain(LatticeParams(1.0, 1.0, 30.0), 3)
+    assert c_phi(Interaction(window=chain, coupling=np.zeros((3, 3))), 0.1, 0.3).value == 0.0
 
 
 def test_c_phi_brute_matches_enumeration():
@@ -148,10 +155,9 @@ def test_c_phi_reported_member_reproduces_value():
         probe = res.member_sites
         pd = max(d[a, b] for a in probe for b in probe) if len(probe) > 1 else 0.0
         tot = 0.0
-        for term in inter.terms:
-            idx = sorted(term.support)
-            diam = max(d[a, b] for a in idx for b in idx)
-            weight = term.k**2 * term.coupling * (1.0 + diam) ** nu
+        for p, q in zip(*inter.pairs()):
+            idx = [p, q]
+            weight = 4 * inter.coupling[p, q] * (1.0 + d[p, q]) ** nu
             dist_zp = min(d[a, b] for a in idx for b in probe)
             dist_zg = min(d[a, res.site_index] for a in idx)
             tot += weight * math.exp(-xi * dist_zp - zeta * dist_zg)
@@ -173,9 +179,9 @@ def test_c_phi_single_term_singleton_formula():
     # one two-site term: the singleton slice has a closed form
     w = build_chain(LatticeParams(1.0, 1.0, 30.0), 3)
     d = w.distance_matrix()
-    mono = MonomialDescriptor(factors=((0, True), (0, False), (2, True), (2, False)))
-    term = InteractionTerm(support=frozenset({0, 2}), k=2, coupling=0.45, monomial=mono)
-    inter = Interaction(window=w, terms=(term,))
+    coupling = np.zeros((3, 3))
+    coupling[0, 2] = coupling[2, 0] = 0.45
+    inter = Interaction(window=w, coupling=coupling)
     zeta, xi = 0.11, 0.29
     nu = w.params.dim
     weight = 4 * 0.45 * (1.0 + d[0, 2]) ** nu
@@ -213,7 +219,7 @@ def test_c_phi_validation():
         c_phi(inter, 0.3, 0.3)
     with pytest.raises(InteractionError):
         c_phi(inter, 0.1, 0.3, family="annulus")
-    big = build_chain(LatticeParams(1.0, 1.0, 40.0), 13)
+    big = build_chain(LatticeParams(1.0, 1.0, 40.0), BRUTE_MAX_SITES + 1)
     with pytest.raises(InteractionError):
         c_phi(density_density(big, 1.0, 1.0), 0.1, 0.3, family="brute")
 
