@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -203,12 +204,14 @@ def _inverse_power_certificate(w, mp: MagneticParams, cfg: RunConfig, p: int):
                                s_max=bessel_bound(w.params, mp), p=p, eps=cfg.eps, theta=cfg.theta)
 
 
-def _pair_rows(w, sites, *columns) -> list[tuple]:
-    """Rows (i, j, site_i, site_j, d, *columns[a, b]) over all pairs of `sites`."""
+def _pair_rows(w, sites, *columns) -> Iterator[tuple]:
+    """Rows (i, j, site_i, site_j, d, *columns[a, b]) over all pairs of `sites`,
+    made one at a time as write_csv formats them."""
     d = w.distance_matrix()[np.ix_(sites, sites)]
-    return [(int(gi), int(gj), site_token(w.sites[gi]), site_token(w.sites[gj]), float(d[a, b]),
-             *(float(c[a, b]) for c in columns))
-            for a, gi in enumerate(sites) for b, gj in enumerate(sites)]
+    for a, gi in enumerate(sites):
+        for b, gj in enumerate(sites):
+            yield (int(gi), int(gj), site_token(w.sites[gi]), site_token(w.sites[gj]),
+                   float(d[a, b]), *(float(c[a, b]) for c in columns))
 
 
 def _residual_check(dual, lp, mp: MagneticParams) -> Check:

@@ -323,7 +323,9 @@ class LRReport:
     distance d > 0, and informative_cells counts the (time, pair) cells past
     t = 0 whose bound lies below the trivial limit F <= 2 (at t = 0 the
     check holds by construction).  ratios[t, pair] is F / bound, and exceed
-    marks the cells where it is above 1 + EXCEED_RTOL."""
+    marks the cells where it is above 1 + EXCEED_RTOL.  The columns of
+    f_table[t, pair] are the flavors (a, a), (a, a*), (a*, a), (a*, a*) of
+    ||{tau_t(a#_g), a#_g'}||."""
 
     zeta: float
     velocity: float
@@ -339,7 +341,6 @@ class LRReport:
     max_ratio_off_diagonal: float
     informative_cells: int
     passed: bool
-    flavor_labels: tuple[str, ...] = ("a,a", "a,a*", "a*,a", "a*,a*")
 
 
 def lr_check(basis: ModeBasis, h: list[np.ndarray], t_grid,

@@ -272,7 +272,6 @@ def dual_residual(dual: AdjointDual, lp: LatticeParams, mp: MagneticParams) -> f
 class SInversePowerElements:
     """<chi_g, S^-p chi_g'> between the level-0 `sites` and the dual they come from."""
 
-    p: int
     sites: np.ndarray
     entries: np.ndarray
     dual: AdjointDual
@@ -295,7 +294,7 @@ def s_inverse_power_elements(window: Window, mp: MagneticParams, p: int) -> SInv
     g = window.gxy[sites]
     phase = np.exp(0.5j * mp.wedge(g[:, None, :], g[None, :, :]) / ell2)
     entries = phase * table[diff[..., 0] + s1, diff[..., 1] + s2]
-    return SInversePowerElements(p=p, sites=sites, entries=entries, dual=dual)
+    return SInversePowerElements(sites=sites, entries=entries, dual=dual)
 
 
 def s_inverse_diagonal(dual: AdjointDual, mp: MagneticParams, q: int) -> float:

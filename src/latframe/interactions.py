@@ -24,8 +24,8 @@ on the diagonal x = y, so they are integrated on the Fourier side, where the
 potential has the closed form 2 pi c1 sigma1 / (sigma1^2 + |k|^2)^{3/2}: the
 two pair densities are sampled on one uniform grid, zero-padded so that the
 periodic images of the potential sit far past their support, and w is one
-Parseval sum over the discrete spectrum.  Generic smooth kernels take the
-direct two-cloud Gauss-Hermite tensor rule.
+Parseval sum over the discrete spectrum.  The exponential pair potential is
+the only kernel it takes.
 """
 
 from __future__ import annotations
@@ -230,8 +230,6 @@ class VOmega:
     residual: float
     c2: float
     sigma2: float
-    fit_radii: np.ndarray
-    envelope: np.ndarray
 
 
 def v_omega(window: Window, mp: MagneticParams) -> VOmega:
@@ -268,26 +266,19 @@ def v_omega(window: Window, mp: MagneticParams) -> VOmega:
     env_all = np.abs(coords_pointwise(vc, radii_all[:, None, None] * ring)).max(axis=1)
     c2 = float(np.max(env_all * np.exp(sigma2 * radii_all)))
     c2 = max(c2, float(np.exp(intercept)))
-    return VOmega(coords=vc, residual=resid, c2=c2, sigma2=sigma2,
-                  fit_radii=radii, envelope=env)
+    return VOmega(coords=vc, residual=resid, c2=c2, sigma2=sigma2)
 
 
 @dataclass(frozen=True)
 class ExponentialPotential:
-    """Two-body kernel W(x, y) = c1 * exp(-sigma1 |x - y|), vectorized over grids.
-
-    w_kernel recognizes this type and integrates it on the Fourier side with
-    the closed-form transform of the profile, instead of the plain tensor
-    rule, which stalls near 1e-4 relative on the diagonal kink.  Calling it
-    evaluates W on two point clouds, the convention of generic kernels.
+    """Two-body kernel W(x, y) = c1 * exp(-sigma1 |x - y|), the one pair
+    potential w_kernel takes.  It is integrated on the Fourier side with the
+    closed-form transform of the profile, since a direct rule on the two
+    point clouds stalls near 1e-4 relative on the diagonal kink.
     """
 
     c1: float
     sigma1: float
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        diff = x[:, None, :] - y[None, :, :]
-        return self.c1 * np.exp(-self.sigma1 * np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
 def exponential_potential(c1: float, sigma1: float) -> ExponentialPotential:
@@ -300,7 +291,6 @@ def exponential_potential(c1: float, sigma1: float) -> ExponentialPotential:
 class WKernelResult:
     value: complex
     error_estimate: float
-    nodes: int
     converged: bool
 
 
@@ -313,35 +303,6 @@ def _dressed_grid(gammas: np.ndarray, pts: np.ndarray, v: LaguerreCoords,
         phase = np.exp(-1j * mp.wedge(g, pts) / (2.0 * ell**2))
         out[k] = ell * np.sqrt(2.0 * pi) * phase * coords_pointwise(v, pts - g[None, :])
     return out
-
-
-def _tensor_rule(center: np.ndarray, scale: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """2-D Gauss-Hermite grid about center: points and total weights including
-    the inverse Gaussian factor, so raw integrand values can be summed."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    total = w * np.exp(t * t)
-    px, py = np.meshgrid(t, t, indexing="ij")
-    pts = np.empty((nodes * nodes, 2))
-    pts[:, 0] = center[0] + scale * px.ravel()
-    pts[:, 1] = center[1] + scale * py.ravel()
-    wts = (total[:, None] * total[None, :]).ravel() * scale**2
-    return pts, wts
-
-
-def _w_value(gammas: np.ndarray, v: LaguerreCoords, pair_w, mp: MagneticParams,
-             nodes: int) -> complex:
-    ell = mp.ell_b
-    scale = ell * np.sqrt(2.0)
-    cx = 0.5 * (gammas[2] + gammas[3])
-    cy = 0.5 * (gammas[0] + gammas[1])
-    xpts, xwts = _tensor_rule(cx, scale, nodes)
-    ypts, ywts = _tensor_rule(cy, scale, nodes)
-    ax = _dressed_grid(gammas[2:4], xpts, v, mp)
-    ay = _dressed_grid(gammas[0:2], ypts, v, mp)
-    fx = xwts * np.conj(ax[1]) * ax[0]
-    fy = ywts * np.conj(ay[1]) * ay[0]
-    kmat = pair_w(xpts, ypts)
-    return complex(fx @ kmat @ fy)
 
 
 KERNEL_FFT_MAX = 2048
@@ -439,40 +400,36 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
     return pot.c1 * step**2 / m**2 * complex(total)
 
 
-def w_kernel(gammas, v: LaguerreCoords, pair_w, mp: MagneticParams,
+def w_kernel(gammas, v: LaguerreCoords, pair_w: ExponentialPotential, mp: MagneticParams,
              nodes: int = 40) -> WKernelResult:
     """Two-body kernel element between dressed states,
 
         w = int int W(x, y) conj(A4(x)) A3(x) conj(A2(y)) A1(y) dx dy,
 
-    gammas lists (g1, g2, g3, g4) row-wise.  An ExponentialPotential takes
-    the Fourier-side route (_w_value_radial), where nodes sets the grid step
-    10 ell / nodes; any other kernel takes a Gauss-Hermite tensor rule with
-    nodes points per axis, centered between each pair's sites with scale
-    ell sqrt(2).  The error estimate is the difference against the same
-    route at max(8, nodes - 8) nodes, so nodes must be at least 9.  On the
-    Fourier side both rules keep the periodic images of W e^-30 away, so the
-    estimate measures the change in grid spacing alone.  Values whose
-    estimate exceeds 1e-6 relative (with a tiny absolute floor) are flagged
-    as unconverged rather than silently accepted.
+    gammas lists (g1, g2, g3, g4) row-wise.  pair_w must be an
+    ExponentialPotential, integrated on the Fourier side (_w_value_radial),
+    where nodes sets the grid step 10 ell / nodes.  The error estimate is the
+    difference against the same route at max(8, nodes - 8) nodes, so nodes
+    must be at least 9.  Both grids keep the periodic images of W e^-30
+    away, so the estimate measures the change in grid spacing alone.  Values
+    whose estimate exceeds 1e-6 relative (with a tiny absolute floor) are
+    flagged as unconverged rather than silently accepted.
     """
+    if not isinstance(pair_w, ExponentialPotential):
+        raise InteractionError(
+            f"the pair potential must be an ExponentialPotential, got {type(pair_w).__name__}")
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.shape != (4, 2):
         raise InteractionError(f"gammas must be (4, 2), got {gammas.shape}")
     if nodes < 9:
         raise InteractionError(
-            f"need at least 9 nodes per axis, got {nodes}: the check rule runs "
+            f"need at least 9 nodes, got {nodes}: the check rule runs "
             f"max(8, nodes - 8) nodes and must differ from the main rule")
-    coarse = max(8, nodes - 8)
-    if isinstance(pair_w, ExponentialPotential):
-        val = _w_value_radial(gammas, v, pair_w, mp, nodes)
-        ref = _w_value_radial(gammas, v, pair_w, mp, coarse)
-    else:
-        val = _w_value(gammas, v, pair_w, mp, nodes)
-        ref = _w_value(gammas, v, pair_w, mp, coarse)
+    val = _w_value_radial(gammas, v, pair_w, mp, nodes)
+    ref = _w_value_radial(gammas, v, pair_w, mp, max(8, nodes - 8))
     err = abs(val - ref)
     converged = err <= 1e-6 * max(abs(val), 1e-12)
-    return WKernelResult(value=val, error_estimate=err, nodes=nodes, converged=converged)
+    return WKernelResult(value=val, error_estimate=err, converged=converged)
 
 
 def k_sigma(c1: float, c2: float, sigma1: float, sigma2: float,

@@ -225,7 +225,7 @@ def laguerre_psi(n1: int, n2: int, x: np.ndarray, ell_b: float) -> np.ndarray:
 
 
 def chi_pointwise(site_gamma: tuple[float, float], x: np.ndarray, mp: MagneticParams,
-                  level: int = 0, trunc: int | None = None) -> np.ndarray:
+                  level: int = 0) -> np.ndarray:
     """Values of chi_(level, gamma) at planar points x, shape (..., 2).
 
     The lowest level uses the closed Gaussian form, the oracle for
@@ -239,8 +239,7 @@ def chi_pointwise(site_gamma: tuple[float, float], x: np.ndarray, mp: MagneticPa
         d = x - g
         phase = np.exp(-1j * mp.wedge(g, x) / (2.0 * ell**2))
         return phase * np.exp(-np.sum(d * d, axis=-1) / (4.0 * ell**2)) / (ell * np.sqrt(2.0 * pi))
-    if trunc is None:
-        trunc = choose_truncation(float(np.hypot(*g)) + 1e-9, ell)
+    trunc = choose_truncation(float(np.hypot(*g)) + 1e-9, ell)
     return coords_pointwise(chi_coords(tuple(g), ell, trunc, level=level), x)
 
 

@@ -332,6 +332,46 @@ def test_wkernel_seed_reproducible(tmp_path):
     assert (out1 / "wkernel.csv").read_bytes() == (out2 / "wkernel.csv").read_bytes()
 
 
+def test_wkernel_residual_check_catches_an_unsolved_dual(tmp_path, monkeypatch):
+    real = latframe.cli.v_omega
+    monkeypatch.setattr(latframe.cli, "v_omega",
+                        lambda window, mp: replace(real(window, mp), residual=1e-6))
+    code, _, summary = run_cli(tmp_path, "wkernel", WKERNEL_FAST)
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["dual_generator_residual"]
+    assert failed[0]["values"]["residual"] == 1e-6
+
+
+def test_wkernel_bound_check_catches_a_shrunk_budget(tmp_path, monkeypatch):
+    _, _, clean = run_cli(tmp_path, "wkernel", WKERNEL_FAST, name="clean")
+    ratio = {c["name"]: c["values"] for c in clean["checks"]}["all_within_decay_bound"]["max_ratio"]
+    real = latframe.cli.k_sigma
+
+    def shrunk(*args):
+        sigma, k = real(*args)
+        return sigma, k * ratio / 2.0
+
+    monkeypatch.setattr(latframe.cli, "k_sigma", shrunk)
+    code, _, summary = run_cli(tmp_path, "wkernel", WKERNEL_FAST, name="shrunk")
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["all_within_decay_bound"]
+    assert failed[0]["values"]["max_ratio"] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_wkernel_convergence_check_catches_an_unconverged_value(tmp_path, monkeypatch):
+    real = latframe.cli.w_kernel
+    monkeypatch.setattr(latframe.cli, "w_kernel",
+                        lambda *args, **kw: replace(real(*args, **kw), converged=False))
+    code, out, summary = run_cli(tmp_path, "wkernel", WKERNEL_FAST)
+    assert code == 1
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["quadrature_converged"]
+    _, rows = read_csv(out / "wkernel.csv")
+    assert [r[14] for r in rows] == ["false", "false"]
+
+
 def test_lr_light_cone(tmp_path):
     code, out, summary = run_cli(tmp_path, "lr", LR_FAST)
     assert code == 0

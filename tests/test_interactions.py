@@ -271,8 +271,6 @@ def test_v_omega_envelope_dominates_samples(riesz_window, dual_generator):
     )
     vals = np.abs(coords_pointwise(dual_generator.coords, pts)).max(axis=1)
     assert np.all(vals <= c2 * np.exp(-s2 * radii) * (1 + 1e-9))
-    # fitted envelope matches the sampled one on the fit radii
-    assert dual_generator.envelope.shape == dual_generator.fit_radii.shape
 
 
 def test_v_omega_rejects_levels_and_critical_density():
@@ -305,39 +303,11 @@ def test_k_sigma_values_and_branches():
         k_sigma(0.0, 1.0, 0.5, 1.5, 1.0)
 
 
-def test_exponential_potential_shape_and_validation(rng):
-    w = exponential_potential(2.0, 0.5)
-    x = rng.normal(size=(3, 2))
-    y = rng.normal(size=(5, 2))
-    got = w(x, y)
-    assert got.shape == (3, 5)
-    for a in range(3):
-        for b in range(5):
-            r = np.linalg.norm(x[a] - y[b])
-            assert got[a, b] == pytest.approx(2.0 * math.exp(-0.5 * r), rel=1e-13)
+def test_exponential_potential_shape_and_validation():
     with pytest.raises(InteractionError):
         exponential_potential(0.0, 1.0)
     with pytest.raises(InteractionError):
         exponential_potential(1.0, -1.0)
-
-
-def _pairwise(fn):
-    """Lift a radial profile to the grid-kernel calling convention."""
-
-    def kernel(x, y):
-        diff = x[:, None, :] - y[None, :, :]
-        return fn(np.sqrt(np.sum(diff * diff, axis=-1)))
-
-    return kernel
-
-
-def test_w_kernel_zero_potential(riesz_window, dual_generator):
-    g0 = riesz_window.gxy[riesz_window.center_index()]
-    gammas = np.tile(g0, (4, 1))
-    res = w_kernel(gammas, dual_generator.coords, _pairwise(np.zeros_like), MP,
-                   nodes=12)
-    assert res.value == 0.0
-    assert res.converged
 
 
 def test_w_kernel_validation(riesz_window, dual_generator):
@@ -356,23 +326,61 @@ def test_w_kernel_validation(riesz_window, dual_generator):
     with pytest.raises(InteractionError, match="smallest usable sigma1"):
         w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
                  exponential_potential(1.0, 1e-3), MP)
+    # the exponential pair potential is the only kernel there is a route for
+    with pytest.raises(InteractionError, match="ExponentialPotential"):
+        w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
+                 lambda x, y: np.exp(-np.linalg.norm(x[:, None] - y[None], axis=-1)), MP)
 
 
-@pytest.mark.parametrize("sigma1", [1.0, 0.25, 0.1])
-def test_w_kernel_radial_closed_form_oracle(sigma1):
-    # coherent states at the origin: A(x) = e^{-|x|^2/4}, so Bx = By = e^{-|x|^2/2},
-    # H(u) = pi e^{-|u|^2/4} and w = c1 pi int e^{-sigma1 |u|} e^{-|u|^2/4} du;
-    # a too-short FFT period shows here as the images of the slow tail of W
+def _coherent_oracle(gammas, c1, sigma1):
+    """w for the coherent generator at ell = 1, where A_g(x) = e^{-i g^x/2} e^{-|x-g|^2/4}.
+
+    Bx = conj(A4) A3 = e^{-|g3-g4|^2/8} e^{i P.x} e^{-|x-m_x|^2/2} with
+    P = J(g4-g3)/2, J(a, b) = (-b, a), and By likewise with Q = J(g2-g1)/2
+    about m_y.  In u = x - y and S = (x + y)/2 about the pair centers the S
+    integral is a Gaussian, pi e^{-|P+Q|^2/4}, and the u integral becomes
+    e^{-i kappa.D - |D|^2/4} 2 pi int r e^{-sigma1 r - r^2/4} I0(r sqrt(s)) dr,
+    with D = m_x - m_y, kappa = (P-Q)/2 and s = z.z (no conjugation) for
+    z = D/2 + i kappa.  quad needs a finite upper limit: at infinity the
+    integrand is inf * 0."""
     from scipy.integrate import quad
+    from scipy.special import iv
 
+    g1, g2, g3, g4 = gammas
+    m_x, m_y = (g3 + g4) / 2.0, (g1 + g2) / 2.0
+    d = m_x - m_y
+    p = np.array([g3[1] - g4[1], g4[0] - g3[0]]) / 2.0
+    q = np.array([g1[1] - g2[1], g2[0] - g1[0]]) / 2.0
+    kappa = (p - q) / 2.0
+    z = d / 2.0 + 1j * kappa
+    root = np.sqrt(np.sum(z * z))
+    radial, _ = quad(lambda r: r * math.exp(-sigma1 * r - r * r / 4.0) * iv(0, r * root),
+                     0.0, 40.0 + 4.0 * abs(root), epsabs=0.0, epsrel=1e-12, limit=200,
+                     complex_func=True)
+    return (c1 * math.exp(-(np.sum((g3 - g4) ** 2) + np.sum((g1 - g2) ** 2)) / 8.0)
+            * np.exp(1j * (p @ m_x + q @ m_y)) * math.pi * math.exp(-np.sum((p + q) ** 2) / 4.0)
+            * np.exp(-1j * (kappa @ d) - (d @ d) / 4.0) * 2.0 * math.pi * radial)
+
+
+_DISPLACED = np.random.default_rng(0).uniform(-2.5, 2.5, size=(3, 4, 2))
+
+
+@pytest.mark.parametrize("sigma1, gammas", [
+    *(pytest.param(s, np.zeros((4, 2)), id=f"{s}") for s in (1.0, 0.25, 0.1)),
+    *(pytest.param(s, g, id=f"{s}-displaced{k}")
+      for s in (1.0, 0.25, 0.1) for k, g in enumerate(_DISPLACED)),
+])
+def test_w_kernel_radial_closed_form_oracle(sigma1, gammas):
+    # coherent states: at gamma = 0 every dressing phase vanishes and
+    # w = c1 pi int e^{-sigma1 |u|} e^{-|u|^2/4} du; displaced quadruples pin
+    # the wedge sign, the dressing phase and the conjugation order.  A
+    # too-short FFT period shows here as the images of the slow tail of W
     c1 = 1.3
-    radial, _ = quad(lambda r: r * math.exp(-sigma1 * r - r * r / 4.0), 0.0, np.inf,
-                     epsabs=0.0, epsrel=1e-13)
-    ref = c1 * math.pi * 2.0 * math.pi * radial
+    ref = _coherent_oracle(gammas, c1, sigma1)
     coherent = LaguerreCoords(level=0, coeffs=np.array([1.0 + 0.0j]), ell_b=MP.ell_b)
-    res = w_kernel(np.zeros((4, 2)), coherent, exponential_potential(c1, sigma1), MP, nodes=40)
+    res = w_kernel(gammas, coherent, exponential_potential(c1, sigma1), MP, nodes=40)
     assert res.converged
-    assert abs(res.value - ref) / ref < 1e-10
+    assert abs(res.value - ref) / abs(ref) < 1e-10
 
 
 def test_next_fast_len_matches_scipy():
@@ -381,38 +389,6 @@ def test_next_fast_len_matches_scipy():
 
     sides = range(1, 4 * KERNEL_FFT_MAX + 1)
     assert [_next_fast_len(n) for n in sides] == [next_fast_len(n) for n in sides]
-
-
-def test_w_kernel_radial_vs_generic_route(riesz_window, dual_generator):
-    gxy = riesz_window.gxy
-    c = riesz_window.center_index()
-    near = [k for k in range(len(gxy)) if 0 < np.abs(gxy[k]).sum() <= 2.9]
-    gammas = np.stack([gxy[c], gxy[near[0]], gxy[near[1]], gxy[c]])
-    pot = exponential_potential(1.0, 1.0)
-    radial = w_kernel(gammas, dual_generator.coords, pot, MP, nodes=32)
-    # hide the closed-form parameters to force the plain tensor rule
-    generic = w_kernel(gammas, dual_generator.coords,
-                       _pairwise(lambda r: 1.0 * np.exp(-1.0 * r)), MP, nodes=32)
-    assert radial.converged
-    assert radial.error_estimate < 1e-8
-    # the tensor rule stalls on the |x-y| kink; its own error estimate must
-    # cover the gap to the converged value
-    scale = max(abs(radial.value), 1e-12)
-    gap = abs(radial.value - generic.value)
-    assert gap / scale < 2e-2
-    assert gap <= 5.0 * generic.error_estimate
-
-
-def test_w_kernel_gaussian_pair_potential(riesz_window, dual_generator):
-    # a smooth kernel exercises the generic route's convergence check
-    gxy = riesz_window.gxy
-    c = riesz_window.center_index()
-    near = [k for k in range(len(gxy)) if 0 < np.abs(gxy[k]).sum() <= 2.9]
-    gammas = np.stack([gxy[c], gxy[near[0]], gxy[c], gxy[near[0]]])
-    res = w_kernel(gammas, dual_generator.coords,
-                   _pairwise(lambda r: np.exp(-(r**2))), MP, nodes=40)
-    assert res.converged
-    assert res.error_estimate < 1e-6 * max(abs(res.value), 1e-30)
 
 
 def test_w_kernel_exchange_conjugation(riesz_window, dual_generator):

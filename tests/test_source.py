@@ -1,0 +1,51 @@
+"""Static checks on the package source, read with ast and never imported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "latframe").glob("*.py"))
+
+
+def _bound_names(node: ast.stmt) -> set[str]:
+    """Names a module-level statement binds by def, class, assignment or import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {(a.asname or a.name).split(".")[0] for a in node.names}
+    return set()
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _dead_private_names(tree: ast.Module) -> list[str]:
+    """Module-level _names that no public code reaches, directly or through
+    other private names; a helper used only by dead helpers is dead too."""
+    private: dict[str, list[ast.stmt]] = {}
+    live: set[str] = set()
+    for node in tree.body:
+        names = {n for n in _bound_names(node) if n.startswith("_") and not n.startswith("__")}
+        if names:
+            for name in names:
+                private.setdefault(name, []).append(node)
+        else:
+            live |= _loaded(node)
+    frontier = live & private.keys()
+    while frontier:
+        reached = set().union(*(_loaded(node) for name in frontier for node in private[name]))
+        frontier = (reached & private.keys()) - live
+        live |= reached
+    return sorted(private.keys() - live)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unreferenced_private_helpers(path):
+    # a helper whose last caller went is dead code that still reads as a route
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _dead_private_names(tree) == []
