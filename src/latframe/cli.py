@@ -77,7 +77,6 @@ from .serialize import (
     site_token,
     write_csv,
     write_json,
-    write_matrix_text,
 )
 
 __all__ = ["main"]
@@ -114,7 +113,7 @@ class RunContext:
     cfg: RunConfig
     out: Path
     rng: np.random.Generator
-    negative_control: bool
+    negative_control: bool  # only lr takes the flag; False for every other command
 
 
 @dataclass
@@ -144,8 +143,7 @@ def _cmd_gram(ctx: RunContext) -> CommandResult:
     min_eig, max_eig = float(vals[0]), float(vals[-1])
     n = len(w)
     write_csv(ctx.out / "gram.csv", ["i", "j", "site_i", "site_j", "d", "re", "im"],
-              _pair_rows(w, range(n), z.real, z.imag))
-    write_matrix_text(ctx.out / "gram_matrix.txt", z, w.content_hash())
+              _pair_rows(w, range(n), w.distance_matrix(), z.real, z.imag))
     checks = [
         Check("hermitian", dev <= 1e-12, {"max_deviation": dev}),
         Check("unit_diagonal", diag_dev <= 1e-12, {"max_deviation": diag_dev}),
@@ -153,7 +151,7 @@ def _cmd_gram(ctx: RunContext) -> CommandResult:
               {"min_eig": min_eig, "max_eig": max_eig}),
     ]
     params = {"n_sites": n, "regime": regime(w.params, mp), "window_hash": w.content_hash()}
-    return CommandResult(checks, ["gram.csv", "gram_matrix.txt"], params)
+    return CommandResult(checks, ["gram.csv"], params)
 
 
 def _nested_windows(cfg: RunConfig):
@@ -204,14 +202,16 @@ def _inverse_power_certificate(w, mp: MagneticParams, cfg: RunConfig, p: int):
                                s_max=bessel_bound(w.params, mp), p=p, eps=cfg.eps, theta=cfg.theta)
 
 
-def _pair_rows(w, sites, *columns) -> Iterator[tuple]:
-    """Rows (i, j, site_i, site_j, d, *columns[a, b]) over all pairs of `sites`,
-    made one at a time as write_csv formats them."""
-    d = w.distance_matrix()[np.ix_(sites, sites)]
-    for a, gi in enumerate(sites):
-        for b, gj in enumerate(sites):
-            yield (int(gi), int(gj), site_token(w.sites[gi]), site_token(w.sites[gj]),
-                   float(d[a, b]), *(float(c[a, b]) for c in columns))
+def _pair_rows(w, sites, d, *columns) -> Iterator[tuple]:
+    """Rows (i, j, site_i, site_j, d[a, b], *columns[a, b]) over all pairs of
+    `sites`, d being their distance block, made one at a time as write_csv
+    formats them."""
+    ids = [int(g) for g in sites]
+    tokens = [site_token(w.sites[g]) for g in ids]
+    for a, i in enumerate(ids):
+        values = [c[a].tolist() for c in (d, *columns)]
+        for b, j in enumerate(ids):
+            yield (i, j, tokens[a], tokens[b], *(v[b] for v in values))
 
 
 def _residual_check(dual, lp, mp: MagneticParams) -> Check:
@@ -248,10 +248,11 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
     cert = _inverse_power_certificate(w, mp, cfg, cfg.p)
     elems = s_inverse_power_elements(w, mp, cfg.p)
     sites = elems.sites
-    report = verify_decay(elems.entries, w.distance_matrix()[np.ix_(sites, sites)], cert)
+    d = w.distance_matrix()[np.ix_(sites, sites)]
+    report = verify_decay(elems.entries, d, cert)
     write_csv(ctx.out / "decay_check.csv",
               ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"],
-              _pair_rows(w, sites, np.abs(elems.entries), report.bounds, report.ratio))
+              _pair_rows(w, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
     write_json(ctx.out / "decay_certificate.json",
                {**asdict(cert), "window_hash": w.content_hash(), "n_sites": len(sites)})
     fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
@@ -396,10 +397,12 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     t_r, c_r, dual = landau_coefficients(r, w, mp)
     q = mp.level_spacing * (r + 0.5)
     sites = np.nonzero(w.levels == r)[0]
-    report = verify_decay(t_r, w.distance_matrix()[np.ix_(sites, sites)], cert, scale=q)
+    d = w.distance_matrix()[np.ix_(sites, sites)]
+    report = verify_decay(t_r, d, cert, scale=q)
     write_csv(ctx.out / "landau.csv",
               ["i", "j", "site_i", "site_j", "d", "re_t", "im_t", "abs_t", "bound", "ratio"],
-              _pair_rows(w, sites, t_r.real, t_r.imag, np.abs(t_r), report.bounds, report.ratio))
+              _pair_rows(w, sites, d, t_r.real, t_r.imag, np.abs(t_r), report.bounds,
+                         report.ratio))
     write_csv(ctx.out / "landau_constants.csv", ["i", "site", "c"],
               [(int(g_), site_token(w.sites[g_]), float(c_r[a])) for a, g_ in enumerate(sites)])
     checks = [
@@ -640,8 +643,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="configuration file (INI sections)")
         sp.add_argument("--out", default=_DEFAULT_OUT, help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        sp.add_argument("--negative-control", action="store_true",
-                        help="shrink the propagation speed 100x to force exceedances")
+        if name == "lr":
+            sp.add_argument("--negative-control", action="store_true",
+                            help="shrink the propagation speed 100x to force exceedances")
     return parser
 
 
@@ -689,7 +693,7 @@ def main(argv=None) -> int:
             cfg = validate(replace(cfg, seed=args.seed))
         out.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(cfg=cfg, out=out, rng=np.random.default_rng(cfg.seed),
-                         negative_control=args.negative_control)
+                         negative_control=getattr(args, "negative_control", False))
         result = _COMMANDS[command][0](ctx)
         passed = all(c.passed for c in result.checks)
         code = EXIT_OK if passed else EXIT_VERIFY
@@ -699,7 +703,7 @@ def main(argv=None) -> int:
             "status": "ok" if passed else "fail",
             "exit_code": code,
             "seed": cfg.seed,
-            "negative_control": args.negative_control,
+            "negative_control": ctx.negative_control,
             "parameters": result.parameters,
             "checks": [{"name": c.name, "passed": c.passed, "values": c.values}
                        for c in result.checks],

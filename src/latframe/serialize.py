@@ -1,11 +1,9 @@
-"""Deterministic text formats for matrices, tables and reports.
+"""Deterministic text formats for tables and reports.
 
 Every float is printed with %.15g so that reruns of the same configuration
 produce byte-identical artifacts; negative zero is normalized away for the
 same reason.  The formats are line-based and binary-free:
 
-matrix   header "latframe-matrix <rows> <cols> <window-hash>", then one
-         "re im" pair per entry, row-major.
 csv      comma-separated with a header row; fields never contain commas
          (site ids use the colon form "r:i:j").
 json     plain JSON with sorted keys and two-space indent.
@@ -25,8 +23,6 @@ from .lattice import Site
 __all__ = [
     "SerializeError",
     "fmt_float",
-    "write_matrix_text",
-    "read_matrix_text",
     "write_csv",
     "read_csv",
     "json_text",
@@ -49,18 +45,27 @@ def fmt_float(x: float) -> str:
     return "%.15g" % x
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise SerializeError(f"cell {value!r} contains a separator")
-        return value
+def _fmt_scalar(value) -> str | None:
+    """A bool as true/false, an int as its digits, a float by fmt_float;
+    None for any other type."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return fmt_float(float(value))
-    raise SerializeError(f"unsupported cell type {type(value).__name__}")
+    return None
+
+
+def _fmt_cell(value) -> str:
+    if isinstance(value, str):
+        if "," in value or "\n" in value:
+            raise SerializeError(f"cell {value!r} contains a separator")
+        return value
+    text = _fmt_scalar(value)
+    if text is None:
+        raise SerializeError(f"unsupported cell type {type(value).__name__}")
+    return text
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -82,45 +87,14 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def write_matrix_text(path: str | Path, matrix: np.ndarray, window_hash: str) -> None:
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise SerializeError(f"matrix must be 2-d, got shape {m.shape}")
-    lines = [f"latframe-matrix {m.shape[0]} {m.shape[1]} {window_hash}"]
-    for v in m.ravel():
-        c = complex(v)
-        lines.append(f"{fmt_float(c.real)} {fmt_float(c.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_matrix_text(path: str | Path) -> tuple[np.ndarray, str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("latframe-matrix "):
-        raise SerializeError(f"{path}: missing matrix header")
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise SerializeError(f"{path}: malformed header {lines[0]!r}")
-    rows, cols = int(parts[1]), int(parts[2])
-    if len(lines) - 1 != rows * cols:
-        raise SerializeError(f"{path}: expected {rows * cols} entries, found {len(lines) - 1}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for k, ln in enumerate(lines[1:]):
-        re_s, im_s = ln.split()
-        out[k] = float(re_s) + 1j * float(im_s)
-    return out.reshape(rows, cols), parts[3]
-
-
 def _json_value(obj, indent: int) -> str:
     pad = "  " * (indent + 1)
     close = "  " * indent
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(float(obj))
+    text = _fmt_scalar(obj)
+    if text is not None:
+        return text
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

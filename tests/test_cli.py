@@ -19,10 +19,12 @@ import latframe.cli
 import latframe.frame_analysis
 import latframe.quadratic
 from latframe.cli import main
-from latframe.config import REFERENCE_CONFIG, RunConfig
+from latframe.config import (REFERENCE_CONFIG, RunConfig, load_config, make_magnetic_params,
+                             make_window)
 from latframe.fock import MAX_MODES
 from latframe.interactions import BRUTE_MAX_SITES, KERNEL_FFT_MAX, kernel_fft_side
-from latframe.serialize import fmt_float, read_csv, read_matrix_text
+from latframe.magnetic import overlap_matrix
+from latframe.serialize import fmt_float, read_csv
 
 SMALL_GRAM = """\
 [lattice]
@@ -84,19 +86,20 @@ def test_gram_artifacts(tmp_path):
     assert code == 0
     assert summary["status"] == "ok"
     assert all(check_map(summary).values())
-    assert summary["artifacts"] == sorted(["gram.csv", "gram_matrix.txt", "summary.json"])
+    assert summary["artifacts"] == ["gram.csv", "summary.json"]
     n = summary["parameters"]["n_sites"]
     assert n == 13
+    cfg = load_config(tmp_path / "run.ini")
+    window = make_window(cfg)
+    assert summary["parameters"]["window_hash"] == window.content_hash()
     header, rows = read_csv(out / "gram.csv")
-    assert header[:4] == ["i", "j", "site_i", "site_j"]
-    assert len(rows) == n * n
-    mat, tag = read_matrix_text(out / "gram_matrix.txt")
-    assert mat.shape == (n, n)
-    assert tag == summary["parameters"]["window_hash"]
-    # the CSV is the same matrix, entry by entry
-    for row in rows[:20]:
+    assert header == ["i", "j", "site_i", "site_j", "d", "re", "im"]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(i, j) for i in range(n) for j in range(n)]
+    # the CSV is the overlap matrix, entry by entry
+    z = overlap_matrix(window, make_magnetic_params(cfg))
+    for row in rows:
         i, j = int(row[0]), int(row[1])
-        assert complex(float(row[5]), float(row[6])) == pytest.approx(mat[i, j], abs=1e-13)
+        assert complex(float(row[5]), float(row[6])) == pytest.approx(z[i, j], abs=1e-13)
 
 
 def test_gram_hermitian_check_catches_a_skewed_entry(tmp_path, monkeypatch):
@@ -118,7 +121,7 @@ def test_gram_hermitian_check_catches_a_skewed_entry(tmp_path, monkeypatch):
 def test_gram_deterministic(tmp_path):
     _, out1, _ = run_cli(tmp_path, "gram", SMALL_GRAM, name="first")
     _, out2, _ = run_cli(tmp_path, "gram", SMALL_GRAM, name="second")
-    for fname in ("gram.csv", "gram_matrix.txt", "summary.json"):
+    for fname in ("gram.csv", "summary.json"):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
@@ -736,6 +739,7 @@ def test_unknown_command_exits_via_parser(tmp_path, capsys):
 @pytest.mark.parametrize("argv,fragment", [
     (["gram", "--bogus"], "unrecognized arguments: --bogus"),
     (["gram", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["gram", "--negative-control"], "unrecognized arguments: --negative-control"),
 ])
 def test_rejected_arguments_leave_a_usage_record(tmp_path, capsys, argv, fragment):
     out = tmp_path / "x"

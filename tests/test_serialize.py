@@ -1,9 +1,8 @@
-"""Deterministic text formats: floats, CSV, matrix dumps, JSON, site tokens."""
+"""Deterministic text formats: floats, CSV, JSON, site tokens."""
 
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,10 +13,8 @@ from latframe.serialize import (
     fmt_float,
     json_text,
     read_csv,
-    read_matrix_text,
     site_token,
     write_csv,
-    write_matrix_text,
 )
 
 
@@ -59,31 +56,6 @@ def test_csv_rejects_unserializable_cells(tmp_path):
         write_csv(path, ["a"], [["line\nbreak"]])
     with pytest.raises(SerializeError):
         write_csv(path, ["a", "b"], [["only-one"]])
-
-
-def test_matrix_text_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    path = tmp_path / "m.txt"
-    write_matrix_text(path, m, "abcdef0123456789")
-    back, tag = read_matrix_text(path)
-    assert tag == "abcdef0123456789"
-    assert back.shape == m.shape
-    assert np.allclose(back, m, rtol=1e-13, atol=1e-300)
-    first = path.read_text().splitlines()[0]
-    assert first.split() == ["latframe-matrix", "4", "3", "abcdef0123456789"]
-
-
-def test_matrix_text_rejects_corruption(tmp_path):
-    path = tmp_path / "m.txt"
-    write_matrix_text(path, np.eye(2, dtype=complex), "0" * 16)
-    lines = path.read_text().splitlines()
-    (tmp_path / "bad.txt").write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(SerializeError):
-        read_matrix_text(tmp_path / "bad.txt")
-    (tmp_path / "bad2.txt").write_text("not-a-header 2 2 x\n")
-    with pytest.raises(SerializeError):
-        read_matrix_text(tmp_path / "bad2.txt")
 
 
 def test_json_text_deterministic_and_sorted():

@@ -49,3 +49,22 @@ def test_no_unreferenced_private_helpers(path):
     # a helper whose last caller went is dead code that still reads as a route
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _dead_private_names(tree) == []
+
+
+def _all_entries(tree: ast.Module) -> list[str] | None:
+    """The strings of a module-level __all__ list, or None if it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    # the benchmark tracer wraps each __all__ entry by getattr, so a stale
+    # entry would end every traced run in AttributeError
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    entries = _all_entries(tree) or []
+    bound = set().union(*(_bound_names(node) for node in tree.body))
+    assert sorted(set(entries) - bound) == []
