@@ -18,6 +18,17 @@ N to N - 1.  Every eigendecomposition, Heisenberg step and norm runs on
 blocks of one sector, at most C(rank, rank // 2) states.  jw_lowering,
 monomial_operator and anticommutator_norm act on dense matrices of the whole
 2**rank space: they are the oracle of the sector engine.
+
+Real windows run in real arithmetic.  When the overlaps carry no phase (on a
+straight chain every wedge gamma ^ gamma' is 0), mode_basis factors the real
+part of Z, so V is float64, and with a real coupling or hopping matrix every
+Hamiltonian block and eigenbasis is real too.  The dtype alone decides this:
+windows whose overlaps carry phases keep the complex path.  On real V and H,
+complex conjugation K of the Jordan-Wigner basis fixes every a_g and sends
+tau_t to tau_-t while keeping norms, so ||{tau_t(a#_i), a#_j}|| =
+||{tau_-t(a#_i), a#_j}||, and applying the automorphism tau_t turns that into
+||{tau_t(a#_j), a#_i}||: the light-cone front is symmetric in the site pair,
+and lr_check computes each unordered pair once.
 """
 
 from __future__ import annotations
@@ -58,7 +69,8 @@ __all__ = [
 GRAM_FACTOR_RTOL = 1e-12
 # mode cap of the Fock engine and of the dynamics commands: the largest number
 # sector at 12 modes holds C(12, 6) = 924 states, and `lr` on a 12-site chain
-# needs minutes per time step for its 144 pairs x 2 flavours of block norms
+# needs minutes per time step for its 78 unordered pairs x 2 flavours of block
+# norms
 MAX_MODES = 12
 
 
@@ -86,7 +98,9 @@ class ModeBasis:
 
 def mode_basis(window: Window, mp: MagneticParams) -> ModeBasis:
     z = overlap_matrix(window, mp)
-    w, u = np.linalg.eigh(z)
+    # overlaps without phases are factored in real arithmetic, so V, and with
+    # it every Hamiltonian block, eigenbasis and mode operator, is real
+    w, u = np.linalg.eigh(z if np.any(z.imag) else z.real)
     keep = w > GRAM_FACTOR_RTOL * max(w[-1], 0.0)
     rank = int(np.count_nonzero(keep))
     if rank == 0:
@@ -147,7 +161,7 @@ def _lowering_blocks(rank: int, coefs: np.ndarray) -> list[tuple[np.ndarray, ...
     for c in coefs:
         blocks = []
         for d, rows, cols, held, sg in tables:
-            b = np.zeros((d, len(cols)), dtype=np.complex128)
+            b = np.zeros((d, len(cols)), dtype=coefs.dtype)
             b[rows, cols] = c[held] * sg
             blocks.append(b)
         out.append(tuple(blocks))
@@ -166,10 +180,11 @@ def _conserving_blocks(rank: int, one_body: np.ndarray,
     t.  Every (t, created, annihilated) triple lands in the block through one
     bincount."""
     by_count, index, occ, sign, bit = _sector_tables(rank)
+    dtype = np.result_type(*(c for c in (one_body, two_body) if c is not None))
     blocks = []
     for n in range(rank + 1):
         d = len(by_count[n])
-        flat, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
+        flat, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=dtype)]
         for j, coef in ((1, one_body), (2, two_body)):
             if coef is None or n < j:
                 continue
@@ -183,11 +198,13 @@ def _conserving_blocks(rank: int, one_body: np.ndarray,
                 tuple(subsets[:, None, :, i] for i in range(j))
             flat.append((target[:, :, None] * d + target[:, None, :]).ravel())
             vals.append((coef[at] * (amp[:, :, None] * amp[:, None, :])).ravel())
-        # real and imaginary parts interleaved: one scatter fills the block
-        parts = np.concatenate(vals).astype(np.complex128).view(np.float64)
-        slots = (2 * np.concatenate(flat)[:, None] + np.array([0, 1])).ravel()
-        block = np.bincount(slots, weights=parts, minlength=2 * d * d)
-        blocks.append(block.view(np.complex128).reshape(d, d))
+        # complex values as their real and imaginary parts interleaved: one
+        # scatter fills the block; an empty one (sector 0) comes back as int
+        k = 2 if dtype.kind == "c" else 1
+        slots = (k * np.concatenate(flat)[:, None] + np.arange(k)).ravel()
+        parts = np.concatenate(vals).view(np.float64)
+        block = np.bincount(slots, weights=parts, minlength=k * d * d)
+        blocks.append(block.astype(np.float64, copy=False).view(dtype).reshape(d, d))
     return blocks
 
 
@@ -276,10 +293,12 @@ class Evolution:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of a dense matrix.  Sector blocks have at most
-    C(MAX_MODES, MAX_MODES // 2) = 924 rows (the middle sector at the mode cap)."""
+    """Largest singular value of a dense matrix, the first of the descending
+    values LAPACK's SVD returns (np.linalg.norm(a, 2) makes the same call).
+    Sector blocks have at most C(MAX_MODES, MAX_MODES // 2) = 924 rows (the
+    middle sector at the mode cap)."""
     a = np.asarray(a)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
 def anticommutator_norm(p: np.ndarray, q: np.ndarray) -> float:
@@ -352,7 +371,13 @@ def lr_check(basis: ModeBasis, h: list[np.ndarray], t_grid,
     h holds H's sector blocks, and the work runs sector by sector in H's
     eigenbasis; the flavors come in adjoint pairs, ||{x*, y*}|| = ||{x, y}||
     and ||{x*, y}|| = ||{x, y*}||, so two norms per pair and time fill the
-    four columns of f_table."""
+    four columns of f_table.
+
+    When basis.v and every block of h are real, F(i, j, t) = F(j, i, t) for
+    both norms: conjugation fixes each a_g, maps tau_t to tau_-t and keeps
+    norms, and the automorphism tau_t then swaps the pair.  Each unordered
+    pair is computed once there and its mirror cell copied; complex inputs,
+    where the fronts at t and -t differ, compute every ordered pair."""
     if zeta <= 0 or g <= 0:
         raise FockError("zeta and g must be positive")
     shapes = [np.shape(b) for b in h]
@@ -365,13 +390,16 @@ def lr_check(basis: ModeBasis, h: list[np.ndarray], t_grid,
     ops = mode_operators(basis)
     # each site leaves the site basis in turn, so only one site is held twice
     static = [evol.eigenbasis(ops.pop(0)) for _ in range(n)]
+    mirrored = np.isrealobj(basis.v) and all(np.isrealobj(b) for b in h)
     f_table = np.zeros((len(t_grid), n * n, 4))
     for it, t in enumerate(t_grid):
         for i in range(n):
             x = evol.heisenberg(static[i], float(t))
-            for j in range(n):
+            for j in range(i if mirrored else 0, n):
                 plain, mixed = _anticommutator_norms(x, static[j])
                 f_table[it, i * n + j] = (plain, mixed, mixed, plain)
+                if mirrored:
+                    f_table[it, j * n + i] = f_table[it, i * n + j]
     # an overflowing envelope holds trivially; callers that write the bounds
     # out reject such a t_max before the run
     d_pairs = basis.window.distance_matrix().ravel()

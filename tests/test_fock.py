@@ -15,6 +15,7 @@ from latframe.interactions import (
     density_density,
     lr_velocity,
 )
+import latframe.fock
 from latframe.fock import (
     Evolution,
     FockError,
@@ -230,6 +231,12 @@ def test_operator_norms(rng):
     assert anticommutator_norm(sx, sx) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (15, 20), (20, 15), (1, 6)])
+def test_operator_norm_is_numpy_spectral_norm_bit_for_bit(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+
 # ----------------------------------------------------------- light-cone check
 
 def test_lr_check_static_dynamics():
@@ -310,12 +317,9 @@ def test_volume_convergence_boundary_envelope(chain4_setup):
 _FLAVORS = ((False, False), (False, True), (True, False), (True, True))
 
 
-@pytest.fixture(scope="module", params=["chain", "patch"])
-def six_modes(request):
-    """A 6-site chain, and a 3 x 2 patch whose overlaps carry phases: there H is
-    not real and the fronts at t and -t differ (on a straight chain they coincide)."""
+def _six_modes(kind):
     params = LatticeParams(1.0, 1.0, 10.0)
-    if request.param == "chain":
+    if kind == "chain":
         w = build_chain(params, 6)
     else:
         w = window_from_triples(params, [(0, i, j) for i in range(3) for j in range(2)])
@@ -323,6 +327,13 @@ def six_modes(request):
     basis = mode_basis(w, MP)
     assert basis.rank == 6
     return w, basis, density_density(w, f0=1.0, mu=1.0)
+
+
+@pytest.fixture(scope="module", params=["chain", "patch"])
+def six_modes(request):
+    """A 6-site chain, and a 3 x 2 patch whose overlaps carry phases: there H is
+    not real and the fronts at t and -t differ (on a straight chain they coincide)."""
+    return _six_modes(request.param)
 
 
 def _dense_evolved(h, a, t):
@@ -355,6 +366,46 @@ def test_lr_check_sectors_match_dense_oracle(six_modes):
     assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
     # the dynamics genuinely moves the fronts
     assert np.max(np.abs(rep.f_table[-1] - rep.f_table[0])) > 1e-2
+
+
+def test_real_arithmetic_follows_the_overlap_phases(six_modes):
+    """A chain's overlaps carry no phase: V, the Hamiltonian blocks and the
+    eigenbases are float64.  The patch keeps complex arithmetic."""
+    w, basis, inter = six_modes
+    real = not np.any(overlap_matrix(w, MP).imag)
+    assert real == (w.gxy[:, 1] == 0.0).all()
+    want = np.float64 if real else np.complex128
+    assert basis.v.dtype == want
+    h = build_interaction_hamiltonian(basis, inter)
+    assert {b.dtype for b in h} == {np.dtype(want)}
+    assert {u.dtype for u in Evolution(h).eigvecs} == {np.dtype(want)}
+    assert {b.dtype for b in mode_operators(basis)[0]} == {np.dtype(want)}
+
+
+def test_lr_check_computes_each_unordered_pair_once_on_real_input(six_modes, monkeypatch):
+    w, basis, inter = six_modes
+    calls = []
+    real_norm = latframe.fock.operator_norm
+    monkeypatch.setattr(latframe.fock, "operator_norm", lambda a: calls.append(1) or real_norm(a))
+    h = build_interaction_hamiltonian(basis, inter)
+    t_grid = np.array([0.0, 0.35, 1.1])
+    lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    # per pair and time: 5 plain blocks, the 2 edge and 5 inner mixed blocks;
+    # the straight chain's 21 unordered pairs, the patch's 36 ordered ones
+    pairs = 21 if (w.gxy[:, 1] == 0.0).all() else 36
+    assert len(calls) == pairs * len(t_grid) * 12
+
+
+def test_patch_fronts_are_not_symmetric_in_the_pair():
+    """Off a straight chain H is not real, F(i, j, t) != F(j, i, t), and
+    lr_check must compute both ordered pairs."""
+    _, basis, inter = _six_modes("patch")
+    h = build_interaction_hamiltonian(basis, inter)
+    t_grid = np.array([0.35, 1.1])
+    f = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0).f_table
+    n = basis.n_sites
+    table = f.reshape(len(t_grid), n, n, 4)
+    assert np.max(np.abs(table - table.transpose(0, 2, 1, 3))) > 1e-3
 
 
 def test_volume_convergence_sectors_match_dense_oracle(six_modes):
