@@ -13,6 +13,7 @@ no timestamps, seeded sampling, fixed enumeration order.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
@@ -123,13 +124,11 @@ class CommandResult:
     parameters: dict
 
 
-def _rates(window, mp: MagneticParams, cfg: RunConfig) -> dict:
-    """Localization rate, overlap constant and the (zeta, xi) pair in use."""
+def _rates(window, mp: MagneticParams) -> dict:
+    """Localization rate lam, the measured overlap constant g and the
+    decay-functional pair zeta = lam / 2 < xi = lam."""
     lam = localization_rate(window.params, mp)
-    g = cfg.g if cfg.g is not None else overlap_rate_constant(window, mp)
-    zeta = cfg.zeta if cfg.zeta is not None else lam / 2.0
-    xi = cfg.xi if cfg.xi is not None else lam
-    return {"lam": lam, "g": g, "zeta": zeta, "xi": xi}
+    return {"lam": lam, "g": overlap_rate_constant(window, mp), "zeta": lam / 2.0, "xi": lam}
 
 
 def _cmd_gram(ctx: RunContext) -> CommandResult:
@@ -193,13 +192,13 @@ def _cmd_bounds(ctx: RunContext) -> CommandResult:
     return CommandResult(checks, ["bounds.csv"], params)
 
 
-def _inverse_power_certificate(w, mp: MagneticParams, cfg: RunConfig, p: int):
+def _inverse_power_certificate(w, mp: MagneticParams, p: int):
     """The S^-p decay certificate between the Schur lower frame bound and the
-    closed-form upper one."""
-    rates = _rates(w, mp, cfg)
+    closed-form upper one, with the split eps = theta = lam / 4."""
+    rates = _rates(w, mp)
     return neumann_certificate(w, g=rates["g"], lam=rates["lam"],
                                s_min=schur_lower_bound(w.params, mp),
-                               s_max=bessel_bound(w.params, mp), p=p, eps=cfg.eps, theta=cfg.theta)
+                               s_max=bessel_bound(w.params, mp), p=p)
 
 
 def _pair_rows(w, sites, d, *columns) -> Iterator[tuple]:
@@ -222,12 +221,13 @@ def _residual_check(dual, lp, mp: MagneticParams) -> Check:
                   "patch_edge": dual.edge, "patch_sites": int(np.count_nonzero(dual.coeffs[0]))})
 
 
-def _density_check(c_r: np.ndarray, lp, mp: MagneticParams) -> Check:
-    """<chi, S^-1 chi> = 1 / N on every site, N = 2 pi ell^2 / (alpha beta)."""
+def _density_check(c_r: float, lp, mp: MagneticParams) -> Check:
+    """<chi, S^-1 chi> = 1 / N, N = 2 pi ell^2 / (alpha beta)."""
     inv_n = lp.alpha * lp.beta / (2.0 * np.pi * mp.ell_b**2)
-    dev = float(np.max(np.abs(c_r - inv_n)))
+    dev = abs(c_r - inv_n)
     return Check("constants_equal_inverse_density", dev <= DUAL_RESIDUAL_TOL,
-                 {"max_deviation": dev, "inverse_density": inv_n, "bound": DUAL_RESIDUAL_TOL})
+                 {"c": c_r, "max_deviation": dev, "inverse_density": inv_n,
+                  "bound": DUAL_RESIDUAL_TOL})
 
 
 def _require_window_cap(cfg: RunConfig, command: str, n: int, what: str, cap: int) -> None:
@@ -245,7 +245,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
     mp = make_magnetic_params(cfg)
     _require_window_cap(cfg, "decay", int(np.count_nonzero(w.levels == 0)), "level-0 sites",
                         MAX_PAIR_TABLE_SITES)
-    cert = _inverse_power_certificate(w, mp, cfg, cfg.p)
+    cert = _inverse_power_certificate(w, mp, cfg.p)
     elems = s_inverse_power_elements(w, mp, cfg.p)
     sites = elems.sites
     d = w.distance_matrix()[np.ix_(sites, sites)]
@@ -272,7 +272,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
 def _interaction_speed(w, mp: MagneticParams, cfg: RunConfig):
     """Rates, the density-density interaction, its C(zeta, xi) and the
     propagation speed that C certifies."""
-    rates = _rates(w, mp, cfg)
+    rates = _rates(w, mp)
     inter = density_density(w, cfg.f0, cfg.mu)
     res = c_phi(inter, rates["zeta"], rates["xi"])
     return rates, inter, res, lr_velocity(res.value, rates["g"], rates["zeta"])
@@ -393,7 +393,7 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     r = cfg.level
     _require_window_cap(cfg, "landau", int(np.count_nonzero(w.levels == r)),
                         f"level-{r} sites", MAX_PAIR_TABLE_SITES)
-    cert = _inverse_power_certificate(w, mp, cfg, 2)
+    cert = _inverse_power_certificate(w, mp, 2)
     t_r, c_r, dual = landau_coefficients(r, w, mp)
     q = mp.level_spacing * (r + 0.5)
     sites = np.nonzero(w.levels == r)[0]
@@ -403,20 +403,18 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
               ["i", "j", "site_i", "site_j", "d", "re_t", "im_t", "abs_t", "bound", "ratio"],
               _pair_rows(w, sites, d, t_r.real, t_r.imag, np.abs(t_r), report.bounds,
                          report.ratio))
-    write_csv(ctx.out / "landau_constants.csv", ["i", "site", "c"],
-              [(int(g_), site_token(w.sites[g_]), float(c_r[a])) for a, g_ in enumerate(sites)])
     checks = [
         Check("zero_violations", report.violations == 0,
               {"violations": report.violations, "max_ratio": report.max_ratio}),
         _residual_check(dual, w.params, mp),
         _density_check(c_r, w.params, mp),
     ]
-    params = {"level": r, "q": q, "lambda_2": cert.lambda_p, "a_2": cert.a_p,
+    params = {"level": r, "q": q, "c": c_r, "lambda_2": cert.lambda_p, "a_2": cert.a_p,
               "n_sites": len(sites)}
-    return CommandResult(checks, ["landau.csv", "landau_constants.csv"], params)
+    return CommandResult(checks, ["landau.csv"], params)
 
 
-def _chain_and_interaction(cfg: RunConfig, length: int, section: str, key: str):
+def _dynamics_chain(cfg: RunConfig, length: int, section: str, key: str):
     """The lowest-level chain of `length` sites that the config key [section]
     key asks for."""
     lp = make_lattice_params(cfg)
@@ -457,13 +455,13 @@ def _require_finite_envelope(envelope, t_max: float) -> None:
 def _cmd_lr(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     mp = make_magnetic_params(cfg)
-    w = _chain_and_interaction(cfg, cfg.chain_length, "lattice", "chain_length")
+    w = _dynamics_chain(cfg, cfg.chain_length, "lattice", "chain_length")
     rates, inter, cres, velocity = _interaction_speed(w, mp, cfg)
     if ctx.negative_control:
         velocity = velocity / 100.0
-    d_min = float(w.distance_matrix().min())
+    # the envelope is largest at d = 0, each site's distance to itself
     _require_finite_envelope(
-        lambda t: lr_envelope(rates["g"], rates["zeta"], velocity, d_min, t), cfg.t_max)
+        lambda t: lr_envelope(rates["g"], rates["zeta"], velocity, 0.0, t), cfg.t_max)
     basis = mode_basis(w, mp)
     h = build_interaction_hamiltonian(basis, inter)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
@@ -513,7 +511,7 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     lengths = cfg.chain_lengths
     if len(lengths) < 2:
         raise ConfigError("windows", "chain_lengths", "need at least two nested lengths")
-    w_big = _chain_and_interaction(cfg, lengths[-1], "windows", "chain_lengths")
+    w_big = _dynamics_chain(cfg, lengths[-1], "windows", "chain_lengths")
     rates, inter, cres, velocity = _interaction_speed(w_big, mp, cfg)
     center = w_big.center_index()
     lp = make_lattice_params(cfg)
@@ -672,9 +670,7 @@ def _error_exit(out: Path, command: str, kind: str, code: int, message: str,
         record["error"]["section"] = section
         record["error"]["key"] = key
     _write_summary(out, record)
-    import json as _json
-
-    print(_json.dumps(record, sort_keys=True), file=sys.stderr)
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
     return code
 
 

@@ -1,8 +1,7 @@
 """Run configuration: flat key/value text with sections, strictly validated.
 
 Each key is declared once, as a `RunConfig` field that carries its section,
-its default and its lower bound; its parser follows from the annotation, and
-an annotation ending in "| None" lets the key take the literal "none".  The
+its default and its lower bound; its parser follows from the annotation.  The
 parse table, the bound checks and `REFERENCE_CONFIG` are all read off those
 fields.  Unknown sections or keys are rejected, and failures carry the
 section/key they belong to so the front end can report them as structured
@@ -61,19 +60,13 @@ class RunConfig:
     beta: float = _key("lattice", _ROOT_PI, gt=0)
     radius: float = _key("lattice", 12.0, gt=0)
     level_max: int = _key("lattice", 0, ge=0)
-    nu: float | None = _key("lattice", None, ge=0)
     shape: str = _key("lattice", "ball", choices=("ball", "chain"))
     chain_length: int = _key("lattice", 8, ge=1)
     ell_b: float = _key("magnetic", 1.0, gt=0)
     eps_b: float = _key("magnetic", 1.0, gt=0)
     f0: float = _key("model", 1.0, ge=0)
     mu: float = _key("model", 1.0, gt=0)
-    zeta: float | None = _key("model", None, gt=0)
-    xi: float | None = _key("model", None, gt=0)
     p: int = _key("certificate", 1, ge=1)
-    g: float | None = _key("certificate", None, ge=1)
-    eps: float | None = _key("certificate", None, gt=0)
-    theta: float | None = _key("certificate", None, gt=0)
     t_max: float = _key("dynamics", 2.0, gt=0)
     n_t: int = _key("dynamics", 21, ge=2)
     c1: float = _key("kernel", 1.0, gt=0)
@@ -117,18 +110,16 @@ _PARSERS = {"float": _parse_float, "int": _parse_int}
 def _parser(f):
     """The parser of a field, read off its annotation: "tuple[T, ...]" reads a
     list of T separated by spaces or commas, and "str" one of the field's choices."""
-    base = f.type.removesuffix(" | None")
-    if base.startswith("tuple["):
-        item = _PARSERS[base[len("tuple["):-len(", ...]")]]
+    if f.type.startswith("tuple["):
+        item = _PARSERS[f.type[len("tuple["):-len(", ...]")]]
         return lambda text: tuple(item(t) for t in text.replace(",", " ").split())
-    if base == "str":
+    if f.type == "str":
         return partial(_parse_choice, f.metadata["choices"])
-    return _PARSERS[base]
+    return _PARSERS[f.type]
 
 
-# (section, key) -> (parser, optional)
-_KEYS = {(f.metadata["section"], f.name): (_parser(f), f.type.endswith(" | None"))
-         for f in fields(RunConfig)}
+# (section, key) -> parser
+_KEYS = {(f.metadata["section"], f.name): _parser(f) for f in fields(RunConfig)}
 _SECTIONS = {section for section, _ in _KEYS}
 
 
@@ -148,10 +139,7 @@ def validate(cfg: RunConfig) -> RunConfig:
     """cfg, if every key is within its declared bound and the keys agree with
     each other; otherwise a ConfigError naming the first offending key."""
     for f in fields(cfg):
-        if getattr(cfg, f.name) is not None:
-            _check_bound(f, getattr(cfg, f.name))
-    if cfg.zeta is not None and cfg.xi is not None and cfg.xi <= cfg.zeta:
-        raise ConfigError("model", "xi", f"need zeta < xi, got {cfg.zeta} >= {cfg.xi}")
+        _check_bound(f, getattr(cfg, f.name))
     if not _increasing(cfg.radii):
         raise ConfigError("windows", "radii", "radii must be strictly increasing")
     if not cfg.chain_lengths:
@@ -179,16 +167,11 @@ def parse_config_text(text: str) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(section, "", f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            spec = _KEYS.get((section, key))
-            if spec is None:
+            parse = _KEYS.get((section, key))
+            if parse is None:
                 raise ConfigError(section, key, f"unknown key {key!r}")
-            parse, optional = spec
-            raw = raw.strip()
-            if optional and raw.lower() == "none":
-                values[key] = None
-                continue
             try:
-                values[key] = parse(raw)
+                values[key] = parse(raw.strip())
             except ValueError as exc:
                 raise ConfigError(section, key, str(exc)) from None
     return validate(replace(RunConfig(), **values))
@@ -207,7 +190,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def make_lattice_params(cfg: RunConfig) -> LatticeParams:
     return LatticeParams(alpha=cfg.alpha, beta=cfg.beta, radius=cfg.radius,
-                         level_max=cfg.level_max, nu=cfg.nu)
+                         level_max=cfg.level_max)
 
 
 def make_magnetic_params(cfg: RunConfig) -> MagneticParams:
@@ -223,16 +206,15 @@ def make_window(cfg: RunConfig) -> Window:
 
 def _reference_config() -> str:
     lines = ['# latframe reference configuration; every key is optional and shown at',
-             '# its default.  "none" selects the computed default where allowed, and an',
-             '# empty radii list means radius / 2, 3 radius / 4 and radius.']
+             '# its default.  An empty radii list means radius / 2, 3 radius / 4 and',
+             '# radius.']
     section = None
     for f in fields(RunConfig):
         if f.metadata["section"] != section:
             section = f.metadata["section"]
             lines += ["", f"[{section}]"]
         value = f.default
-        text = ("none" if value is None
-                else " ".join(map(str, value)) if isinstance(value, tuple) else str(value))
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
         lines.append(f"{f.name} = {text}".rstrip())
     return "\n".join(lines) + "\n"
 

@@ -5,9 +5,10 @@ Wexler-Raz duality S^-p chi_0 is a short sum of adjoint-lattice states whose
 coefficients solve one small, well-conditioned system (`dual_coefficients`);
 every element <chi_g, S^-p chi_g'> follows by translation covariance,
 `dual_residual` checks the dual without any inverse, and `schur_lower_bound`
-is a rigorous lower frame bound.  The finite-window Fock model, which lives
-on the lowest level, keeps the window route: `frame_operator` pseudo-inverts
-S in the truncated angular basis of a lowest-level window, and
+is a rigorous lower frame bound.  Two users keep the window route:
+`frame_operator` pseudo-inverts S in the truncated angular basis of a
+lowest-level window for `interactions.v_omega`, the dual generator of the
+two-body kernel, and for the free-dynamics oracle of the tests; and
 `frame_bounds_estimate` reports window Gram spectra as a finite-window proxy
 of the frame bounds.
 
@@ -92,7 +93,7 @@ def gram(window: Window, mp: MagneticParams) -> np.ndarray:
 
 def frame_operator(window: Window, mp: MagneticParams) -> FrameOperatorTrunc:
     """Frame operator of a lowest-level window's states and their dual rows,
-    for the finite-window Fock model; eigenvalues of S below
+    for the kernel's dual generator (`v_omega`); eigenvalues of S below
     PSEUDO_INVERSE_RTOL times the largest are dropped from S^+."""
     if window.params.level_max != 0:
         raise FrameAnalysisError(f"the window route serves the lowest level alone; "

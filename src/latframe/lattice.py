@@ -49,17 +49,12 @@ class LatticeParams:
         metric ball in the spatial part and symmetric under gamma -> -gamma.
     level_max : int
         Highest level index included (0 keeps only the lowest level).
-    nu : int or None
-        Metric-space dimension in the volume weight (1 + diam Z)**nu of
-        the propagation functional; defaults to 2 for a single level and
-        3 when several levels are present.
     """
 
     alpha: float
     beta: float
     radius: float
     level_max: int = 0
-    nu: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0 and self.beta > 0):
@@ -75,9 +70,9 @@ class LatticeParams:
 
     @property
     def dim(self) -> int:
-        """Effective metric dimension: spatial axes plus the level axis if present."""
-        if self.nu is not None:
-            return self.nu
+        """Metric dimension nu of the volume weight (1 + diam Z)**nu in the
+        propagation functional: the two spatial axes, plus the level axis when
+        the window holds more than one level."""
         return 2 if self.level_max == 0 else 3
 
 

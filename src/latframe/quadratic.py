@@ -3,12 +3,13 @@
 The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r.  Their
 hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g> generates the same
 free dynamics as H on the span of the frame, and vanishes exactly between
-levels.  `hopping_coeffs` serves the finite-window Fock model, which lives
-on the lowest level: it sandwiches one block h, H_0 in the truncated angular
-basis, between the window dual rows of `frame_analysis.frame_operator`.
-For the level Hamiltonian q(r) Pi_r, q(r) = eps_b * (r + 1/2),
-`landau_coefficients` reads t_r = q(r) * <chi, S^-2 chi'> and the constants
-c_r = <chi, S^-1 chi> from one infinite-lattice adjoint dual of power 2.
+levels.  `hopping_coeffs` is the window route, kept as the free-dynamics
+oracle of the lowest level: it sandwiches one block h, H_0 in the truncated
+angular basis, between the window dual rows of
+`frame_analysis.frame_operator`.  For the level Hamiltonian q(r) Pi_r,
+q(r) = eps_b * (r + 1/2), `landau_coefficients` reads
+t_r = q(r) * <chi, S^-2 chi'> and the constant c_r = <chi, S^-1 chi>, the
+same on every site, from one infinite-lattice adjoint dual of power 2.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ __all__ = [
 
 
 def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndarray:
-    """Double-dressed hopping matrix t(g', g) = conj(D_g') h D_g of the
-    finite-window Fock model, with D the window dual rows.
+    """Double-dressed hopping matrix t(g', g) = conj(D_g') h D_g of a
+    lowest-level window, with D the window dual rows.
 
     h is the lowest-level block of H, shape (M+1, M+1) with M the window's
     truncation; the window must hold the lowest level alone.
@@ -51,13 +52,14 @@ def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndar
 
 
 def landau_coefficients(r: int, window: Window,
-                        mp: MagneticParams) -> tuple[np.ndarray, np.ndarray, AdjointDual]:
+                        mp: MagneticParams) -> tuple[np.ndarray, float, AdjointDual]:
     """Infinite-lattice coefficients of the pure level-r Hamiltonian.
 
-    Returns (t_r, c_r, dual) with t_r = q(r) * <chi, S^-2 chi'> and
-    c_r = <chi, S^-1 chi> over the level-r sites in window order,
-    q(r) = eps_b * (r + 1/2), and the power-2 adjoint dual both are read from
-    (its q = 1 coefficients give c_r).  The elements are those between the
+    Returns (t_r, c_r, dual) with t_r = q(r) * <chi, S^-2 chi'> over the
+    level-r sites in window order, q(r) = eps_b * (r + 1/2), the constant
+    c_r = <chi, S^-1 chi>, which translation covariance makes the same on
+    every site, and the power-2 adjoint dual both are read from (its q = 1
+    coefficients give c_r).  The elements are those between the
     level-0 sites; level r must repeat those sites.  Levels decouple exactly,
     so elements between different levels vanish identically and are not
     materialized.
@@ -72,5 +74,4 @@ def landau_coefficients(r: int, window: Window,
         )
     q = mp.level_spacing * (r + 0.5)
     elems = s_inverse_power_elements(window, mp, p=2)
-    c_r = np.full(len(elems.sites), s_inverse_diagonal(elems.dual, mp, 1))
-    return q * elems.entries, c_r, elems.dual
+    return q * elems.entries, s_inverse_diagonal(elems.dual, mp, 1), elems.dual

@@ -229,8 +229,12 @@ def test_landau_two_level_run(tmp_path):
     assert list(cm) == ["zero_violations", "dual_residual", "constants_equal_inverse_density"]
     assert all(cm.values())
     assert summary["parameters"]["q"] == pytest.approx(1.5)  # level spacing * (1 + 1/2)
-    header, rows = read_csv(out / "landau_constants.csv")
-    assert len(rows) == summary["parameters"]["n_sites"] == 25
+    assert summary["parameters"]["n_sites"] == 25
+    # <chi, S^-1 chi> is one number, recorded once beside its check
+    assert summary["artifacts"] == ["landau.csv", "summary.json"]
+    c = summary["parameters"]["c"]
+    assert summary["checks"][2]["values"]["c"] == c
+    assert c == pytest.approx(0.5, abs=1e-10)  # 1 / N, N = 2 pi / (sqrt(pi) sqrt(pi))
 
 
 def _scale_dual(monkeypatch):
@@ -549,6 +553,21 @@ def test_malformed_config_error_record(tmp_path, capsys):
     assert record["error"]["type"] == "config"
     assert record["error"]["section"] == "lattice"
     assert record["error"]["key"] == "alpha"
+
+
+def test_overlap_constant_key_exits_before_work(tmp_path, capsys, monkeypatch):
+    # g is measured on the window, never read from the config
+    def reached(*args, **kwargs):
+        raise AssertionError("window work reached")
+
+    monkeypatch.setattr(latframe.cli, "make_window", reached)
+    cfg = tmp_path / "override.ini"
+    cfg.write_text("[certificate]\ng = 1.5\n")
+    out = tmp_path / "out"
+    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "config"
+    assert (record["error"]["section"], record["error"]["key"]) == ("certificate", "g")
 
 
 def test_module_error_record(tmp_path, capsys):

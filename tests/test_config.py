@@ -25,7 +25,6 @@ def test_defaults():
     assert cfg.level_max == 0
     assert cfg.shape == "ball"
     assert cfg.ell_b == 1.0 and cfg.eps_b == 1.0
-    assert cfg.nu is None and cfg.zeta is None and cfg.xi is None
     assert cfg.chain_lengths == (4, 6, 8)
     assert cfg.n_t == 21 and cfg.t_max == 2.0
     assert cfg.nodes == 40 and cfg.n_quadruples == 30
@@ -69,13 +68,6 @@ def test_section_scoped_overrides():
     assert cfg.f0 == 0.5 and cfg.mu == 2.0
 
 
-def test_optional_keys_accept_none():
-    cfg = parse_config_text("[lattice]\nnu = none\n[certificate]\ng = none\n")
-    assert cfg.nu is None and cfg.g is None
-    cfg2 = parse_config_text("[lattice]\nnu = 2\n")
-    assert cfg2.nu == 2.0
-
-
 def test_chain_shape_window():
     cfg = parse_config_text(
         "[lattice]\nalpha = 1.0\nbeta = 1.0\nradius = 30.0\nshape = chain\nchain_length = 6\n"
@@ -97,7 +89,6 @@ def test_chain_shape_window():
         ("[magnetic]\nell_b = 0\n", "magnetic", "ell_b"),
         ("[model]\nmu = -1\n", "model", "mu"),
         ("[certificate]\np = 0\n", "certificate", "p"),
-        ("[certificate]\ng = 0.5\n", "certificate", "g"),
         ("[dynamics]\nn_t = 1\n", "dynamics", "n_t"),
         ("[dynamics]\nchain_length = 0\n", "dynamics", "chain_length"),
         ("[kernel]\nnodes = 7\n", "kernel", "nodes"),
@@ -107,15 +98,10 @@ def test_chain_shape_window():
         ("[windows]\nchain_lengths = 4 4\n", "windows", "chain_lengths"),
         # one just-out-of-range value for every other bounded key
         ("[lattice]\nbeta = 0\n", "lattice", "beta"),
-        ("[lattice]\nnu = -0.001\n", "lattice", "nu"),
         ("[lattice]\nshape = balls\n", "lattice", "shape"),
         ("[lattice]\nchain_length = 0\n", "lattice", "chain_length"),
         ("[magnetic]\neps_b = 0\n", "magnetic", "eps_b"),
         ("[model]\nf0 = -0.001\n", "model", "f0"),
-        ("[model]\nzeta = 0\n", "model", "zeta"),
-        ("[model]\nxi = 0\n", "model", "xi"),
-        ("[certificate]\neps = 0\n", "certificate", "eps"),
-        ("[certificate]\ntheta = 0\n", "certificate", "theta"),
         ("[dynamics]\nt_max = 0\n", "dynamics", "t_max"),
         ("[kernel]\nc1 = 0\n", "kernel", "c1"),
         ("[kernel]\nsigma1 = 0\n", "kernel", "sigma1"),
@@ -132,14 +118,22 @@ def test_rejection_carries_section_and_key(text, section, key):
         assert info.value.key == key
 
 
+# the rates and constants of the bounds are derived from the lattice alone
+DERIVED_KEYS = [("lattice", "nu"), ("model", "zeta"), ("model", "xi"),
+                ("certificate", "g"), ("certificate", "eps"), ("certificate", "theta")]
+
+
+@pytest.mark.parametrize("section,key", DERIVED_KEYS)
+def test_derived_quantities_are_not_config_keys(section, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"[{section}]\n{key} = 1.5\n")
+    assert (info.value.section, info.value.key) == (section, key)
+    assert "unknown key" in info.value.message
+
+
 def test_cross_field_validation():
     with pytest.raises(ConfigError):
-        parse_config_text("[model]\nzeta = 0.3\nxi = 0.2\n")
-    with pytest.raises(ConfigError):
         parse_config_text("[lattice]\nlevel_max = 0\n[landau]\nlevel = 1\n")
-    # consistent settings pass
-    cfg = parse_config_text("[model]\nzeta = 0.1\nxi = 0.3\n")
-    assert cfg.zeta == 0.1 and cfg.xi == 0.3
 
 
 def test_default_section_keys_rejected():

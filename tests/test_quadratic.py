@@ -105,13 +105,15 @@ def test_landau_coefficients_match_blockwise_route():
     for r in (0, 1):
         t_r, c_r, _ = landau_coefficients(r, w, mp)
         g = w.gxy[w.levels == r]
-        assert t_r.shape == (len(g), len(g)) and c_r.shape == (len(g),)
+        assert t_r.shape == (len(g), len(g)) and isinstance(c_r, float)
         # c_mu(g) = exp(-i g ^ mu / 2) c_mu, the patch translated to g
         duals = [(np.exp(-0.5j * (gk[0] * mu[:, 1] - gk[1] * mu[:, 0])) * c, gk + mu) for gk in g]
         expected = np.array([[ca.conj() @ _overlaps(pa, pb) @ cb for cb, pb in duals]
                              for ca, pa in duals])
         assert np.max(np.abs(t_r - 0.7 * (r + 0.5) * expected)) < 1e-12
-        assert np.allclose(c_r, c_r[0]) and c_r[0] > 0  # <chi, S^-1 chi> is translation invariant
+        # <chi_g, S^-1 chi_g> = <chi_g, v_g> is the same on every site
+        c_sites = np.array([(_overlaps(gk[None], pa) @ ca)[0] for gk, (ca, pa) in zip(g, duals)])
+        assert np.max(np.abs(c_sites - c_r)) < 1e-12 and c_r > 0
 
 
 def test_landau_q_factor_exact():

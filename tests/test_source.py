@@ -68,3 +68,26 @@ def test_all_names_are_bound(path):
     entries = _all_entries(tree) or []
     bound = set().union(*(_bound_names(node) for node in tree.body))
     assert sorted(set(entries) - bound) == []
+
+
+def _run_config_fields(tree: ast.Module) -> list[str]:
+    """The annotated field names of the RunConfig class."""
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+
+
+def _cfg_reads(tree: ast.Module) -> set[str]:
+    """Attribute names read as cfg.<name>."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name) and n.value.id == "cfg"}
+
+
+def test_every_config_key_is_read():
+    # a key whose last reader went would still parse, validate and be documented
+    # while changing nothing
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES if path.name in ("cli.py", "config.py")}
+    read = set().union(*map(_cfg_reads, trees.values()))
+    assert [f for f in _run_config_fields(trees["config.py"]) if f not in read] == []
