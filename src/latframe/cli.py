@@ -34,7 +34,6 @@ from .fock import (
     MAX_MODES,
     FockError,
     boundary_sum,
-    build_interaction_hamiltonian,
     convergence_envelope,
     lr_check,
     lr_envelope,
@@ -113,7 +112,6 @@ class Check:
 class RunContext:
     cfg: RunConfig
     out: Path
-    rng: np.random.Generator
     negative_control: bool  # only lr takes the flag; False for every other command
 
 
@@ -343,6 +341,7 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
     cap = cfg.diam_max_ell * mp.ell_b
     pts = w.gxy
     n = len(w)
+    rng = np.random.default_rng(cfg.seed)
     rows = []
     all_bounded = True
     all_converged = True
@@ -350,7 +349,7 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
     max_rel_err = 0.0
     for _ in range(cfg.n_quadruples):
         for _attempt in range(100000):
-            idx = ctx.rng.integers(0, n, size=4)
+            idx = rng.integers(0, n, size=4)
             quad = pts[idx]
             diff = quad[:, None, :] - quad[None, :, :]
             diam = float(np.sqrt((diff * diff).sum(axis=-1)).max())
@@ -463,9 +462,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     _require_finite_envelope(
         lambda t: lr_envelope(rates["g"], rates["zeta"], velocity, 0.0, t), cfg.t_max)
     basis = mode_basis(w, mp)
-    h = build_interaction_hamiltonian(basis, inter)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
-    report = lr_check(basis, h, t_grid, rates["zeta"], velocity, rates["g"])
+    report = lr_check(basis, inter, t_grid, rates["zeta"], velocity, rates["g"])
     dists = w.distance_matrix()
     fmax = report.f_table.max(axis=2)
     header = ["t", "site_g", "site_gp", "d", "f", "bound", "ratio"]
@@ -688,8 +686,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = validate(replace(cfg, seed=args.seed))
         out.mkdir(parents=True, exist_ok=True)
-        ctx = RunContext(cfg=cfg, out=out, rng=np.random.default_rng(cfg.seed),
-                         negative_control=getattr(args, "negative_control", False))
+        ctx = RunContext(cfg=cfg, out=out, negative_control=getattr(args, "negative_control", False))
         result = _COMMANDS[command][0](ctx)
         passed = all(c.passed for c in result.checks)
         code = EXIT_OK if passed else EXIT_VERIFY

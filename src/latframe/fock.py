@@ -29,12 +29,21 @@ tau_t to tau_-t while keeping norms, so ||{tau_t(a#_i), a#_j}|| =
 ||{tau_-t(a#_i), a#_j}||, and applying the automorphism tau_t turns that into
 ||{tau_t(a#_j), a#_i}||: the light-cone front is symmetric in the site pair,
 and lr_check computes each unordered pair once.
+
+A straight chain with a distance-only coupling has a second symmetry, the
+site reversal R: k -> n - 1 - k.  When it fixes Z (Z[Rg, Rg'] = Z[g, g']),
+PV = VQ for the reversal permutation P and a unitary Q on the modes, which
+lifts to a Fock unitary Gamma with Gamma a_g Gamma* = a_Rg; when it also fixes
+the coupling F, Gamma commutes with H, so F(Ri, Rj, t) = F(i, j, t).  lr_check
+tests both matrices against their reversal to SYMMETRY_RTOL relative (a
+tolerance, since an even chain with non-dyadic spacing is persymmetric only
+to round-off) and on real inputs computes one cell of each orbit {(i, j),
+(j, i), (Ri, Rj), (Rj, Ri)}: 20 of the 64 cells on 8 sites.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +78,14 @@ __all__ = [
 GRAM_FACTOR_RTOL = 1e-12
 # mode cap of the Fock engine and of the dynamics commands: the largest number
 # sector at 12 modes holds C(12, 6) = 924 states, and `lr` on a 12-site chain
-# needs minutes per time step for its 78 unordered pairs x 2 flavours of block
-# norms
+# needs minutes per time step for its 42 of 144 cells (one per orbit of the
+# pair swap and the site reversal) x 2 flavours of block norms
 MAX_MODES = 12
+# relative tolerance of lr_check's site-reversal test on Z and the coupling:
+# the sqrt(pi) chains are persymmetric only to round-off (2.2e-16, 3.9e-16 and
+# 7.2e-16 relative at 6, 8 and 12 sites), a phase or an asymmetric coupling
+# breaks the symmetry at order one
+SYMMETRY_RTOL = 1e-14
 
 
 class FockError(ValueError):
@@ -362,44 +376,57 @@ class LRReport:
     passed: bool
 
 
-def lr_check(basis: ModeBasis, h: list[np.ndarray], t_grid,
+def _persymmetric(m: np.ndarray) -> bool:
+    """Whether the site reversal k -> n - 1 - k fixes m, to SYMMETRY_RTOL
+    relative to its largest entry."""
+    return float(np.max(np.abs(m - m[::-1, ::-1]))) <= SYMMETRY_RTOL * float(np.max(np.abs(m)))
+
+
+def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
              zeta: float, velocity: float, g: float) -> LRReport:
     """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for every
-    ordered site pair and compare with g * exp(-zeta(d(g, g') - v|t|)); a cell
-    exceeds when F is above the bound by more than EXCEED_RTOL relative.
+    ordered site pair under the interaction's Hamiltonian and compare with
+    g * exp(-zeta(d(g, g') - v|t|)); a cell exceeds when F is above the bound
+    by more than EXCEED_RTOL relative.
 
-    h holds H's sector blocks, and the work runs sector by sector in H's
-    eigenbasis; the flavors come in adjoint pairs, ||{x*, y*}|| = ||{x, y}||
-    and ||{x*, y}|| = ||{x, y*}||, so two norms per pair and time fill the
-    four columns of f_table.
+    The work runs sector by sector in H's eigenbasis; the flavors come in
+    adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||, so
+    two norms per pair and time fill the four columns of f_table.
 
-    When basis.v and every block of h are real, F(i, j, t) = F(j, i, t) for
-    both norms: conjugation fixes each a_g, maps tau_t to tau_-t and keeps
-    norms, and the automorphism tau_t then swaps the pair.  Each unordered
-    pair is computed once there and its mirror cell copied; complex inputs,
-    where the fronts at t and -t differ, compute every ordered pair."""
+    When basis.v is real (and so H), F(i, j, t) = F(j, i, t) for both norms:
+    conjugation fixes each a_g, maps tau_t to tau_-t and keeps norms, and the
+    automorphism tau_t then swaps the pair.  When, in addition, the site
+    reversal R: k -> n - 1 - k fixes Z and the coupling to SYMMETRY_RTOL, a
+    unitary Gamma with Gamma a_g Gamma* = a_Rg commutes with H, so
+    F(Ri, Rj, t) = F(i, j, t).  One cell of each orbit is computed and the
+    others copied: 20 of the 64 cells on an 8-site chain, 36 with the pair
+    swap alone.  Complex inputs, where the fronts at t and -t differ, compute
+    every ordered pair."""
     if zeta <= 0 or g <= 0:
         raise FockError("zeta and g must be positive")
-    shapes = [np.shape(b) for b in h]
-    if shapes != [(math.comb(basis.rank, k),) * 2 for k in range(basis.rank + 1)]:
-        raise FockError(f"Hamiltonian blocks {shapes} mismatch the sectors of {basis.rank} modes")
     t_grid = np.asarray(t_grid, dtype=float)
     n = basis.n_sites
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    evol = Evolution(h)
+    evol = Evolution(build_interaction_hamiltonian(basis, interaction))
     ops = mode_operators(basis)
     # each site leaves the site basis in turn, so only one site is held twice
     static = [evol.eigenbasis(ops.pop(0)) for _ in range(n)]
-    mirrored = np.isrealobj(basis.v) and all(np.isrealobj(b) for b in h)
+    mirrored = np.isrealobj(basis.v)
+    reversal = mirrored and _persymmetric(basis.z) and _persymmetric(interaction.coupling)
     f_table = np.zeros((len(t_grid), n * n, 4))
     for it, t in enumerate(t_grid):
-        for i in range(n):
+        # with the reversal, each orbit has one cell with i <= j < n - i
+        for i in range((n + 1) // 2 if reversal else n):
             x = evol.heisenberg(static[i], float(t))
-            for j in range(i if mirrored else 0, n):
+            for j in range(i if mirrored else 0, n - i if reversal else n):
                 plain, mixed = _anticommutator_norms(x, static[j])
-                f_table[it, i * n + j] = (plain, mixed, mixed, plain)
+                cells = [(i, j)]
                 if mirrored:
-                    f_table[it, j * n + i] = f_table[it, i * n + j]
+                    cells.append((j, i))
+                if reversal:
+                    cells += [(n - 1 - i, n - 1 - j), (n - 1 - j, n - 1 - i)]
+                for p, q in cells:
+                    f_table[it, p * n + q] = (plain, mixed, mixed, plain)
     # an overflowing envelope holds trivially; callers that write the bounds
     # out reject such a t_max before the run
     d_pairs = basis.window.distance_matrix().ravel()

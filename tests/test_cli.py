@@ -896,9 +896,11 @@ def test_module_entrypoint(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def _scipy_modules(tmp_path, *argvs):
+def _loaded_modules(tmp_path, *argvs):
     """scipy modules loaded in a fresh interpreter after `import latframe.cli`,
-    and after main(argv) has run for each argv in turn in that interpreter."""
+    and after main(argv) has run for each argv in turn in that interpreter;
+    "random" says whether numpy.random is loaded after the import and after
+    each argv."""
     script = (
         "import json, sys\n"
         "def scipy_modules():\n"
@@ -906,8 +908,12 @@ def _scipy_modules(tmp_path, *argvs):
         "import latframe\n"
         "import latframe.cli\n"
         "after_import = scipy_modules()\n"
-        f"codes = [latframe.cli.main(argv) for argv in {list(argvs)!r}]\n"
-        "print(json.dumps({'import': after_import, 'run': scipy_modules(), 'codes': codes}))\n")
+        "codes, random = [], ['numpy.random' in sys.modules]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    codes.append(latframe.cli.main(argv))\n"
+        "    random.append('numpy.random' in sys.modules)\n"
+        "print(json.dumps({'import': after_import, 'run': scipy_modules(), 'codes': codes,\n"
+        "                  'random': random}))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_package_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -916,25 +922,27 @@ def _scipy_modules(tmp_path, *argvs):
 
 def test_import_and_certificate_command_load_no_scipy(tmp_path):
     # decay on the default radius-12 sqrt(pi) lattice
-    loaded = _scipy_modules(tmp_path, ["decay", "--out", str(tmp_path / "out")])
+    loaded = _loaded_modules(tmp_path, ["decay", "--out", str(tmp_path / "out")])
     assert loaded["codes"] == [0]
     assert loaded["import"] == []
     assert loaded["run"] == []
+    assert loaded["random"] == [False, False]
 
 
 def test_every_command_loads_no_scipy(tmp_path):
-    # one interpreter runs every command on a small config; wkernel runs the
-    # benchmark's 2.8 lattice at radius 12, lr and converge run the Fock engine
-    # on chains of up to 6 sites, and plotdata reads what the others wrote to
-    # the shared directory
+    # one interpreter runs every command on a small config; lr and converge
+    # run the Fock engine on chains of up to 6 sites, wkernel runs the
+    # benchmark's 2.8 lattice at radius 12, and plotdata reads what the others
+    # wrote to the shared directory.  Only wkernel samples, so numpy.random
+    # loads with it, the last command before plotdata
     configs = {
         "gram": SMALL_GRAM, "bounds": SMALL_GRAM, "decay": SMALL_GRAM, "landau": SMALL_GRAM,
         "cphi": CHAIN5,
-        "wkernel": "[lattice]\nalpha = 2.8\nbeta = 2.8\nradius = 12\n\n"
-                   "[kernel]\nsigma1 = 0.75\nnodes = 40\nn_quadruples = 1\n",
         "lr": LR_FAST,
         "converge": "[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n\n"
                     "[windows]\nchain_lengths = 4 6\n\n[dynamics]\nt_max = 0.2\nn_t = 3\n",
+        "wkernel": "[lattice]\nalpha = 2.8\nbeta = 2.8\nradius = 12\n\n"
+                   "[kernel]\nsigma1 = 0.75\nnodes = 40\nn_quadruples = 1\n",
     }
     out = str(tmp_path / "out")
     argvs = []
@@ -944,11 +952,13 @@ def test_every_command_loads_no_scipy(tmp_path):
         argvs.append([command, "--config", str(cfg), "--out", out, "--seed", "12"])
     argvs.append(["plotdata", "--out", out])
     t0 = time.perf_counter()
-    loaded = _scipy_modules(tmp_path, *argvs)
+    loaded = _loaded_modules(tmp_path, *argvs)
     elapsed = time.perf_counter() - t0
     assert loaded["codes"] == [0] * len(argvs)
     assert loaded["import"] == []
     assert loaded["run"] == []
+    # after the import, then after gram .. converge, wkernel and plotdata
+    assert loaded["random"] == [False] * 8 + [True, True]
     assert {r[0] for r in read_csv(tmp_path / "out" / "plot.csv")[1]} == {
         "bounds", "decay_check", "landau", "wkernel", "lr", "converge"}
     assert elapsed < 10.0

@@ -242,9 +242,8 @@ def test_operator_norm_is_numpy_spectral_norm_bit_for_bit(rng, shape):
 def test_lr_check_static_dynamics():
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 4)
     basis = mode_basis(w, MP)
-    h = [np.zeros((math.comb(4, n), math.comb(4, n))) for n in range(5)]
     t_grid = np.linspace(0.0, 1.0, 3)
-    rep = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    rep = lr_check(basis, density_density(w, 0.0, 1.0), t_grid, zeta=0.125, velocity=1.0, g=1.0)
     assert rep.passed
     assert rep.n_exceed == 0
     assert len(rep.pairs) == 16
@@ -260,13 +259,11 @@ def test_lr_check_static_dynamics():
 def test_lr_check_validation():
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 2)
     basis = mode_basis(w, MP)
-    h = [np.zeros((1, 1)), np.zeros((2, 2)), np.zeros((1, 1))]
+    inter = density_density(w, 0.0, 1.0)
     with pytest.raises(FockError):
-        lr_check(basis, h, [0.0], zeta=0.0, velocity=1.0, g=1.0)
+        lr_check(basis, inter, [0.0], zeta=0.0, velocity=1.0, g=1.0)
     with pytest.raises(FockError):
-        lr_check(basis, h, [0.0], zeta=0.1, velocity=1.0, g=0.0)
-    with pytest.raises(FockError, match="sectors"):
-        lr_check(basis, np.zeros((4, 4)), [0.0], zeta=0.1, velocity=1.0, g=1.0)
+        lr_check(basis, inter, [0.0], zeta=0.1, velocity=1.0, g=0.0)
 
 
 # ------------------------------------------------------------- volume limits
@@ -359,9 +356,8 @@ def _dense_f_table(basis, h, t_grid):
 
 def test_lr_check_sectors_match_dense_oracle(six_modes):
     w, basis, inter = six_modes
-    h = build_interaction_hamiltonian(basis, inter)
     t_grid = np.array([0.0, 0.35, 1.1])
-    rep = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
     oracle = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid)
     assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
     # the dynamics genuinely moves the fronts
@@ -382,27 +378,66 @@ def test_real_arithmetic_follows_the_overlap_phases(six_modes):
     assert {b.dtype for b in mode_operators(basis)[0]} == {np.dtype(want)}
 
 
-def test_lr_check_computes_each_unordered_pair_once_on_real_input(six_modes, monkeypatch):
-    w, basis, inter = six_modes
+def _count_norms(monkeypatch):
     calls = []
     real_norm = latframe.fock.operator_norm
     monkeypatch.setattr(latframe.fock, "operator_norm", lambda a: calls.append(1) or real_norm(a))
-    h = build_interaction_hamiltonian(basis, inter)
+    return calls
+
+
+def test_lr_check_computes_each_unordered_pair_once_on_real_input(six_modes, monkeypatch):
+    w, basis, inter = six_modes
+    calls = _count_norms(monkeypatch)
     t_grid = np.array([0.0, 0.35, 1.1])
-    lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
     # per pair and time: 5 plain blocks, the 2 edge and 5 inner mixed blocks;
-    # the straight chain's 21 unordered pairs, the patch's 36 ordered ones
-    pairs = 21 if (w.gxy[:, 1] == 0.0).all() else 36
+    # the straight chain's 12 orbits under the pair swap and the site reversal
+    # (i <= j < 6 - i), the patch's 36 ordered pairs
+    pairs = 12 if (w.gxy[:, 1] == 0.0).all() else 36
     assert len(calls) == pairs * len(t_grid) * 12
+
+
+def _asymmetric_coupling():
+    """The 6-site chain with the end pair's coupling doubled: the site reversal
+    no longer fixes H."""
+    w, basis, inter = _six_modes("chain")
+    f = np.array(inter.coupling)
+    f[0, 1] *= 2.0
+    f[1, 0] *= 2.0
+    return basis, Interaction(window=w, coupling=f)
+
+
+def _sqrt_pi_chain():
+    """A 6-site chain at spacing sqrt(pi), whose Z the reversal fixes only to
+    round-off."""
+    w = build_chain(LatticeParams(math.sqrt(math.pi), math.sqrt(math.pi), 12.0), 6)
+    basis = mode_basis(w, MP)
+    off = float(np.max(np.abs(basis.z - basis.z[::-1, ::-1])))
+    assert 0.0 < off <= latframe.fock.SYMMETRY_RTOL
+    return basis, density_density(w, f0=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize("case, pairs", [(_asymmetric_coupling, 21), (_sqrt_pi_chain, 12)],
+                         ids=["asymmetric_coupling", "sqrt_pi_chain"])
+def test_lr_check_reversal_follows_the_model(case, pairs, monkeypatch):
+    """The reversal is taken only when the model has it, to a tolerance: an
+    asymmetric coupling computes all 21 unordered pairs, a chain persymmetric
+    to round-off the 12 orbits, and both match the whole-space oracle."""
+    basis, inter = case()
+    calls = _count_norms(monkeypatch)
+    t_grid = np.array([0.0, 0.35, 1.1])
+    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    assert len(calls) == pairs * len(t_grid) * 12
+    oracle = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid)
+    assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
 
 
 def test_patch_fronts_are_not_symmetric_in_the_pair():
     """Off a straight chain H is not real, F(i, j, t) != F(j, i, t), and
     lr_check must compute both ordered pairs."""
     _, basis, inter = _six_modes("patch")
-    h = build_interaction_hamiltonian(basis, inter)
     t_grid = np.array([0.35, 1.1])
-    f = lr_check(basis, h, t_grid, zeta=0.125, velocity=1.0, g=1.0).f_table
+    f = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0).f_table
     n = basis.n_sites
     table = f.reshape(len(t_grid), n, n, 4)
     assert np.max(np.abs(table - table.transpose(0, 2, 1, 3))) > 1e-3
