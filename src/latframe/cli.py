@@ -476,6 +476,10 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
             rows.append(row)
             if report.exceed[it, ip]:
                 exceed_rows.append(row)
+    cell = report.v_crit_cell
+    v_crit_cell = None if cell is None else {
+        "t": cell[0], "site_g": site_token(w.sites[cell[1]]),
+        "site_gp": site_token(w.sites[cell[2]])}
     write_csv(ctx.out / "lr.csv", header, rows)
     write_csv(ctx.out / "lr_exceedances.csv", header, exceed_rows)
     write_json(ctx.out / "lr_summary.json", {
@@ -488,6 +492,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
         "negative_control": ctx.negative_control,
         "chain_length": cfg.chain_length, "f0": cfg.f0, "mu": cfg.mu,
         "t_max": cfg.t_max, "n_t": cfg.n_t,
+        "v_crit": report.v_crit, "v_cert_over_v_crit": report.v_cert_over_v_crit,
+        "v_crit_cell": v_crit_cell,
         "flavor_policy": "F is the max over the four sharp dagger flavors; "
                          "the supremum over mixed combinations on the unit disc "
                          "lies between F and 2F and is not computed",

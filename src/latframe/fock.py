@@ -8,7 +8,10 @@ operators a_g = sum_k V[g, k] c_k over Jordan-Wigner modes c_k then satisfy
 
 and the Fock dimension is 2**rank(Z) rather than 2**n_sites.  Everything
 downstream (Hamiltonians, Heisenberg evolution, anticommutator norms,
-propagation and volume-convergence checks) runs in this mode space.
+propagation and volume-convergence checks) runs in this mode space.  At
+t = 0 nothing has moved: lr_check fills that row from the CAR,
+{a_g, a*_g'} = (V V*)[g, g'] and {a_g, a_g'} = 0, and volume_convergence
+records a zero difference, so only the times t != 0 are normed.
 
 The dynamics runs in number sectors: sector N holds the Jordan-Wigner basis
 states with N particles.  Every Hamiltonian built here commutes with the
@@ -51,7 +54,7 @@ import numpy as np
 from .frame_analysis import EXCEED_RTOL
 from .interactions import Interaction
 from .lattice import Window
-from .magnetic import MagneticParams, overlap_matrix, window_coords
+from .magnetic import MagneticParams, overlap_matrix
 
 __all__ = [
     "FockError",
@@ -72,14 +75,14 @@ __all__ = [
     "ConvergenceReport",
     "boundary_sum",
     "volume_convergence",
-    "quasifree_expectation",
 ]
 
 GRAM_FACTOR_RTOL = 1e-12
 # mode cap of the Fock engine and of the dynamics commands: the largest number
 # sector at 12 modes holds C(12, 6) = 924 states, and `lr` on a 12-site chain
-# needs minutes per time step for its 42 of 144 cells (one per orbit of the
-# pair swap and the site reversal) x 2 flavours of block norms
+# needs minutes per time step past t = 0 (that row comes from the CAR) for its
+# 42 of 144 cells (one per orbit of the pair swap and the site reversal) x 2
+# flavours of block norms
 MAX_MODES = 12
 # relative tolerance of lr_check's site-reversal test on Z and the coupling:
 # the sqrt(pi) chains are persymmetric only to round-off (2.2e-16, 3.9e-16 and
@@ -358,7 +361,14 @@ class LRReport:
     check holds by construction).  ratios[t, pair] is F / bound, and exceed
     marks the cells where it is above 1 + EXCEED_RTOL.  The columns of
     f_table[t, pair] are the flavors (a, a), (a, a*), (a*, a), (a*, a*) of
-    ||{tau_t(a#_g), a#_g'}||."""
+    ||{tau_t(a#_g), a#_g'}||; its t = 0 rows come from the CAR, 0 and
+    |(V V*)_gg'|, and only the times t != 0 are normed.
+
+    v_crit is the least speed whose envelope covers every cell with t > 0
+    and F > 0, max (d + ln(F/g)/zeta)/t, attained at v_crit_cell (t, g, g');
+    v_cert_over_v_crit is velocity / v_crit, None when v_crit <= 0 (the
+    static envelope g e^(-zeta d) already covers every such cell) or when
+    there is no such cell."""
 
     zeta: float
     velocity: float
@@ -374,6 +384,9 @@ class LRReport:
     max_ratio_off_diagonal: float
     informative_cells: int
     passed: bool
+    v_crit: float | None
+    v_crit_cell: tuple[float, int, int] | None
+    v_cert_over_v_crit: float | None
 
 
 def _persymmetric(m: np.ndarray) -> bool:
@@ -389,9 +402,12 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     g * exp(-zeta(d(g, g') - v|t|)); a cell exceeds when F is above the bound
     by more than EXCEED_RTOL relative.
 
-    The work runs sector by sector in H's eigenbasis; the flavors come in
-    adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||, so
-    two norms per pair and time fill the four columns of f_table.
+    At t = 0 the CAR give every cell exactly: ||{a_i, a_j}|| = 0 and
+    ||{a_i, a*_j}|| = |(V V*)_ij|, the anticommutator of the engine's own
+    operators at any rank, so that row takes no Heisenberg step and no norm.
+    The times t != 0 run sector by sector in H's eigenbasis; the flavors come
+    in adjoint pairs, ||{x*, y*}|| = ||{x, y}|| and ||{x*, y}|| = ||{x, y*}||,
+    so two norms per pair and time fill the four columns of f_table.
 
     When basis.v is real (and so H), F(i, j, t) = F(j, i, t) for both norms:
     conjugation fixes each a_g, maps tau_t to tau_-t and keeps norms, and the
@@ -413,8 +429,13 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     static = [evol.eigenbasis(ops.pop(0)) for _ in range(n)]
     mirrored = np.isrealobj(basis.v)
     reversal = mirrored and _persymmetric(basis.z) and _persymmetric(interaction.coupling)
+    # the t = 0 row from the CAR: |(V V*)_ij| in the mixed columns, 0 plain
+    car = np.abs(basis.v @ basis.v.conj().T).ravel()
     f_table = np.zeros((len(t_grid), n * n, 4))
     for it, t in enumerate(t_grid):
+        if t == 0.0:
+            f_table[it, :, 1] = f_table[it, :, 2] = car
+            continue
         # with the reversal, each orbit has one cell with i <= j < n - i
         for i in range((n + 1) // 2 if reversal else n):
             x = evol.heisenberg(static[i], float(t))
@@ -435,6 +456,11 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     ratios = fmax / bounds
     exceed = ratios > 1.0 + EXCEED_RTOL
     off_diagonal = ratios[:, d_pairs > 0]
+    # the least speed whose envelope covers every cell past t = 0 with F > 0
+    it_m, ip_m = np.nonzero((t_grid[:, None] > 0) & (fmax > 0))
+    speeds = (d_pairs[ip_m] + np.log(fmax[it_m, ip_m] / g) / zeta) / t_grid[it_m]
+    k = int(np.argmax(speeds)) if speeds.size else None
+    v_crit = None if k is None else float(speeds[k])
     return LRReport(
         zeta=zeta, velocity=velocity, g=g, t_grid=t_grid, pairs=tuple(pairs),
         f_table=f_table, bounds=bounds, ratios=ratios, exceed=exceed,
@@ -443,6 +469,9 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
         max_ratio_off_diagonal=float(off_diagonal.max()) if off_diagonal.size else 0.0,
         informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < 2.0)),
         passed=not bool(exceed.any()),
+        v_crit=v_crit,
+        v_crit_cell=None if k is None else (float(t_grid[it_m[k]]), *pairs[ip_m[k]]),
+        v_cert_over_v_crit=velocity / v_crit if v_crit is not None and v_crit > 0 else None,
     )
 
 
@@ -453,7 +482,7 @@ class ConvergenceReport:
 
     informative_cells counts the times past t = 0 whose bound lies below the
     trivial limit ||tau_t(a) - tau'_t(a)|| <= 2, as in LRReport; at t = 0 the
-    two dynamics coincide."""
+    two dynamics coincide, so diffs there is 0 and only t != 0 is normed."""
 
     t_grid: np.ndarray
     site: int
@@ -502,6 +531,8 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
         overlap = [u.conj().T @ v for u, v in zip(ev_full.eigvecs, ev_small.eigvecs)]
         diffs = np.zeros(len(t_grid))
         for it, t in enumerate(t_grid):
+            if t == 0.0:
+                continue  # tau_0 and tau'_0 are both the identity
             xf = ev_full.heisenberg(a_full, float(t))
             xs = ev_small.heisenberg(a_small, float(t))
             diffs[it] = max(
@@ -519,46 +550,3 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
             passed=passed, max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
             informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < 2.0))))
     return reports
-
-
-def quasifree_expectation(window: Window, mp: MagneticParams, p_matrix: np.ndarray,
-                          factors) -> complex:
-    """Determinant form of a quasi-free expectation with one-particle density P:
-
-        <a*(f_n) ... a*(f_1) a(g_1) ... a(g_m)> = delta_{nm} det [ <g_i, P f_j> ].
-
-    The factors must be normal ordered (all creators first); P must be an
-    orthogonal projection in the truncated angular coordinates.
-    """
-    p_matrix = np.asarray(p_matrix, dtype=np.complex128)
-    if np.max(np.abs(p_matrix - p_matrix.conj().T)) > 1e-10:
-        raise FockError("P must be Hermitian")
-    if np.max(np.abs(p_matrix @ p_matrix - p_matrix)) > 1e-10:
-        raise FockError("P must be idempotent")
-    trunc, rows = window_coords(window, mp)
-    if p_matrix.shape != (trunc + 1, trunc + 1):
-        raise FockError(f"P shape {p_matrix.shape} mismatches coordinate size {trunc + 1}")
-    seen_annihilator = False
-    creators: list[int] = []
-    annihilators: list[int] = []
-    for site, dagger in factors:
-        if dagger:
-            if seen_annihilator:
-                raise FockError("monomial is not normal ordered: creator after annihilator")
-            creators.append(site)
-        else:
-            seen_annihilator = True
-            annihilators.append(site)
-    if len(creators) != len(annihilators):
-        return 0.0 + 0.0j
-    if not creators:
-        return 1.0 + 0.0j
-    n = len(creators)
-    # creators listed left to right are f_n .. f_1
-    fs = [rows[creators[n - 1 - j]] for j in range(n)]
-    gs = [rows[annihilators[i]] for i in range(n)]
-    gmat = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            gmat[i, j] = np.vdot(gs[i], p_matrix @ fs[j])
-    return complex(np.linalg.det(gmat))

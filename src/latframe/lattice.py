@@ -26,7 +26,6 @@ __all__ = [
     "build_window",
     "window_from_triples",
     "build_chain",
-    "distance",
     "m_epsilon",
 ]
 
@@ -191,12 +190,6 @@ def build_chain(params: LatticeParams, length: int) -> Window:
         raise LatticeError(f"chain length must be positive, got {length}")
     lo = -(length - 1) // 2
     return window_from_triples(params, [(0, lo + k, 0) for k in range(length)])
-
-
-def distance(p: Site, q: Site, params: LatticeParams) -> float:
-    """Label metric |r - r'| + alpha_star * |gamma - gamma'|_1."""
-    dg = abs(p.i - q.i) * params.alpha + abs(p.j - q.j) * params.beta
-    return abs(p.r - q.r) + params.alpha_star * dg
 
 
 def m_epsilon(window: Window, eps: float) -> tuple[float, float]:

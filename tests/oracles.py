@@ -1,0 +1,57 @@
+"""Independent routes that only the tests use: each checks a package value
+from its definition, one element at a time."""
+
+import numpy as np
+
+from latframe.fock import FockError
+from latframe.lattice import LatticeParams, Site
+from latframe.magnetic import window_coords
+
+
+def distance(p: Site, q: Site, params: LatticeParams) -> float:
+    """Label metric |r - r'| + alpha_star * |gamma - gamma'|_1 of one pair, the
+    oracle of Window.distance_matrix."""
+    dg = abs(p.i - q.i) * params.alpha + abs(p.j - q.j) * params.beta
+    return abs(p.r - q.r) + params.alpha_star * dg
+
+
+def quasifree_expectation(window, mp, p_matrix: np.ndarray, factors) -> complex:
+    """Determinant form of a quasi-free expectation with one-particle density P:
+
+        <a*(f_n) ... a*(f_1) a(g_1) ... a(g_m)> = delta_{nm} det [ <g_i, P f_j> ].
+
+    The factors must be normal ordered (all creators first); P must be an
+    orthogonal projection in the truncated angular coordinates.
+    """
+    p_matrix = np.asarray(p_matrix, dtype=np.complex128)
+    if np.max(np.abs(p_matrix - p_matrix.conj().T)) > 1e-10:
+        raise FockError("P must be Hermitian")
+    if np.max(np.abs(p_matrix @ p_matrix - p_matrix)) > 1e-10:
+        raise FockError("P must be idempotent")
+    trunc, rows = window_coords(window, mp)
+    if p_matrix.shape != (trunc + 1, trunc + 1):
+        raise FockError(f"P shape {p_matrix.shape} mismatches coordinate size {trunc + 1}")
+    seen_annihilator = False
+    creators: list[int] = []
+    annihilators: list[int] = []
+    for site, dagger in factors:
+        if dagger:
+            if seen_annihilator:
+                raise FockError("monomial is not normal ordered: creator after annihilator")
+            creators.append(site)
+        else:
+            seen_annihilator = True
+            annihilators.append(site)
+    if len(creators) != len(annihilators):
+        return 0.0 + 0.0j
+    if not creators:
+        return 1.0 + 0.0j
+    n = len(creators)
+    # creators listed left to right are f_n .. f_1
+    fs = [rows[creators[n - 1 - j]] for j in range(n)]
+    gs = [rows[annihilators[i]] for i in range(n)]
+    gmat = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            gmat[i, j] = np.vdot(gs[i], p_matrix @ fs[j])
+    return complex(np.linalg.det(gmat))

@@ -50,10 +50,10 @@ from latframe.fock import (
     mode_basis,
     mode_operators,
     operator_norm,
-    quasifree_expectation,
     volume_convergence,
 )
 from latframe.cli import main as cli_main
+from oracles import quasifree_expectation
 
 MP = MagneticParams(ell_b=1.0)
 SQPI = math.sqrt(math.pi)

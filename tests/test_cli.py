@@ -439,6 +439,26 @@ def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
     assert 0 < payload["informative_cells"] < np.count_nonzero(later)
 
 
+def test_lr_summary_reports_v_crit(tmp_path):
+    # v_crit = max over cells with t > 0 of (d + ln(F/g)/zeta)/t, from lr.csv
+    _, out, _ = run_cli(tmp_path, "lr", LR_FAST)
+    payload = json.loads((out / "lr_summary.json").read_text())
+    header, rows = read_csv(out / "lr.csv")
+    k = {name: header.index(name) for name in ("t", "site_g", "site_gp", "d", "f")}
+    speed = {(float(r[k["t"]]), r[k["site_g"]], r[k["site_gp"]]):
+             (float(r[k["d"]]) + math.log(float(r[k["f"]]) / payload["g"]) / payload["zeta"])
+             / float(r[k["t"]]) for r in rows if float(r[k["t"]]) > 0}
+    assert payload["v_crit"] == pytest.approx(max(speed.values()), rel=1e-9)
+    cell = payload["v_crit_cell"]
+    assert speed[(cell["t"], cell["site_g"], cell["site_gp"])] == pytest.approx(
+        payload["v_crit"], rel=1e-9)
+    assert payload["v_crit"] > 0
+    assert payload["v_cert_over_v_crit"] == pytest.approx(
+        payload["velocity"] / payload["v_crit"], rel=1e-12)
+    # the certified speed is thousands of times what this front needs
+    assert payload["v_cert_over_v_crit"] > 100.0
+
+
 def test_lr_negative_control_mechanics(tmp_path):
     _, _, honest = run_cli(tmp_path, "lr", LR_FAST, name="honest")
     code, out, summary = run_cli(tmp_path, "lr", LR_FAST,

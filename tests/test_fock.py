@@ -28,9 +28,9 @@ from latframe.fock import (
     mode_operators,
     monomial_operator,
     operator_norm,
-    quasifree_expectation,
     volume_convergence,
 )
+from oracles import quasifree_expectation
 
 MP = MagneticParams(ell_b=1.0)
 
@@ -390,11 +390,80 @@ def test_lr_check_computes_each_unordered_pair_once_on_real_input(six_modes, mon
     calls = _count_norms(monkeypatch)
     t_grid = np.array([0.0, 0.35, 1.1])
     lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
-    # per pair and time: 5 plain blocks, the 2 edge and 5 inner mixed blocks;
-    # the straight chain's 12 orbits under the pair swap and the site reversal
-    # (i <= j < 6 - i), the patch's 36 ordered pairs
+    # per pair and time t != 0: 5 plain blocks, the 2 edge and 5 inner mixed
+    # blocks; the straight chain's 12 orbits under the pair swap and the site
+    # reversal (i <= j < 6 - i), the patch's 36 ordered pairs
     pairs = 12 if (w.gxy[:, 1] == 0.0).all() else 36
-    assert len(calls) == pairs * len(t_grid) * 12
+    assert len(calls) == pairs * np.count_nonzero(t_grid) * 12
+
+
+def _count_heisenberg(monkeypatch):
+    calls = []
+    real_step = Evolution.heisenberg
+    monkeypatch.setattr(Evolution, "heisenberg",
+                        lambda self, a, t: calls.append(t) or real_step(self, a, t))
+    return calls
+
+
+def test_t0_rows_come_from_the_car(six_modes, monkeypatch):
+    """At t = 0 nothing has moved: lr_check's plain columns are exactly 0 and
+    its mixed columns |V V*|, volume_convergence's difference is exactly 0,
+    and neither takes a Heisenberg step or a norm there."""
+    w, basis, inter = six_modes
+    norms, steps = _count_norms(monkeypatch), _count_heisenberg(monkeypatch)
+    rep = lr_check(basis, inter, [0.0], zeta=0.125, velocity=1.0, g=1.0)
+    [conv] = volume_convergence(basis, inter, [frozenset({2, 3})], w.center_index(), [0.0],
+                                zeta=0.125, velocity=1.0, g=1.0)
+    assert norms == [] and steps == []
+    f0 = rep.f_table[0]
+    assert np.all(f0[:, [0, 3]] == 0.0)
+    car = np.abs(basis.v @ basis.v.conj().T).ravel()
+    assert np.max(np.abs(f0[:, [1, 2]] - car[:, None])) <= 1e-15
+    assert conv.diffs.tolist() == [0.0]
+    # a grid with moving times norms those times only
+    t_grid = np.array([0.0, 0.35])
+    moved = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    assert steps and 0.0 not in steps
+    assert np.array_equal(moved.f_table[0], f0)
+
+
+def test_v_crit_is_the_least_covering_speed():
+    """v_crit from the whole-space oracle on the six-mode chain: the envelope
+    at v_crit covers F on every cell past t = 0 and meets it at the reported
+    cell."""
+    w, basis, inter = _six_modes("chain")
+    t_grid = np.array([0.0, 0.35, 1.1])
+    zeta, g, velocity = 0.125, 1.0, 40.0
+    rep = lr_check(basis, inter, t_grid, zeta=zeta, velocity=velocity, g=g)
+    f = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid).max(axis=2)
+    d = w.distance_matrix().ravel()
+    later = t_grid > 0
+    speeds = (d[None, :] + np.log(f[later] / g) / zeta) / t_grid[later, None]
+    v_crit = float(speeds.max())
+    assert v_crit > 0
+    assert rep.v_crit == pytest.approx(v_crit, rel=1e-12)
+    envelope = g * np.exp(-zeta * (d[None, :] - rep.v_crit * t_grid[later, None]))
+    assert np.all(envelope >= f[later] * (1.0 - 1e-12))
+    t, i, j = rep.v_crit_cell
+    it, ip = list(t_grid).index(t), i * len(w) + j
+    assert t > 0
+    assert g * math.exp(-zeta * (d[ip] - rep.v_crit * t)) == pytest.approx(f[it, ip], rel=1e-12)
+    assert rep.v_cert_over_v_crit == pytest.approx(velocity / v_crit, rel=1e-12)
+
+
+def test_v_crit_without_a_moving_cell():
+    """With g = 2 above every static |Z_ij| and H = 0, every cell's speed is
+    negative: the static envelope already covers them and the ratio is None.
+    A grid with only t = 0 has no cell to take v_crit from."""
+    w = build_chain(LatticeParams(1.0, 1.0, 10.0), 4)
+    basis = mode_basis(w, MP)
+    static = density_density(w, 0.0, 1.0)
+    rep = lr_check(basis, static, [0.0, 0.5, 1.0], zeta=0.125, velocity=1.0, g=2.0)
+    assert rep.v_crit < 0
+    assert rep.v_crit_cell is not None
+    assert rep.v_cert_over_v_crit is None
+    rep = lr_check(basis, static, [0.0], zeta=0.125, velocity=1.0, g=2.0)
+    assert (rep.v_crit, rep.v_crit_cell, rep.v_cert_over_v_crit) == (None, None, None)
 
 
 def _asymmetric_coupling():
@@ -427,7 +496,7 @@ def test_lr_check_reversal_follows_the_model(case, pairs, monkeypatch):
     calls = _count_norms(monkeypatch)
     t_grid = np.array([0.0, 0.35, 1.1])
     rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
-    assert len(calls) == pairs * len(t_grid) * 12
+    assert len(calls) == pairs * np.count_nonzero(t_grid) * 12
     oracle = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid)
     assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
 

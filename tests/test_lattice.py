@@ -12,10 +12,10 @@ from latframe.lattice import (
     Site,
     build_chain,
     build_window,
-    distance,
     m_epsilon,
     window_from_triples,
 )
+from oracles import distance
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
@@ -62,6 +62,15 @@ def test_distance_hand_values():
     assert distance(a, b, lp) == pytest.approx(4.0, abs=1e-14)
     assert distance(Site(1, 0, 0), b, lp) == pytest.approx(5.0, abs=1e-14)
     assert distance(a, a, lp) == 0.0
+    _assert_matrix_matches_oracle(window_from_triples(lp, [(0, 0, 0), (0, 1, 0), (1, 0, 0)]))
+
+
+def _assert_matrix_matches_oracle(w):
+    """Window.distance_matrix entry by entry against the one-pair oracle."""
+    d = w.distance_matrix()
+    for a, p in enumerate(w.sites):
+        for b, q in enumerate(w.sites):
+            assert d[a, b] == pytest.approx(distance(p, q, w.params), abs=1e-12)
 
 
 @given(
@@ -80,6 +89,7 @@ def test_distance_is_a_metric(t1, t2, t3):
     else:
         assert dpq == 0.0
     assert dpq <= distance(p, s, lp) + distance(s, q, lp) + 1e-12
+    _assert_matrix_matches_oracle(window_from_triples(lp, [t1, t2, t3]))
 
 
 def test_chain_layout_and_center():
