@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -72,6 +71,7 @@ from .lattice import LatticeError, build_chain, build_window
 from .magnetic import MagneticParams, RegimeError, TruncationError, bessel_bound, regime
 from .quadratic import landau_coefficients
 from .serialize import (
+    ColumnTable,
     SerializeError,
     read_csv,
     site_token,
@@ -90,8 +90,8 @@ _DEFAULT_OUT = "latframe-out"
 
 # Window caps of the commands whose arrays grow with every site pair, timed on
 # one core of a 2-core x86_64 machine.  decay and landau hold n^2 pairs of
-# sites of one level: 545 sites took 5.5 s and 268 MB (decay), 7.0 s and
-# 327 MB (landau); 1201 sites took 26.5 s and 1.16 GB, 35.2 s and 1.38 GB.
+# sites of one level: 545 sites took 1.1-1.8 s and 78 MB (decay), 2.1 s and
+# 75 MB (landau); 1201 sites took 5.7-7.3 s and 190 MB (decay).
 # cphi holds n (n - 1) / 2 terms by n sites: 181 sites took 2.3 s and 106 MB,
 # 313 sites 17.8 s and 390 MB.
 MAX_PAIR_TABLE_SITES = 1000
@@ -140,7 +140,7 @@ def _cmd_gram(ctx: RunContext) -> CommandResult:
     min_eig, max_eig = float(vals[0]), float(vals[-1])
     n = len(w)
     write_csv(ctx.out / "gram.csv", ["i", "j", "site_i", "site_j", "d", "re", "im"],
-              _pair_rows(w, range(n), w.distance_matrix(), z.real, z.imag))
+              _pair_table(w, np.arange(n), w.distance_matrix(), z.real, z.imag))
     checks = [
         Check("hermitian", dev <= 1e-12, {"max_deviation": dev}),
         Check("unit_diagonal", diag_dev <= 1e-12, {"max_deviation": diag_dev}),
@@ -199,16 +199,13 @@ def _inverse_power_certificate(w, mp: MagneticParams, p: int):
                                s_max=bessel_bound(w.params, mp), p=p)
 
 
-def _pair_rows(w, sites, d, *columns) -> Iterator[tuple]:
+def _pair_table(w, sites, d, *columns) -> ColumnTable:
     """Rows (i, j, site_i, site_j, d[a, b], *columns[a, b]) over all pairs of
-    `sites`, d being their distance block, made one at a time as write_csv
-    formats them."""
-    ids = [int(g) for g in sites]
-    tokens = [site_token(w.sites[g]) for g in ids]
-    for a, i in enumerate(ids):
-        values = [c[a].tolist() for c in (d, *columns)]
-        for b, j in enumerate(ids):
-            yield (i, j, tokens[a], tokens[b], *(v[b] for v in values))
+    `sites`, d being their distance block; the site columns stay (n, 1) and
+    (1, n) until write_csv expands them block by block."""
+    ids = np.asarray(sites)
+    tokens = np.array([site_token(w.sites[g]) for g in ids])
+    return ColumnTable(ids[:, None], ids[None, :], tokens[:, None], tokens[None, :], d, *columns)
 
 
 def _residual_check(dual, lp, mp: MagneticParams) -> Check:
@@ -250,7 +247,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
     report = verify_decay(elems.entries, d, cert)
     write_csv(ctx.out / "decay_check.csv",
               ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"],
-              _pair_rows(w, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
+              _pair_table(w, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
     write_json(ctx.out / "decay_certificate.json",
                {**asdict(cert), "window_hash": w.content_hash(), "n_sites": len(sites)})
     fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
@@ -400,8 +397,8 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     report = verify_decay(t_r, d, cert, scale=q)
     write_csv(ctx.out / "landau.csv",
               ["i", "j", "site_i", "site_j", "d", "re_t", "im_t", "abs_t", "bound", "ratio"],
-              _pair_rows(w, sites, d, t_r.real, t_r.imag, np.abs(t_r), report.bounds,
-                         report.ratio))
+              _pair_table(w, sites, d, t_r.real, t_r.imag, np.abs(t_r), report.bounds,
+                          report.ratio))
     checks = [
         Check("zero_violations", report.violations == 0,
               {"violations": report.violations, "max_ratio": report.max_ratio}),
@@ -464,24 +461,19 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     basis = mode_basis(w, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
     report = lr_check(basis, inter, t_grid, rates["zeta"], velocity, rates["g"])
-    dists = w.distance_matrix()
-    fmax = report.f_table.max(axis=2)
+    tokens = np.array([site_token(s) for s in w.sites])
+    i, j = np.array(report.pairs).T
     header = ["t", "site_g", "site_gp", "d", "f", "bound", "ratio"]
-    rows = []
-    exceed_rows = []
-    for it, t in enumerate(report.t_grid):
-        for ip, (i, j) in enumerate(report.pairs):
-            row = (float(t), site_token(w.sites[i]), site_token(w.sites[j]), float(dists[i, j]),
-                   float(fmax[it, ip]), float(report.bounds[it, ip]), float(report.ratios[it, ip]))
-            rows.append(row)
-            if report.exceed[it, ip]:
-                exceed_rows.append(row)
+    # one row per (time, pair), times outermost
+    table = ColumnTable(report.t_grid[:, None], tokens[i], tokens[j], w.distance_matrix()[i, j],
+                        report.f_table.max(axis=2), report.bounds, report.ratios)
     cell = report.v_crit_cell
     v_crit_cell = None if cell is None else {
         "t": cell[0], "site_g": site_token(w.sites[cell[1]]),
         "site_gp": site_token(w.sites[cell[2]])}
-    write_csv(ctx.out / "lr.csv", header, rows)
-    write_csv(ctx.out / "lr_exceedances.csv", header, exceed_rows)
+    write_csv(ctx.out / "lr.csv", header, table)
+    write_csv(ctx.out / "lr_exceedances.csv", header,
+              ColumnTable(*(c[report.exceed] for c in table.columns)))
     write_json(ctx.out / "lr_summary.json", {
         "verdict": "pass" if report.passed else "fail",
         "n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
@@ -493,7 +485,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
         "chain_length": cfg.chain_length, "f0": cfg.f0, "mu": cfg.mu,
         "t_max": cfg.t_max, "n_t": cfg.n_t,
         "v_crit": report.v_crit, "v_cert_over_v_crit": report.v_cert_over_v_crit,
-        "v_crit_cell": v_crit_cell,
+        "v_crit_cell": v_crit_cell, "v_crit_off_diagonal": report.v_crit_off_diagonal,
+        "t_sat": report.t_sat,
         "flavor_policy": "F is the max over the four sharp dagger flavors; "
                          "the supremum over mixed combinations on the unit disc "
                          "lies between F and 2F and is not computed",
@@ -527,15 +520,13 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
         cfg.t_max)
     basis = mode_basis(w_big, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
-    rows = []
     reports = list(zip(lengths[:-1], volume_convergence(
         basis, inter, inners, center, t_grid, rates["zeta"], velocity, rates["g"])))
-    for length, rep in reports:
-        for it, t in enumerate(rep.t_grid):
-            b = float(rep.bounds[it])
-            d = float(rep.diffs[it])
-            rows.append((length, float(t), d, b, d / b if b > 0 else 0.0))
-    write_csv(ctx.out / "converge.csv", ["length", "t", "diff", "bound", "ratio"], rows)
+    diffs = np.array([rep.diffs for _, rep in reports])
+    bounds = np.array([rep.bounds for _, rep in reports])
+    ratios = np.divide(diffs, bounds, out=np.zeros_like(diffs), where=bounds > 0)
+    write_csv(ctx.out / "converge.csv", ["length", "t", "diff", "bound", "ratio"],
+              ColumnTable(np.array(lengths[:-1])[:, None], t_grid, diffs, bounds, ratios))
     within = all(rep.passed for _, rep in reports)
     monotone = True
     for (l1, r1), (l2, r2) in zip(reports, reports[1:]):

@@ -301,12 +301,16 @@ class Evolution:
         """The sector blocks of e^{itH}."""
         return [(v * np.exp(1j * t * e)) @ v.conj().T for e, v in zip(self.eigvals, self.eigvecs)]
 
+    def heisenberg_block(self, b: np.ndarray, r: int, t: float) -> np.ndarray:
+        """Block r of tau_t(a), from block r of a in this evolution's
+        eigenbasis: e^{itE_r} A_r e^{-itE_(r+1)}, phased entry by entry."""
+        row, col = np.exp(1j * t * self.eigvals[r]), np.exp(1j * t * self.eigvals[r + 1])
+        return row[:, None] * b * col.conj()[None, :]
+
     def heisenberg(self, a: tuple[np.ndarray, ...], t: float) -> tuple[np.ndarray, ...]:
         """tau_t(a) for an operator in this evolution's eigenbasis, phased block
-        by block, e^{itE_N} A_N e^{-itE_(N+1)}; it stays in the eigenbasis."""
-        phases = [np.exp(1j * t * e) for e in self.eigvals]
-        return tuple(phases[r][:, None] * b * phases[r + 1].conj()[None, :]
-                     for r, b in enumerate(a))
+        by block; it stays in the eigenbasis."""
+        return tuple(self.heisenberg_block(b, r, t) for r, b in enumerate(a))
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -368,7 +372,9 @@ class LRReport:
     and F > 0, max (d + ln(F/g)/zeta)/t, attained at v_crit_cell (t, g, g');
     v_cert_over_v_crit is velocity / v_crit, None when v_crit <= 0 (the
     static envelope g e^(-zeta d) already covers every such cell) or when
-    there is no such cell."""
+    there is no such cell.  v_crit_off_diagonal is that maximum over cells
+    with d > 0.  From t_sat = (d_max + ln(2/g)/zeta)/v on (None if v <= 0)
+    no cell's bound lies below the trivial limit 2."""
 
     zeta: float
     velocity: float
@@ -387,6 +393,8 @@ class LRReport:
     v_crit: float | None
     v_crit_cell: tuple[float, int, int] | None
     v_cert_over_v_crit: float | None
+    v_crit_off_diagonal: float | None
+    t_sat: float | None
 
 
 def _persymmetric(m: np.ndarray) -> bool:
@@ -461,6 +469,8 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     speeds = (d_pairs[ip_m] + np.log(fmax[it_m, ip_m] / g) / zeta) / t_grid[it_m]
     k = int(np.argmax(speeds)) if speeds.size else None
     v_crit = None if k is None else float(speeds[k])
+    off_speeds = speeds[d_pairs[ip_m] > 0]
+    d_max = float(d_pairs.max())
     return LRReport(
         zeta=zeta, velocity=velocity, g=g, t_grid=t_grid, pairs=tuple(pairs),
         f_table=f_table, bounds=bounds, ratios=ratios, exceed=exceed,
@@ -472,6 +482,8 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
         v_crit=v_crit,
         v_crit_cell=None if k is None else (float(t_grid[it_m[k]]), *pairs[ip_m[k]]),
         v_cert_over_v_crit=velocity / v_crit if v_crit is not None and v_crit > 0 else None,
+        v_crit_off_diagonal=float(off_speeds.max()) if off_speeds.size else None,
+        t_sat=float((d_max + np.log(2.0 / g) / zeta) / velocity) if velocity > 0 else None,
     )
 
 
@@ -516,28 +528,34 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
     by the pairs inside each of inner_windows (site-index sets), for
     the annihilator at one site; one report per inner window.
 
-    The full Hamiltonian is diagonalised once.  Each difference is taken block
-    by block in the full eigenbasis, where the restricted evolution enters
-    through the overlaps W_N = U_N* V_N of the two eigenbases."""
+    The full Hamiltonian is diagonalised once.  Each difference is the largest
+    over N of ||tau_t(A)_N - W_N tau'_t(A')_N W_(N+1)*||, in the full
+    eigenbasis, with the overlaps W_N = U_N* V_N of the two eigenbases.  The
+    loop runs over the blocks N + 1 -> N, sliding W_N and W_(N+1) along, so
+    it holds a few blocks of one sector pair besides the two eigenbases and
+    a (site and full eigenbasis)."""
     t_grid = np.asarray(t_grid, dtype=float)
     ev_full = Evolution(build_interaction_hamiltonian(basis, interaction))
     [a] = _lowering_blocks(basis.rank, basis.v[site:site + 1])
     a_full = ev_full.eigenbasis(a)
-    reports = []
+    # tau_0 and tau'_0 are both the identity, so t = 0 keeps a zero difference
+    moving = [(it, float(t)) for it, t in enumerate(t_grid) if t != 0.0]
+    u, reports = ev_full.eigvecs, []
     for inner in inner_windows:
         ev_small = Evolution(build_interaction_hamiltonian(basis, interaction,
                                                            support_within=inner))
-        a_small = ev_small.eigenbasis(a)
-        overlap = [u.conj().T @ v for u, v in zip(ev_full.eigvecs, ev_small.eigvecs)]
+        v = ev_small.eigvecs
         diffs = np.zeros(len(t_grid))
-        for it, t in enumerate(t_grid):
-            if t == 0.0:
-                continue  # tau_0 and tau'_0 are both the identity
-            xf = ev_full.heisenberg(a_full, float(t))
-            xs = ev_small.heisenberg(a_small, float(t))
-            diffs[it] = max(
-                operator_norm(xf[r] - overlap[r] @ xs[r] @ overlap[r + 1].conj().T)
-                for r in range(len(xf)))
+        w_next = u[0].conj().T @ v[0]
+        for r, b in enumerate(a):
+            w_here, w_next = w_next, u[r + 1].conj().T @ v[r + 1]
+            b_small = v[r].conj().T @ (b @ v[r + 1])
+            for it, t in moving:
+                # one expression, so no time's blocks outlive its norm
+                diffs[it] = max(diffs[it], operator_norm(
+                    ev_full.heisenberg_block(a_full[r], r, t)
+                    - w_here @ ev_small.heisenberg_block(b_small, r, t) @ w_next.conj().T))
+        del ev_small, v  # released before the next window's H and eigh
         boundary = boundary_sum(interaction, inner, site, zeta)
         # an overflowing envelope holds trivially; callers that write the bounds
         # out reject such a t_max before the run

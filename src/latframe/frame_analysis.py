@@ -308,10 +308,17 @@ def s_inverse_diagonal(dual: AdjointDual, mp: MagneticParams, q: int) -> float:
 def overlap_rate_constant(window: Window, mp: MagneticParams) -> float:
     """Smallest g >= 1 with |<chi, chi'>| <= g * exp(-lam * dist) on the window,
     for the localization rate of this lattice.  On square lattices with
-    spacing >= ell_b the Gaussian overlap achieves g = 1 (sharp at unit steps)."""
+    spacing >= ell_b the Gaussian overlap achieves g = 1 (sharp at unit steps).
+
+    The overlaps vanish across levels and carry no level factor, and the
+    label distance adds no level term within a level, so every level repeats
+    the level-0 block: g is read from the level-0 sites alone."""
     lam = localization_rate(window.params, mp)
-    z = np.abs(overlap_matrix(window, mp))
-    d = window.distance_matrix()
+    low = window.levels == 0
+    level0 = replace(window, sites=tuple(s for s in window.sites if s.r == 0),
+                     levels=window.levels[low], gxy=window.gxy[low])
+    z = np.abs(overlap_matrix(level0, mp))
+    d = level0.distance_matrix()
     return float(max(1.0, np.max(z * np.exp(lam * d))))
 
 

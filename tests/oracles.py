@@ -4,8 +4,9 @@ from its definition, one element at a time."""
 import numpy as np
 
 from latframe.fock import FockError
+from latframe.frame_analysis import localization_rate
 from latframe.lattice import LatticeParams, Site
-from latframe.magnetic import window_coords
+from latframe.magnetic import overlap_matrix, window_coords
 
 
 def distance(p: Site, q: Site, params: LatticeParams) -> float:
@@ -13,6 +14,15 @@ def distance(p: Site, q: Site, params: LatticeParams) -> float:
     oracle of Window.distance_matrix."""
     dg = abs(p.i - q.i) * params.alpha + abs(p.j - q.j) * params.beta
     return abs(p.r - q.r) + params.alpha_star * dg
+
+
+def overlap_rate_constant_all_levels(window, mp) -> float:
+    """g as the maximum of |<chi, chi'>| e^(lam d) over every pair of the
+    window, cross-level pairs included: the oracle of overlap_rate_constant,
+    which reads the level-0 block alone."""
+    lam = localization_rate(window.params, mp)
+    z = np.abs(overlap_matrix(window, mp))
+    return float(max(1.0, np.max(z * np.exp(lam * window.distance_matrix()))))
 
 
 def quasifree_expectation(window, mp, p_matrix: np.ndarray, factors) -> complex:

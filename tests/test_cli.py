@@ -459,6 +459,25 @@ def test_lr_summary_reports_v_crit(tmp_path):
     assert payload["v_cert_over_v_crit"] > 100.0
 
 
+def test_lr_summary_reports_t_sat_and_off_diagonal_v_crit(tmp_path):
+    # on the 4-site unit chain d_max = 3, g = 1 and zeta = 1/8, so the last
+    # bound reaches the trivial limit 2 at t_sat = (3 + 8 ln 2) / v
+    _, out, _ = run_cli(tmp_path, "lr", LR_FAST)
+    payload = json.loads((out / "lr_summary.json").read_text())
+    assert (payload["g"], payload["zeta"]) == (1.0, 0.125)
+    assert payload["t_sat"] == pytest.approx((3.0 + 8.0 * math.log(2.0)) / payload["velocity"],
+                                             rel=1e-14)
+    header, rows = read_csv(out / "lr.csv")
+    k = {name: header.index(name) for name in ("t", "d", "f")}
+    assert max(float(r[k["d"]]) for r in rows) == 3.0
+    # v_crit sits on a diagonal cell of this grid; the off-diagonal maximum is smaller
+    off = [(float(r[k["d"]]) + math.log(float(r[k["f"]])) / 0.125) / float(r[k["t"]])
+           for r in rows if float(r[k["t"]]) > 0 and float(r[k["d"]]) > 0]
+    assert payload["v_crit_off_diagonal"] == pytest.approx(max(off), rel=1e-9)
+    assert payload["v_crit_cell"]["site_g"] == payload["v_crit_cell"]["site_gp"]
+    assert payload["v_crit_off_diagonal"] < payload["v_crit"]
+
+
 def test_lr_negative_control_mechanics(tmp_path):
     _, _, honest = run_cli(tmp_path, "lr", LR_FAST, name="honest")
     code, out, summary = run_cli(tmp_path, "lr", LR_FAST,

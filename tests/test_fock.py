@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from latframe.fock import (
     build_quadratic_hamiltonian,
     jw_lowering,
     lr_check,
+    lr_envelope,
     mode_basis,
     mode_operators,
     monomial_operator,
@@ -451,6 +453,31 @@ def test_v_crit_is_the_least_covering_speed():
     assert rep.v_cert_over_v_crit == pytest.approx(velocity / v_crit, rel=1e-12)
 
 
+def test_v_crit_off_diagonal_and_t_sat_from_f_table():
+    """v_crit_off_diagonal is v_crit's maximum over the cells at d > 0, here
+    recomputed cell by cell from the report's own f_table; t_sat is the time
+    at which the bound at the largest distance reaches 2."""
+    w, basis, inter = _six_modes("chain")
+    t_grid = np.array([0.0, 0.35, 1.1])
+    zeta, g, velocity = 0.125, 1.0, 40.0
+    rep = lr_check(basis, inter, t_grid, zeta=zeta, velocity=velocity, g=g)
+    d = w.distance_matrix()
+    best = None
+    for it, t in enumerate(t_grid):
+        for ip, (i, j) in enumerate(rep.pairs):
+            f = rep.f_table[it, ip].max()
+            if t > 0 and d[i, j] > 0 and f > 0:
+                speed = (d[i, j] + math.log(f / g) / zeta) / t
+                best = speed if best is None else max(best, speed)
+    assert rep.v_crit_off_diagonal == best
+    assert rep.v_crit_off_diagonal <= rep.v_crit
+    assert rep.t_sat == pytest.approx((d.max() + math.log(2.0 / g) / zeta) / velocity, rel=1e-15)
+    assert lr_envelope(g, zeta, velocity, d.max(), rep.t_sat) == pytest.approx(2.0, rel=1e-12)
+    # a grid without a moving cell has no off-diagonal speed; no speed, no t_sat
+    rep = lr_check(basis, inter, [0.0], zeta=zeta, velocity=0.0, g=g)
+    assert (rep.v_crit_off_diagonal, rep.t_sat) == (None, None)
+
+
 def test_v_crit_without_a_moving_cell():
     """With g = 2 above every static |Z_ij| and H = 0, every cell's speed is
     negative: the static envelope already covers them and the ratio is None.
@@ -527,6 +554,33 @@ def test_volume_convergence_sectors_match_dense_oracle(six_modes):
                   for t in t_grid]
         assert np.max(np.abs(rep.diffs - oracle)) < 1e-12
         assert rep.diffs[-1] > 1e-3
+
+
+def test_volume_convergence_memory_is_one_sector_pair():
+    """On the 10-site unit chain (C(10, 5) = 252 states in the middle sector)
+    the sector loop holds the two eigenbases, the annihilator in the site
+    basis and in the full eigenbasis, and a few blocks of one sector pair: the
+    overlaps W_N, W_(N+1), the restricted block and one phased difference, or
+    the scatter arrays of one Hamiltonian block while H is built."""
+    lp = LatticeParams(1.0, 1.0, 10.0)
+    w = build_chain(lp, 10)
+    basis = mode_basis(w, MP)
+    inter = density_density(w, f0=1.0, mu=1.0)
+    inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (6, 8)]
+    sizes = [math.comb(basis.rank, k) for k in range(basis.rank + 1)]
+    real = basis.v.dtype.itemsize
+    eigvecs = sum(d * d for d in sizes) * real
+    annihilator = sum(p * q for p, q in zip(sizes, sizes[1:])) * real
+    middle = max(sizes) ** 2 * 16  # one complex block of the middle sector
+    tracemalloc.start()
+    try:
+        reports = volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1, 0.2],
+                                     zeta=0.125, velocity=1.0, g=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.rank == 10 and all(rep.diffs[-1] > 1e-3 for rep in reports)
+    assert peak < 2 * eigvecs + 2 * annihilator + 8 * middle
 
 
 # ------------------------------------------- sector assembly vs per-term oracles

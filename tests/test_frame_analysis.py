@@ -28,6 +28,7 @@ from latframe.frame_analysis import (
     verify_decay,
     window_coords,
 )
+from oracles import overlap_rate_constant_all_levels
 
 MP = MagneticParams(ell_b=1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -245,6 +246,19 @@ def test_overlap_rate_constant_unit_lattice():
     w = build_window(LatticeParams(1.0, 1.0, 6.0))
     g = overlap_rate_constant(w, MP)
     assert g == pytest.approx(1.0, abs=1e-12)  # sharp at unit steps
+
+
+@pytest.mark.parametrize("alpha, beta, radius, ell", [
+    (math.sqrt(math.pi), math.sqrt(math.pi), 12.0, 1.0), (1.0, 2.0, 8.0, 1.5),
+    (1.5, 3.0, 10.0, 0.7), (3.0, 1.0, 10.0, 1.5)])
+def test_overlap_rate_constant_from_level_zero(alpha, beta, radius, ell):
+    # every level repeats the level-0 block, so g from that block alone is the
+    # all-pairs maximum bit for bit (the last three windows reach it one or two
+    # units of round-off above 1)
+    w = build_window(LatticeParams(alpha, beta, radius, level_max=1))
+    assert np.count_nonzero(w.levels == 1) == np.count_nonzero(w.levels == 0)
+    mp = MagneticParams(ell_b=ell)
+    assert overlap_rate_constant(w, mp) == overlap_rate_constant_all_levels(w, mp)
 
 
 def test_overlap_rate_constant_at_least_one():

@@ -3,12 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from latframe.lattice import Site
+import latframe.serialize
 from latframe.serialize import (
+    ColumnTable,
     SerializeError,
     fmt_float,
     json_text,
@@ -56,6 +59,53 @@ def test_csv_rejects_unserializable_cells(tmp_path):
         write_csv(path, ["a"], [["line\nbreak"]])
     with pytest.raises(SerializeError):
         write_csv(path, ["a", "b"], [["only-one"]])
+    with pytest.raises(SerializeError, match="separator"):
+        write_csv(path, ["a"], ColumnTable(np.array(["ok", "has,comma"])))
+    with pytest.raises(SerializeError):
+        write_csv(path, ["a", "b"], ColumnTable(np.arange(2)))
+
+
+MIXED_HEADER = ["i", "site", "x", "flag", "y"]
+MIXED_TEXT = """\
+i,site,x,flag,y
+0,0:-1:0,0,true,-2.5
+1,0:0:0,0.1,false,0
+2,1:3:-4,-1e-300,true,3.14159265358979
+"""
+
+
+def test_csv_bytes_of_a_mixed_table(tmp_path, monkeypatch):
+    # -0.0 folds into 0, ints and bools by their own rules, numpy scalars like
+    # Python ones; the same bytes from rows, from columns, and across blocks
+    monkeypatch.setattr(latframe.serialize, "BLOCK_ROWS", 2)
+    rows = [(0, "0:-1:0", -0.0, True, np.float64(-2.5)),
+            (np.int64(1), site_token(Site(0, 0, 0)), 0.1, np.bool_(False), np.float32(-0.0)),
+            (2, "1:3:-4", -1e-300, True, np.float64(np.pi))]
+    write_csv(tmp_path / "rows.csv", MIXED_HEADER, rows)
+    assert (tmp_path / "rows.csv").read_bytes() == MIXED_TEXT.encode()
+    table = ColumnTable(np.arange(3), np.array(["0:-1:0", "0:0:0", "1:3:-4"]),
+                        np.array([-0.0, 0.1, -1e-300]), np.array([True, False, True]),
+                        np.array([-2.5, -0.0, np.pi]))
+    write_csv(tmp_path / "cols.csv", MIXED_HEADER, table)
+    assert (tmp_path / "cols.csv").read_bytes() == MIXED_TEXT.encode()
+    # a reader that drains the table into a row list gets the same bytes
+    write_csv(tmp_path / "drained.csv", MIXED_HEADER, list(table))
+    assert (tmp_path / "drained.csv").read_bytes() == MIXED_TEXT.encode()
+    # a pair table from (n, 1) and (1, n) columns, expanded one block at a time
+    ids = np.arange(3)
+    pairs = ColumnTable(ids[:, None], ids[None, :], np.subtract.outer(ids, ids) * 0.5)
+    assert len(pairs) == 9
+    write_csv(tmp_path / "pairs.csv", ["i", "j", "x"], pairs)
+    assert (tmp_path / "pairs.csv").read_text().split("\n")[1:5] == [
+        "0,0,0", "0,1,-0.5", "0,2,-1", "1,0,0.5"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_csv_rejects_non_finite_cells(tmp_path, bad):
+    for rows in ([(1, 0.5), (2, bad)], ColumnTable([1, 2], np.array([0.5, bad]))):
+        with pytest.raises(SerializeError, match="non-finite"):
+            write_csv(tmp_path / "t.csv", ["n", "x"], rows)
+        assert not (tmp_path / "t.csv").exists()  # no half-written table
 
 
 def test_json_text_deterministic_and_sorted():
