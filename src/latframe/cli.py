@@ -194,7 +194,7 @@ def _inverse_power_certificate(w, mp: MagneticParams, p: int):
     """The S^-p decay certificate between the Schur lower frame bound and the
     closed-form upper one, with the split eps = theta = lam / 4."""
     rates = _rates(w, mp)
-    return neumann_certificate(w, g=rates["g"], lam=rates["lam"],
+    return neumann_certificate(w.params, g=rates["g"], lam=rates["lam"],
                                s_min=schur_lower_bound(w.params, mp),
                                s_max=bessel_bound(w.params, mp), p=p)
 

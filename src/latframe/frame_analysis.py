@@ -355,16 +355,17 @@ class DecayCertificate:
     a_p: float
 
 
-def neumann_certificate(window: Window, g: float, lam: float, s_min: float, s_max: float,
+def neumann_certificate(lp: LatticeParams, g: float, lam: float, s_min: float, s_max: float,
                         p: int, eps: float | None = None, theta: float | None = None,
                         m_eps_value: float | None = None) -> DecayCertificate:
     """Decay certificate for S^-p elements from spectral bounds and a rate.
 
     Sound whenever s_max >= the top of the spectrum, 0 < s_min <= its
-    bottom, and the window states satisfy
+    bottom, and the lattice states satisfy
     |<chi, chi'>| <= g * exp(-lam * dist).  delta is fixed at lam / 2; eps
     and theta default to lam / 4.  The localization budget c_eps uses the
-    closed-form dominating value of the m_eps sum unless one is supplied.
+    lattice's closed-form m_eps bound, m_epsilon(lp, eps), unless a value
+    is supplied; lp enters through that bound alone.
     """
     delta = lam / 2.0
     if eps is None:
@@ -382,7 +383,7 @@ def neumann_certificate(window: Window, g: float, lam: float, s_min: float, s_ma
     if p < 1 or int(p) != p:
         raise FrameAnalysisError(f"power must be a positive integer, got {p}")
     if m_eps_value is None:
-        m_eps_value = m_epsilon(window, eps)[1]
+        m_eps_value = m_epsilon(lp, eps)
     c_eps = g * m_eps_value
     r_p = 1.0 - (s_min / s_max) ** p
     if r_p >= 1.0:

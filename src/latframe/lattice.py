@@ -192,25 +192,17 @@ def build_chain(params: LatticeParams, length: int) -> Window:
     return window_from_triples(params, [(0, lo + k, 0) for k in range(length)])
 
 
-def m_epsilon(window: Window, eps: float) -> tuple[float, float]:
-    """Exponential localization sum and its closed-form dominator.
+def m_epsilon(params: LatticeParams, eps: float) -> float:
+    """Closed-form dominator of the exponential localization sum.
 
-    Returns
-    -------
-    estimate : float
-        max over window sites gamma of sum_xi exp(-eps * dist(gamma, xi)),
-        a lower approximation of the supremum over the infinite lattice.
-    bound : float
-        (2 / (1 - exp(-eps * alpha_star**2)))**2, times the level factor
-        (1 + exp(-eps)) / (1 - exp(-eps)) when more than one level is
-        present.  Dominates the estimate for every window.
+    sup over lattice labels gamma of sum_xi exp(-eps * dist(gamma, xi)) on
+    the infinite lattice is at most (2 / (1 - exp(-eps * alpha_star**2)))**2,
+    times the level factor (1 + exp(-eps)) / (1 - exp(-eps)) when more than
+    one level is present.
     """
     if eps <= 0:
         raise LatticeError(f"eps must be positive, got {eps}")
-    d = window.distance_matrix()
-    estimate = float(np.exp(-eps * d).sum(axis=1).max())
-    a2 = window.params.alpha_star ** 2
-    bound = (2.0 / (1.0 - np.exp(-eps * a2))) ** 2
-    if window.params.level_max > 0:
+    bound = (2.0 / (1.0 - np.exp(-eps * params.alpha_star ** 2))) ** 2
+    if params.level_max > 0:
         bound *= (1.0 + np.exp(-eps)) / (1.0 - np.exp(-eps))
-    return estimate, float(bound)
+    return float(bound)

@@ -55,23 +55,19 @@ class RegimeError(ValueError):
 
 @dataclass(frozen=True)
 class MagneticParams:
-    """Magnetic length, level spacing, and optional angular truncation.
+    """Magnetic length and level spacing.
 
-    eps_b defaults to 1 / ell_b**2 (natural units); laguerre_trunc, when
-    set, pins the angular cutoff M instead of the automatic rule.
+    eps_b defaults to 1 / ell_b**2 (natural units).
     """
 
     ell_b: float
     eps_b: float | None = None
-    laguerre_trunc: int | None = None
 
     def __post_init__(self) -> None:
         if self.ell_b <= 0:
             raise ValueError(f"ell_b must be positive, got {self.ell_b}")
         if self.eps_b is not None and self.eps_b <= 0:
             raise ValueError(f"eps_b must be positive, got {self.eps_b}")
-        if self.laguerre_trunc is not None and self.laguerre_trunc < 0:
-            raise ValueError(f"laguerre_trunc must be non-negative, got {self.laguerre_trunc}")
 
     @property
     def level_spacing(self) -> float:
@@ -99,9 +95,6 @@ class LaguerreCoords:
     @property
     def trunc(self) -> int:
         return len(self.coeffs) - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 def poisson_tail(m: int, u: float) -> float:
@@ -384,13 +377,12 @@ def coords_pointwise(phi: LaguerreCoords, x: np.ndarray) -> np.ndarray:
 def window_coords(window: Window, mp: MagneticParams) -> tuple[int, np.ndarray]:
     """Truncation and stacked coefficient vectors for every window site.
 
-    Returns (trunc, V) with V of shape (n_sites, trunc + 1); rows repeat
-    across levels since the coefficient vector depends on gamma only.
+    Returns (trunc, V) with V of shape (n_sites, trunc + 1), trunc being
+    choose_truncation at the farthest site; rows repeat across levels since
+    the coefficient vector depends on gamma only.
     """
     rmax = float(np.max(np.linalg.norm(window.gxy, axis=1)))
-    trunc = mp.laguerre_trunc
-    if trunc is None:
-        trunc = choose_truncation(rmax, mp.ell_b)
+    trunc = choose_truncation(rmax, mp.ell_b)
     rows = np.empty((len(window), trunc + 1), dtype=np.complex128)
     cache: dict[tuple[int, int], np.ndarray] = {}
     for k, s in enumerate(window.sites):

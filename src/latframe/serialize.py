@@ -6,8 +6,12 @@ same reason.  The formats are line-based and binary-free:
 
 csv      comma-separated with a header row; fields never contain commas
          (site ids use the colon form "r:i:j").  Tables are formatted a
-         block of rows at a time, column by column: a float column gets its
-         finite check and -0 fold on the array, then %.15g per value.
+         block of rows at a time, column by column, by the column's dtype:
+         a float column gets its finite check and -0 fold on the array, then
+         %.15g per value; bools are true/false, ints their digits.  Rows
+         given as a list become one array per column and block, so a cell
+         is written by the common type of its column, as in a ColumnTable;
+         a column numpy can only hold as objects (None, a dict) is refused.
 json     plain JSON with sorted keys and two-space indent.
 """
 
@@ -61,17 +65,6 @@ def _fmt_scalar(value) -> str | None:
     return None
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise SerializeError(f"cell {value!r} contains a separator")
-        return value
-    text = _fmt_scalar(value)
-    if text is None:
-        raise SerializeError(f"unsupported cell type {type(value).__name__}")
-    return text
-
-
 # rows formatted and written at a time: each column of a block is formatted as
 # one array, and a small block keeps the cell strings of a mid-size table from
 # raising a command's memory (one 3721-row block raised `landau`'s peak
@@ -106,8 +99,7 @@ class ColumnTable:
 
 
 def _fmt_column(col: np.ndarray) -> list[str]:
-    """The cells of one column: floats, bools, ints and strings by array, any
-    other column (Python objects) one cell at a time."""
+    """The cells of one column of floats, bools, ints or strings."""
     kind = col.dtype.kind
     if kind == "f":
         bad = ~np.isfinite(col)
@@ -124,12 +116,23 @@ def _fmt_column(col: np.ndarray) -> list[str]:
         if bad is not None:
             raise SerializeError(f"cell {bad!r} contains a separator")
         return cells
-    return [_fmt_cell(c) for c in col.tolist()]
+    raise SerializeError(f"unsupported column of dtype {col.dtype}")
+
+
+def _row_column(cells: tuple) -> np.ndarray:
+    """The cells of one column of a block of rows as one array.  A cell that
+    is a sequence, or a number among text (which numpy would turn into its
+    repr), is refused rather than converted."""
+    col = np.array(cells)
+    if col.ndim != 1 or (col.dtype.kind == "U" and not all(isinstance(c, str) for c in cells)):
+        kinds = ", ".join(sorted({type(c).__name__ for c in cells}))
+        raise SerializeError(f"a column of {kinds} cells is not one scalar type")
+    return col
 
 
 def _column_blocks(rows, width: int) -> Iterator[list[np.ndarray]]:
     """A ColumnTable's blocks, or any other iterable of rows cut into blocks
-    of BLOCK_ROWS and turned into object columns."""
+    of BLOCK_ROWS and turned into one array per column."""
     if isinstance(rows, ColumnTable):
         if len(rows.columns) != width:
             raise SerializeError(f"{len(rows.columns)} columns mismatch header width {width}")
@@ -140,7 +143,7 @@ def _column_blocks(rows, width: int) -> Iterator[list[np.ndarray]]:
         for row in block:
             if len(row) != width:
                 raise SerializeError(f"row width {len(row)} mismatches header width {width}")
-        yield [np.array(col, dtype=object) for col in zip(*block)]
+        yield [_row_column(col) for col in zip(*block)]
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

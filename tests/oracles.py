@@ -6,7 +6,7 @@ import numpy as np
 from latframe.fock import FockError
 from latframe.frame_analysis import localization_rate
 from latframe.lattice import LatticeParams, Site
-from latframe.magnetic import overlap_matrix, window_coords
+from latframe.magnetic import overlap_matrix
 
 
 def distance(p: Site, q: Site, params: LatticeParams) -> float:
@@ -14,6 +14,13 @@ def distance(p: Site, q: Site, params: LatticeParams) -> float:
     oracle of Window.distance_matrix."""
     dg = abs(p.i - q.i) * params.alpha + abs(p.j - q.j) * params.beta
     return abs(p.r - q.r) + params.alpha_star * dg
+
+
+def m_epsilon_window(window, eps: float) -> float:
+    """max over window sites gamma of sum_xi exp(-eps * dist(gamma, xi)): a
+    lower approximation of the lattice sum that m_epsilon bounds in closed
+    form."""
+    return float(np.exp(-eps * window.distance_matrix()).sum(axis=1).max())
 
 
 def overlap_rate_constant_all_levels(window, mp) -> float:
@@ -25,22 +32,24 @@ def overlap_rate_constant_all_levels(window, mp) -> float:
     return float(max(1.0, np.max(z * np.exp(lam * window.distance_matrix()))))
 
 
-def quasifree_expectation(window, mp, p_matrix: np.ndarray, factors) -> complex:
+def quasifree_expectation(rows: np.ndarray, p_matrix: np.ndarray, factors) -> complex:
     """Determinant form of a quasi-free expectation with one-particle density P:
 
         <a*(f_n) ... a*(f_1) a(g_1) ... a(g_m)> = delta_{nm} det [ <g_i, P f_j> ].
 
-    The factors must be normal ordered (all creators first); P must be an
-    orthogonal projection in the truncated angular coordinates.
+    rows holds one coefficient vector per site (window_coords' rows, or their
+    leading columns); the factors are (site, dagger) pairs and must be normal
+    ordered (all creators first); P must be an orthogonal projection in the
+    coordinates of rows.
     """
     p_matrix = np.asarray(p_matrix, dtype=np.complex128)
     if np.max(np.abs(p_matrix - p_matrix.conj().T)) > 1e-10:
         raise FockError("P must be Hermitian")
     if np.max(np.abs(p_matrix @ p_matrix - p_matrix)) > 1e-10:
         raise FockError("P must be idempotent")
-    trunc, rows = window_coords(window, mp)
-    if p_matrix.shape != (trunc + 1, trunc + 1):
-        raise FockError(f"P shape {p_matrix.shape} mismatches coordinate size {trunc + 1}")
+    nm = rows.shape[1]
+    if p_matrix.shape != (nm, nm):
+        raise FockError(f"P shape {p_matrix.shape} mismatches coordinate size {nm}")
     seen_annihilator = False
     creators: list[int] = []
     annihilators: list[int] = []

@@ -164,7 +164,7 @@ def test_a04_inverse_power_decay_certificate():
     details = []
     ok = True
     for p in (1, 2):
-        cert = neumann_certificate(w, g=g, lam=lam, s_min=schur_lower_bound(w.params, MP),
+        cert = neumann_certificate(w.params, g=g, lam=lam, s_min=schur_lower_bound(w.params, MP),
                                    s_max=bessel_bound(w.params, MP), p=p)
         elems = s_inverse_power_elements(w, MP, p)
         dists = w.distance_matrix()[np.ix_(elems.sites, elems.sites)]
@@ -185,7 +185,7 @@ def test_a05_level_hamiltonian_coefficients():
     r = 1
     q = eps_b * (r + 0.5)
     t_r, c_r, _ = landau_coefficients(r, w, mp)
-    cert = neumann_certificate(w, g=overlap_rate_constant(w, mp),
+    cert = neumann_certificate(w.params, g=overlap_rate_constant(w, mp),
                                lam=localization_rate(w.params, mp),
                                s_min=schur_lower_bound(w.params, mp),
                                s_max=bessel_bound(w.params, mp), p=2)
@@ -390,10 +390,9 @@ def _adapted_conjugation(p_matrix):
 
 
 def test_a11_determinant_formula_vs_representation():
-    mp = MagneticParams(ell_b=1.0, laguerre_trunc=6)
     w = build_chain(LatticeParams(0.1, 0.1, 0.25), 3)
-    trunc, rows = window_coords(w, mp)
-    nm = trunc + 1
+    rows = window_coords(w, MP)[1][:, :7]  # the coefficients of angular indices 0..6
+    nm = rows.shape[1]
     rng = np.random.default_rng(20260811)
     # complex Hermitian projection of rank 3
     q, _ = np.linalg.qr(rng.normal(size=(nm, 3)) + 1j * rng.normal(size=(nm, 3)))
@@ -424,13 +423,13 @@ def test_a11_determinant_formula_vs_representation():
             for annih in [(0,) * n, tuple(range(n))[::-1], (1, 2, 0)[:n]]:
                 factors = tuple((s, True) for s in creators) + \
                     tuple((s, False) for s in annih)
-                got = quasifree_expectation(w, mp, p, factors)
+                got = quasifree_expectation(rows, p, factors)
                 mats = [reps[s].conj().T for s in creators] + [reps[s] for s in annih]
                 worst = max(worst, abs(got - vac(mats)))
                 cases += 1
     # unbalanced monomials vanish in both pictures
     for factors in (((0, True), (1, False), (2, False)), ((1, True),)):
-        got = quasifree_expectation(w, mp, p, factors)
+        got = quasifree_expectation(rows, p, factors)
         mats = [(reps[s].conj().T if d else reps[s]) for s, d in factors]
         worst = max(worst, abs(got - vac(mats)))
         assert got == 0.0

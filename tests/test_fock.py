@@ -670,14 +670,14 @@ def test_quasifree_validation():
     trunc, rows = window_coords(w, MP)
     n = trunc + 1
     with pytest.raises(FockError):
-        quasifree_expectation(w, MP, np.triu(np.ones((n, n))), ((0, True), (0, False)))
+        quasifree_expectation(rows, np.triu(np.ones((n, n))), ((0, True), (0, False)))
     half = 0.5 * np.eye(n)
     with pytest.raises(FockError):
-        quasifree_expectation(w, MP, half, ((0, True), (0, False)))
+        quasifree_expectation(rows, half, ((0, True), (0, False)))
     with pytest.raises(FockError):
-        quasifree_expectation(w, MP, np.eye(3), ((0, True), (0, False)))
+        quasifree_expectation(rows, np.eye(3), ((0, True), (0, False)))
     with pytest.raises(FockError):
-        quasifree_expectation(w, MP, np.eye(n), ((0, False), (0, True)))
+        quasifree_expectation(rows, np.eye(n), ((0, False), (0, True)))
 
 
 def test_quasifree_basic_values():
@@ -686,12 +686,12 @@ def test_quasifree_basic_values():
     n = trunc + 1
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    assert quasifree_expectation(w, MP, eye, ()) == 1.0
-    assert quasifree_expectation(w, MP, eye, ((0, True), (0, False), (1, False))) == 0.0
-    assert quasifree_expectation(w, MP, zero, ((0, True), (0, False))) == 0.0
+    assert quasifree_expectation(rows, eye, ()) == 1.0
+    assert quasifree_expectation(rows, eye, ((0, True), (0, False), (1, False))) == 0.0
+    assert quasifree_expectation(rows, zero, ((0, True), (0, False))) == 0.0
     for gc in range(2):
         for ga in range(2):
-            got = quasifree_expectation(w, MP, eye, ((gc, True), (ga, False)))
+            got = quasifree_expectation(rows, eye, ((gc, True), (ga, False)))
             want = np.vdot(rows[ga], rows[gc])
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -710,10 +710,9 @@ def _rep_lowering(vec, cs, p_real):
 
 
 def test_quasifree_matches_representation_oracle(rng):
-    mp = MagneticParams(ell_b=1.0, laguerre_trunc=6)
     w = build_chain(LatticeParams(0.1, 0.1, 0.25), 3)
-    trunc, rows = window_coords(w, mp)
-    n = trunc + 1
+    rows = window_coords(w, MP)[1][:, :7]  # the coefficients of angular indices 0..6
+    n = rows.shape[1]
     assert n == 7
     q, _ = np.linalg.qr(rng.normal(size=(n, 3)))
     p = q @ q.T  # rank-3 real projection
@@ -728,11 +727,11 @@ def test_quasifree_matches_representation_oracle(rng):
 
     for sf in range(3):
         for sg in range(3):
-            got = quasifree_expectation(w, mp, p, ((sf, True), (sg, False)))
+            got = quasifree_expectation(rows, p, ((sf, True), (sg, False)))
             oracle = vac_expect([reps[sf].conj().T, reps[sg]])
             assert abs(got - oracle) < 1e-12
     # four-point Wick determinant
     got = quasifree_expectation(
-        w, mp, p, ((2, True), (0, True), (0, False), (1, False)))
+        rows, p, ((2, True), (0, True), (0, False), (1, False)))
     oracle = vac_expect([reps[2].conj().T, reps[0].conj().T, reps[0], reps[1]])
     assert abs(got - oracle) < 1e-12

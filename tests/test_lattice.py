@@ -15,7 +15,7 @@ from latframe.lattice import (
     m_epsilon,
     window_from_triples,
 )
-from oracles import distance
+from oracles import distance, m_epsilon_window
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
@@ -107,7 +107,7 @@ def test_chain_layout_and_center():
 def test_m_epsilon_one_dimensional_value():
     # interior row sum of exp(-|k|) over a long unit chain: 1 + 2/(e-1)
     w = build_chain(LatticeParams(1.0, 1.0, 100.0), 81)
-    est, bound = m_epsilon(w, 1.0)
+    est, bound = m_epsilon_window(w, 1.0), m_epsilon(w.params, 1.0)
     assert est == pytest.approx(1.0 + 2.0 / (math.e - 1.0), abs=1e-12)
     assert bound >= est
 
@@ -118,20 +118,20 @@ def test_m_epsilon_one_dimensional_value():
 )
 def test_m_epsilon_bound_dominates(alpha, beta, eps):
     a_star = min(alpha, beta)
-    w = build_window(LatticeParams(alpha, beta, 8.0 * a_star * alpha))
-    est, bound = m_epsilon(w, eps)
+    lp = LatticeParams(alpha, beta, 8.0 * a_star * alpha)
+    est, bound = m_epsilon_window(build_window(lp), eps), m_epsilon(lp, eps)
     assert bound >= est > 1.0
 
 
 def test_m_epsilon_level_factor_and_validation():
     lp0 = LatticeParams(1.0, 1.0, 3.0)
     lp1 = LatticeParams(1.0, 1.0, 3.0, level_max=1)
-    _, b0 = m_epsilon(build_window(lp0), 1.0)
-    _, b1 = m_epsilon(build_window(lp1), 1.0)
+    b0 = m_epsilon(lp0, 1.0)
+    b1 = m_epsilon(lp1, 1.0)
     factor = (1.0 + math.exp(-1.0)) / (1.0 - math.exp(-1.0))
     assert b1 == pytest.approx(b0 * factor, rel=1e-12)
     with pytest.raises(LatticeError):
-        m_epsilon(build_window(lp0), 0.0)
+        m_epsilon(lp0, 0.0)
 
 
 def test_window_from_triples_validation():

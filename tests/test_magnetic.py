@@ -460,8 +460,6 @@ def test_window_coords_truncation_matches_radius():
 
 def test_magnetic_params_validation():
     with pytest.raises(ValueError):
-        MagneticParams(ell_b=1.0, laguerre_trunc=-1)
-    with pytest.raises(ValueError):
         MagneticParams(ell_b=0.0)
     mp = MagneticParams(ell_b=2.0)
     assert mp.level_spacing == pytest.approx(0.25)  # default gap 1/ell^2

@@ -65,6 +65,31 @@ def test_csv_rejects_unserializable_cells(tmp_path):
         write_csv(path, ["a", "b"], ColumnTable(np.arange(2)))
 
 
+@pytest.mark.parametrize("cell", [None, {"a": 1}, "text"], ids=["none", "dict", "text"])
+def test_csv_rejects_object_columns(tmp_path, cell):
+    # a column that numpy holds only as objects, or text mixed with numbers,
+    # has no format of its own: refused from rows and from columns alike
+    path = tmp_path / "t.csv"
+    with pytest.raises(SerializeError):
+        write_csv(path, ["n", "x"], [(1, 0.5), (2, cell)])
+    assert not path.exists()
+    with pytest.raises(SerializeError, match="dtype object"):
+        write_csv(path, ["x"], ColumnTable(np.array([0.5, cell], dtype=object)))
+    assert not path.exists()
+
+
+def test_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(SerializeError, match="row width 1"):
+        write_csv(path, ["a", "b"], [(1, 2), (3,), (4, 5)])
+    assert not path.exists()
+
+
+def test_csv_of_no_rows_is_the_header(tmp_path):
+    write_csv(tmp_path / "t.csv", ["a", "b"], [])
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+
 MIXED_HEADER = ["i", "site", "x", "flag", "y"]
 MIXED_TEXT = """\
 i,site,x,flag,y

@@ -122,10 +122,9 @@ def test_every_public_function_is_reached_from_cli():
     assert sorted(public - _reached_from_cli()) == sorted(UNREACHED_BY_CLI)
 
 
-def _run_config_fields(tree: ast.Module) -> list[str]:
-    """The annotated field names of the RunConfig class."""
-    cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+def _dataclass_fields(tree: ast.Module, name: str) -> list[str]:
+    """The annotated field names of the class `name`."""
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
     return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
 
 
@@ -142,4 +141,25 @@ def test_every_config_key_is_read():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in SOURCES if path.name in ("cli.py", "config.py")}
     read = set().union(*map(_cfg_reads, trees.values()))
-    assert [f for f in _run_config_fields(trees["config.py"]) if f not in read] == []
+    assert [f for f in _dataclass_fields(trees["config.py"], "RunConfig") if f not in read] == []
+
+
+def _keywords_passed(tree: ast.Module, func: str, callee: str) -> set[str]:
+    """Keyword names that the function `func` passes to calls of `callee`."""
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == func)
+    return {kw.arg for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee
+            for kw in n.keywords}
+
+
+@pytest.mark.parametrize("module,cls,maker", [
+    ("lattice.py", "LatticeParams", "make_lattice_params"),
+    ("magnetic.py", "MagneticParams", "make_magnetic_params"),
+])
+def test_every_params_field_is_set_from_config(module, cls, maker):
+    # a field that the config never sets is a knob no command can turn: it
+    # only ever takes its default, and a second route hides behind it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES if path.name in (module, "config.py")}
+    passed = _keywords_passed(trees["config.py"], maker, cls)
+    assert [f for f in _dataclass_fields(trees[module], cls) if f not in passed] == []
