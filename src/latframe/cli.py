@@ -48,7 +48,6 @@ from .frame_analysis import (
     gram,
     localization_rate,
     neumann_certificate,
-    overlap_rate_constant,
     s_inverse_power_elements,
     schur_lower_bound,
     verify_decay,
@@ -67,7 +66,7 @@ from .interactions import (
     v_omega,
     w_kernel,
 )
-from .lattice import LatticeError, build_chain, build_window
+from .lattice import LatticeError, LatticeParams, build_chain, build_window
 from .magnetic import MagneticParams, RegimeError, TruncationError, bessel_bound, regime
 from .quadratic import landau_coefficients
 from .serialize import (
@@ -122,11 +121,11 @@ class CommandResult:
     parameters: dict
 
 
-def _rates(window, mp: MagneticParams) -> dict:
-    """Localization rate lam, the measured overlap constant g and the
-    decay-functional pair zeta = lam / 2 < xi = lam."""
-    lam = localization_rate(window.params, mp)
-    return {"lam": lam, "g": overlap_rate_constant(window, mp), "zeta": lam / 2.0, "xi": lam}
+def _rates(lp: LatticeParams, mp: MagneticParams) -> dict:
+    """Localization rate lam, its overlap constant g = 1 (see
+    `localization_rate`) and the decay-functional pair zeta = lam / 2 < xi = lam."""
+    lam = localization_rate(lp, mp)
+    return {"lam": lam, "g": 1.0, "zeta": lam / 2.0, "xi": lam}
 
 
 def _cmd_gram(ctx: RunContext) -> CommandResult:
@@ -190,13 +189,12 @@ def _cmd_bounds(ctx: RunContext) -> CommandResult:
     return CommandResult(checks, ["bounds.csv"], params)
 
 
-def _inverse_power_certificate(w, mp: MagneticParams, p: int):
+def _inverse_power_certificate(lp: LatticeParams, mp: MagneticParams, p: int):
     """The S^-p decay certificate between the Schur lower frame bound and the
     closed-form upper one, with the split eps = theta = lam / 4."""
-    rates = _rates(w, mp)
-    return neumann_certificate(w.params, g=rates["g"], lam=rates["lam"],
-                               s_min=schur_lower_bound(w.params, mp),
-                               s_max=bessel_bound(w.params, mp), p=p)
+    rates = _rates(lp, mp)
+    return neumann_certificate(lp, g=rates["g"], lam=rates["lam"],
+                               s_min=schur_lower_bound(lp, mp), s_max=bessel_bound(lp, mp), p=p)
 
 
 def _pair_table(w, sites, d, *columns) -> ColumnTable:
@@ -240,7 +238,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
     mp = make_magnetic_params(cfg)
     _require_window_cap(cfg, "decay", int(np.count_nonzero(w.levels == 0)), "level-0 sites",
                         MAX_PAIR_TABLE_SITES)
-    cert = _inverse_power_certificate(w, mp, cfg.p)
+    cert = _inverse_power_certificate(w.params, mp, cfg.p)
     elems = s_inverse_power_elements(w, mp, cfg.p)
     sites = elems.sites
     d = w.distance_matrix()[np.ix_(sites, sites)]
@@ -267,7 +265,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
 def _interaction_speed(w, mp: MagneticParams, cfg: RunConfig):
     """Rates, the density-density interaction, its C(zeta, xi) and the
     propagation speed that C certifies."""
-    rates = _rates(w, mp)
+    rates = _rates(w.params, mp)
     inter = density_density(w, cfg.f0, cfg.mu)
     res = c_phi(inter, rates["zeta"], rates["xi"])
     return rates, inter, res, lr_velocity(res.value, rates["g"], rates["zeta"])
@@ -389,7 +387,7 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     r = cfg.level
     _require_window_cap(cfg, "landau", int(np.count_nonzero(w.levels == r)),
                         f"level-{r} sites", MAX_PAIR_TABLE_SITES)
-    cert = _inverse_power_certificate(w, mp, 2)
+    cert = _inverse_power_certificate(w.params, mp, 2)
     t_r, c_r, dual = landau_coefficients(r, w, mp)
     q = mp.level_spacing * (r + 0.5)
     sites = np.nonzero(w.levels == r)[0]

@@ -12,8 +12,9 @@ two-body kernel, and for the free-dynamics oracle of the tests; and
 `frame_bounds_estimate` reports window Gram spectra as a finite-window proxy
 of the frame bounds.
 
-Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d)
-turns, via a geometric series for S^-p, into a certified element bound
+Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d),
+where G = 1 follows from the lattice itself (`localization_rate`), turns,
+via a geometric series for S^-p, into a certified element bound
 a_p * exp(-lambda_p d), sound whenever [s_min, s_max] holds the spectrum.
 """
 
@@ -54,7 +55,6 @@ __all__ = [
     "s_inverse_power_elements",
     "s_inverse_diagonal",
     "localization_rate",
-    "overlap_rate_constant",
     "neumann_certificate",
     "verify_decay",
 ]
@@ -305,31 +305,17 @@ def s_inverse_diagonal(dual: AdjointDual, mp: MagneticParams, q: int) -> float:
                                    mp.ell_b**2)[0, 0].real)
 
 
-def overlap_rate_constant(window: Window, mp: MagneticParams) -> float:
-    """Smallest g >= 1 with |<chi, chi'>| <= g * exp(-lam * dist) on the window,
-    for the localization rate of this lattice.  On square lattices with
-    spacing >= ell_b the Gaussian overlap achieves g = 1 (sharp at unit steps).
-
-    The overlaps vanish across levels and carry no level factor, and the
-    label distance adds no level term within a level, so every level repeats
-    the level-0 block: g is read from the level-0 sites alone."""
-    lam = localization_rate(window.params, mp)
-    low = window.levels == 0
-    level0 = replace(window, sites=tuple(s for s in window.sites if s.r == 0),
-                     levels=window.levels[low], gxy=window.gxy[low])
-    z = np.abs(overlap_matrix(level0, mp))
-    d = level0.distance_matrix()
-    return float(max(1.0, np.max(z * np.exp(lam * d))))
-
-
 def localization_rate(lp: LatticeParams, mp: MagneticParams) -> float:
-    """Exponential rate lam with |<chi, chi'>| <= exp(-lam * dist) on the lattice.
+    """Exponential rate lam with |<chi, chi'>| <= G exp(-lam * dist) on the
+    lattice, G = 1: (1/4 ell^2) * min(alpha_star, 1).
 
-    The Gaussian overlap gives the rate (1/4 ell^2) * alpha_star when
-    alpha_star <= 1; for wider spacings that expression overshoots at
-    nearest neighbours and the valid rate saturates at 1/4 ell^2, so the
-    returned rate is (1/4 ell^2) * min(alpha_star, 1).  Sharp at single-axis
-    unit steps.
+    Same-level states at the offset delta = (i alpha, j beta) overlap by
+    exp(-|delta|^2 / 4 ell^2) at label distance alpha_star |delta|_1, and
+    states of different levels are orthogonal.  A nonzero component of
+    delta is at least alpha_star in size, so |delta|^2 >= alpha_star
+    |delta|_1 and lam * dist = min(alpha_star, 1) * alpha_star |delta|_1 /
+    4 ell^2 <= |delta|^2 / 4 ell^2: the bound holds with G = 1, sharp at
+    unit steps along the shorter axis when alpha_star >= 1.
     """
     varpi = 1.0 / (4.0 * mp.ell_b**2)
     return varpi * min(lp.alpha_star, 1.0)

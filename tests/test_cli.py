@@ -766,8 +766,8 @@ def test_oversized_pair_tables_rejected_before_work(tmp_path, capsys, monkeypatc
     def reached(*args, **kwargs):
         raise AssertionError("window work reached")
 
-    for name in ("gram", "overlap_rate_constant", "s_inverse_power_elements",
-                 "landau_coefficients", "density_density", "c_phi"):
+    for name in ("gram", "s_inverse_power_elements", "landau_coefficients", "density_density",
+                 "c_phi"):
         monkeypatch.setattr(latframe.cli, name, reached)
     cfg = tmp_path / "dense.ini"
     cfg.write_text("[lattice]\nalpha = 0.5\nbeta = 0.5\nradius = 12\n")

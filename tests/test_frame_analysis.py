@@ -22,13 +22,12 @@ from latframe.frame_analysis import (
     gram,
     localization_rate,
     neumann_certificate,
-    overlap_rate_constant,
     s_inverse_power_elements,
     schur_lower_bound,
     verify_decay,
     window_coords,
 )
-from oracles import overlap_rate_constant_all_levels
+from oracles import overlap_rate_constant
 
 MP = MagneticParams(ell_b=1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -244,7 +243,7 @@ def test_localization_rate_values(alpha, beta, ell, expected):
 
 def test_overlap_rate_constant_unit_lattice():
     w = build_window(LatticeParams(1.0, 1.0, 6.0))
-    g = overlap_rate_constant(w, MP)
+    g = overlap_rate_constant(w, MP, localization_rate(w.params, MP))
     assert g == pytest.approx(1.0, abs=1e-12)  # sharp at unit steps
 
 
@@ -252,24 +251,51 @@ def test_overlap_rate_constant_unit_lattice():
     (math.sqrt(math.pi), math.sqrt(math.pi), 12.0, 1.0), (1.0, 2.0, 8.0, 1.5),
     (1.5, 3.0, 10.0, 0.7), (3.0, 1.0, 10.0, 1.5)])
 def test_overlap_rate_constant_from_level_zero(alpha, beta, radius, ell):
-    # every level repeats the level-0 block, so g from that block alone is the
-    # all-pairs maximum bit for bit (the last three windows reach it one or two
-    # units of round-off above 1)
-    w = build_window(LatticeParams(alpha, beta, radius, level_max=1))
+    # overlaps vanish across levels and every level repeats the level-0 block,
+    # so the scan over all pairs is the level-0 scan bit for bit (the last
+    # three windows reach it one or two units of round-off above 1)
+    lp = LatticeParams(alpha, beta, radius, level_max=1)
+    w = build_window(lp)
     assert np.count_nonzero(w.levels == 1) == np.count_nonzero(w.levels == 0)
     mp = MagneticParams(ell_b=ell)
-    assert overlap_rate_constant(w, mp) == overlap_rate_constant_all_levels(w, mp)
+    lam = localization_rate(lp, mp)
+    level0 = build_window(replace(lp, level_max=0))
+    assert overlap_rate_constant(w, mp, lam) == overlap_rate_constant(level0, mp, lam)
 
 
 def test_overlap_rate_constant_at_least_one():
     for alpha in (0.6, 1.0, 1.8, 2.8):
         w = build_window(LatticeParams(alpha, alpha, 6.0 * alpha * alpha))
-        g = overlap_rate_constant(w, MP)
         lam = localization_rate(w.params, MP)
+        g = overlap_rate_constant(w, MP, lam)
         z = np.abs(gram(w, MP))
         d = w.distance_matrix()
         assert g >= 1.0
         assert np.all(z <= g * np.exp(-lam * d) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("level_max", [0, 1])
+@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha, beta", [
+    (0.5, 0.5), (0.7, 0.9), (0.6, 1.3), (1.0, 1.0), (math.sqrt(math.pi), math.sqrt(math.pi)),
+    (1.3, 1.0), (2.2, 1.6), (2.8, 2.8)])
+def test_overlap_rate_constant_is_one(alpha, beta, ell, level_max):
+    # localization_rate's derivation gives G = 1, which the commands use in
+    # place of a window scan; the scan may only add round-off, a few ulp per
+    # unit of the exponent lam * alpha_star^2 at the sharp pairs (16 ulp at
+    # alpha = 2.8, ell = 0.5, where that exponent is 7.84)
+    lp = LatticeParams(alpha, beta, 4.0 * alpha * beta, level_max)  # four steps or more
+    mp = MagneticParams(ell_b=ell)
+    lam = localization_rate(lp, mp)
+    g = overlap_rate_constant(build_window(lp), mp, lam)
+    assert 1.0 <= g <= 1.0 + 8 * np.spacing(1.0) * max(1.0, lam * lp.alpha_star**2)
+
+
+def test_overlap_rate_constant_scan_detects_a_fast_rate():
+    # the sweep above can fail: 5% past localization_rate the scan leaves 1
+    lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
+    lam = 1.05 * localization_rate(lp, MP)
+    assert overlap_rate_constant(build_window(lp), MP, lam) > 1.0 + 1e-3
 
 
 def test_certificate_frozen_example():
@@ -387,9 +413,8 @@ def test_decay_certificate_end_to_end():
     lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
     w = build_window(lp)
     lam = localization_rate(lp, MP)
-    g = overlap_rate_constant(w, MP)
     for p in (1, 2):
-        cert = neumann_certificate(w.params, g=g, lam=lam, s_min=schur_lower_bound(lp, MP),
+        cert = neumann_certificate(w.params, g=1.0, lam=lam, s_min=schur_lower_bound(lp, MP),
                                    s_max=bessel_bound(lp, MP), p=p)
         el = s_inverse_power_elements(w, MP, p=p)
         d = w.distance_matrix()[np.ix_(el.sites, el.sites)]

@@ -144,6 +144,19 @@ def test_c_phi_brute_matches_enumeration_on_ball_window(rng):
     assert auto.value == pytest.approx(res.value, rel=1e-9)
 
 
+def test_c_phi_ball_supremum_matches_enumeration():
+    # a steep xi on a fine chain makes a two-site ball beat every singleton,
+    # so the (1 + diam B)^nu divisor of a probe enters the value
+    w = build_chain(LatticeParams(0.5, 0.5, 30.0), 5)
+    inter = density_density(w, f0=1.0, mu=0.5)
+    zeta, xi = 0.1, 10.0
+    expected = cphi_oracle(inter, zeta, xi)
+    auto = c_phi(inter, zeta, xi)
+    assert auto.member_kind == "ball"
+    for res in (auto, c_phi(inter, zeta, xi, family="brute")):
+        assert res.value == pytest.approx(expected, rel=1e-12)
+
+
 def test_c_phi_reported_member_reproduces_value():
     w = build_chain(LatticeParams(1.0, 1.0, 30.0), 6)
     inter = density_density(w, f0=1.0, mu=1.0)

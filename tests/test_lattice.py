@@ -10,6 +10,7 @@ from latframe.lattice import (
     LatticeError,
     LatticeParams,
     Site,
+    _inside,
     build_chain,
     build_window,
     m_epsilon,
@@ -42,6 +43,22 @@ def test_anisotropic_ball_uses_alpha_star():
     assert lp.alpha_star == 1.0
     # |i| + 3|j| <= 3: seven sites on the i-axis, two on the j-axis
     assert len(build_window(lp).sites) == 9
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.sqrt(2.0), math.sqrt(2.0)), (0.6, 0.6), (0.7, 1.1), (1.3, 0.9), (math.sqrt(math.pi), 2.5),
+    (0.3, 0.3 * math.sqrt(3.0))])
+def test_window_holds_every_site_its_rule_admits(alpha, beta):
+    # radii on whole lattice steps put sites on the rim, where _inside admits
+    # them up to a rounding past the radius
+    a_star = min(alpha, beta)
+    for k in range(1, 9):
+        for radius in (k * a_star * alpha, k * a_star * beta):
+            lp = LatticeParams(alpha, beta, radius)
+            pad = int(radius / (a_star * a_star)) + 2
+            rule = {(i, j) for i in range(-pad, pad + 1) for j in range(-pad, pad + 1)
+                    if _inside(lp, i, j)}
+            assert {(s.i, s.j) for s in build_window(lp).sites} == rule, (k, radius)
 
 
 def test_levels_multiply_the_site_count():

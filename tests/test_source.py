@@ -163,3 +163,30 @@ def test_every_params_field_is_set_from_config(module, cls, maker):
              for path in SOURCES if path.name in (module, "config.py")}
     passed = _keywords_passed(trees["config.py"], maker, cls)
     assert [f for f in _dataclass_fields(trees[module], cls) if f not in passed] == []
+
+
+def _function(trees: dict, module: str, name: str) -> ast.FunctionDef | None:
+    """The module-level function `name` of `module`, followed through `from .m
+    import n`; None for any other name (a builtin, a class, a third-party name)."""
+    for node in trees[module].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for a in node.names:
+                if (a.asname or a.name) == name:
+                    return _function(trees, node.module, a.name)
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    return None
+
+
+@pytest.mark.parametrize("func", ["_rates", "_inverse_power_certificate"])
+def test_light_cone_constants_take_no_window(func):
+    # the rate, G and the certificate follow from the lattice alone; a Window
+    # parameter among their callees means a second, window-bound route
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES}
+    fn = _function(trees, "cli", func)
+    called = {n.func.id for n in ast.walk(fn)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    defs = [fn] + [d for d in (_function(trees, "cli", name) for name in sorted(called)) if d]
+    windowed = [f"{d.name}({a.arg})" for d in defs for a in d.args.args + d.args.kwonlyargs
+                if a.annotation is not None and "Window" in _loaded(a.annotation)]
+    assert windowed == []
