@@ -18,7 +18,10 @@ states with N particles.  Every Hamiltonian built here commutes with the
 particle number, so it is held as its rank + 1 diagonal blocks, built
 straight from its normal-ordered mode form, and a_g as its blocks from sector
 N to N - 1.  Every eigendecomposition, Heisenberg step and norm runs on
-blocks of one sector, at most C(rank, rank // 2) states.  jw_lowering,
+blocks of one sector, at most C(rank, rank // 2) states, and
+volume_convergence forms each block of its one annihilator, in the site
+basis and in the full eigenbasis, only when its sector loop reaches that
+block.  jw_lowering,
 monomial_operator and anticommutator_norm act on dense matrices of the whole
 2**rank space: they are the oracle of the sector engine.
 
@@ -163,9 +166,9 @@ def _sector_tables(rank: int):
     return by_count, index, occ, sign, bit
 
 
-def _lowering_blocks(rank: int, coefs: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """sum_k coefs[i, k] c_k for every row i, each as its rank blocks: block
-    N - 1 maps sector N into sector N - 1."""
+def _lowering_tables(rank: int) -> list[tuple]:
+    """Where sum_k c[k] c_k puts its entries, block by block: table N - 1 maps
+    sector N into sector N - 1, for _lowering_block to fill with any c."""
     by_count, index, occ, sign, bit = _sector_tables(rank)
     tables = []
     for n in range(1, rank + 1):
@@ -174,15 +177,15 @@ def _lowering_blocks(rank: int, coefs: np.ndarray) -> list[tuple[np.ndarray, ...
         rows = index[s[:, None] - bit[held]]
         tables.append((len(by_count[n - 1]), rows, np.arange(len(s))[:, None], held,
                        sign[held, s[:, None]]))
-    out = []
-    for c in coefs:
-        blocks = []
-        for d, rows, cols, held, sg in tables:
-            b = np.zeros((d, len(cols)), dtype=coefs.dtype)
-            b[rows, cols] = c[held] * sg
-            blocks.append(b)
-        out.append(tuple(blocks))
-    return out
+    return tables
+
+
+def _lowering_block(table: tuple, c: np.ndarray) -> np.ndarray:
+    """The block of sum_k c[k] c_k that one of _lowering_tables' entries maps."""
+    d, rows, cols, held, sg = table
+    b = np.zeros((d, len(cols)), dtype=c.dtype)
+    b[rows, cols] = c[held] * sg
+    return b
 
 
 def _conserving_blocks(rank: int, one_body: np.ndarray,
@@ -228,7 +231,8 @@ def _conserving_blocks(rank: int, one_body: np.ndarray,
 def mode_operators(basis: ModeBasis) -> list[tuple[np.ndarray, ...]]:
     """Annihilators a_g = sum_k V[g, k] c_k for every window site, each as its
     blocks from sector N to N - 1 (block N - 1)."""
-    return _lowering_blocks(basis.rank, basis.v)
+    tables = _lowering_tables(basis.rank)
+    return [tuple(_lowering_block(table, c) for table in tables) for c in basis.v]
 
 
 def monomial_operator(factors, ops: list[np.ndarray]) -> np.ndarray:
@@ -294,8 +298,12 @@ class Evolution:
         sector N + 1 to N, as mode_operators gives them."""
         if len(a) != len(self.eigvecs) - 1:
             raise FockError(f"operator has {len(a)} blocks for {len(self.eigvecs)} sectors")
-        return tuple(self.eigvecs[r].conj().T @ (b @ self.eigvecs[r + 1])
-                     for r, b in enumerate(a))
+        return tuple(self.eigenbasis_block(b, r) for r, b in enumerate(a))
+
+    def eigenbasis_block(self, b: np.ndarray, r: int) -> np.ndarray:
+        """Block r of an operator, from sector r + 1 to r, in this evolution's
+        eigenbasis: U_r* b U_(r+1)."""
+        return self.eigvecs[r].conj().T @ (b @ self.eigvecs[r + 1])
 
     def propagator(self, t: float) -> list[np.ndarray]:
         """The sector blocks of e^{itH}."""
@@ -305,7 +313,9 @@ class Evolution:
         """Block r of tau_t(a), from block r of a in this evolution's
         eigenbasis: e^{itE_r} A_r e^{-itE_(r+1)}, phased entry by entry."""
         row, col = np.exp(1j * t * self.eigvals[r]), np.exp(1j * t * self.eigvals[r + 1])
-        return row[:, None] * b * col.conj()[None, :]
+        out = row[:, None] * b
+        out *= col.conj()[None, :]
+        return out
 
     def heisenberg(self, a: tuple[np.ndarray, ...], t: float) -> tuple[np.ndarray, ...]:
         """tau_t(a) for an operator in this evolution's eigenbasis, phased block
@@ -531,13 +541,14 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
     The full Hamiltonian is diagonalised once.  Each difference is the largest
     over N of ||tau_t(A)_N - W_N tau'_t(A')_N W_(N+1)*||, in the full
     eigenbasis, with the overlaps W_N = U_N* V_N of the two eigenbases.  The
-    loop runs over the blocks N + 1 -> N, sliding W_N and W_(N+1) along, so
-    it holds a few blocks of one sector pair besides the two eigenbases and
-    a (site and full eigenbasis)."""
+    loop runs over the blocks N + 1 -> N, sliding W_N and W_(N+1) along, and
+    forms block N of a (site and full eigenbasis) when it reaches it, so it
+    holds the two eigenbases and a few blocks of one sector pair, one block
+    of a among them.  Each block of a in the full eigenbasis is formed once
+    per inner window."""
     t_grid = np.asarray(t_grid, dtype=float)
     ev_full = Evolution(build_interaction_hamiltonian(basis, interaction))
-    [a] = _lowering_blocks(basis.rank, basis.v[site:site + 1])
-    a_full = ev_full.eigenbasis(a)
+    tables, c = _lowering_tables(basis.rank), basis.v[site]
     # tau_0 and tau'_0 are both the identity, so t = 0 keeps a zero difference
     moving = [(it, float(t)) for it, t in enumerate(t_grid) if t != 0.0]
     u, reports = ev_full.eigvecs, []
@@ -547,14 +558,19 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
         v = ev_small.eigvecs
         diffs = np.zeros(len(t_grid))
         w_next = u[0].conj().T @ v[0]
-        for r, b in enumerate(a):
+        for r, table in enumerate(tables):
             w_here, w_next = w_next, u[r + 1].conj().T @ v[r + 1]
-            b_small = v[r].conj().T @ (b @ v[r + 1])
+            b = _lowering_block(table, c)
+            b_full = ev_full.eigenbasis_block(b, r)
+            b_small = ev_small.eigenbasis_block(b, r)
+            del b
+            w_next_h = w_next.conj().T
             for it, t in moving:
-                # one expression, so no time's blocks outlive its norm
-                diffs[it] = max(diffs[it], operator_norm(
-                    ev_full.heisenberg_block(a_full[r], r, t)
-                    - w_here @ ev_small.heisenberg_block(b_small, r, t) @ w_next.conj().T))
+                d = ev_full.heisenberg_block(b_full, r, t)
+                d -= w_here @ ev_small.heisenberg_block(b_small, r, t) @ w_next_h
+                diffs[it] = max(diffs[it], operator_norm(d))
+                del d  # no time's blocks outlive its norm
+            del b_full, b_small, w_next_h
         del ev_small, v  # released before the next window's H and eigh
         boundary = boundary_sum(interaction, inner, site, zeta)
         # an overflowing envelope holds trivially; callers that write the bounds

@@ -13,7 +13,6 @@ localization sum live here.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +127,10 @@ class Window:
         return self.index(Site(0, 0, 0))
 
     def content_hash(self) -> str:
+        # deferred: hashlib maps OpenSSL's libcrypto (about 3.5 MB resident),
+        # and only the commands that write a window_hash need it
+        import hashlib
+
         h = hashlib.sha256()
         h.update(f"{self.params.alpha!r},{self.params.beta!r},{self.params.level_max}".encode())
         for s in self.sites:

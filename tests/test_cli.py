@@ -968,6 +968,16 @@ def test_import_and_certificate_command_load_no_scipy(tmp_path):
     assert loaded["random"] == [False, False]
 
 
+def test_import_loads_no_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.5 MB resident) into the
+    # process; only the commands that write a window_hash import it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, latframe.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=_package_env(), cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_every_command_loads_no_scipy(tmp_path):
     # one interpreter runs every command on a small config; lr and converge
     # run the Fock engine on chains of up to 6 sites, wkernel runs the

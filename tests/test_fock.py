@@ -583,6 +583,34 @@ def test_volume_convergence_memory_is_one_sector_pair():
     assert peak < 2 * eigvecs + 2 * annihilator + 8 * middle
 
 
+def test_volume_convergence_holds_one_annihilator_block():
+    """The same 10-site run stays below three eigenbases, one whole
+    annihilator and three complex middle-sector blocks (8 826 016 bytes): the
+    loop forms each block of a, in the site basis and in the full eigenbasis,
+    only when it reaches that block.  Holding a in the full eigenbasis across
+    the inner windows (1 343 680 bytes) breaks the bound."""
+    lp = LatticeParams(1.0, 1.0, 10.0)
+    w = build_chain(lp, 10)
+    basis = mode_basis(w, MP)
+    inter = density_density(w, f0=1.0, mu=1.0)
+    inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (6, 8)]
+    sizes = [math.comb(basis.rank, k) for k in range(basis.rank + 1)]
+    real = basis.v.dtype.itemsize
+    eigvecs = sum(d * d for d in sizes) * real
+    annihilator = sum(p * q for p, q in zip(sizes, sizes[1:])) * real
+    middle = max(sizes) ** 2 * 16
+    assert 3 * eigvecs + annihilator + 3 * middle == 8_826_016
+    tracemalloc.start()
+    try:
+        reports = volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1, 0.2],
+                                     zeta=0.125, velocity=1.0, g=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.diffs[-1] > 1e-3 for rep in reports)
+    assert peak < 3 * eigvecs + annihilator + 3 * middle
+
+
 # ------------------------------------------- sector assembly vs per-term oracles
 
 def _random_couplings(inter):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from latframe.interactions import (
     v_omega,
     w_kernel,
     _next_fast_len,
+    _w_value_radial,
+    kernel_fft_side,
 )
+import latframe.interactions
 
 MP = MagneticParams(ell_b=1.0)
 
@@ -414,3 +418,37 @@ def test_w_kernel_exchange_conjugation(riesz_window, dual_generator):
     b = w_kernel(np.stack([g2, g1, g4, g3]), dual_generator.coords, pot, MP, nodes=28)
     tol = max(3.0 * (a.error_estimate + b.error_estimate), 1e-8)
     assert abs(a.value - np.conj(b.value)) < tol
+
+
+def test_w_kernel_parseval_sum_holds_two_transforms(monkeypatch):
+    """On a quadruple of the alpha = beta = 2.8, radius-12 window (m = 330)
+    the radial route stays below four m x m complex arrays, and once both
+    transforms exist it holds them and W^ (2.5 units of 16 m^2 bytes): the
+    sum multiplies W^ into the x transform in place, where a product out of
+    place would hold a third transform (3.5 units)."""
+    coords = v_omega(build_window(LatticeParams(2.8, 2.8, 12.0)), MP).coords
+    gammas = np.array([[0.0, 0.0], [2.8, 0.0], [0.0, 2.8], [2.8, 2.8]])
+    pot = exponential_potential(1.2, 0.8)
+    m = kernel_fft_side(2.8, pot.sigma1, MP.ell_b, 40)
+    assert m == 330
+    unit = 16 * m * m
+    transforms = []  # the peak so far as each transform returns
+    fft2 = latframe.interactions._fft2_padded
+
+    def counted(a, side):
+        out = fft2(a, side)
+        transforms.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()  # after the second, the peak is the sum's own
+        return out
+
+    monkeypatch.setattr(latframe.interactions, "_fft2_padded", counted)
+    tracemalloc.start()
+    try:
+        value = _w_value_radial(gammas, coords, pot, MP, 40)
+        sum_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and abs(value) > 0
+    assert len(transforms) == 2
+    assert max(*transforms, sum_peak) < 4 * unit
+    assert sum_peak < 3 * unit

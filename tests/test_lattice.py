@@ -168,6 +168,15 @@ def test_content_hash_identity_and_sensitivity():
     assert w3.content_hash() != w1.content_hash()
 
 
+def test_content_hash_pinned_digest():
+    # the window_hash that gram, bounds and decay write for the default
+    # radius-12 sqrt(pi) lattice: hashlib is imported on first use, and the
+    # digest must not move with it
+    w = build_window(LatticeParams(math.sqrt(math.pi), math.sqrt(math.pi), 12.0))
+    assert len(w) == 25
+    assert w.content_hash() == "d0258109fd397e54"
+
+
 def test_params_validation():
     with pytest.raises(LatticeError):
         LatticeParams(0.0, 1.0, 3.0)
