@@ -117,7 +117,6 @@ class FrameBoundsRecord:
     a_est: float
     b_est: float
     numerical_rank: int
-    ill_conditioned: bool
     upper_closed_form: float
     regime: str
 
@@ -135,20 +134,15 @@ def frame_bounds_estimate(windows: list[Window], mp: MagneticParams) -> list[Fra
     for w in windows:
         vals = np.linalg.eigvalsh(gram(w, mp))
         retained = vals[vals > PSEUDO_INVERSE_RTOL * float(vals[-1])]
-        n = len(w)
-        slack = int(np.ceil(2.0 * np.sqrt(n)))
-        reg = regime(w.params, mp)
-        rank = int(retained.size)
         out.append(
             FrameBoundsRecord(
                 window_hash=w.content_hash(),
-                n_sites=n,
+                n_sites=len(w),
                 a_est=float(retained[0]),
                 b_est=float(retained[-1]),
-                numerical_rank=rank,
-                ill_conditioned=(reg == "overcomplete" and rank < n - slack),
+                numerical_rank=int(retained.size),
                 upper_closed_form=bessel_bound(w.params, mp),
-                regime=reg,
+                regime=regime(w.params, mp),
             )
         )
     return out
@@ -396,13 +390,10 @@ class DecayReport:
     n_pairs: int
     max_ratio: float
     fitted_rate: float | None
-    lambda_p: float
-    a_p: float
 
 
-def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate,
-                 scale: float = 1.0) -> DecayReport:
-    """Check every element against scale * a_p * exp(-lambda_p * dist).
+def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate) -> DecayReport:
+    """Check every element against a_p * exp(-lambda_p * dist).
 
     Also fits a decay rate to the off-diagonal elements above the numerical
     floor; certificates are honest when the fitted rate is at least
@@ -414,7 +405,7 @@ def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate,
     if entries.shape != dists.shape:
         raise FrameAnalysisError(f"shape mismatch {entries.shape} vs {dists.shape}")
     mags = np.abs(entries)
-    bounds = scale * cert.a_p * np.exp(-cert.lambda_p * dists)
+    bounds = cert.a_p * np.exp(-cert.lambda_p * dists)
     ratio = mags / bounds
     violations = int(np.sum(ratio > 1.0 + EXCEED_RTOL))
     floor = 1e-14 * mags.max() if mags.size and mags.max() > 0 else 0.0
@@ -430,6 +421,4 @@ def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate,
         n_pairs=int(entries.size),
         max_ratio=float(ratio.max()) if ratio.size else 0.0,
         fitted_rate=fitted,
-        lambda_p=cert.lambda_p,
-        a_p=cert.a_p,
     )

@@ -32,7 +32,6 @@ __all__ = [
     "ColumnTable",
     "fmt_float",
     "write_csv",
-    "read_csv",
     "json_text",
     "write_json",
     "site_token",
@@ -159,15 +158,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-
-
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines:
-        raise SerializeError(f"{path}: empty csv")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
 
 
 def _json_value(obj, indent: int) -> str:

@@ -1,11 +1,22 @@
 """Independent routes that only the tests use: each checks a package value
-from its definition, one element at a time."""
+from its definition, one element at a time.  `read_csv` is the tests'
+reader of the package's CSV artifacts, which no command reads whole."""
+
+from pathlib import Path
 
 import numpy as np
 
 from latframe.fock import FockError
 from latframe.lattice import LatticeParams, Site
 from latframe.magnetic import overlap_matrix
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV artifact, every cell a string."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").split("\n") if ln != ""]
+    if not lines:
+        raise ValueError(f"{path}: empty csv")
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
 def distance(p: Site, q: Site, params: LatticeParams) -> float:

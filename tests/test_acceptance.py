@@ -191,7 +191,7 @@ def test_a05_level_hamiltonian_coefficients():
     levels = w.levels
     sel_r = np.nonzero(levels == r)[0]
     dists = w.distance_matrix()[np.ix_(sel_r, sel_r)]
-    report = verify_decay(t_r, dists, cert, scale=q)
+    report = verify_decay(t_r / q, dists, cert)
     # levels decouple: synthesized level-0 and level-1 states are orthogonal
     # on nearby site pairs, while each level-1 state keeps unit norm
     rng = np.random.default_rng(20260805)

@@ -24,7 +24,8 @@ from latframe.config import (REFERENCE_CONFIG, RunConfig, load_config, make_magn
 from latframe.fock import MAX_MODES
 from latframe.interactions import BRUTE_MAX_SITES, KERNEL_FFT_MAX, kernel_fft_side
 from latframe.magnetic import overlap_matrix
-from latframe.serialize import fmt_float, read_csv
+from latframe.serialize import fmt_float
+from oracles import read_csv
 
 SMALL_GRAM = """\
 [lattice]
@@ -169,7 +170,6 @@ def test_decay_certificate_and_table(tmp_path):
 
 @pytest.mark.parametrize("command,cfg,table", [
     ("decay", SMALL_GRAM, "decay_check.csv"),
-    ("landau", "[lattice]\nradius = 10\nlevel_max = 1\n", "landau.csv"),
 ])
 def test_decay_table_writes_the_report_arrays(tmp_path, monkeypatch, command, cfg, table):
     real, reports = latframe.cli.verify_decay, []
@@ -226,14 +226,14 @@ def test_landau_two_level_run(tmp_path):
     code, out, summary = run_cli(tmp_path, "landau", cfg)
     assert code == 0
     cm = check_map(summary)
-    assert list(cm) == ["zero_violations", "dual_residual", "constants_equal_inverse_density"]
+    assert list(cm) == ["dual_residual", "constants_equal_inverse_density"]
     assert all(cm.values())
     assert summary["parameters"]["q"] == pytest.approx(1.5)  # level spacing * (1 + 1/2)
     assert summary["parameters"]["n_sites"] == 25
     # <chi, S^-1 chi> is one number, recorded once beside its check
     assert summary["artifacts"] == ["landau.csv", "summary.json"]
     c = summary["parameters"]["c"]
-    assert summary["checks"][2]["values"]["c"] == c
+    assert summary["checks"][1]["values"]["c"] == c
     assert c == pytest.approx(0.5, abs=1e-10)  # 1 / N, N = 2 pi / (sqrt(pi) sqrt(pi))
 
 
@@ -286,6 +286,45 @@ def test_landau_constants_check_catches_a_scaled_constant(tmp_path, monkeypatch)
     failed = [c for c in summary["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["constants_equal_inverse_density"]
     assert failed[0]["values"]["max_deviation"] > 1e-10
+
+
+def _written_tables(monkeypatch):
+    """name -> (header, flat columns) of every table the commands write."""
+    real, tables = latframe.cli.write_csv, {}
+
+    def captured(path, header, rows):
+        tables[Path(path).name] = (header, [np.ravel(c) for c in rows.columns])
+        return real(path, header, rows)
+
+    monkeypatch.setattr(latframe.cli, "write_csv", captured)
+    return tables
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_decay_p2_covers_landau_hopping_decay(tmp_path, monkeypatch, level):
+    # t_r = q <chi, S^-2 chi'>, so decay at p = 2 on the same lattice checks
+    # the decay of every hopping coefficient that landau writes (the
+    # certificate workload's landau window, with both levels)
+    lattice = f"[lattice]\nalpha = {ROOT_PI}\nbeta = {ROOT_PI}\nradius = 12.0\nlevel_max = 1\n"
+    tables = _written_tables(monkeypatch)
+    code, _, decay = run_cli(tmp_path, "decay", lattice + "[certificate]\np = 2\n", name="decay")
+    assert code == 0 and check_map(decay)["zero_violations"]
+    code, _, landau = run_cli(tmp_path, "landau", lattice + f"[landau]\nlevel = {level}\n",
+                              name="landau")
+    assert code == 0
+    (dh, dc), (lh, lc) = tables["decay_check.csv"], tables["landau.csv"]
+    dcol, lcol = dict(zip(dh, dc)), dict(zip(lh, lc))
+    n = decay["parameters"]["n_sites"]
+    assert n == landau["parameters"]["n_sites"] == 25 and lcol["abs_t"].size == n * n
+    for key in ("site_i", "site_j"):  # the same lattice points, level aside
+        assert ([t.split(":", 1)[1] for t in lcol[key]]
+                == [t.split(":", 1)[1] for t in dcol[key]])
+        assert {t.split(":", 1)[0] for t in lcol[key]} == {str(level)}
+    assert np.array_equal(lcol["d"], dcol["d"])
+    q = landau["parameters"]["q"]
+    assert q == level + 0.5
+    scaled = q * dcol["abs_entry"]
+    assert np.all(np.abs(lcol["abs_t"] - scaled) <= 1e-15 * scaled)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -557,7 +596,7 @@ def test_plotdata_check_catches_a_dropped_row(tmp_path, monkeypatch):
 
     def drop_last_plot_row(path, header, rows):
         if Path(path).name == "plot.csv":
-            rows = rows[:-1]
+            rows = list(rows)[:-1]
         return real(path, header, rows)
 
     monkeypatch.setattr(latframe.cli, "write_csv", drop_last_plot_row)
@@ -569,6 +608,31 @@ def test_plotdata_check_catches_a_dropped_row(tmp_path, monkeypatch):
     assert failed[0]["values"]["expected"] == {"bounds": 9}
 
 
+PLOT_PRODUCERS = {
+    "bounds": SMALL_GRAM, "decay": SMALL_GRAM, "landau": SMALL_GRAM, "lr": LR_FAST,
+    "converge": "[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n\n"
+                "[windows]\nchain_lengths = 4 6\n\n[dynamics]\nt_max = 0.2\nn_t = 3\n",
+    "wkernel": "[lattice]\nalpha = 2.8\nbeta = 2.8\nradius = 12\n\n"
+               "[kernel]\nsigma1 = 0.75\nnodes = 40\nn_quadruples = 1\n",
+}
+
+
+def test_plot_sources_name_columns_their_command_writes(tmp_path):
+    # each plotdata source must be a table some command writes, and its x, y
+    # and key columns must be in the header that command writes today
+    headers = {}
+    for command, cfg in PLOT_PRODUCERS.items():
+        code, out, summary = run_cli(tmp_path, command, cfg, name=command)
+        assert code == 0, command
+        for name in summary["artifacts"]:
+            if name.endswith(".csv"):
+                headers[name] = read_csv(out / name)[0]
+    for name, xcol, ycols, keycols in latframe.cli._PLOT_SOURCES:
+        assert name in headers, name
+        missing = [c for c in (xcol, *ycols, *keycols) if c not in headers[name]]
+        assert missing == [], f"{name}: {missing} not in {headers[name]}"
+
+
 # --------------------------------------------------------------- error paths
 
 def read_error(capsys, out):
@@ -578,6 +642,28 @@ def read_error(capsys, out):
     disk = json.loads((out / "summary.json").read_text())
     assert disk == record
     return record
+
+
+@pytest.mark.parametrize("edit,why", [
+    (lambda cells: cells[:2] + ["x"] + cells[3:], "could not convert"),
+    (lambda cells: cells[:2], "out of range"),
+], ids=["non_numeric", "short_row"])
+def test_plotdata_malformed_source_row_exits_2(tmp_path, capsys, edit, why):
+    cfg = tmp_path / "b.ini"
+    cfg.write_text("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "bounds.csv").read_text().splitlines()
+    assert lines[0].split(",")[2] == "a_est"
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    (out / "bounds.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["plotdata", "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "SerializeError"
+    assert record["error"]["message"].startswith("bounds.csv: line 3: ")
+    assert why in record["error"]["message"]
+    assert not (out / "plot.csv").exists()  # no partial table is left
 
 
 def test_malformed_config_error_record(tmp_path, capsys):

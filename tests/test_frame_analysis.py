@@ -402,8 +402,9 @@ def test_verify_decay_saturated_and_violated(small_cert):
 def test_verify_decay_scale_and_fit(small_cert):
     d = np.linspace(0.0, 12.0, 30)[None, :].repeat(2, axis=0)
     entries = 0.7 * np.exp(-0.9 * d)
-    rep = verify_decay(entries, d, small_cert, scale=0.7 / small_cert.a_p)
-    # scaled bound is 0.7 e^{-lambda_p d}, and the data decay faster
+    rep = verify_decay(entries / (0.7 / small_cert.a_p), d, small_cert)
+    # entries over 0.7 / a_p against a_p e^{-lambda_p d}: the bound 0.7 e^{-lambda_p d}
+    # on the entries, and the data decay faster
     assert rep.violations == 0
     assert rep.fitted_rate == pytest.approx(0.9, abs=1e-6)
     assert rep.fitted_rate >= small_cert.lambda_p

@@ -15,10 +15,10 @@ from latframe.serialize import (
     SerializeError,
     fmt_float,
     json_text,
-    read_csv,
     site_token,
     write_csv,
 )
+from oracles import read_csv
 
 
 def test_fmt_float_basics():
