@@ -302,12 +302,17 @@ def _dressed_grid(gammas: np.ndarray, pts: np.ndarray, v: LaguerreCoords,
 
 
 KERNEL_FFT_MAX = 2048
-"""Largest side of the padded FFT grid of the radial route: 2048^2 complex
-entries take 64 MiB per array, and the Parseval sum holds two such arrays and
-a real one of the same side (160 MiB at the cap)."""
+"""Largest side m of the padded FFT grid of the radial route.  The sum holds
+each density's axis-0 transform, m x n complex for a synthesis grid of side
+n, and block-sized buffers, never an m x m array: at the cap, with pair
+centers 2.8 ell apart at 40 nodes (n = 175), one evaluation peaks at
+11.9 MiB traced.  So the cap bounds time, not memory: the axis-1
+transforms and W^ grow as m^2, and one evaluation at the cap took 0.26 s
+on one x86_64 core, against 0.04 s at m = 330."""
 
 _TAIL_ELL = 20.0  # dressed-state margin of the synthesis grid, in magnetic lengths
 _IMAGE_RATE = 30.0  # periodic images of W sit >= _IMAGE_RATE / sigma1 past H's support
+_BLOCK_POINTS = 1 << 13  # grid points per block of the synthesis and of the sum
 
 
 def _next_fast_len(n: int) -> int:
@@ -321,13 +326,6 @@ def _next_fast_len(n: int) -> int:
         if k == 1:
             return n
         n += 1
-
-
-def _fft2_padded(a: np.ndarray, m: int) -> np.ndarray:
-    """2-D DFT of a zero-padded to (m, m), axis 0 first.  The axis order sets
-    the rounding of the last bits, and so the bytes of wkernel.csv;
-    np.fft.fft2 would take the last axis first."""
-    return np.fft.fft(np.fft.fft(a, n=m, axis=0), n=m, axis=1)
 
 
 def _synthesis_grid(dmid: float, ell: float, nodes: int) -> tuple[float, int]:
@@ -353,6 +351,25 @@ def smallest_kernel_sigma1(dmid: float, ell: float, nodes: int) -> float:
     return _IMAGE_RATE / (step * room) if room > 0 else float("inf")
 
 
+def _pair_density(gammas: np.ndarray, axes: np.ndarray, v: LaguerreCoords,
+                  mp: MagneticParams) -> np.ndarray:
+    """conj(A_g2) A_g1 for gammas = (g1, g2) on the grid axes[0] x axes[1],
+    synthesized a block of grid rows at a time, so that the dressed states'
+    temporaries are the size of a block."""
+    n = axes.shape[1]
+    rows = max(1, _BLOCK_POINTS // n)
+    dens = np.empty((n, n), dtype=np.complex128)
+    pts = np.empty((rows, n, 2))
+    pts[..., 1] = axes[1]
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        block = pts[:r1 - r0]
+        block[..., 0] = axes[0, r0:r1, None]
+        a = _dressed_grid(gammas, block.reshape(-1, 2), v, mp)
+        np.multiply(np.conj(a[1]), a[0], out=dens[r0:r1].reshape(-1))
+    return dens
+
+
 def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPotential,
                     mp: MagneticParams, nodes: int) -> complex:
     """Kernel element for a radial exponential potential by Parseval,
@@ -368,10 +385,11 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
     support of H(u) = int dS Bx(S + u/2) By(S - u/2), where each image is
     below c1 e^-30.  The grid origin's phase cancels between k and -k.
 
-    The dressed grids are released before the transforms, and W^ is built
-    and multiplied into the x transform in place, so the sum holds at most
-    two m x m complex arrays and one real one: 2.5 units of 16 m^2 bytes,
-    against 3.5 for a product out of place."""
+    Each density's axis-0 transform is taken whole (m x n for a synthesis
+    grid of side n); the axis-1 transforms, W^ and the sum then run over
+    blocks of rows, W^ in a buffer reused from block to block, so no m x m
+    array exists.  Axis 0 goes first because the axis order sets the
+    rounding of the last bits, and so the bytes of wkernel.csv."""
     ell = mp.ell_b
     cx = 0.5 * (gammas[2] + gammas[3])
     cy = 0.5 * (gammas[0] + gammas[1])
@@ -383,30 +401,26 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
         raise InteractionError(
             f"the padded kernel grid needs side {m} > {KERNEL_FFT_MAX}; the smallest "
             f"usable sigma1 is {smallest_kernel_sigma1(dmid, ell, nodes):.4g}")
-    x0 = gc[0] - 0.5 * n * step
-    y0 = gc[1] - 0.5 * n * step
-    grid = np.empty((n, n, 2))
-    grid[..., 0] = (x0 + step * np.arange(n))[:, None]
-    grid[..., 1] = (y0 + step * np.arange(n))[None, :]
-    flat = grid.reshape(-1, 2)
-    ax = _dressed_grid(gammas[2:4], flat, v, mp)
-    bx = (np.conj(ax[1]) * ax[0]).reshape(n, n)
-    del ax
-    ay = _dressed_grid(gammas[0:2], flat, v, mp)
-    by = (np.conj(ay[1]) * ay[0]).reshape(n, n)
-    del grid, flat, ay
+    axes = (gc - 0.5 * n * step)[:, None] + step * np.arange(n)
+    tx = np.fft.fft(_pair_density(gammas[2:4], axes, v, mp), n=m, axis=0)
     # By^(-k) is the conjugate of the transform of conj(By), which vdot conjugates
-    fy = _fft2_padded(np.conj(by, out=by), m)
+    by = _pair_density(gammas[0:2], axes, v, mp)
+    ty = np.fft.fft(np.conj(by, out=by), n=m, axis=0)
     del by
-    fx = _fft2_padded(bx, m)
-    del bx
-    k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=step)
-    w_hat = k1[:, None] ** 2 + k1[None, :] ** 2  # |k|^2, turned into W^ in place
-    w_hat += pot.sigma1**2
-    w_hat **= 1.5
-    np.divide(2.0 * np.pi * pot.sigma1, w_hat, out=w_hat)
-    fx *= w_hat
-    total = np.vdot(fy, fx)
+    k2 = (2.0 * np.pi * np.fft.fftfreq(m, d=step)) ** 2
+    rows = max(1, _BLOCK_POINTS // m)
+    w_buf = np.empty((rows, m))
+    total = 0j
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        w_hat = w_buf[:r1 - r0]
+        np.add(k2[r0:r1, None], k2[None, :], out=w_hat)  # |k|^2, turned into W^ in place
+        w_hat += pot.sigma1**2
+        w_hat **= 1.5
+        np.divide(2.0 * np.pi * pot.sigma1, w_hat, out=w_hat)
+        fx = np.fft.fft(tx[r0:r1], n=m, axis=1)
+        fx *= w_hat
+        total += np.vdot(np.fft.fft(ty[r0:r1], n=m, axis=1), fx)
     # (2 pi)^-2 dk^2 step^4 = step^2 / m^2
     return pot.c1 * step**2 / m**2 * complex(total)
 

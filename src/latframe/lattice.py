@@ -13,7 +13,7 @@ localization sum live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,12 +115,17 @@ class Window:
         except ValueError:
             raise LatticeError(f"site {site.triple()} not in window") from None
 
-    def distance_matrix(self) -> np.ndarray:
-        """All pairwise label distances, shape (n, n)."""
-        a_star = self.params.alpha_star
-        dl = np.abs(self.levels[:, None] - self.levels[None, :])
-        dg = np.abs(self.gxy[:, None, :] - self.gxy[None, :, :]).sum(axis=2)
-        return dl + a_star * dg
+    def distance_matrix(self, sites=None) -> np.ndarray:
+        """Pairwise label distances of the listed site indices (every site when
+        None), shape (k, k), built from those sites' own coordinates with
+        temporaries of the block's size."""
+        levels, gxy = (self.levels, self.gxy) if sites is None else (
+            self.levels[sites], self.gxy[sites])
+        d = _gaps(gxy[:, 0])
+        d += _gaps(gxy[:, 1])
+        d *= self.params.alpha_star
+        d += _gaps(levels)
+        return d
 
     def center_index(self) -> int:
         """Index of the site at the origin of the lowest level."""
@@ -141,6 +146,12 @@ class Window:
         if self.params.alpha != other.params.alpha or self.params.beta != other.params.beta:
             return False
         return set(self.sites) <= set(other.sites)
+
+
+def _gaps(a: np.ndarray) -> np.ndarray:
+    """|a_i - a_j| for every pair, in the one array the difference allocates."""
+    t = a[:, None] - a[None, :]
+    return np.abs(t, out=t)
 
 
 def _inside(params: LatticeParams, i: int, j: int) -> bool:
@@ -189,9 +200,14 @@ def window_from_triples(params: LatticeParams, triples) -> Window:
 def build_chain(params: LatticeParams, length: int) -> Window:
     """A one-dimensional window: `length` consecutive sites along the i-axis
     on the lowest level, containing the origin and as centered as parity
-    allows; chains built with growing lengths are nested."""
+    allows; chains built with growing lengths are nested.  The length alone
+    sets the chain: a radius too small to hold it is widened to the reach of
+    its farthest site, (0, -(length // 2), 0)."""
     if length < 1:
         raise LatticeError(f"chain length must be positive, got {length}")
+    reach = params.alpha_star * ((length // 2) * params.alpha)
+    if reach > params.radius:
+        params = replace(params, radius=reach)
     lo = -(length - 1) // 2
     return window_from_triples(params, [(0, lo + k, 0) for k in range(length)])
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from latframe.fock import FockError
+from latframe.interactions import _dressed_grid, _synthesis_grid, kernel_fft_side
 from latframe.lattice import LatticeParams, Site
 from latframe.magnetic import overlap_matrix
 
@@ -39,6 +40,34 @@ def overlap_rate_constant(window, mp, lam: float) -> float:
     localization_rate's derivation sets to 1."""
     z = np.abs(overlap_matrix(window, mp))
     return float(np.max(z * np.exp(lam * window.distance_matrix())))
+
+
+def w_value_whole_grid(gammas, v, pot, mp, nodes: int) -> complex:
+    """The radial kernel route's Parseval sum on whole grids: both pair
+    densities synthesized at once, both 2-D transforms m x m (axis 0
+    first) and one sum over the whole spectrum.  The oracle of
+    interactions._w_value_radial, which runs the same sum over blocks of
+    rows and so adds its terms in another order."""
+    ell = mp.ell_b
+    cx = 0.5 * (gammas[2] + gammas[3])
+    cy = 0.5 * (gammas[0] + gammas[1])
+    gc = 0.5 * (cx + cy)
+    dmid = float(np.linalg.norm(cx - cy))
+    step, n = _synthesis_grid(dmid, ell, nodes)
+    m = kernel_fft_side(dmid, pot.sigma1, ell, nodes)
+    grid = np.empty((n, n, 2))
+    grid[..., 0] = (gc[0] - 0.5 * n * step + step * np.arange(n))[:, None]
+    grid[..., 1] = (gc[1] - 0.5 * n * step + step * np.arange(n))[None, :]
+    flat = grid.reshape(-1, 2)
+    ax = _dressed_grid(gammas[2:4], flat, v, mp)
+    ay = _dressed_grid(gammas[0:2], flat, v, mp)
+    bx = (np.conj(ax[1]) * ax[0]).reshape(n, n)
+    by = (np.conj(ay[1]) * ay[0]).reshape(n, n)
+    fx = np.fft.fft(np.fft.fft(bx, n=m, axis=0), n=m, axis=1)
+    fy = np.fft.fft(np.fft.fft(np.conj(by), n=m, axis=0), n=m, axis=1)
+    k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=step)
+    w_hat = 2.0 * np.pi * pot.sigma1 / (k1[:, None] ** 2 + k1[None, :] ** 2 + pot.sigma1**2) ** 1.5
+    return pot.c1 * step**2 / m**2 * complex(np.vdot(fy, fx * w_hat))
 
 
 def quasifree_expectation(rows: np.ndarray, p_matrix: np.ndarray, factors) -> complex:

@@ -26,7 +26,7 @@ from latframe.interactions import (
     _w_value_radial,
     kernel_fft_side,
 )
-import latframe.interactions
+from oracles import w_value_whole_grid
 
 MP = MagneticParams(ell_b=1.0)
 
@@ -420,35 +420,56 @@ def test_w_kernel_exchange_conjugation(riesz_window, dual_generator):
     assert abs(a.value - np.conj(b.value)) < tol
 
 
-def test_w_kernel_parseval_sum_holds_two_transforms(monkeypatch):
-    """On a quadruple of the alpha = beta = 2.8, radius-12 window (m = 330)
-    the radial route stays below four m x m complex arrays, and once both
-    transforms exist it holds them and W^ (2.5 units of 16 m^2 bytes): the
-    sum multiplies W^ into the x transform in place, where a product out of
-    place would hold a third transform (3.5 units)."""
-    coords = v_omega(build_window(LatticeParams(2.8, 2.8, 12.0)), MP).coords
-    gammas = np.array([[0.0, 0.0], [2.8, 0.0], [0.0, 2.8], [2.8, 2.8]])
-    pot = exponential_potential(1.2, 0.8)
-    m = kernel_fft_side(2.8, pot.sigma1, MP.ell_b, 40)
-    assert m == 330
-    unit = 16 * m * m
-    transforms = []  # the peak so far as each transform returns
-    fft2 = latframe.interactions._fft2_padded
+_SQUARE = np.array([[0.0, 0.0], [2.8, 0.0], [0.0, 2.8], [2.8, 2.8]])
 
-    def counted(a, side):
-        out = fft2(a, side)
-        transforms.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()  # after the second, the peak is the sum's own
-        return out
 
-    monkeypatch.setattr(latframe.interactions, "_fft2_padded", counted)
+def _traced_peak(*args) -> int:
+    """tracemalloc's peak over one _w_value_radial call."""
     tracemalloc.start()
     try:
-        value = _w_value_radial(gammas, coords, pot, MP, 40)
-        sum_peak = tracemalloc.get_traced_memory()[1]
+        value = _w_value_radial(*args)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(value) and abs(value) > 0
-    assert len(transforms) == 2
-    assert max(*transforms, sum_peak) < 4 * unit
-    assert sum_peak < 3 * unit
+    return peak
+
+
+def test_w_kernel_parseval_sum_holds_two_transforms():
+    """On a quadruple of the alpha = beta = 2.8, radius-12 window (m = 330,
+    synthesis side n = 175) the radial route holds the two m x n axis-0
+    transforms and block-sized buffers: at most 2 units of 16 m^2 bytes
+    (1.06 units for the transforms).  A sum over whole m x m transforms holds
+    two of them and W^, 2.5 units at the least, and read 3.24."""
+    coords = v_omega(build_window(LatticeParams(2.8, 2.8, 12.0)), MP).coords
+    pot = exponential_potential(1.2, 0.8)
+    m = kernel_fft_side(2.8, pot.sigma1, MP.ell_b, 40)
+    assert m == 330
+    assert _traced_peak(_SQUARE, coords, pot, MP, 40) <= 2 * 16 * m * m
+
+
+def test_w_kernel_sum_at_small_sigma1_holds_no_square_array(dual_generator):
+    """At sigma1 = 0.1 the padding takes the side to m = 1375, where one
+    m x m complex array is 30.3 MB; the blocked sum stays below 20 MB traced
+    (a sum over whole m x m transforms read 72.4 MB)."""
+    pot = exponential_potential(1.2, 0.1)
+    assert kernel_fft_side(2.8, pot.sigma1, MP.ell_b, 40) == 1375
+    assert _traced_peak(_SQUARE, dual_generator.coords, pot, MP, 40) <= 20e6
+
+
+_BLOCKED_QUADS = [
+    np.zeros((4, 2)),  # coincident: every pair center at the origin
+    _SQUARE,
+    *(2.8 * np.random.default_rng(3).integers(-2, 3, size=(4, 4, 2)).astype(float)),
+]
+
+
+@pytest.mark.parametrize("sigma1", [1.0, 0.5, 0.1])
+def test_w_kernel_blocked_sum_matches_whole_grid(dual_generator, sigma1):
+    # the same Parseval sum with every array whole (tests/oracles.py); the
+    # blocks change only the order in which the sum adds its terms
+    pot = exponential_potential(1.2, sigma1)
+    for gammas in _BLOCKED_QUADS:
+        blocked = _w_value_radial(gammas, dual_generator.coords, pot, MP, 40)
+        whole = w_value_whole_grid(gammas, dual_generator.coords, pot, MP, 40)
+        assert abs(blocked - whole) <= 1e-13 * abs(whole), gammas

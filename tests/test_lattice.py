@@ -1,7 +1,9 @@
 """Label geometry: windows, the additive metric, summability constants."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,6 +121,38 @@ def test_chain_layout_and_center():
     c4, c6, c8 = (build_chain(lp, n) for n in (4, 6, 8))
     assert c4.is_subwindow_of(c6) and c6.is_subwindow_of(c8)
     assert not c8.is_subwindow_of(c4)
+
+
+def test_chain_length_alone_sets_the_chain():
+    # a radius too small for the chain is widened to the farthest site's reach
+    # (4 alpha_star alpha = 4 here); one that holds it is kept
+    short = build_chain(LatticeParams(1.0, 1.0, 2.0), 8)
+    held = build_chain(LatticeParams(1.0, 1.0, 20.0), 8)
+    assert short.sites == held.sites
+    assert short.params == LatticeParams(1.0, 1.0, 4.0)
+    assert held.params == LatticeParams(1.0, 1.0, 20.0)
+    assert build_chain(LatticeParams(1.0, 1.0, 4.0), 8).params.radius == 4.0
+    assert len(build_chain(LatticeParams(2.0, 3.0, 1.0), 7).sites) == 7
+
+
+def test_distance_block_comes_from_its_own_sites():
+    # decay and landau tabulate one level's pairs of a two-level window: the
+    # block equals the whole matrix's, bit for bit, and its temporaries are
+    # the block's size (the whole matrix alone is four times the block)
+    w = build_window(LatticeParams(0.5, 0.5, 3.0, level_max=1))
+    whole = w.distance_matrix()
+    for sites in (np.nonzero(w.levels == 0)[0], np.nonzero(w.levels == 1)[0],
+                  np.arange(0, len(w), 7)):
+        assert w.distance_matrix(sites).tobytes() == whole[np.ix_(sites, sites)].tobytes()
+    sites = np.nonzero(w.levels == 0)[0]
+    assert len(sites) == len(w) // 2 == 313
+    tracemalloc.start()
+    try:
+        w.distance_matrix(sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * len(sites) ** 2
 
 
 def test_m_epsilon_one_dimensional_value():

@@ -190,3 +190,65 @@ def test_light_cone_constants_take_no_window(func):
     windowed = [f"{d.name}({a.arg})" for d in defs for a in d.args.args + d.args.kwonlyargs
                 if a.annotation is not None and "Window" in _loaded(a.annotation)]
     assert windowed == []
+
+
+# modules that map OpenSSL's libcrypto (hashlib, and secrets through hmac) or
+# numpy.random, which maps secrets itself; each -> the functions allowed to
+# import it in their body
+_HEAVY_IMPORTS = {"hashlib": {"content_hash"}, "secrets": set()}
+
+
+def _heavy_references(tree: ast.Module) -> list[str]:
+    """Every reference to numpy.random, and every import of a module in
+    _HEAVY_IMPORTS outside the functions it allows, as 'line: what'."""
+    found = []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.random"]
+        for name in names:
+            root = name.split(".")[0]
+            if name == "numpy.random" or name.startswith("numpy.random."):
+                found.append(f"{node.lineno}: {name}")
+            elif root in _HEAVY_IMPORTS and func not in _HEAVY_IMPORTS[root]:
+                found.append(f"{node.lineno}: {name} in {func or 'module scope'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_maps_openssl_or_numpy_random(path):
+    # numpy.random and hashlib map OpenSSL's libcrypto (about 3.5 MB resident)
+    # into every process; no command needs numpy.random, and hashlib is
+    # imported only inside Window.content_hash, for the commands that write a
+    # window_hash
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _heavy_references(tree) == []
+
+
+def test_heavy_import_scan_catches_each_form():
+    # the scan's own check: every form it must refuse, and the one it allows
+    refused = {
+        "import numpy.random": 1,
+        "from numpy.random import default_rng": 1,
+        "from numpy import random": 1,
+        "import numpy as np\nrng = np.random.default_rng(0)": 1,
+        "import hashlib": 1,
+        "def f():\n    import secrets": 1,
+        "def f():\n    import hashlib": 1,
+    }
+    for source, count in refused.items():
+        assert len(_heavy_references(ast.parse(source))) == count, source
+    allowed = "class Window:\n    def content_hash(self):\n        import hashlib\n"
+    assert _heavy_references(ast.parse(allowed)) == []
