@@ -32,11 +32,9 @@ from .config import (
 )
 from .fock import (
     MAX_MODES,
+    TRIVIAL_LIMIT,
     FockError,
-    boundary_sum,
-    convergence_envelope,
     lr_check,
-    lr_envelope,
     mode_basis,
     volume_convergence,
 )
@@ -298,11 +296,10 @@ def _cmd_cphi(ctx: RunContext) -> CommandResult:
     return CommandResult(checks, ["cphi.json"], params)
 
 
-def _four_digits(x: float, rounding) -> float:
-    """x to four significant digits, rounded by np.ceil or np.floor toward the
-    side on which the named limit stays usable."""
+def _four_digits(x: float) -> float:
+    """x rounded up to four significant digits, so a named lower limit stays usable."""
     step = 10.0 ** (np.floor(np.log10(x)) - 3) if x > 0 else 1.0
-    return float(f"{rounding(x / step) * step:.4g}")
+    return float(f"{np.ceil(x / step) * step:.4g}")
 
 
 def _require_kernel_grid(cfg: RunConfig, ell: float) -> None:
@@ -317,7 +314,7 @@ def _require_kernel_grid(cfg: RunConfig, ell: float) -> None:
              f"{cfg.sigma1:g}, nodes = {cfg.nodes}")
     if not np.isfinite(lo):
         raise ConfigError("kernel", "nodes", f"{where}; no sigma1 fits, use fewer nodes")
-    usable = _four_digits(lo, np.ceil)
+    usable = _four_digits(lo)
     raise ConfigError("kernel", "sigma1", f"{where}; the smallest usable sigma1 is {usable:g}")
 
 
@@ -413,23 +410,6 @@ def _dynamics_chain(cfg: RunConfig, length: int):
     return w
 
 
-def _require_finite_envelope(envelope, t_max: float) -> None:
-    """Reject a t_max at which envelope(t) overflows (the artifacts cannot hold
-    inf), naming the largest usable t_max; envelope grows with t."""
-    if np.isfinite(envelope(t_max)):
-        return
-    lo, hi = 0.0, t_max
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.isfinite(envelope(mid)):
-            lo = mid
-        else:
-            hi = mid
-    raise ConfigError("dynamics", "t_max",
-                      f"the bound envelope overflows at t_max = {t_max:g}; "
-                      f"the largest usable t_max is {_four_digits(lo, np.floor):g}")
-
-
 def _cmd_lr(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     mp = make_magnetic_params(cfg)
@@ -437,18 +417,17 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     rates, inter, cres, velocity = _interaction_speed(w, mp, cfg)
     if ctx.negative_control:
         velocity = velocity / 100.0
-    # the envelope is largest at d = 0, each site's distance to itself
-    _require_finite_envelope(
-        lambda t: lr_envelope(rates["g"], rates["zeta"], velocity, 0.0, t), cfg.t_max)
     basis = mode_basis(w, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
     report = lr_check(basis, inter, t_grid, rates["zeta"], velocity, rates["g"])
     tokens = np.array([site_token(s) for s in w.sites])
     i, j = np.array(report.pairs).T
     header = ["t", "site_g", "site_gp", "d", "f", "bound", "ratio"]
-    # one row per (time, pair), times outermost
+    # one row per (time, pair), times outermost; the bound is written capped
+    # at the trivial limit, finite where the envelope overflows
     table = ColumnTable(report.t_grid[:, None], tokens[i], tokens[j], w.distance_matrix()[i, j],
-                        report.f_table.max(axis=2), report.bounds, report.ratios)
+                        report.f_table.max(axis=2), np.minimum(report.bounds, TRIVIAL_LIMIT),
+                        report.ratios)
     cell = report.v_crit_cell
     v_crit_cell = None if cell is None else {
         "t": cell[0], "site_g": site_token(w.sites[cell[1]]),
@@ -496,19 +475,16 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     lp = make_lattice_params(cfg)
     inners = [frozenset(w_big.index(s) for s in build_chain(lp, length).sites)
               for length in lengths[:-1]]
-    largest_boundary = max(boundary_sum(inter, inner, center, rates["zeta"]) for inner in inners)
-    _require_finite_envelope(
-        lambda t: convergence_envelope(rates["g"], rates["zeta"], velocity, largest_boundary, t),
-        cfg.t_max)
     basis = mode_basis(w_big, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
     reports = list(zip(lengths[:-1], volume_convergence(
         basis, inter, inners, center, t_grid, rates["zeta"], velocity, rates["g"])))
     diffs = np.array([rep.diffs for _, rep in reports])
     bounds = np.array([rep.bounds for _, rep in reports])
-    ratios = np.divide(diffs, bounds, out=np.zeros_like(diffs), where=bounds > 0)
+    ratios = np.array([rep.ratios for _, rep in reports])
     write_csv(ctx.out / "converge.csv", ["length", "t", "diff", "bound", "ratio"],
-              ColumnTable(np.array(lengths[:-1])[:, None], t_grid, diffs, bounds, ratios))
+              ColumnTable(np.array(lengths[:-1])[:, None], t_grid, diffs,
+                          np.minimum(bounds, TRIVIAL_LIMIT), ratios))
     within = all(rep.passed for _, rep in reports)
     monotone = True
     for (l1, r1), (l2, r2) in zip(reports, reports[1:]):

@@ -92,6 +92,10 @@ MAX_MODES = 12
 # 7.2e-16 relative at 6, 8 and 12 sites), a phase or an asymmetric coupling
 # breaks the symmetry at order one
 SYMMETRY_RTOL = 1e-14
+# the trivial limit of both dynamics checks: ||{tau_t(a_i), a#_j}|| <=
+# 2 ||a_i|| ||a_j|| = 2 and ||tau_t(a) - tau'_t(a)|| <= 2 ||a|| = 2 (Z_gg = 1),
+# so an envelope at or above it carries no information
+TRIVIAL_LIMIT = 2.0
 
 
 class FockError(ValueError):
@@ -466,8 +470,8 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
                     cells += [(n - 1 - i, n - 1 - j), (n - 1 - j, n - 1 - i)]
                 for p, q in cells:
                     f_table[it, p * n + q] = (plain, mixed, mixed, plain)
-    # an overflowing envelope holds trivially; callers that write the bounds
-    # out reject such a t_max before the run
+    # an overflowing envelope holds trivially (ratio 0); callers that write the
+    # bounds out cap them at the trivial limit 2
     d_pairs = basis.window.distance_matrix().ravel()
     bounds = lr_envelope(g, zeta, velocity, d_pairs[None, :], t_grid[:, None])
     fmax = f_table.max(axis=2)
@@ -487,13 +491,13 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
         n_exceed=int(np.count_nonzero(exceed)),
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
         max_ratio_off_diagonal=float(off_diagonal.max()) if off_diagonal.size else 0.0,
-        informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < 2.0)),
+        informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < TRIVIAL_LIMIT)),
         passed=not bool(exceed.any()),
         v_crit=v_crit,
         v_crit_cell=None if k is None else (float(t_grid[it_m[k]]), *pairs[ip_m[k]]),
         v_cert_over_v_crit=velocity / v_crit if v_crit is not None and v_crit > 0 else None,
         v_crit_off_diagonal=float(off_speeds.max()) if off_speeds.size else None,
-        t_sat=float((d_max + np.log(2.0 / g) / zeta) / velocity) if velocity > 0 else None,
+        t_sat=float((d_max + np.log(TRIVIAL_LIMIT / g) / zeta) / velocity) if velocity > 0 else None,
     )
 
 
@@ -502,14 +506,17 @@ class ConvergenceReport:
     """Norm differences between full- and restricted-support dynamics against
     the boundary-sum envelope 2 g (e^{zeta v |t|} - 1) * boundary_sum.
 
-    informative_cells counts the times past t = 0 whose bound lies below the
-    trivial limit ||tau_t(a) - tau'_t(a)|| <= 2, as in LRReport; at t = 0 the
-    two dynamics coincide, so diffs there is 0 and only t != 0 is normed."""
+    ratios[t] is diffs / bounds: inf where a zero bound meets a difference
+    above 1e-12, else 0 there.  informative_cells counts the times past t = 0
+    whose bound lies below the trivial limit ||tau_t(a) - tau'_t(a)|| <= 2, as
+    in LRReport; at t = 0 the two dynamics coincide, so diffs there is 0 and
+    only t != 0 is normed."""
 
     t_grid: np.ndarray
     site: int
     diffs: np.ndarray
     bounds: np.ndarray
+    ratios: np.ndarray
     boundary_sum: float
     passed: bool
     max_ratio: float
@@ -573,14 +580,15 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
             del b_full, b_small, w_next_h
         del ev_small, v  # released before the next window's H and eigh
         boundary = boundary_sum(interaction, inner, site, zeta)
-        # an overflowing envelope holds trivially; callers that write the bounds
-        # out reject such a t_max before the run
+        # an overflowing envelope holds trivially (ratio 0); callers that write
+        # the bounds out cap them at the trivial limit 2
         bounds = convergence_envelope(g, zeta, velocity, boundary, t_grid)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
         passed = bool(np.all(diffs <= bounds * (1.0 + EXCEED_RTOL) + 1e-12))
         reports.append(ConvergenceReport(
-            t_grid=t_grid, site=site, diffs=diffs, bounds=bounds, boundary_sum=boundary,
-            passed=passed, max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
-            informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < 2.0))))
+            t_grid=t_grid, site=site, diffs=diffs, bounds=bounds, ratios=ratios,
+            boundary_sum=boundary, passed=passed,
+            max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
+            informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < TRIVIAL_LIMIT))))
     return reports

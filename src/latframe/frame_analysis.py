@@ -8,8 +8,7 @@ every element <chi_g, S^-p chi_g'> follows by translation covariance,
 is a rigorous lower frame bound.  Two users keep the window route:
 `frame_operator` pseudo-inverts S in the truncated angular basis of a
 lowest-level window for `interactions.v_omega`, the dual generator of the
-two-body kernel, and for the free-dynamics oracle of the tests; and
-`frame_bounds_estimate` reports window Gram spectra as a finite-window proxy
+two-body kernel; and `frame_bounds_estimate` reports window Gram spectra as a finite-window proxy
 of the frame bounds.
 
 Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d),

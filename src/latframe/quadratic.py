@@ -3,8 +3,8 @@
 The Hamiltonians here keep the levels apart, H = sum_r H_r Pi_r.  Their
 hopping matrix t(g', g) = <chi_g', S^-1 H S^-1 chi_g> generates the same
 free dynamics as H on the span of the frame, and vanishes exactly between
-levels.  `hopping_coeffs` is the window route, kept as the free-dynamics
-oracle of the lowest level: it sandwiches one block h, H_0 in the truncated
+levels.  `hopping_coeffs` is the window route of the lowest level, which no
+command and no oracle calls: it sandwiches one block h, H_0 in the truncated
 angular basis, between the window dual rows of
 `frame_analysis.frame_operator`.  For the level Hamiltonian q(r) Pi_r,
 q(r) = eps_b * (r + 1/2), `landau_coefficients` reads

@@ -454,6 +454,26 @@ def test_lr_tables_write_the_report_arrays(tmp_path, monkeypatch):
     assert len(exceed) == 16
 
 
+def test_converge_table_writes_the_report_arrays(tmp_path, monkeypatch):
+    # each report's ratios are replaced by markers: the CLI writes them as
+    # they come, and computes no ratio itself
+    real, reports = latframe.cli.volume_convergence, []
+
+    def marked(*args, **kwargs):
+        reps = [replace(rep, ratios=10.0 * (k + 1) + np.arange(rep.ratios.size))
+                for k, rep in enumerate(real(*args, **kwargs))]
+        reports.extend(reps)
+        return reps
+
+    monkeypatch.setattr(latframe.cli, "volume_convergence", marked)
+    _, out, _ = run_cli(tmp_path, "converge", "[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n"
+                        "\n[dynamics]\nt_max = 0.2\nn_t = 3\n")
+    assert len(reports) == 2
+    header, rows = read_csv(out / "converge.csv")
+    k = header.index("ratio")
+    assert [r[k] for r in rows] == [fmt_float(x) for rep in reports for x in rep.ratios]
+
+
 def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
     # the 8-site chain up to its saturation time d_max / v = 7 / 12861.4
     cfg = ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\nchain_length = 8\n\n"
@@ -546,9 +566,9 @@ def test_converge_nested_chains(tmp_path):
 @pytest.mark.parametrize("t_max, n_t, informative", [(0.2, 2, 0), (1e-5, 3, 4)],
                          ids=["benchmark", "tiny_t_max"])
 def test_converge_informative_cells(tmp_path, t_max, n_t, informative):
-    # the benchmark's convergence chains: past t = 0 their bounds are near
-    # 1e181, far above the trivial limit 2; at t_max = 1e-5 every bound is
-    # below it.  The t = 0 cells, where both dynamics coincide, never count.
+    # the benchmark's convergence chains: past t = 0 their bounds are capped
+    # at 2, the trivial limit; at t_max = 1e-5 every bound is below it.  The
+    # t = 0 cells, where both dynamics coincide, never count.
     cfg = ("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n\n"
            "[model]\nf0 = 1.0\nmu = 1.0\n\n"
            "[windows]\nchain_lengths = 6 8 10\n\n"
@@ -748,8 +768,9 @@ def test_bad_seed_rejected(tmp_path, capsys):
     assert record["error"]["key"] == "seed"
 
 
-# the alpha = beta = 1 chain of eight sites with the default dynamics: its
-# bound envelope e^{zeta v t} overflows long before t_max = 2
+# a08's alpha = beta = 1 chain of eight sites with the default dynamics: its
+# bound envelope e^{zeta v t} overflows a float near t = 0.44, long before
+# t_max = 2, and the front crosses the chain near t = 1.6
 CHAIN8_DEFAULT_DYNAMICS = """\
 [lattice]
 alpha = 1.0
@@ -769,34 +790,39 @@ def _forbid_dynamics(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["lr", "converge"])
-def test_envelope_overflow_rejected_before_dynamics(tmp_path, capsys, monkeypatch, command):
-    _forbid_dynamics(monkeypatch)
-    cfg = tmp_path / "chain8.ini"
-    cfg.write_text(CHAIN8_DEFAULT_DYNAMICS)
-    out = tmp_path / "out"
-    t0 = time.perf_counter()
-    code = main([command, "--config", str(cfg), "--out", str(out)])
-    elapsed = time.perf_counter() - t0
-    assert code == 2
-    assert elapsed < 10.0
-    record = read_error(capsys, out)
-    assert record["error"]["type"] == "config"
-    assert (record["error"]["section"], record["error"]["key"]) == ("dynamics", "t_max")
-    usable = float(re.search(r"largest usable t_max is (\S+)$", record["error"]["message"])[1])
-    assert 0.0 < usable < 2.0
+def test_default_dynamics_reach_the_front(tmp_path, monkeypatch, command):
+    # the tables write each envelope capped at the trivial limit 2, and the
+    # ratio against the uncapped envelope: 0 once it overflows
+    producer = "lr_check" if command == "lr" else "volume_convergence"
+    real, results = getattr(latframe.cli, producer), []
 
+    def kept(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
 
-def test_envelope_overflow_names_a_usable_t_max(tmp_path, capsys):
-    cfg = tmp_path / "chain8.ini"
-    cfg.write_text(CHAIN8_DEFAULT_DYNAMICS)
-    assert main(["lr", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
-    message = read_error(capsys, tmp_path / "bad")["error"]["message"]
-    usable = re.search(r"largest usable t_max is (\S+)$", message)[1]
-    code, out, _ = run_cli(tmp_path, "lr", CHAIN8_DEFAULT_DYNAMICS
-                           + f"\n[dynamics]\nt_max = {usable}\nn_t = 2\n", name="usable")
+    monkeypatch.setattr(latframe.cli, producer, kept)
+    code, out, _ = run_cli(tmp_path, command, CHAIN8_DEFAULT_DYNAMICS)
     assert code == 0
-    header, rows = read_csv(out / "lr.csv")
-    assert max(float(r[header.index("bound")]) for r in rows) > 1e300
+    result, = results
+    if command == "lr":
+        envelope, measured = result.bounds.ravel(), result.f_table.max(axis=2).ravel()
+    else:
+        envelope = np.concatenate([rep.bounds for rep in result])
+        measured = np.concatenate([rep.diffs for rep in result])
+    header, rows = read_csv(out / f"{command}.csv")
+    col = {name: [r[k] for r in rows] for k, name in enumerate(header)}
+    assert max(map(float, col["t"])) == 2.0
+    assert np.isinf(envelope).any()
+    bound = np.array(col["bound"], dtype=float)
+    assert np.all(np.isfinite(bound)) and np.all(bound <= 2.0)
+    assert np.all(bound[envelope > 2.0] == 2.0)
+    assert col["bound"] == [fmt_float(x) for x in np.minimum(envelope, 2.0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(envelope > 0, measured / envelope, 0.0)
+    assert col["ratio"] == [fmt_float(x) for x in ratio]
+    if command == "lr":
+        payload = json.loads((out / "lr_summary.json").read_text())
+        assert f"{payload['v_crit']:.3g}" == "3.81"
 
 
 def test_tiny_sigma1_rejected_before_kernel_work(tmp_path, capsys, monkeypatch):

@@ -70,6 +70,42 @@ def test_all_names_are_bound(path):
     assert sorted(set(entries) - bound) == []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import anywhere in the module (except __future__)
+    that the module never loads and its __all__ does not list."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return sorted(imported - _loaded(tree) - set(_all_entries(tree) or []))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # an import whose last user went still loads its module and reads as a
+    # dependency; the private-helper scan above does not see imports
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_unused_import_scan_catches_an_added_import():
+    # the scan's own check: each import form, added to a module that passes,
+    # must fail it, and a name that is only re-exported through __all__ passes
+    source = (SOURCES[0].parent / "cli.py").read_text(encoding="utf-8")
+    added = {
+        "from .fock import boundary_sum": ["boundary_sum"],
+        "from .fock import lr_envelope as envelope": ["envelope"],
+        "import os": ["os"],
+        "import os.path": ["os"],
+        "def f():\n    import hashlib\n    return 0": ["hashlib"],
+    }
+    for line, names in added.items():
+        assert _unused_imports(ast.parse(source + "\n" + line + "\n")) == names, line
+    assert _unused_imports(ast.parse("from .cli import main\n__all__ = ['main']\n")) == []
+    assert _unused_imports(ast.parse("import numpy as np\nx = np.pi\n")) == []
+
+
 # public functions that no path from `cli` reaches, each with the ROADMAP
 # item that frees it; any other unreached function is an unshipped route
 UNREACHED_BY_CLI = {
@@ -77,7 +113,7 @@ UNREACHED_BY_CLI = {
     "fock.monomial_operator": "bench span and per-term oracle (item 1)",
     "fock.anticommutator_norm": "bench span and whole-space oracle (item 1)",
     "fock.build_quadratic_hamiltonian": "bench span and a07's free dynamics (item 1)",
-    "quadratic.hopping_coeffs": "bench span and a07's one-particle H (item 1)",
+    "quadratic.hopping_coeffs": "bench span only (item 1)",
     "magnetic.overlap": "bench span and overlap_matrix's per-pair oracle (item 1)",
     "magnetic.chi_pointwise": "wkernel's lattice dual (item 7)",
 }
