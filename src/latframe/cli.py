@@ -41,6 +41,7 @@ from .fock import (
 from .frame_analysis import (
     DUAL_RESIDUAL_TOL,
     EXCEED_RTOL,
+    OVERLAP_CONSTANT,
     FrameAnalysisError,
     dual_residual,
     frame_bounds_estimate,
@@ -120,10 +121,10 @@ class CommandResult:
 
 
 def _rates(lp: LatticeParams, mp: MagneticParams) -> dict:
-    """Localization rate lam, its overlap constant g = 1 (see
-    `localization_rate`) and the decay-functional pair zeta = lam / 2 < xi = lam."""
+    """Localization rate lam (its overlap constant is OVERLAP_CONSTANT) and the
+    decay-functional pair zeta = lam / 2 < xi = lam."""
     lam = localization_rate(lp, mp)
-    return {"lam": lam, "g": 1.0, "zeta": lam / 2.0, "xi": lam}
+    return {"lam": lam, "zeta": lam / 2.0, "xi": lam}
 
 
 def _cmd_gram(ctx: RunContext) -> CommandResult:
@@ -152,11 +153,7 @@ def _nested_windows(cfg: RunConfig):
     lp = make_lattice_params(cfg)
     if cfg.shape == "chain":
         return [build_chain(lp, n) for n in cfg.chain_lengths]
-    radii = cfg.radii
-    if not radii:
-        radii = tuple(r for r in (cfg.radius * 0.5, cfg.radius * 0.75, cfg.radius) if r > 0)
-    if len(radii) < 2:
-        raise ConfigError("windows", "radii", "need at least two nested radii")
+    radii = cfg.radii or (cfg.radius * 0.5, cfg.radius * 0.75, cfg.radius)
     return [build_window(replace(lp, radius=r)) for r in radii]
 
 
@@ -188,7 +185,7 @@ def _inverse_power_certificate(lp: LatticeParams, mp: MagneticParams, p: int):
     """The S^-p decay certificate between the Schur lower frame bound and the
     closed-form upper one, with the split eps = theta = lam / 4."""
     rates = _rates(lp, mp)
-    return neumann_certificate(lp, g=rates["g"], lam=rates["lam"],
+    return neumann_certificate(lp, lam=rates["lam"],
                                s_min=schur_lower_bound(lp, mp), s_max=bessel_bound(lp, mp), p=p)
 
 
@@ -242,7 +239,8 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
               ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"],
               _pair_table(w, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
     write_json(ctx.out / "decay_certificate.json",
-               {**asdict(cert), "window_hash": w.content_hash(), "n_sites": len(sites)})
+               {"g": OVERLAP_CONSTANT, **asdict(cert), "window_hash": w.content_hash(),
+                "n_sites": len(sites)})
     fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
     checks = [
         Check("zero_violations", report.violations == 0,
@@ -252,8 +250,8 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
               {"fitted_rate": report.fitted_rate, "lambda_p": cert.lambda_p}),
         _residual_check(elems.dual, w.params, mp),
     ]
-    params = {"p": cfg.p, "lambda_p": cert.lambda_p, "a_p": cert.a_p, "g": cert.g, "lam": cert.lam,
-              "s_min": cert.s_min, "s_max": cert.s_max, "n_sites": len(sites)}
+    params = {"p": cfg.p, "lambda_p": cert.lambda_p, "a_p": cert.a_p, "g": OVERLAP_CONSTANT,
+              "lam": cert.lam, "s_min": cert.s_min, "s_max": cert.s_max, "n_sites": len(sites)}
     return CommandResult(checks, ["decay_check.csv", "decay_certificate.json"], params)
 
 
@@ -263,7 +261,7 @@ def _interaction_speed(w, mp: MagneticParams, cfg: RunConfig):
     rates = _rates(w.params, mp)
     inter = density_density(w, cfg.f0, cfg.mu)
     res = c_phi(inter, rates["zeta"], rates["xi"])
-    return rates, inter, res, lr_velocity(res.value, rates["g"], rates["zeta"])
+    return rates, inter, res, lr_velocity(res.value, rates["zeta"])
 
 
 def _cmd_cphi(ctx: RunContext) -> CommandResult:
@@ -283,23 +281,17 @@ def _cmd_cphi(ctx: RunContext) -> CommandResult:
         checks.append(Check("family_matches_brute_force", agree,
                             {"family": res.value, "brute": brute.value}))
     write_json(ctx.out / "cphi.json", {
-        "value": res.value, "zeta": res.zeta, "xi": res.xi,
+        "value": res.value, "zeta": rates["zeta"], "xi": rates["xi"],
         "attained_kind": res.member_kind,
         "attained_sites": [site_token(w.sites[k]) for k in res.member_sites],
         "attained_probe_site": res.site_index,
         "family_size": res.family_size, "n_terms": n_terms,
-        "g": rates["g"], "velocity": velocity,
+        "g": OVERLAP_CONSTANT, "velocity": velocity,
         "brute_force_value": brute_value,
     })
     params = {"value": res.value, "velocity": velocity, "zeta": rates["zeta"],
-              "xi": rates["xi"], "g": rates["g"], "n_terms": n_terms}
+              "xi": rates["xi"], "g": OVERLAP_CONSTANT, "n_terms": n_terms}
     return CommandResult(checks, ["cphi.json"], params)
-
-
-def _four_digits(x: float) -> float:
-    """x rounded up to four significant digits, so a named lower limit stays usable."""
-    step = 10.0 ** (np.floor(np.log10(x)) - 3) if x > 0 else 1.0
-    return float(f"{np.ceil(x / step) * step:.4g}")
 
 
 def _require_kernel_grid(cfg: RunConfig, ell: float) -> None:
@@ -309,12 +301,11 @@ def _require_kernel_grid(cfg: RunConfig, ell: float) -> None:
     m = kernel_fft_side(cap, cfg.sigma1, ell, cfg.nodes)
     if m <= KERNEL_FFT_MAX:
         return
-    lo = smallest_kernel_sigma1(cap, ell, cfg.nodes)
+    usable = smallest_kernel_sigma1(cap, ell, cfg.nodes)
     where = (f"the padded kernel grid needs side {m} > {KERNEL_FFT_MAX} at sigma1 = "
              f"{cfg.sigma1:g}, nodes = {cfg.nodes}")
-    if not np.isfinite(lo):
+    if not np.isfinite(usable):
         raise ConfigError("kernel", "nodes", f"{where}; no sigma1 fits, use fewer nodes")
-    usable = _four_digits(lo)
     raise ConfigError("kernel", "sigma1", f"{where}; the smallest usable sigma1 is {usable:g}")
 
 
@@ -419,13 +410,13 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
         velocity = velocity / 100.0
     basis = mode_basis(w, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
-    report = lr_check(basis, inter, t_grid, rates["zeta"], velocity, rates["g"])
+    report = lr_check(basis, inter, t_grid, rates["zeta"], velocity)
     tokens = np.array([site_token(s) for s in w.sites])
     i, j = np.array(report.pairs).T
     header = ["t", "site_g", "site_gp", "d", "f", "bound", "ratio"]
     # one row per (time, pair), times outermost; the bound is written capped
     # at the trivial limit, finite where the envelope overflows
-    table = ColumnTable(report.t_grid[:, None], tokens[i], tokens[j], w.distance_matrix()[i, j],
+    table = ColumnTable(t_grid[:, None], tokens[i], tokens[j], w.distance_matrix()[i, j],
                         report.f_table.max(axis=2), np.minimum(report.bounds, TRIVIAL_LIMIT),
                         report.ratios)
     cell = report.v_crit_cell
@@ -440,8 +431,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
         "n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
         "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
         "informative_cells": report.informative_cells,
-        "g": report.g, "zeta": report.zeta, "xi": rates["xi"],
-        "velocity": report.velocity, "c_phi": cres.value,
+        "g": OVERLAP_CONSTANT, "zeta": rates["zeta"], "xi": rates["xi"],
+        "velocity": velocity, "c_phi": cres.value,
         "negative_control": ctx.negative_control,
         "chain_length": cfg.chain_length, "f0": cfg.f0, "mu": cfg.mu,
         "t_max": cfg.t_max, "n_t": cfg.n_t,
@@ -456,8 +447,8 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
                     {"n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
                      "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
                      "informative_cells": report.informative_cells,
-                     "velocity": report.velocity})]
-    params = {"g": report.g, "zeta": report.zeta, "velocity": report.velocity,
+                     "velocity": velocity})]
+    params = {"g": OVERLAP_CONSTANT, "zeta": rates["zeta"], "velocity": velocity,
               "c_phi": cres.value, "negative_control": ctx.negative_control,
               "modes": basis.rank}
     return CommandResult(checks, ["lr.csv", "lr_exceedances.csv", "lr_summary.json"], params)
@@ -467,8 +458,6 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     cfg = ctx.cfg
     mp = make_magnetic_params(cfg)
     lengths = cfg.chain_lengths
-    if len(lengths) < 2:
-        raise ConfigError("windows", "chain_lengths", "need at least two nested lengths")
     w_big = _dynamics_chain(cfg, lengths[-1])
     rates, inter, cres, velocity = _interaction_speed(w_big, mp, cfg)
     center = w_big.center_index()
@@ -478,7 +467,7 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     basis = mode_basis(w_big, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
     reports = list(zip(lengths[:-1], volume_convergence(
-        basis, inter, inners, center, t_grid, rates["zeta"], velocity, rates["g"])))
+        basis, inter, inners, center, t_grid, rates["zeta"], velocity)))
     diffs = np.array([rep.diffs for _, rep in reports])
     bounds = np.array([rep.bounds for _, rep in reports])
     ratios = np.array([rep.ratios for _, rep in reports])
@@ -499,7 +488,7 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
         Check("monotone_in_window_gap", monotone,
               {"lengths": list(lengths)}),
     ]
-    params = {"velocity": velocity, "g": rates["g"], "zeta": rates["zeta"],
+    params = {"velocity": velocity, "g": OVERLAP_CONSTANT, "zeta": rates["zeta"],
               "c_phi": cres.value, "center_site": site_token(w_big.sites[center]),
               "boundary_sums": [rep.boundary_sum for _, rep in reports]}
     return CommandResult(checks, ["converge.csv"], params)

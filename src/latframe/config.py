@@ -140,10 +140,13 @@ def validate(cfg: RunConfig) -> RunConfig:
     each other; otherwise a ConfigError naming the first offending key."""
     for f in fields(cfg):
         _check_bound(f, getattr(cfg, f.name))
+    # bounds and converge compare at least two nested windows
+    if len(cfg.radii) == 1:
+        raise ConfigError("windows", "radii", "need at least two nested radii")
     if not _increasing(cfg.radii):
         raise ConfigError("windows", "radii", "radii must be strictly increasing")
-    if not cfg.chain_lengths:
-        raise ConfigError("windows", "chain_lengths", "need at least one length")
+    if len(cfg.chain_lengths) < 2:
+        raise ConfigError("windows", "chain_lengths", "need at least two nested lengths")
     if not _increasing(cfg.chain_lengths):
         raise ConfigError("windows", "chain_lengths", "lengths must be strictly increasing")
     if cfg.level > cfg.level_max:

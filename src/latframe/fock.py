@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_analysis import EXCEED_RTOL
+from .frame_analysis import EXCEED_RTOL, OVERLAP_CONSTANT
 from .interactions import Interaction
 from .lattice import Window
 from .magnetic import MagneticParams, overlap_matrix
@@ -355,25 +355,27 @@ def _anticommutator_norms(x, y) -> tuple[float, float]:
     return plain, mixed
 
 
-def lr_envelope(g: float, zeta: float, velocity: float, d, t):
-    """Light-cone envelope g exp(-zeta (d - v|t|)); inf where it overflows."""
+def lr_envelope(zeta: float, velocity: float, d, t):
+    """Light-cone envelope G exp(-zeta (d - v|t|)), G = OVERLAP_CONSTANT; inf on overflow."""
     with np.errstate(over="ignore"):
-        return g * np.exp(-zeta * (np.asarray(d, dtype=float) - velocity * np.abs(t)))
+        return OVERLAP_CONSTANT * np.exp(-zeta * (np.asarray(d, dtype=float)
+                                                  - velocity * np.abs(t)))
 
 
-def convergence_envelope(g: float, zeta: float, velocity: float, boundary: float, t):
-    """Boundary-sum envelope 2 g (e^{zeta v |t|} - 1) * boundary; inf where it overflows."""
+def convergence_envelope(zeta: float, velocity: float, boundary: float, t):
+    """Boundary-sum envelope 2 G (e^{zeta v |t|} - 1) * boundary; inf on overflow."""
     with np.errstate(over="ignore"):
-        return 2.0 * g * (np.exp(zeta * velocity * np.abs(t)) - 1.0) * boundary
+        return 2.0 * OVERLAP_CONSTANT * (np.exp(zeta * velocity * np.abs(t)) - 1.0) * boundary
 
 
 @dataclass(frozen=True)
 class LRReport:
     """Propagation-front table: measured anticommutator norms against the
-    exponential light-cone envelope g * exp(-zeta * (d - v|t|)).
+    exponential light-cone envelope G * exp(-zeta * (d - v|t|)), G =
+    OVERLAP_CONSTANT, at the times t_grid passed to lr_check.
 
     max_ratio includes the diagonal cells, where F(0) = Z_gg = 1 meets the
-    bound g at t = 0; max_ratio_off_diagonal is the maximum over pairs at
+    bound G at t = 0; max_ratio_off_diagonal is the maximum over pairs at
     distance d > 0, and informative_cells counts the (time, pair) cells past
     t = 0 whose bound lies below the trivial limit F <= 2 (at t = 0 the
     check holds by construction).  ratios[t, pair] is F / bound, and exceed
@@ -383,17 +385,13 @@ class LRReport:
     |(V V*)_gg'|, and only the times t != 0 are normed.
 
     v_crit is the least speed whose envelope covers every cell with t > 0
-    and F > 0, max (d + ln(F/g)/zeta)/t, attained at v_crit_cell (t, g, g');
+    and F > 0, max (d + ln(F/G)/zeta)/t, attained at v_crit_cell (t, g, g');
     v_cert_over_v_crit is velocity / v_crit, None when v_crit <= 0 (the
-    static envelope g e^(-zeta d) already covers every such cell) or when
+    static envelope G e^(-zeta d) already covers every such cell) or when
     there is no such cell.  v_crit_off_diagonal is that maximum over cells
-    with d > 0.  From t_sat = (d_max + ln(2/g)/zeta)/v on (None if v <= 0)
+    with d > 0.  From t_sat = (d_max + ln(2/G)/zeta)/v on (None if v <= 0)
     no cell's bound lies below the trivial limit 2."""
 
-    zeta: float
-    velocity: float
-    g: float
-    t_grid: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     f_table: np.ndarray
     bounds: np.ndarray
@@ -418,10 +416,10 @@ def _persymmetric(m: np.ndarray) -> bool:
 
 
 def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
-             zeta: float, velocity: float, g: float) -> LRReport:
+             zeta: float, velocity: float) -> LRReport:
     """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for every
     ordered site pair under the interaction's Hamiltonian and compare with
-    g * exp(-zeta(d(g, g') - v|t|)); a cell exceeds when F is above the bound
+    G * exp(-zeta(d(g, g') - v|t|)); a cell exceeds when F is above the bound
     by more than EXCEED_RTOL relative.
 
     At t = 0 the CAR give every cell exactly: ||{a_i, a_j}|| = 0 and
@@ -440,8 +438,8 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     others copied: 20 of the 64 cells on an 8-site chain, 36 with the pair
     swap alone.  Complex inputs, where the fronts at t and -t differ, compute
     every ordered pair."""
-    if zeta <= 0 or g <= 0:
-        raise FockError("zeta and g must be positive")
+    if zeta <= 0:
+        raise FockError("zeta must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     n = basis.n_sites
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -473,21 +471,20 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     # an overflowing envelope holds trivially (ratio 0); callers that write the
     # bounds out cap them at the trivial limit 2
     d_pairs = basis.window.distance_matrix().ravel()
-    bounds = lr_envelope(g, zeta, velocity, d_pairs[None, :], t_grid[:, None])
+    bounds = lr_envelope(zeta, velocity, d_pairs[None, :], t_grid[:, None])
     fmax = f_table.max(axis=2)
     ratios = fmax / bounds
     exceed = ratios > 1.0 + EXCEED_RTOL
     off_diagonal = ratios[:, d_pairs > 0]
     # the least speed whose envelope covers every cell past t = 0 with F > 0
     it_m, ip_m = np.nonzero((t_grid[:, None] > 0) & (fmax > 0))
-    speeds = (d_pairs[ip_m] + np.log(fmax[it_m, ip_m] / g) / zeta) / t_grid[it_m]
+    speeds = (d_pairs[ip_m] + np.log(fmax[it_m, ip_m] / OVERLAP_CONSTANT) / zeta) / t_grid[it_m]
     k = int(np.argmax(speeds)) if speeds.size else None
     v_crit = None if k is None else float(speeds[k])
     off_speeds = speeds[d_pairs[ip_m] > 0]
     d_max = float(d_pairs.max())
     return LRReport(
-        zeta=zeta, velocity=velocity, g=g, t_grid=t_grid, pairs=tuple(pairs),
-        f_table=f_table, bounds=bounds, ratios=ratios, exceed=exceed,
+        pairs=tuple(pairs), f_table=f_table, bounds=bounds, ratios=ratios, exceed=exceed,
         n_exceed=int(np.count_nonzero(exceed)),
         max_ratio=float(ratios.max()) if ratios.size else 0.0,
         max_ratio_off_diagonal=float(off_diagonal.max()) if off_diagonal.size else 0.0,
@@ -497,14 +494,16 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
         v_crit_cell=None if k is None else (float(t_grid[it_m[k]]), *pairs[ip_m[k]]),
         v_cert_over_v_crit=velocity / v_crit if v_crit is not None and v_crit > 0 else None,
         v_crit_off_diagonal=float(off_speeds.max()) if off_speeds.size else None,
-        t_sat=float((d_max + np.log(TRIVIAL_LIMIT / g) / zeta) / velocity) if velocity > 0 else None,
+        t_sat=float((d_max + np.log(TRIVIAL_LIMIT / OVERLAP_CONSTANT) / zeta) / velocity)
+        if velocity > 0 else None,
     )
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Norm differences between full- and restricted-support dynamics against
-    the boundary-sum envelope 2 g (e^{zeta v |t|} - 1) * boundary_sum.
+    the boundary-sum envelope 2 G (e^{zeta v |t|} - 1) * boundary_sum at the
+    times t_grid passed to volume_convergence.
 
     ratios[t] is diffs / bounds: inf where a zero bound meets a difference
     above 1e-12, else 0 there.  informative_cells counts the times past t = 0
@@ -512,8 +511,6 @@ class ConvergenceReport:
     in LRReport; at t = 0 the two dynamics coincide, so diffs there is 0 and
     only t != 0 is normed."""
 
-    t_grid: np.ndarray
-    site: int
     diffs: np.ndarray
     bounds: np.ndarray
     ratios: np.ndarray
@@ -540,7 +537,7 @@ def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: in
 
 def volume_convergence(basis: ModeBasis, interaction: Interaction,
                        inner_windows: list[frozenset[int]], site: int, t_grid,
-                       zeta: float, velocity: float, g: float) -> list[ConvergenceReport]:
+                       zeta: float, velocity: float) -> list[ConvergenceReport]:
     """Compare tau_t under the full interaction against the dynamics generated
     by the pairs inside each of inner_windows (site-index sets), for
     the annihilator at one site; one report per inner window.
@@ -582,13 +579,12 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
         boundary = boundary_sum(interaction, inner, site, zeta)
         # an overflowing envelope holds trivially (ratio 0); callers that write
         # the bounds out cap them at the trivial limit 2
-        bounds = convergence_envelope(g, zeta, velocity, boundary, t_grid)
+        bounds = convergence_envelope(zeta, velocity, boundary, t_grid)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
         passed = bool(np.all(diffs <= bounds * (1.0 + EXCEED_RTOL) + 1e-12))
         reports.append(ConvergenceReport(
-            t_grid=t_grid, site=site, diffs=diffs, bounds=bounds, ratios=ratios,
-            boundary_sum=boundary, passed=passed,
+            diffs=diffs, bounds=bounds, ratios=ratios, boundary_sum=boundary, passed=passed,
             max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
             informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < TRIVIAL_LIMIT))))
     return reports

@@ -53,6 +53,7 @@ __all__ = [
     "dual_residual",
     "s_inverse_power_elements",
     "s_inverse_diagonal",
+    "OVERLAP_CONSTANT",
     "localization_rate",
     "neumann_certificate",
     "verify_decay",
@@ -298,9 +299,14 @@ def s_inverse_diagonal(dual: AdjointDual, mp: MagneticParams, q: int) -> float:
                                    mp.ell_b**2)[0, 0].real)
 
 
+OVERLAP_CONSTANT = 1.0
+"""G in |<chi, chi'>| <= G exp(-lam * dist), the same on every lattice (see
+`localization_rate`)."""
+
+
 def localization_rate(lp: LatticeParams, mp: MagneticParams) -> float:
     """Exponential rate lam with |<chi, chi'>| <= G exp(-lam * dist) on the
-    lattice, G = 1: (1/4 ell^2) * min(alpha_star, 1).
+    lattice, G = OVERLAP_CONSTANT = 1: (1/4 ell^2) * min(alpha_star, 1).
 
     Same-level states at the offset delta = (i alpha, j beta) overlap by
     exp(-|delta|^2 / 4 ell^2) at label distance alpha_star |delta|_1, and
@@ -318,7 +324,6 @@ def localization_rate(lp: LatticeParams, mp: MagneticParams) -> float:
 class DecayCertificate:
     """Certified element bound |entry| <= a_p * exp(-lambda_p * dist)."""
 
-    g: float
     lam: float
     p: int
     eps: float
@@ -334,25 +339,24 @@ class DecayCertificate:
     a_p: float
 
 
-def neumann_certificate(lp: LatticeParams, g: float, lam: float, s_min: float, s_max: float,
+def neumann_certificate(lp: LatticeParams, lam: float, s_min: float, s_max: float,
                         p: int, eps: float | None = None, theta: float | None = None,
                         m_eps_value: float | None = None) -> DecayCertificate:
     """Decay certificate for S^-p elements from spectral bounds and a rate.
 
     Sound whenever s_max >= the top of the spectrum, 0 < s_min <= its
-    bottom, and the lattice states satisfy
-    |<chi, chi'>| <= g * exp(-lam * dist).  delta is fixed at lam / 2; eps
-    and theta default to lam / 4.  The localization budget c_eps uses the
-    lattice's closed-form m_eps bound, m_epsilon(lp, eps), unless a value
-    is supplied; lp enters through that bound alone.
+    bottom, and the lattice states satisfy |<chi, chi'>| <= G * exp(-lam *
+    dist) with G = OVERLAP_CONSTANT.  delta is fixed at lam / 2, so
+    0 < eps < delta needs lam > 0; eps and theta default to lam / 4.  The
+    localization budget c_eps uses the lattice's closed-form m_eps bound,
+    m_epsilon(lp, eps), unless a value is supplied; lp enters through that
+    bound alone.
     """
     delta = lam / 2.0
     if eps is None:
         eps = lam / 4.0
     if theta is None:
         theta = lam / 4.0
-    if not (lam > 0 and g >= 1):
-        raise FrameAnalysisError(f"need lam > 0 and g >= 1, got lam={lam}, g={g}")
     if not (0 < eps < delta):
         raise FrameAnalysisError(f"need 0 < eps < {delta} (= lam/2), got eps={eps}")
     if not (0 < theta < lam - delta):
@@ -363,17 +367,17 @@ def neumann_certificate(lp: LatticeParams, g: float, lam: float, s_min: float, s
         raise FrameAnalysisError(f"power must be a positive integer, got {p}")
     if m_eps_value is None:
         m_eps_value = m_epsilon(lp, eps)
-    c_eps = g * m_eps_value
+    c_eps = OVERLAP_CONSTANT * m_eps_value
     r_p = 1.0 - (s_min / s_max) ** p
     if r_p >= 1.0:
         raise FrameAnalysisError(f"(s_min / s_max)^p = ({s_min / s_max:.3e})^{p} is below rounding: "
                                  f"the Neumann rate r_p rounds to 1 and nothing decays")
-    d_p = g * (1.0 + (c_eps / s_max) ** p)
+    d_p = OVERLAP_CONSTANT * (1.0 + (c_eps / s_max) ** p)
     e_p = (lam - delta - theta) / log(d_p / r_p)
     lambda_p = min(theta, log(1.0 / r_p) * e_p)
     a_p = 2.0 / (s_max**p * (1.0 - r_p))
     return DecayCertificate(
-        g=g, lam=lam, p=p, eps=eps, theta=theta, delta=delta,
+        lam=lam, p=p, eps=eps, theta=theta, delta=delta,
         s_min=s_min, s_max=s_max, c_eps=c_eps,
         r_p=r_p, d_p=d_p, e_p=e_p, lambda_p=lambda_p, a_p=a_p,
     )

@@ -37,7 +37,7 @@ from math import pi
 
 import numpy as np
 
-from .frame_analysis import FrameAnalysisError, frame_operator
+from .frame_analysis import OVERLAP_CONSTANT, FrameAnalysisError, frame_operator
 from .lattice import Window
 from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise, regime
 
@@ -111,8 +111,6 @@ def density_density(window: Window, f0: float, mu: float) -> Interaction:
 @dataclass(frozen=True)
 class CPhiResult:
     value: float
-    zeta: float
-    xi: float
     site_index: int
     member_kind: str
     member_sites: tuple[int, ...]
@@ -138,7 +136,7 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
         raise InteractionError(f"unknown family {family!r}")
     n = len(inter.window)
     if n < 2:
-        return CPhiResult(value=0.0, zeta=zeta, xi=xi, site_index=-1,
+        return CPhiResult(value=0.0, site_index=-1,
                           member_kind="none", member_sites=(), family_size=0)
     if family == "brute" and n > BRUTE_MAX_SITES:
         raise InteractionError(
@@ -164,7 +162,7 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
             best_site = int(g)
             best_members = tuple(int(v) for v in np.nonzero(member[b])[0])
     kind = "subset" if family == "brute" else "singleton" if len(best_members) == 1 else "ball"
-    return CPhiResult(value=best, zeta=zeta, xi=xi, site_index=best_site,
+    return CPhiResult(value=best, site_index=best_site,
                       member_kind=kind, member_sites=best_members, family_size=count)
 
 
@@ -207,11 +205,11 @@ BRUTE_MAX_SITES = 12
 """Largest window of family='brute', which sweeps all 2^n - 1 subsets."""
 
 
-def lr_velocity(c: float, g: float, zeta: float) -> float:
-    """Propagation speed v = 16 g C / zeta entering the light-cone envelope."""
-    if zeta <= 0 or c < 0 or g < 1:
-        raise InteractionError(f"need zeta > 0, C >= 0, g >= 1; got {zeta}, {c}, {g}")
-    return 16.0 * g * c / zeta
+def lr_velocity(c: float, zeta: float) -> float:
+    """Propagation speed v = 16 G C / zeta, G = OVERLAP_CONSTANT, of the light-cone envelope."""
+    if zeta <= 0 or c < 0:
+        raise InteractionError(f"need zeta > 0, C >= 0; got {zeta}, {c}")
+    return 16.0 * OVERLAP_CONSTANT * c / zeta
 
 
 # v_omega's envelope fit: radii span in ell_b, numbers of radii and angles
@@ -344,11 +342,16 @@ def kernel_fft_side(dmid: float, sigma1: float, ell: float, nodes: int) -> int:
 
 
 def smallest_kernel_sigma1(dmid: float, ell: float, nodes: int) -> float:
-    """Smallest sigma1 whose padded grid fits KERNEL_FFT_MAX (inf when the
-    synthesis grid alone does not fit)."""
+    """Smallest sigma1 whose padded grid fits KERNEL_FFT_MAX, rounded up to
+    four significant digits so that the value named stays usable (inf when
+    the synthesis grid alone does not fit)."""
     step, n = _synthesis_grid(dmid, ell, nodes)
     room = KERNEL_FFT_MAX - n
-    return _IMAGE_RATE / (step * room) if room > 0 else float("inf")
+    if room <= 0:
+        return float("inf")
+    limit = _IMAGE_RATE / (step * room)
+    digit = 10.0 ** (np.floor(np.log10(limit)) - 3)
+    return float(f"{np.ceil(limit / digit) * digit:.4g}")
 
 
 def _pair_density(gammas: np.ndarray, axes: np.ndarray, v: LaguerreCoords,
@@ -400,7 +403,7 @@ def _w_value_radial(gammas: np.ndarray, v: LaguerreCoords, pot: ExponentialPoten
     if m > KERNEL_FFT_MAX:
         raise InteractionError(
             f"the padded kernel grid needs side {m} > {KERNEL_FFT_MAX}; the smallest "
-            f"usable sigma1 is {smallest_kernel_sigma1(dmid, ell, nodes):.4g}")
+            f"usable sigma1 is {smallest_kernel_sigma1(dmid, ell, nodes):g}")
     axes = (gc - 0.5 * n * step)[:, None] + step * np.arange(n)
     tx = np.fft.fft(_pair_density(gammas[2:4], axes, v, mp), n=m, axis=0)
     # By^(-k) is the conjugate of the transform of conj(By), which vdot conjugates

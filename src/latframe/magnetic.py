@@ -73,11 +73,11 @@ class MagneticParams:
     def level_spacing(self) -> float:
         return self.eps_b if self.eps_b is not None else 1.0 / self.ell_b**2
 
-    def wedge(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def wedge(self, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
         """gamma ^ x = gamma_1 x_2 - gamma_2 x_1 (sign fixed here, used everywhere)."""
-        g = np.asarray(g, dtype=np.float64)
+        gamma = np.asarray(gamma, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
-        return g[..., 0] * x[..., 1] - g[..., 1] * x[..., 0]
+        return gamma[..., 0] * x[..., 1] - gamma[..., 1] * x[..., 0]
 
 
 @dataclass(frozen=True)

@@ -157,12 +157,11 @@ def test_a03_eigenvalue_trend_across_densities():
 
 def test_a04_inverse_power_decay_certificate():
     w = build_window(LatticeParams(SQPI, SQPI, 12.0))
-    g = 1.0
     lam = localization_rate(w.params, MP)
     details = []
     ok = True
     for p in (1, 2):
-        cert = neumann_certificate(w.params, g=g, lam=lam, s_min=schur_lower_bound(w.params, MP),
+        cert = neumann_certificate(w.params, lam=lam, s_min=schur_lower_bound(w.params, MP),
                                    s_max=bessel_bound(w.params, MP), p=p)
         elems = s_inverse_power_elements(w, MP, p)
         dists = w.distance_matrix()[np.ix_(elems.sites, elems.sites)]
@@ -183,8 +182,7 @@ def test_a05_level_hamiltonian_coefficients():
     r = 1
     q = eps_b * (r + 0.5)
     t_r, c_r, _ = landau_coefficients(r, w, mp)
-    cert = neumann_certificate(w.params, g=1.0,
-                               lam=localization_rate(w.params, mp),
+    cert = neumann_certificate(w.params, lam=localization_rate(w.params, mp),
                                s_min=schur_lower_bound(w.params, mp),
                                s_max=bessel_bound(w.params, mp), p=2)
     levels = w.levels
@@ -291,13 +289,12 @@ def test_a08_light_cone_with_negative_control(tmp_path):
     lam = localization_rate(w.params, MP)
     zeta = lam / 2.0
     xi = lam
-    g = 1.0
     inter = density_density(w, f0=1.0, mu=1.0)
     cval = c_phi(inter, zeta, xi).value
-    velocity = lr_velocity(cval, g, zeta)
+    velocity = lr_velocity(cval, zeta)
     basis = mode_basis(w, MP)
     t_grid = np.linspace(0.0, 2.0, 21)
-    report = lr_check(basis, inter, t_grid, zeta, velocity, g)
+    report = lr_check(basis, inter, t_grid, zeta, velocity)
     honest_ok = report.passed and report.n_exceed == 0
     # the control run must land at least one exceedance at 1% speed
     cfg = tmp_path / "lr.ini"
@@ -321,15 +318,14 @@ def test_a09_volume_convergence():
     w8 = build_chain(LatticeParams(1.0, 1.0, 10.0), 8)
     lam = localization_rate(w8.params, MP)
     zeta, xi = lam / 2.0, lam
-    g = 1.0
     inter = density_density(w8, f0=1.0, mu=1.0)
-    velocity = lr_velocity(c_phi(inter, zeta, xi).value, g, zeta)
+    velocity = lr_velocity(c_phi(inter, zeta, xi).value, zeta)
     basis = mode_basis(w8, MP)
     center = w8.center_index()
     t_grid = np.linspace(0.0, 0.2, 6)
     inners = [frozenset(w8.index(s) for s in build_chain(w8.params, length).sites)
               for length in (4, 6)]
-    reports = volume_convergence(basis, inter, inners, center, t_grid, zeta, velocity, g)
+    reports = volume_convergence(basis, inter, inners, center, t_grid, zeta, velocity)
     within = all(rep.passed for rep in reports)
     # the smaller inner window omits more of the generator
     monotone = bool(np.all(reports[0].diffs >= reports[1].diffs - 1e-12))

@@ -700,6 +700,17 @@ def test_malformed_config_error_record(tmp_path, capsys):
     assert record["error"]["key"] == "alpha"
 
 
+def test_bounds_refuses_a_single_chain(tmp_path, capsys):
+    # a one-window "trend" compares nothing; every command refuses the config
+    cfg = tmp_path / "one.ini"
+    cfg.write_text(CHAIN5 + "\n[windows]\nchain_lengths = 8\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "config"
+    assert (record["error"]["section"], record["error"]["key"]) == ("windows", "chain_lengths")
+
+
 def test_overlap_constant_key_exits_before_work(tmp_path, capsys, monkeypatch):
     # g is measured on the window, never read from the config
     def reached(*args, **kwargs):

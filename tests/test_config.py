@@ -96,6 +96,10 @@ def test_chain_shape_window():
         ("[kernel]\nn_quadruples = 0\n", "kernel", "n_quadruples"),
         ("[windows]\nradii = 3 2 1\n", "windows", "radii"),
         ("[windows]\nchain_lengths = 4 4\n", "windows", "chain_lengths"),
+        # bounds and converge compare at least two nested windows
+        ("[windows]\nradii = 3\n", "windows", "radii"),
+        ("[windows]\nchain_lengths = 8\n", "windows", "chain_lengths"),
+        ("[windows]\nchain_lengths =\n", "windows", "chain_lengths"),
         # one just-out-of-range value for every other bounded key
         ("[lattice]\nbeta = 0\n", "lattice", "beta"),
         ("[lattice]\nshape = balls\n", "lattice", "shape"),

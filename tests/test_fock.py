@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, svdvals
 
+from latframe.frame_analysis import OVERLAP_CONSTANT
 from latframe.lattice import LatticeParams, build_chain, window_from_triples
 from latframe.magnetic import MagneticParams, overlap_matrix, window_coords
 from latframe.interactions import (
@@ -245,7 +246,7 @@ def test_lr_check_static_dynamics():
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 4)
     basis = mode_basis(w, MP)
     t_grid = np.linspace(0.0, 1.0, 3)
-    rep = lr_check(basis, density_density(w, 0.0, 1.0), t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    rep = lr_check(basis, density_density(w, 0.0, 1.0), t_grid, zeta=0.125, velocity=1.0)
     assert rep.passed
     assert rep.n_exceed == 0
     assert len(rep.pairs) == 16
@@ -263,9 +264,7 @@ def test_lr_check_validation():
     basis = mode_basis(w, MP)
     inter = density_density(w, 0.0, 1.0)
     with pytest.raises(FockError):
-        lr_check(basis, inter, [0.0], zeta=0.0, velocity=1.0, g=1.0)
-    with pytest.raises(FockError):
-        lr_check(basis, inter, [0.0], zeta=0.1, velocity=1.0, g=0.0)
+        lr_check(basis, inter, [0.0], zeta=0.0, velocity=1.0)
 
 
 # ------------------------------------------------------------- volume limits
@@ -282,7 +281,7 @@ def test_volume_convergence_full_inner_is_exact(chain4_setup):
     w, basis, inter = chain4_setup
     all_sites = frozenset(range(4))
     [rep] = volume_convergence(basis, inter, [all_sites], w.center_index(),
-                               [0.0, 0.5], zeta=0.125, velocity=2.0, g=1.0)
+                               [0.0, 0.5], zeta=0.125, velocity=2.0)
     assert rep.boundary_sum == 0.0
     assert np.allclose(rep.diffs, 0.0, atol=1e-12)
     assert rep.passed
@@ -290,12 +289,12 @@ def test_volume_convergence_full_inner_is_exact(chain4_setup):
 
 def test_volume_convergence_boundary_envelope(chain4_setup):
     w, basis, inter = chain4_setup
-    zeta, xi, g = 0.125, 0.25, 1.0
-    vel = lr_velocity(c_phi(inter, zeta, xi).value, g, zeta)
+    zeta, xi = 0.125, 0.25
+    vel = lr_velocity(c_phi(inter, zeta, xi).value, zeta)
     inner = frozenset({0, 1, 2})
     site = w.center_index()
     t_grid = np.array([0.0, 0.05, 0.1])
-    [rep] = volume_convergence(basis, inter, [inner], site, t_grid, zeta, vel, g)
+    [rep] = volume_convergence(basis, inter, [inner], site, t_grid, zeta, vel)
     assert rep.diffs[0] < 1e-12  # nothing moves at t = 0
     assert rep.diffs[-1] > 1e-6  # the truncated generator genuinely differs
     d = w.distance_matrix()
@@ -306,7 +305,7 @@ def test_volume_convergence_boundary_envelope(chain4_setup):
     )
     assert rep.boundary_sum == pytest.approx(boundary, rel=1e-12)
     for it, t in enumerate(t_grid):
-        want = 2.0 * g * (math.exp(zeta * vel * t) - 1.0) * boundary
+        want = 2.0 * OVERLAP_CONSTANT * (math.exp(zeta * vel * t) - 1.0) * boundary
         assert rep.bounds[it] == pytest.approx(want, rel=1e-12)
     assert rep.passed
 
@@ -359,7 +358,7 @@ def _dense_f_table(basis, h, t_grid):
 def test_lr_check_sectors_match_dense_oracle(six_modes):
     w, basis, inter = six_modes
     t_grid = np.array([0.0, 0.35, 1.1])
-    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0)
     oracle = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid)
     assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
     # the dynamics genuinely moves the fronts
@@ -391,7 +390,7 @@ def test_lr_check_computes_each_unordered_pair_once_on_real_input(six_modes, mon
     w, basis, inter = six_modes
     calls = _count_norms(monkeypatch)
     t_grid = np.array([0.0, 0.35, 1.1])
-    lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0)
     # per pair and time t != 0: 5 plain blocks, the 2 edge and 5 inner mixed
     # blocks; the straight chain's 12 orbits under the pair swap and the site
     # reversal (i <= j < 6 - i), the patch's 36 ordered pairs
@@ -413,9 +412,9 @@ def test_t0_rows_come_from_the_car(six_modes, monkeypatch):
     and neither takes a Heisenberg step or a norm there."""
     w, basis, inter = six_modes
     norms, steps = _count_norms(monkeypatch), _count_heisenberg(monkeypatch)
-    rep = lr_check(basis, inter, [0.0], zeta=0.125, velocity=1.0, g=1.0)
+    rep = lr_check(basis, inter, [0.0], zeta=0.125, velocity=1.0)
     [conv] = volume_convergence(basis, inter, [frozenset({2, 3})], w.center_index(), [0.0],
-                                zeta=0.125, velocity=1.0, g=1.0)
+                                zeta=0.125, velocity=1.0)
     assert norms == [] and steps == []
     f0 = rep.f_table[0]
     assert np.all(f0[:, [0, 3]] == 0.0)
@@ -424,7 +423,7 @@ def test_t0_rows_come_from_the_car(six_modes, monkeypatch):
     assert conv.diffs.tolist() == [0.0]
     # a grid with moving times norms those times only
     t_grid = np.array([0.0, 0.35])
-    moved = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    moved = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0)
     assert steps and 0.0 not in steps
     assert np.array_equal(moved.f_table[0], f0)
 
@@ -435,8 +434,8 @@ def test_v_crit_is_the_least_covering_speed():
     cell."""
     w, basis, inter = _six_modes("chain")
     t_grid = np.array([0.0, 0.35, 1.1])
-    zeta, g, velocity = 0.125, 1.0, 40.0
-    rep = lr_check(basis, inter, t_grid, zeta=zeta, velocity=velocity, g=g)
+    zeta, g, velocity = 0.125, OVERLAP_CONSTANT, 40.0
+    rep = lr_check(basis, inter, t_grid, zeta=zeta, velocity=velocity)
     f = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid).max(axis=2)
     d = w.distance_matrix().ravel()
     later = t_grid > 0
@@ -459,8 +458,8 @@ def test_v_crit_off_diagonal_and_t_sat_from_f_table():
     at which the bound at the largest distance reaches 2."""
     w, basis, inter = _six_modes("chain")
     t_grid = np.array([0.0, 0.35, 1.1])
-    zeta, g, velocity = 0.125, 1.0, 40.0
-    rep = lr_check(basis, inter, t_grid, zeta=zeta, velocity=velocity, g=g)
+    zeta, g, velocity = 0.125, OVERLAP_CONSTANT, 40.0
+    rep = lr_check(basis, inter, t_grid, zeta=zeta, velocity=velocity)
     d = w.distance_matrix()
     best = None
     for it, t in enumerate(t_grid):
@@ -472,24 +471,26 @@ def test_v_crit_off_diagonal_and_t_sat_from_f_table():
     assert rep.v_crit_off_diagonal == best
     assert rep.v_crit_off_diagonal <= rep.v_crit
     assert rep.t_sat == pytest.approx((d.max() + math.log(2.0 / g) / zeta) / velocity, rel=1e-15)
-    assert lr_envelope(g, zeta, velocity, d.max(), rep.t_sat) == pytest.approx(2.0, rel=1e-12)
+    assert lr_envelope(zeta, velocity, d.max(), rep.t_sat) == pytest.approx(2.0, rel=1e-12)
     # a grid without a moving cell has no off-diagonal speed; no speed, no t_sat
-    rep = lr_check(basis, inter, [0.0], zeta=zeta, velocity=0.0, g=g)
+    rep = lr_check(basis, inter, [0.0], zeta=zeta, velocity=0.0)
     assert (rep.v_crit_off_diagonal, rep.t_sat) == (None, None)
 
 
 def test_v_crit_without_a_moving_cell():
-    """With g = 2 above every static |Z_ij| and H = 0, every cell's speed is
-    negative: the static envelope already covers them and the ratio is None.
-    A grid with only t = 0 has no cell to take v_crit from."""
+    """With H = 0 nothing moves: the diagonal cells read F = Z_gg = G = 1 at
+    every time, so their speed is 0, and every off-diagonal cell's is
+    negative.  v_crit = 0, the static envelope G e^(-zeta d) already covers
+    every cell and the ratio is None.  A grid with only t = 0 has no cell to
+    take v_crit from."""
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 4)
     basis = mode_basis(w, MP)
     static = density_density(w, 0.0, 1.0)
-    rep = lr_check(basis, static, [0.0, 0.5, 1.0], zeta=0.125, velocity=1.0, g=2.0)
-    assert rep.v_crit < 0
+    rep = lr_check(basis, static, [0.0, 0.5, 1.0], zeta=0.125, velocity=1.0)
+    assert rep.v_crit == pytest.approx(0.0, abs=1e-12)
     assert rep.v_crit_cell is not None
     assert rep.v_cert_over_v_crit is None
-    rep = lr_check(basis, static, [0.0], zeta=0.125, velocity=1.0, g=2.0)
+    rep = lr_check(basis, static, [0.0], zeta=0.125, velocity=1.0)
     assert (rep.v_crit, rep.v_crit_cell, rep.v_cert_over_v_crit) == (None, None, None)
 
 
@@ -522,7 +523,7 @@ def test_lr_check_reversal_follows_the_model(case, pairs, monkeypatch):
     basis, inter = case()
     calls = _count_norms(monkeypatch)
     t_grid = np.array([0.0, 0.35, 1.1])
-    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0)
+    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0)
     assert len(calls) == pairs * np.count_nonzero(t_grid) * 12
     oracle = _dense_f_table(basis, _whole_space_h(basis, inter), t_grid)
     assert np.max(np.abs(rep.f_table - oracle)) < 1e-12
@@ -533,7 +534,7 @@ def test_patch_fronts_are_not_symmetric_in_the_pair():
     lr_check must compute both ordered pairs."""
     _, basis, inter = _six_modes("patch")
     t_grid = np.array([0.35, 1.1])
-    f = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0, g=1.0).f_table
+    f = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0).f_table
     n = basis.n_sites
     table = f.reshape(len(t_grid), n, n, 4)
     assert np.max(np.abs(table - table.transpose(0, 2, 1, 3))) > 1e-3
@@ -545,7 +546,7 @@ def test_volume_convergence_sectors_match_dense_oracle(six_modes):
     inners = [frozenset({0, 1, 2, 3}), frozenset({2, 3})]
     t_grid = np.array([0.0, 0.3, 0.9])
     reports = volume_convergence(basis, inter, inners, site, t_grid,
-                                 zeta=0.125, velocity=1.0, g=1.0)
+                                 zeta=0.125, velocity=1.0)
     a = _whole_space_ops(basis)[site]
     h_full = _whole_space_h(basis, inter)
     for inner, rep in zip(inners, reports):
@@ -575,7 +576,7 @@ def test_volume_convergence_memory_is_one_sector_pair():
     tracemalloc.start()
     try:
         reports = volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1, 0.2],
-                                     zeta=0.125, velocity=1.0, g=1.0)
+                                     zeta=0.125, velocity=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -603,7 +604,7 @@ def test_volume_convergence_holds_one_annihilator_block():
     tracemalloc.start()
     try:
         reports = volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1, 0.2],
-                                     zeta=0.125, velocity=1.0, g=1.0)
+                                     zeta=0.125, velocity=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

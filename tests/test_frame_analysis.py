@@ -12,6 +12,7 @@ from latframe.lattice import LatticeParams, build_window, window_from_triples
 from latframe.magnetic import MagneticParams, bessel_bound, theta3
 from latframe.frame_analysis import (
     DUAL_RESIDUAL_TOL,
+    OVERLAP_CONSTANT,
     PSEUDO_INVERSE_RTOL,
     FrameAnalysisError,
     RegimeError,
@@ -244,7 +245,7 @@ def test_localization_rate_values(alpha, beta, ell, expected):
 def test_overlap_rate_constant_unit_lattice():
     w = build_window(LatticeParams(1.0, 1.0, 6.0))
     g = overlap_rate_constant(w, MP, localization_rate(w.params, MP))
-    assert g == pytest.approx(1.0, abs=1e-12)  # sharp at unit steps
+    assert g == pytest.approx(OVERLAP_CONSTANT, abs=1e-12)  # sharp at unit steps
 
 
 @pytest.mark.parametrize("alpha, beta, radius, ell", [
@@ -301,7 +302,7 @@ def test_overlap_rate_constant_scan_detects_a_fast_rate():
 def test_certificate_frozen_example():
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
     cert = neumann_certificate(
-        w.params, g=1.0, lam=1.5, s_min=1.0, s_max=2.0, p=1,
+        w.params, lam=1.5, s_min=1.0, s_max=2.0, p=1,
         theta=0.25, m_eps_value=M_EPS_1D,
     )
     assert cert.delta == pytest.approx(0.75)
@@ -320,7 +321,7 @@ def test_certificate_frozen_example():
 
 def test_certificate_trivial_amplitude():
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
-    cert = neumann_certificate(w.params, g=1.0, lam=1.0, s_min=1.0, s_max=2.0, p=1,
+    cert = neumann_certificate(w.params, lam=1.0, s_min=1.0, s_max=2.0, p=1,
                                m_eps_value=M_EPS_1D)
     assert cert.r_p == pytest.approx(0.5)
     assert cert.a_p == pytest.approx(2.0)  # 2 / (s_max^p (1 - r_p))
@@ -333,7 +334,7 @@ def test_certificate_degrades_with_power():
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
     a_prev, r_prev = 0.0, 0.0
     for p in (1, 2, 4, 8):
-        cert = neumann_certificate(w.params, g=1.0, lam=1.0, s_min=0.8, s_max=2.0,
+        cert = neumann_certificate(w.params, lam=1.0, s_min=0.8, s_max=2.0,
                                    p=p, m_eps_value=M_EPS_1D)
         assert cert.a_p == pytest.approx(2.0 / 0.8**p, rel=1e-12)
         assert cert.a_p > a_prev and cert.r_p > r_prev
@@ -344,13 +345,11 @@ def test_certificate_degrades_with_power():
 
 def test_certificate_validation():
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
-    kw = dict(g=1.0, lam=1.0, s_min=1.0, s_max=2.0, p=1, m_eps_value=2.0)
+    kw = dict(lam=1.0, s_min=1.0, s_max=2.0, p=1, m_eps_value=2.0)
     with pytest.raises(FrameAnalysisError):
         neumann_certificate(w.params, **{**kw, "s_min": 0.0})
     with pytest.raises(FrameAnalysisError):
         neumann_certificate(w.params, **{**kw, "s_min": 3.0})  # s_min > s_max
-    with pytest.raises(FrameAnalysisError):
-        neumann_certificate(w.params, **{**kw, "g": 0.5})
     with pytest.raises(FrameAnalysisError):
         neumann_certificate(w.params, **{**kw, "theta": 0.6})  # >= lam - delta
     with pytest.raises(FrameAnalysisError):
@@ -363,7 +362,7 @@ def test_certificate_rejects_rate_rounding_to_one():
     # (s_min / s_max)^p below rounding: r_p = 1 and a_p would divide by zero
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
     with pytest.raises(FrameAnalysisError, match=r"s_min / s_max\)\^p = \(1\.000e-17\)") as err:
-        neumann_certificate(w.params, g=1.0, lam=1.0, s_min=1e-17, s_max=1.0, p=1,
+        neumann_certificate(w.params, lam=1.0, s_min=1e-17, s_max=1.0, p=1,
                             m_eps_value=M_EPS_1D)
     assert isinstance(err.value, _MODULE_ERRORS)  # an input rejection (exit 2), not a crash
 
@@ -371,7 +370,7 @@ def test_certificate_rejects_rate_rounding_to_one():
 @pytest.fixture(scope="module")
 def small_cert():
     w = build_window(LatticeParams(1.0, 1.0, 3.0))
-    return neumann_certificate(w.params, g=1.0, lam=1.0, s_min=1.0, s_max=2.0, p=1,
+    return neumann_certificate(w.params, lam=1.0, s_min=1.0, s_max=2.0, p=1,
                                m_eps_value=M_EPS_1D)
 
 
@@ -415,7 +414,7 @@ def test_decay_certificate_end_to_end():
     w = build_window(lp)
     lam = localization_rate(lp, MP)
     for p in (1, 2):
-        cert = neumann_certificate(w.params, g=1.0, lam=lam, s_min=schur_lower_bound(lp, MP),
+        cert = neumann_certificate(w.params, lam=lam, s_min=schur_lower_bound(lp, MP),
                                    s_max=bessel_bound(lp, MP), p=p)
         el = s_inverse_power_elements(w, MP, p=p)
         d = w.distance_matrix()[np.ix_(el.sites, el.sites)]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from latframe.interactions import (
     _next_fast_len,
     _w_value_radial,
     kernel_fft_side,
+    smallest_kernel_sigma1,
 )
 from oracles import w_value_whole_grid
 
@@ -242,15 +244,12 @@ def test_c_phi_validation():
 
 
 def test_lr_velocity():
-    assert lr_velocity(0.0, 1.0, 0.5) == 0.0
-    assert lr_velocity(0.5, 1.0, 1.0) == pytest.approx(8.0)
-    assert lr_velocity(0.5, 2.0, 1.0) == pytest.approx(16.0)  # linear in G
+    assert lr_velocity(0.0, 0.5) == 0.0
+    assert lr_velocity(0.5, 1.0) == pytest.approx(8.0)
     with pytest.raises(InteractionError):
-        lr_velocity(1.0, 0.5, 1.0)
+        lr_velocity(1.0, 0.0)
     with pytest.raises(InteractionError):
-        lr_velocity(1.0, 1.0, 0.0)
-    with pytest.raises(InteractionError):
-        lr_velocity(-1.0, 1.0, 1.0)
+        lr_velocity(-1.0, 1.0)
 
 
 # ------------------------------------------------------------- dual generator
@@ -347,6 +346,29 @@ def test_w_kernel_validation(riesz_window, dual_generator):
     with pytest.raises(InteractionError, match="ExponentialPotential"):
         w_kernel(np.tile(g0, (4, 1)), dual_generator.coords,
                  lambda x, y: np.exp(-np.linalg.norm(x[:, None] - y[None], axis=-1)), MP)
+
+
+def test_w_kernel_names_a_usable_sigma1(dual_generator):
+    # pair centers 0.1 apart at 20 nodes: the limit is 0.030503..., which
+    # rounds to nearest as 0.0305, a sigma1 whose grid side 2058 is over the cap
+    quad = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.1, 0.0]])
+    with pytest.raises(InteractionError, match="smallest usable sigma1") as err:
+        w_kernel(quad, dual_generator.coords, exponential_potential(1.0, 0.03), MP, nodes=20)
+    usable = float(re.search(r"smallest usable sigma1 is (\S+)$", str(err.value))[1])
+    assert kernel_fft_side(0.1, usable, MP.ell_b, 20) <= KERNEL_FFT_MAX
+
+
+def test_smallest_kernel_sigma1_fits_and_is_four_digits():
+    # rounded up, never to nearest: the value named fits the cap, 1e-3 below
+    # it does not, and it prints as it is
+    for nodes in (9, 20, 30, 40, 60, 80):
+        for dmid in np.linspace(0.0, 30.0, 301):
+            usable = smallest_kernel_sigma1(dmid, MP.ell_b, nodes)
+            assert float(f"{usable:.4g}") == usable
+            assert kernel_fft_side(dmid, usable, MP.ell_b, nodes) <= KERNEL_FFT_MAX
+            assert kernel_fft_side(dmid, usable * (1 - 1e-3), MP.ell_b, nodes) > KERNEL_FFT_MAX
+    # a synthesis grid over the cap leaves no sigma1
+    assert smallest_kernel_sigma1(0.0, MP.ell_b, 1000) == float("inf")
 
 
 def _coherent_oracle(gammas, c1, sigma1):

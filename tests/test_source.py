@@ -158,6 +158,79 @@ def test_every_public_function_is_reached_from_cli():
     assert sorted(public - _reached_from_cli()) == sorted(UNREACHED_BY_CLI)
 
 
+# optional parameters of public functions and methods that no call inside the
+# package passes, each with its reason; any other is a knob with one value in
+# use, which belongs in the code as a constant
+UNPASSED_OPTIONAL = {
+    "cli.main(argv)": "the entry point; tests and bench/run.py pass it",
+    "frame_analysis.dual_coefficients(tol)": "the tests sweep it",
+    "frame_analysis.neumann_certificate(eps)": "the split rule of item 9",
+    "frame_analysis.neumann_certificate(theta)": "the split rule of item 9",
+    "frame_analysis.neumann_certificate(m_eps_value)": "the split rule of item 9",
+    "magnetic.chi_pointwise(level)": "a01's cross-level oracle (item 10)",
+}
+
+
+def _public_functions(trees: dict):
+    """(label, def, shift) of every public function and every public method of
+    a public class; shift is the number of leading parameters (self) that a
+    call does not pass."""
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{mod}.{node.name}", node, 0
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        yield f"{mod}.{node.name}.{fn.name}", fn, 1
+
+
+def _unpassed_optional_parameters(trees: dict) -> list[str]:
+    """'label(name)' of each parameter with a default that no call f(...) or
+    x.f(...) in `trees` passes, by position or by keyword; a call with *args or
+    **kwargs passes every parameter."""
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    found = []
+    for label, fn, shift in _public_functions(trees):
+        mine = [c for c in calls if fn.name in (getattr(c.func, "id", None),
+                                                getattr(c.func, "attr", None))]
+        if any(isinstance(a, ast.Starred) for c in mine for a in c.args) or any(
+                k.arg is None for c in mine for k in c.keywords):
+            continue
+        n_pos = max((len(c.args) for c in mine), default=0) + shift
+        keywords = {k.arg for c in mine for k in c.keywords}
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        optional = [(i, a.arg) for i, a in enumerate(args) if i >= first]
+        optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+        found += [f"{label}({name})" for i, name in optional
+                  if name not in keywords and (i is None or i >= n_pos)]
+    return sorted(found)
+
+
+def _package_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES}
+
+
+def test_every_optional_parameter_is_passed_by_the_program():
+    # a default that the program never overrides is a constant in disguise:
+    # the other values are reachable from tests only, a second route
+    assert _unpassed_optional_parameters(_package_trees()) == sorted(UNPASSED_OPTIONAL)
+
+
+def test_optional_parameter_scan_catches_an_added_knob():
+    # the scan's own check: each unpassed form is caught, each passed one is not
+    added = ("def added(x, knob=0, *, flag=False):\n    return x\n\n"
+             "def passed(x, by_position=0, by_keyword=0):\n    return x\n\n"
+             "class Added:\n    def method(self, x, knob=0):\n        return x\n\n"
+             "added(1)\npassed(1, 2)\npassed(1, by_keyword=2)\nAdded().method(1)\n")
+    trees = _package_trees()
+    trees["lattice"] = ast.parse(ast.unparse(trees["lattice"]) + "\n" + added)
+    assert _unpassed_optional_parameters(trees) == sorted(
+        [*UNPASSED_OPTIONAL, "lattice.added(knob)", "lattice.added(flag)",
+         "lattice.Added.method(knob)"])
+
+
 def _dataclass_fields(tree: ast.Module, name: str) -> list[str]:
     """The annotated field names of the class `name`."""
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
