@@ -120,10 +120,10 @@ class CommandResult:
     parameters: dict
 
 
-def _rates(lp: LatticeParams, mp: MagneticParams) -> dict:
+def _rates(mp: MagneticParams) -> dict:
     """Localization rate lam (its overlap constant is OVERLAP_CONSTANT) and the
     decay-functional pair zeta = lam / 2 < xi = lam."""
-    lam = localization_rate(lp, mp)
+    lam = localization_rate(mp)
     return {"lam": lam, "zeta": lam / 2.0, "xi": lam}
 
 
@@ -138,7 +138,7 @@ def _cmd_gram(ctx: RunContext) -> CommandResult:
     min_eig, max_eig = float(vals[0]), float(vals[-1])
     n = len(w)
     write_csv(ctx.out / "gram.csv", ["i", "j", "site_i", "site_j", "d", "re", "im"],
-              _pair_table(w, np.arange(n), w.distance_matrix(), z.real, z.imag))
+              _pair_table(w.sites, np.arange(n), w.distance_matrix(), z.real, z.imag))
     checks = [
         Check("hermitian", dev <= 1e-12, {"max_deviation": dev}),
         Check("unit_diagonal", diag_dev <= 1e-12, {"max_deviation": diag_dev}),
@@ -184,17 +184,16 @@ def _cmd_bounds(ctx: RunContext) -> CommandResult:
 def _inverse_power_certificate(lp: LatticeParams, mp: MagneticParams, p: int):
     """The S^-p decay certificate between the Schur lower frame bound and the
     closed-form upper one, with the split eps = theta = lam / 4."""
-    rates = _rates(lp, mp)
-    return neumann_certificate(lp, lam=rates["lam"],
+    return neumann_certificate(lp, lam=localization_rate(mp),
                                s_min=schur_lower_bound(lp, mp), s_max=bessel_bound(lp, mp), p=p)
 
 
-def _pair_table(w, sites, d, *columns) -> ColumnTable:
-    """Rows (i, j, site_i, site_j, d[a, b], *columns[a, b]) over all pairs of
-    `sites`, d being their distance block; the site columns stay (n, 1) and
-    (1, n) until write_csv expands them block by block."""
+def _pair_table(labels, sites, d, *columns) -> ColumnTable:
+    """Rows (i, j, site_i, site_j, d[a, b], *columns[a, b]) over all pairs of the window
+    indices `sites`, each written as its Site in `labels`, d being their distance block;
+    the site columns stay (n, 1) and (1, n) until write_csv expands them block by block."""
     ids = np.asarray(sites)
-    tokens = np.array([site_token(w.sites[g]) for g in ids])
+    tokens = np.array([site_token(labels[g]) for g in ids])
     return ColumnTable(ids[:, None], ids[None, :], tokens[:, None], tokens[None, :], d, *columns)
 
 
@@ -207,7 +206,7 @@ def _residual_check(dual, lp, mp: MagneticParams) -> Check:
 
 
 def _density_check(c_r: float, lp, mp: MagneticParams) -> Check:
-    """<chi, S^-1 chi> = 1 / N, N = 2 pi ell^2 / (alpha beta)."""
+    """<chi, S^-1 chi> = 1 / N as alpha beta / (2 pi ell^2): 1 / flux_density rounds twice."""
     inv_n = lp.alpha * lp.beta / (2.0 * np.pi * mp.ell_b**2)
     dev = abs(c_r - inv_n)
     return Check("constants_equal_inverse_density", dev <= DUAL_RESIDUAL_TOL,
@@ -237,7 +236,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
     report = verify_decay(elems.entries, d, cert)
     write_csv(ctx.out / "decay_check.csv",
               ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"],
-              _pair_table(w, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
+              _pair_table(w.sites, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
     write_json(ctx.out / "decay_certificate.json",
                {"g": OVERLAP_CONSTANT, **asdict(cert), "window_hash": w.content_hash(),
                 "n_sites": len(sites)})
@@ -258,7 +257,7 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
 def _interaction_speed(w, mp: MagneticParams, cfg: RunConfig):
     """Rates, the density-density interaction, its C(zeta, xi) and the
     propagation speed that C certifies."""
-    rates = _rates(w.params, mp)
+    rates = _rates(mp)
     inter = density_density(w, cfg.f0, cfg.mu)
     res = c_phi(inter, rates["zeta"], rates["xi"])
     return rates, inter, res, lr_velocity(res.value, rates["zeta"])
@@ -372,19 +371,17 @@ def _cmd_landau(ctx: RunContext) -> CommandResult:
     w = make_window(cfg)
     mp = make_magnetic_params(cfg)
     r = cfg.level
-    _require_window_cap(cfg, "landau", int(np.count_nonzero(w.levels == r)),
-                        f"level-{r} sites", MAX_PAIR_TABLE_SITES)
-    # t_r = q <chi, S^-2 chi'> decays exactly as the S^-2 elements do, and
-    # `decay` at p = 2 certifies those; landau checks only what it reads itself
-    t_r, c_r, dual = landau_coefficients(r, w, mp)
-    q = mp.level_spacing * (r + 0.5)
-    sites = np.nonzero(w.levels == r)[0]
-    d = w.distance_matrix(sites)
+    _require_window_cap(cfg, "landau", int(np.count_nonzero(w.levels == 0)), "level-0 sites",
+                        MAX_PAIR_TABLE_SITES)
+    # t_r = q <chi, S^-2 chi'> on the level-0 points, labelled with level r, decays
+    # as `decay` at p = 2 certifies; landau checks only what it reads itself
+    lc = landau_coefficients(r, w, mp)
     write_csv(ctx.out / "landau.csv",
               ["i", "j", "site_i", "site_j", "d", "re_t", "im_t", "abs_t"],
-              _pair_table(w, sites, d, t_r.real, t_r.imag, np.abs(t_r)))
-    checks = [_residual_check(dual, w.params, mp), _density_check(c_r, w.params, mp)]
-    params = {"level": r, "q": q, "c": c_r, "n_sites": len(sites)}
+              _pair_table([replace(s, r=r) for s in w.sites], lc.sites, w.distance_matrix(lc.sites),
+                          lc.entries.real, lc.entries.imag, np.abs(lc.entries)))
+    checks = [_residual_check(lc.dual, w.params, mp), _density_check(lc.c, w.params, mp)]
+    params = {"level": r, "q": lc.q, "c": lc.c, "n_sites": len(lc.sites)}
     return CommandResult(checks, ["landau.csv"], params)
 
 

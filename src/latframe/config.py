@@ -149,9 +149,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("windows", "chain_lengths", "need at least two nested lengths")
     if not _increasing(cfg.chain_lengths):
         raise ConfigError("windows", "chain_lengths", "lengths must be strictly increasing")
-    if cfg.level > cfg.level_max:
-        raise ConfigError("landau", "level",
-                          f"level {cfg.level} exceeds lattice level_max {cfg.level_max}")
     return cfg
 
 

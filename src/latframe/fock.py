@@ -386,7 +386,8 @@ class LRReport:
 
     v_crit is the least speed whose envelope covers every cell with t > 0
     and F > 0, max (d + ln(F/G)/zeta)/t, attained at v_crit_cell (t, g, g');
-    v_cert_over_v_crit is velocity / v_crit, None when v_crit <= 0 (the
+    a cell on the static envelope to rounding, |zeta d + ln(F/G)| <= EXCEED_RTOL,
+    moves at speed 0.  v_cert_over_v_crit is velocity / v_crit, None when v_crit <= 0 (the
     static envelope G e^(-zeta d) already covers every such cell) or when
     there is no such cell.  v_crit_off_diagonal is that maximum over cells
     with d > 0.  From t_sat = (d_max + ln(2/G)/zeta)/v on (None if v <= 0)
@@ -479,6 +480,7 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     # the least speed whose envelope covers every cell past t = 0 with F > 0
     it_m, ip_m = np.nonzero((t_grid[:, None] > 0) & (fmax > 0))
     speeds = (d_pairs[ip_m] + np.log(fmax[it_m, ip_m] / OVERLAP_CONSTANT) / zeta) / t_grid[it_m]
+    speeds[np.abs(zeta * speeds * t_grid[it_m]) <= EXCEED_RTOL] = 0.0  # zeta v t = zeta d + ln(F/G)
     k = int(np.argmax(speeds)) if speeds.size else None
     v_crit = None if k is None else float(speeds[k])
     off_speeds = speeds[d_pairs[ip_m] > 0]

@@ -11,16 +11,16 @@ lowest-level window for `interactions.v_omega`, the dual generator of the
 two-body kernel; and `frame_bounds_estimate` reports window Gram spectra as a finite-window proxy
 of the frame bounds.
 
-Certificates: a localization rate lam with |<chi, chi'>| <= G exp(-lam d),
-where G = 1 follows from the lattice itself (`localization_rate`), turns,
-via a geometric series for S^-p, into a certified element bound
+Certificates: the localization rate lam = 1 / 4 ell^2 of |<chi, chi'>| <=
+G exp(-lam d), with G = 1 on every lattice (`localization_rate`), turns, via a
+geometric series for S^-p, into a certified element bound
 a_p * exp(-lambda_p d), sound whenever [s_min, s_max] holds the spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import log, pi, sqrt
+from dataclasses import dataclass
+from math import log, sqrt
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from .lattice import LatticeParams, Window, m_epsilon
 from .magnetic import (
     MagneticParams,
     RegimeError,
+    adjoint_lattice,
     bessel_bound,
+    flux_density,
     overlap_matrix,
     regime,
     window_coords,
@@ -150,19 +152,16 @@ def frame_bounds_estimate(windows: list[Window], mp: MagneticParams) -> list[Fra
 
 def schur_lower_bound(lp: LatticeParams, mp: MagneticParams) -> float:
     """Lower frame bound N (2 - sum_mu |<chi_0, chi_mu>|) by the Schur test on the Gram
-    matrix of the adjoint lattice (2 pi ell^2 / beta) Z x (2 pi ell^2 / alpha) Z, whose
-    Riesz bounds times N = 2 pi ell^2 / (alpha beta) are the frame bounds; the row sum
-    is `bessel_bound` at the adjoint spacings."""
+    matrix of the adjoint lattice, whose Riesz bounds times N = `flux_density` are the
+    frame bounds; the row sum is `bessel_bound` at the adjoint spacings."""
     if regime(lp, mp) != "overcomplete":
         raise RegimeError(f"a lower frame bound needs the overcomplete regime, "
                           f"got {regime(lp, mp)}")
-    ell2 = mp.ell_b**2
-    adjoint = replace(lp, alpha=2.0 * pi * ell2 / lp.beta, beta=2.0 * pi * ell2 / lp.alpha)
-    row = bessel_bound(adjoint, mp)
+    row = bessel_bound(adjoint_lattice(lp, mp), mp)
     if row >= 2.0:
         raise FrameAnalysisError(f"the Schur test gives no lower frame bound: adjoint "
                                  f"overlap row sum {row:.6f} >= 2")
-    return 2.0 * pi * ell2 / (lp.alpha * lp.beta) * (2.0 - row)
+    return flux_density(lp, mp) * (2.0 - row)
 
 
 def _axis(step: float, extent: float) -> np.ndarray:
@@ -217,8 +216,8 @@ def dual_coefficients(lp: LatticeParams, mp: MagneticParams, p: int,
         raise RegimeError(f"S^-p requires the overcomplete regime, got {regime(lp, mp)}")
     if p < 1 or int(p) != p:
         raise FrameAnalysisError(f"power must be a positive integer, got {p}")
-    ell2 = mp.ell_b**2
-    step1, step2 = 2.0 * pi * ell2 / lp.beta, 2.0 * pi * ell2 / lp.alpha
+    ell2, adjoint, density = mp.ell_b**2, adjoint_lattice(lp, mp), flux_density(lp, mp)
+    step1, step2 = adjoint.alpha, adjoint.beta
     radius = max(2.0 * mp.ell_b * sqrt(log(1.0 / tol)), step1, step2)
     while True:
         mu1, mu2 = _axis(step1, radius), _axis(step2, radius)
@@ -230,7 +229,7 @@ def dual_coefficients(lp: LatticeParams, mp: MagneticParams, p: int,
                                      f"close to the critical density")
         gram = np.einsum("ik,il,jl,jk->ijkl", *_grid_factors(mu1, mu2, mu1, mu2, ell2))
         gram = gram.reshape(dist.size, -1)[np.ix_(disc, disc)]
-        gram *= 2.0 * pi * ell2 / (lp.alpha * lp.beta)  # N G
+        gram *= density  # N G
         ring = dist[disc] > radius - max(step1, step2)
         c = (dist[disc] == 0.0).astype(np.complex128)
         coeffs, edge = np.zeros((p, dist.size), dtype=np.complex128), 0.0
@@ -304,20 +303,17 @@ OVERLAP_CONSTANT = 1.0
 `localization_rate`)."""
 
 
-def localization_rate(lp: LatticeParams, mp: MagneticParams) -> float:
-    """Exponential rate lam with |<chi, chi'>| <= G exp(-lam * dist) on the
-    lattice, G = OVERLAP_CONSTANT = 1: (1/4 ell^2) * min(alpha_star, 1).
+def localization_rate(mp: MagneticParams) -> float:
+    """Exponential rate lam = 1 / 4 ell^2 with |<chi, chi'>| <= G exp(-lam * dist)
+    on every lattice, G = OVERLAP_CONSTANT = 1.
 
     Same-level states at the offset delta = (i alpha, j beta) overlap by
-    exp(-|delta|^2 / 4 ell^2) at label distance alpha_star |delta|_1, and
-    states of different levels are orthogonal.  A nonzero component of
-    delta is at least alpha_star in size, so |delta|^2 >= alpha_star
-    |delta|_1 and lam * dist = min(alpha_star, 1) * alpha_star |delta|_1 /
-    4 ell^2 <= |delta|^2 / 4 ell^2: the bound holds with G = 1, sharp at
-    unit steps along the shorter axis when alpha_star >= 1.
+    exp(-|delta|^2 / 4 ell^2) at label distance d = alpha_star |delta|_1, and
+    states of different levels are orthogonal.  A nonzero component of delta
+    is at least alpha_star in size, so |delta|^2 >= alpha_star |delta|_1 = d:
+    the bound holds with G = 1, sharp at unit steps along the shorter axis.
     """
-    varpi = 1.0 / (4.0 * mp.ell_b**2)
-    return varpi * min(lp.alpha_star, 1.0)
+    return 1.0 / (4.0 * mp.ell_b**2)
 
 
 @dataclass(frozen=True)

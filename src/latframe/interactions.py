@@ -39,7 +39,7 @@ import numpy as np
 
 from .frame_analysis import OVERLAP_CONSTANT, FrameAnalysisError, frame_operator
 from .lattice import Window
-from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise, regime
+from .magnetic import LaguerreCoords, MagneticParams, coords_pointwise, flux_density, regime
 
 __all__ = [
     "InteractionError",
@@ -250,10 +250,9 @@ def v_omega(window: Window, mp: MagneticParams) -> VOmega:
     sigma2 = float(-slope)
     if sigma2 <= 0:
         lp = window.params
-        density = 2.0 * pi * ell**2 / (lp.alpha * lp.beta)
         raise FrameAnalysisError(
             f"the window dual generator is not localized on this {regime(lp, mp)} lattice "
-            f"(N = 2 pi ell^2 / (alpha beta) = {density:.4g}): fitted envelope rate "
+            f"(N = 2 pi ell^2 / (alpha beta) = {flux_density(lp, mp):.4g}): fitted envelope rate "
             f"{sigma2:.3e} is not positive")
     # inflate c2 so the bound holds at every sampled radius, including r ~ 0
     radii_all = np.linspace(0.0, _FIT_HI_ELL * ell, 2 * _FIT_RADII)

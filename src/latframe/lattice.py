@@ -70,7 +70,7 @@ class LatticeParams:
     def dim(self) -> int:
         """Metric dimension nu of the volume weight (1 + diam Z)**nu in the
         propagation functional: the two spatial axes, plus the level axis when
-        the window holds more than one level."""
+        the lattice has levels above 0 (level_max > 0), whatever a window holds."""
         return 2 if self.level_max == 0 else 3
 
 

@@ -15,7 +15,7 @@ Translations compose as T_{g+g'} = exp(i g^g' / 2 ell^2) T_g T_{g'}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import exp, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -42,7 +42,7 @@ __all__ = [
 
 TAIL_TOL = 1e-12
 _THETA3_TOL = 1e-16  # theta3 stops at a term below this fraction of the sum
-_REGIME_RTOL = 1e-9  # relative width of regime()'s 'threshold' band
+_REGIME_RTOL = 1e-9  # half-width of regime()'s 'threshold' band around N = 1
 
 
 class TruncationError(ValueError):
@@ -294,17 +294,24 @@ def bessel_bound(lp: LatticeParams, mp: MagneticParams) -> float:
     return theta3(lp.alpha**2 / (4.0 * pi * ell2)) * theta3(lp.beta**2 / (4.0 * pi * ell2))
 
 
-def regime(lp: LatticeParams, mp: MagneticParams) -> str:
-    """Density trichotomy of the lattice: one flux quantum per cell is critical.
+def flux_density(lp: LatticeParams, mp: MagneticParams) -> float:
+    """N = 2 pi ell^2 / (alpha beta), the lattice sites per flux quantum."""
+    return 2.0 * pi * mp.ell_b**2 / (lp.alpha * lp.beta)
 
-    Returns 'overcomplete' (alpha*beta < 2 pi ell^2), 'threshold' (equal
-    within _REGIME_RTOL relative), or 'incomplete' (above).
-    """
-    crit = 2.0 * pi * mp.ell_b**2
-    cell = lp.alpha * lp.beta
-    if abs(cell - crit) <= _REGIME_RTOL * crit:
+
+def adjoint_lattice(lp: LatticeParams, mp: MagneticParams) -> LatticeParams:
+    """The adjoint lattice (2 pi ell^2 / beta) Z x (2 pi ell^2 / alpha) Z (Wexler-Raz)."""
+    ell2 = mp.ell_b**2
+    return replace(lp, alpha=2.0 * pi * ell2 / lp.beta, beta=2.0 * pi * ell2 / lp.alpha)
+
+
+def regime(lp: LatticeParams, mp: MagneticParams) -> str:
+    """Density trichotomy, one site per flux quantum being critical: 'overcomplete' for
+    N = `flux_density` > 1, 'threshold' for N = 1 within _REGIME_RTOL, else 'incomplete'."""
+    n = flux_density(lp, mp)
+    if abs(n - 1.0) <= _REGIME_RTOL:
         return "threshold"
-    return "overcomplete" if cell < crit else "incomplete"
+    return "overcomplete" if n > 1.0 else "incomplete"
 
 
 _RESTART_EVERY = 64  # coords_pointwise re-seeds its power recurrence at these indices

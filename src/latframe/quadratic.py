@@ -8,17 +8,19 @@ command and no oracle calls: it sandwiches one block h, H_0 in the truncated
 angular basis, between the window dual rows of
 `frame_analysis.frame_operator`.  For the level Hamiltonian q(r) Pi_r,
 q(r) = eps_b * (r + 1/2), `landau_coefficients` reads
-t_r = q(r) * <chi, S^-2 chi'> and the constant c_r = <chi, S^-1 chi>, the
-same on every site, from one infinite-lattice adjoint dual of power 2.
+t_r = q(r) * <chi, S^-2 chi'> on level 0's points and the constant c_r =
+<chi, S^-1 chi>, the same on every site, from one adjoint dual of power 2.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .frame_analysis import (
-    AdjointDual,
     FrameAnalysisError,
+    SInversePowerElements,
     frame_operator,
     s_inverse_diagonal,
     s_inverse_power_elements,
@@ -51,27 +53,25 @@ def hopping_coeffs(h: np.ndarray, window: Window, mp: MagneticParams) -> np.ndar
     return op.dual.conj() @ h @ op.dual.T
 
 
-def landau_coefficients(r: int, window: Window,
-                        mp: MagneticParams) -> tuple[np.ndarray, float, AdjointDual]:
+@dataclass(frozen=True)
+class LandauCoefficients(SInversePowerElements):
+    """Level r's table, entries = q <chi_g, S^-2 chi_g'> between the level-0 `sites`,
+    its energy q = q(r) and c = <chi, S^-1 chi>; entries and c both come from `dual`."""
+
+    q: float
+    c: float
+
+
+def landau_coefficients(r: int, window: Window, mp: MagneticParams) -> LandauCoefficients:
     """Infinite-lattice coefficients of the pure level-r Hamiltonian.
 
-    Returns (t_r, c_r, dual) with t_r = q(r) * <chi, S^-2 chi'> over the
-    level-r sites in window order, q(r) = eps_b * (r + 1/2), the constant
-    c_r = <chi, S^-1 chi>, which translation covariance makes the same on
-    every site, and the power-2 adjoint dual both are read from (its q = 1
-    coefficients give c_r).  The elements are those between the
-    level-0 sites; level r must repeat those sites.  Levels decouple exactly,
-    so elements between different levels vanish identically and are not
-    materialized.
-    """
+    Levels decouple exactly and each is a copy of level 0, so level r's table
+    is q(r) = eps_b * (r + 1/2) times the S^-2 elements between the window's
+    level-0 sites, whether or not the window holds level r; the constant
+    <chi, S^-1 chi>, the same on every site, is read from the same dual."""
     if r < 0:
         raise FrameAnalysisError(f"level must be non-negative, got {r}")
-    levels = window.levels
-    if not np.array_equal(window.gxy[levels == r], window.gxy[levels == 0]):
-        raise FrameAnalysisError(
-            f"level {r} of the window does not repeat its {int(np.sum(levels == 0))} "
-            f"level-0 sites (it has {int(np.sum(levels == r))})"
-        )
     q = mp.level_spacing * (r + 0.5)
     elems = s_inverse_power_elements(window, mp, p=2)
-    return q * elems.entries, s_inverse_diagonal(elems.dual, mp, 1), elems.dual
+    return LandauCoefficients(sites=elems.sites, entries=q * elems.entries, dual=elems.dual,
+                              q=q, c=s_inverse_diagonal(elems.dual, mp, 1))

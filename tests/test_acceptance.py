@@ -157,7 +157,7 @@ def test_a03_eigenvalue_trend_across_densities():
 
 def test_a04_inverse_power_decay_certificate():
     w = build_window(LatticeParams(SQPI, SQPI, 12.0))
-    lam = localization_rate(w.params, MP)
+    lam = localization_rate(MP)
     details = []
     ok = True
     for p in (1, 2):
@@ -181,8 +181,9 @@ def test_a05_level_hamiltonian_coefficients():
     w = build_window(LatticeParams(SQPI, SQPI, 10.0, level_max=1))
     r = 1
     q = eps_b * (r + 0.5)
-    t_r, c_r, _ = landau_coefficients(r, w, mp)
-    cert = neumann_certificate(w.params, lam=localization_rate(w.params, mp),
+    level_r = landau_coefficients(r, w, mp)
+    t_r, c_r = level_r.entries, level_r.c
+    cert = neumann_certificate(w.params, lam=localization_rate(mp),
                                s_min=schur_lower_bound(w.params, mp),
                                s_max=bessel_bound(w.params, mp), p=2)
     levels = w.levels
@@ -202,7 +203,7 @@ def test_a05_level_hamiltonian_coefficients():
         norm_dev = max(norm_dev, abs(_overlap_quadrature(w.gxy[j], w.gxy[j], mp,
                                                          levels=(1, 1)) - 1.0))
     # the energy prefactor is the exact level spacing law q(1) / q(0) = 3
-    t_0, _, _ = landau_coefficients(0, w, mp)
+    t_0 = landau_coefficients(0, w, mp).entries
     prefactor_dev = float(np.max(np.abs(t_r - 3.0 * t_0)))
     ok = (report.violations == 0 and cross < 1e-10 and norm_dev < 1e-10
           and prefactor_dev == 0.0 and bool(np.all(c_r > 0)))
@@ -286,7 +287,7 @@ def test_a07_free_dynamics_oracle():
 def test_a08_light_cone_with_negative_control(tmp_path):
     t0 = time.perf_counter()
     w = build_chain(LatticeParams(1.0, 1.0, 10.0), 8)
-    lam = localization_rate(w.params, MP)
+    lam = localization_rate(MP)
     zeta = lam / 2.0
     xi = lam
     inter = density_density(w, f0=1.0, mu=1.0)
@@ -316,7 +317,7 @@ def test_a08_light_cone_with_negative_control(tmp_path):
 
 def test_a09_volume_convergence():
     w8 = build_chain(LatticeParams(1.0, 1.0, 10.0), 8)
-    lam = localization_rate(w8.params, MP)
+    lam = localization_rate(MP)
     zeta, xi = lam / 2.0, lam
     inter = density_density(w8, f0=1.0, mu=1.0)
     velocity = lr_velocity(c_phi(inter, zeta, xi).value, zeta)

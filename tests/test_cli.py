@@ -277,8 +277,8 @@ def test_landau_constants_check_catches_a_scaled_constant(tmp_path, monkeypatch)
     real = latframe.cli.landau_coefficients
 
     def scaled(r, window, mp):
-        t_r, c_r, dual = real(r, window, mp)
-        return t_r, c_r * (1 + 1e-9), dual
+        level_r = real(r, window, mp)
+        return replace(level_r, c=level_r.c * (1 + 1e-9))
 
     monkeypatch.setattr(latframe.cli, "landau_coefficients", scaled)
     code, _, summary = run_cli(tmp_path, "landau", "[lattice]\nradius = 10\nlevel_max = 1\n")
@@ -751,15 +751,26 @@ def test_multi_level_chain_runs(tmp_path, command):
     assert summary["parameters"]["n_sites"] == 8
 
 
-def test_landau_level_without_sites(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = tmp_path / "level1.ini"
-    cfg.write_text(MULTI_LEVEL_CHAIN + "\n[landau]\nlevel = 1\n")
-    code = main(["landau", "--config", str(cfg), "--out", str(out)])
-    assert code == 2
-    record = read_error(capsys, out)
-    assert record["error"]["type"] == "FrameAnalysisError"
-    assert "level 1" in record["error"]["message"]
+def test_landau_level_without_sites(tmp_path, monkeypatch):
+    # level r is read on the level-0 points, so the chain, which holds no
+    # level-1 site, still has a level-1 table: the level-0 rows labelled with
+    # level 1, |t| = q(1) / q(0) = 3 times the level-0 run's
+    tables = _written_tables(monkeypatch)
+    code0, _, level0 = run_cli(tmp_path, "landau", MULTI_LEVEL_CHAIN, name="level0")
+    col0 = dict(zip(*tables["landau.csv"]))
+    code1, _, level1 = run_cli(tmp_path, "landau", MULTI_LEVEL_CHAIN + "\n[landau]\nlevel = 1\n",
+                               name="level1")
+    col1 = dict(zip(*tables["landau.csv"]))
+    assert code0 == code1 == 0
+    assert level1["parameters"]["n_sites"] == level0["parameters"]["n_sites"] == 8
+    assert (level0["parameters"]["q"], level1["parameters"]["q"]) == (0.5, 1.5)
+    for key in ("i", "j"):
+        assert np.array_equal(col1[key], col0[key])
+    for key in ("site_i", "site_j"):
+        assert {t.split(":", 1)[0] for t in col1[key]} == {"1"}
+        assert [t.split(":", 1)[1] for t in col1[key]] == [t.split(":", 1)[1] for t in col0[key]]
+    scaled = 3.0 * col0["abs_t"]
+    assert np.all(np.abs(col1["abs_t"] - scaled) <= 1e-15 * scaled)
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -951,7 +962,7 @@ def _mutations(rng, n_cases):
         "[kernel]\nnodes = 2\n",
         "[windows]\nradii = 3, oops\n",
         "[run]\nseed = -4\n",
-        "[landau]\nlevel = 7\n",
+        "[landau]\nlevel = -1\n",
         "[lattice]\nunknown_key = 1\n",
         "[mystery]\nvalue = 1\n",
         "alpha = 1.0\n[lattice]\nbeta = 1.0\n",

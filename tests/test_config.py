@@ -135,9 +135,14 @@ def test_derived_quantities_are_not_config_keys(section, key):
     assert "unknown key" in info.value.message
 
 
-def test_cross_field_validation():
-    with pytest.raises(ConfigError):
-        parse_config_text("[lattice]\nlevel_max = 0\n[landau]\nlevel = 1\n")
+def test_landau_level_is_not_bounded_by_level_max():
+    # landau reads level r on the level-0 points, so any level >= 0 is valid
+    # whatever the lattice's level_max; a negative level is still refused
+    cfg = parse_config_text("[lattice]\nlevel_max = 0\n[landau]\nlevel = 1\n")
+    assert (cfg.level_max, cfg.level) == (0, 1)
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("[landau]\nlevel = -1\n")
+    assert (info.value.section, info.value.key) == ("landau", "level")
 
 
 def test_default_section_keys_rejected():

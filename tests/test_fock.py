@@ -494,6 +494,21 @@ def test_v_crit_without_a_moving_cell():
     assert (rep.v_crit, rep.v_crit_cell, rep.v_cert_over_v_crit) == (None, None, None)
 
 
+@pytest.mark.parametrize("scale", [1.0 - 4 * np.finfo(float).eps, 1.0 + 4 * np.finfo(float).eps],
+                         ids=["below", "above"])
+def test_v_crit_is_zero_whichever_way_the_norms_round(monkeypatch, scale):
+    """With H = 0 the diagonal cells meet the static envelope up to rounding:
+    norms a few ulp below or above must both give v_crit = 0 and no ratio,
+    not a speed of either sign from the rounding alone."""
+    w = build_chain(LatticeParams(1.0, 1.0, 10.0), 4)
+    basis = mode_basis(w, MP)
+    real_norm = latframe.fock.operator_norm
+    monkeypatch.setattr(latframe.fock, "operator_norm", lambda a: scale * real_norm(a))
+    rep = lr_check(basis, density_density(w, 0.0, 1.0), [0.0, 0.5, 1.0], zeta=0.125, velocity=1.0)
+    assert rep.v_crit == 0.0
+    assert rep.v_cert_over_v_crit is None
+
+
 def _asymmetric_coupling():
     """The 6-site chain with the end pair's coupling doubled: the site reversal
     no longer fixes H."""

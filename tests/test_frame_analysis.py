@@ -232,19 +232,20 @@ def test_s_inverse_power_validation():
     "alpha,beta,ell,expected",
     [
         (1.0, 1.0, 1.0, 0.25),
-        (2.8, 2.8, 1.0, 0.25),  # clamp at one lattice unit
-        (0.5, 1.5, 1.0, 0.125),
+        (2.8, 2.8, 1.0, 0.25),  # the spacings do not enter
+        (0.5, 1.5, 1.0, 0.25),
         (1.0, 1.0, 2.0, 0.0625),
     ],
 )
 def test_localization_rate_values(alpha, beta, ell, expected):
-    lp = LatticeParams(alpha, beta, 10.0)
-    assert localization_rate(lp, MagneticParams(ell_b=ell)) == pytest.approx(expected)
+    # |delta|^2 >= alpha_star |delta|_1 = d on every lattice, so lam = 1 / 4 ell^2
+    # with G = 1; the spacings only label the case
+    assert localization_rate(MagneticParams(ell_b=ell)) == pytest.approx(expected)
 
 
 def test_overlap_rate_constant_unit_lattice():
     w = build_window(LatticeParams(1.0, 1.0, 6.0))
-    g = overlap_rate_constant(w, MP, localization_rate(w.params, MP))
+    g = overlap_rate_constant(w, MP, localization_rate(MP))
     assert g == pytest.approx(OVERLAP_CONSTANT, abs=1e-12)  # sharp at unit steps
 
 
@@ -259,7 +260,7 @@ def test_overlap_rate_constant_from_level_zero(alpha, beta, radius, ell):
     w = build_window(lp)
     assert np.count_nonzero(w.levels == 1) == np.count_nonzero(w.levels == 0)
     mp = MagneticParams(ell_b=ell)
-    lam = localization_rate(lp, mp)
+    lam = localization_rate(mp)
     level0 = build_window(replace(lp, level_max=0))
     assert overlap_rate_constant(w, mp, lam) == overlap_rate_constant(level0, mp, lam)
 
@@ -267,7 +268,7 @@ def test_overlap_rate_constant_from_level_zero(alpha, beta, radius, ell):
 def test_overlap_rate_constant_at_least_one():
     for alpha in (0.6, 1.0, 1.8, 2.8):
         w = build_window(LatticeParams(alpha, alpha, 6.0 * alpha * alpha))
-        lam = localization_rate(w.params, MP)
+        lam = localization_rate(MP)
         g = overlap_rate_constant(w, MP, lam)
         z = np.abs(gram(w, MP))
         d = w.distance_matrix()
@@ -287,16 +288,17 @@ def test_overlap_rate_constant_is_one(alpha, beta, ell, level_max):
     # alpha = 2.8, ell = 0.5, where that exponent is 7.84)
     lp = LatticeParams(alpha, beta, 4.0 * alpha * beta, level_max)  # four steps or more
     mp = MagneticParams(ell_b=ell)
-    lam = localization_rate(lp, mp)
+    lam = localization_rate(mp)
     g = overlap_rate_constant(build_window(lp), mp, lam)
     assert 1.0 <= g <= 1.0 + 8 * np.spacing(1.0) * max(1.0, lam * lp.alpha_star**2)
 
 
 def test_overlap_rate_constant_scan_detects_a_fast_rate():
-    # the sweep above can fail: 5% past localization_rate the scan leaves 1
-    lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
-    lam = 1.05 * localization_rate(lp, MP)
-    assert overlap_rate_constant(build_window(lp), MP, lam) > 1.0 + 1e-3
+    # the sweep above can fail: 5% past localization_rate the scan leaves 1,
+    # on a lattice with alpha_star < 1 as on one with alpha_star >= 1
+    lam = 1.05 * localization_rate(MP)
+    for lp in (LatticeParams(SQRT_PI, SQRT_PI, 12.0), LatticeParams(0.5, 0.5, 2.0)):
+        assert overlap_rate_constant(build_window(lp), MP, lam) > 1.0 + 1e-3
 
 
 def test_certificate_frozen_example():
@@ -412,7 +414,7 @@ def test_verify_decay_scale_and_fit(small_cert):
 def test_decay_certificate_end_to_end():
     lp = LatticeParams(SQRT_PI, SQRT_PI, 12.0)
     w = build_window(lp)
-    lam = localization_rate(lp, MP)
+    lam = localization_rate(MP)
     for p in (1, 2):
         cert = neumann_certificate(w.params, lam=lam, s_min=schur_lower_bound(lp, MP),
                                    s_max=bessel_bound(lp, MP), p=p)

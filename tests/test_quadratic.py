@@ -103,7 +103,8 @@ def test_landau_coefficients_match_blockwise_route():
     mu = np.stack(np.meshgrid(dual.mu1, dual.mu2, indexing="ij"), axis=-1).reshape(-1, 2)
     c = dual.coeffs[0].ravel()
     for r in (0, 1):
-        t_r, c_r, _ = landau_coefficients(r, w, mp)
+        level_r = landau_coefficients(r, w, mp)
+        t_r, c_r = level_r.entries, level_r.c
         g = w.gxy[w.levels == r]
         assert t_r.shape == (len(g), len(g)) and isinstance(c_r, float)
         # c_mu(g) = exp(-i g ^ mu / 2) c_mu, the patch translated to g
@@ -119,11 +120,11 @@ def test_landau_coefficients_match_blockwise_route():
 def test_landau_q_factor_exact():
     # t_r scales exactly as eps_b (r + 1/2); the spatial factor cancels
     w = two_level_window()
-    base, _, _ = landau_coefficients(0, w, MagneticParams(1.0, eps_b=1.0))
+    base = landau_coefficients(0, w, MagneticParams(1.0, eps_b=1.0)).entries
     for eps_b in (0.5, 1.0, 2.0):
         mp = MagneticParams(ell_b=1.0, eps_b=eps_b)
         for r in (0, 1):
-            t_r, _, _ = landau_coefficients(r, w, mp)
+            t_r = landau_coefficients(r, w, mp).entries
             factor = eps_b * (r + 0.5) / 0.5
             assert np.array_equal(t_r, factor * base) or np.max(
                 np.abs(t_r - factor * base)

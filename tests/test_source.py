@@ -301,6 +301,16 @@ def test_light_cone_constants_take_no_window(func):
     assert windowed == []
 
 
+@pytest.mark.parametrize("module,func", [("frame_analysis", "localization_rate"), ("cli", "_rates")])
+def test_rates_take_no_lattice(module, func):
+    # lam = 1 / 4 ell^2 on every lattice; a LatticeParams parameter would be an
+    # input the rate does not depend on
+    fn = _function(_package_trees(), module, func)
+    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    assert all(a.annotation is not None for a in params)
+    assert [a.arg for a in params if "LatticeParams" in _loaded(a.annotation)] == []
+
+
 # modules that map OpenSSL's libcrypto (hashlib, and secrets through hmac) or
 # numpy.random, which maps secrets itself; each -> the functions allowed to
 # import it in their body
