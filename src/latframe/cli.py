@@ -444,6 +444,7 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
                     {"n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
                      "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
                      "informative_cells": report.informative_cells,
+                     "vacuous": report.informative_cells == 0,
                      "velocity": velocity})]
     params = {"g": OVERLAP_CONSTANT, "zeta": rates["zeta"], "velocity": velocity,
               "c_phi": cres.value, "negative_control": ctx.negative_control,
@@ -472,6 +473,7 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
               ColumnTable(np.array(lengths[:-1])[:, None], t_grid, diffs,
                           np.minimum(bounds, TRIVIAL_LIMIT), ratios))
     within = all(rep.passed for _, rep in reports)
+    informative = sum(rep.informative_cells for _, rep in reports)
     monotone = True
     for (l1, r1), (l2, r2) in zip(reports, reports[1:]):
         # the smaller inner window omits more terms, so its difference dominates
@@ -481,7 +483,7 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
     checks = [
         Check("within_bound", within,
               {"max_ratio": max(rep.max_ratio for _, rep in reports),
-               "informative": sum(rep.informative_cells for _, rep in reports)}),
+               "informative": informative, "vacuous": informative == 0}),
         Check("monotone_in_window_gap", monotone,
               {"lengths": list(lengths)}),
     ]

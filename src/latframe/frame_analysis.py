@@ -210,7 +210,9 @@ def dual_coefficients(lp: LatticeParams, mp: MagneticParams, p: int,
     identity behind Wexler-Raz duality; Janssen, JFAA 1 (1995) 403).  G is well
     conditioned, so c^(q) decays exponentially: the patch disc starts at radius
     2 ell sqrt(ln(1 / tol)) and grows by the factor ln(tol) / ln(edge) that
-    such decay predicts until its outer ring is at most tol.
+    such decay predicts until its outer ring is at most tol.  Each power is one
+    conjugate-gradient solve of N G on the disc, applied through the separable
+    factors of the overlap (`_grid_factors`) and never formed as a matrix.
     """
     if regime(lp, mp) != "overcomplete":
         raise RegimeError(f"S^-p requires the overcomplete regime, got {regime(lp, mp)}")
@@ -221,26 +223,51 @@ def dual_coefficients(lp: LatticeParams, mp: MagneticParams, p: int,
     radius = max(2.0 * mp.ell_b * sqrt(log(1.0 / tol)), step1, step2)
     while True:
         mu1, mu2 = _axis(step1, radius), _axis(step2, radius)
-        dist = np.hypot(mu1[:, None], mu2[None, :]).ravel()
+        dist = np.hypot(mu1[:, None], mu2[None, :])
         disc = dist <= radius
         if np.count_nonzero(disc) > _DUAL_MAX_SITES:
             raise FrameAnalysisError(f"adjoint dual coefficients stay above {tol:g} on "
                                      f"{np.count_nonzero(disc)} sites; the lattice is too "
                                      f"close to the critical density")
-        gram = np.einsum("ik,il,jl,jk->ijkl", *_grid_factors(mu1, mu2, mu1, mu2, ell2))
-        gram = gram.reshape(dist.size, -1)[np.ix_(disc, disc)]
-        gram *= density  # N G
+        # row a = (i, j) of N G on the disc: sum_k rows_q[a, k] sum_l rows_p[a, l] x[k, l]
+        i, j = np.nonzero(disc)
+        u, pv, v, pu = _grid_factors(mu1, mu2, mu1, mu2, ell2)
+        rows_p, rows_q = pv[i] * v[j], density * u[i] * pu[j]
+        box = np.zeros(dist.shape, dtype=np.complex128)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            box[disc] = x
+            return np.einsum("ak,ak->a", rows_p @ box.T, rows_q)
+
         ring = dist[disc] > radius - max(step1, step2)
         c = (dist[disc] == 0.0).astype(np.complex128)
-        coeffs, edge = np.zeros((p, dist.size), dtype=np.complex128), 0.0
+        coeffs, edge = np.zeros((p,) + dist.shape, dtype=np.complex128), 0.0
         for q in range(p):
-            c = np.linalg.solve(gram, c)
+            c = _conjugate_gradients(apply, c)
             coeffs[q, disc] = c
             edge = max(edge, float(np.abs(c[ring]).max()))
         if edge <= tol:
-            return AdjointDual(mu1=mu1, mu2=mu2, coeffs=coeffs.reshape(p, len(mu1), len(mu2)),
-                               edge=edge)
+            return AdjointDual(mu1=mu1, mu2=mu2, coeffs=coeffs, edge=edge)
         radius *= 2.0 if edge >= 1.0 else min(2.0, max(1.1, log(tol) / log(edge)))
+
+
+def _conjugate_gradients(apply, b: np.ndarray) -> np.ndarray:
+    """x with apply(x) = b for a Hermitian positive-definite apply, by conjugate
+    gradients from x = 0: stops once ||b - apply(x)|| <= eps ||b|| (machine eps,
+    on the recursive residual) or after len(b) steps, the exact-arithmetic bound."""
+    x, r = np.zeros_like(b), b.copy()
+    d, rr = r.copy(), float(np.vdot(r, r).real)
+    stop = rr * np.finfo(np.float64).eps ** 2
+    for _ in range(b.size):
+        if rr <= stop:
+            break
+        ad = apply(d)
+        step = rr / float(np.vdot(d, ad).real)
+        x += step * d
+        r -= step * ad
+        rr, rr_prev = float(np.vdot(r, r).real), rr
+        d = r + (rr / rr_prev) * d
+    return x
 
 
 def dual_residual(dual: AdjointDual, lp: LatticeParams, mp: MagneticParams) -> float:

@@ -145,8 +145,14 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
     dists = inter.window.distance_matrix()
     p, q = inter.pairs()
     weights = 4.0 * inter.coupling[p, q] * (1.0 + dists[p, q]) ** nu
-    # emat[t, g] = k^2 f D(Z_t) e^{-zeta d(g, Z_t)}
-    emat = weights[:, None] * np.exp(-zeta * np.minimum(dists[p], dists[q]))
+    # emat[t, g] = k^2 f D(Z_t) e^{-zeta d(g, Z_t)}, built in place: d(g, Z_t)
+    # takes the rows of q n terms at a time, so no second terms x sites array is held
+    emat = dists[p]
+    for s in range(0, len(q), n):
+        np.minimum(emat[s:s + n], dists[q[s:s + n]], out=emat[s:s + n])
+    emat *= -zeta
+    np.exp(emat, out=emat)
+    emat *= weights[:, None]
 
     best = -np.inf
     best_site = -1

@@ -132,11 +132,14 @@ class Window:
         return self.index(Site(0, 0, 0))
 
     def content_hash(self) -> str:
-        # deferred: hashlib maps OpenSSL's libcrypto (about 3.5 MB resident),
-        # and only the commands that write a window_hash need it
-        import hashlib
+        # CPython's builtin SHA-256, as `random` takes its SHA-512: hashlib would
+        # map OpenSSL's libcrypto (about 3.5 MB resident) for this one digest
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from _sha256 import sha256
 
-        h = hashlib.sha256()
+        h = sha256()
         h.update(f"{self.params.alpha!r},{self.params.beta!r},{self.params.level_max}".encode())
         for s in self.sites:
             h.update(f"{s.r},{s.i},{s.j};".encode())

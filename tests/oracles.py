@@ -2,14 +2,30 @@
 from its definition, one element at a time.  `read_csv` is the tests'
 reader of the package's CSV artifacts, which no command reads whole."""
 
+from math import log, sqrt
 from pathlib import Path
 
 import numpy as np
 
 from latframe.fock import FockError
+from latframe.frame_analysis import (
+    _DUAL_MAX_SITES,
+    DUAL_TOL,
+    AdjointDual,
+    FrameAnalysisError,
+    _axis,
+    _grid_factors,
+)
 from latframe.interactions import _dressed_grid, _synthesis_grid, kernel_fft_side
 from latframe.lattice import LatticeParams, Site
-from latframe.magnetic import overlap_matrix
+from latframe.magnetic import (
+    MagneticParams,
+    RegimeError,
+    adjoint_lattice,
+    flux_density,
+    overlap_matrix,
+    regime,
+)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -40,6 +56,43 @@ def overlap_rate_constant(window, mp, lam: float) -> float:
     localization_rate's derivation sets to 1."""
     z = np.abs(overlap_matrix(window, mp))
     return float(np.max(z * np.exp(lam * window.distance_matrix())))
+
+
+def dual_coefficients_dense(lp: LatticeParams, mp: MagneticParams, p: int,
+                            tol: float = DUAL_TOL) -> AdjointDual:
+    """The finite-section route to `frame_analysis.dual_coefficients`: the same
+    disc-growth rule, with N G formed whole on each disc from the four-factor
+    overlap product and each power taken by a dense LU solve.  The oracle of the
+    package's matrix-free conjugate-gradient solve."""
+    if regime(lp, mp) != "overcomplete":
+        raise RegimeError(f"S^-p requires the overcomplete regime, got {regime(lp, mp)}")
+    if p < 1 or int(p) != p:
+        raise FrameAnalysisError(f"power must be a positive integer, got {p}")
+    ell2, adjoint, density = mp.ell_b**2, adjoint_lattice(lp, mp), flux_density(lp, mp)
+    step1, step2 = adjoint.alpha, adjoint.beta
+    radius = max(2.0 * mp.ell_b * sqrt(log(1.0 / tol)), step1, step2)
+    while True:
+        mu1, mu2 = _axis(step1, radius), _axis(step2, radius)
+        dist = np.hypot(mu1[:, None], mu2[None, :]).ravel()
+        disc = dist <= radius
+        if np.count_nonzero(disc) > _DUAL_MAX_SITES:
+            raise FrameAnalysisError(f"adjoint dual coefficients stay above {tol:g} on "
+                                     f"{np.count_nonzero(disc)} sites; the lattice is too "
+                                     f"close to the critical density")
+        gram = np.einsum("ik,il,jl,jk->ijkl", *_grid_factors(mu1, mu2, mu1, mu2, ell2))
+        gram = gram.reshape(dist.size, -1)[np.ix_(disc, disc)]
+        gram *= density  # N G
+        ring = dist[disc] > radius - max(step1, step2)
+        c = (dist[disc] == 0.0).astype(np.complex128)
+        coeffs, edge = np.zeros((p, dist.size), dtype=np.complex128), 0.0
+        for q in range(p):
+            c = np.linalg.solve(gram, c)
+            coeffs[q, disc] = c
+            edge = max(edge, float(np.abs(c[ring]).max()))
+        if edge <= tol:
+            return AdjointDual(mu1=mu1, mu2=mu2, coeffs=coeffs.reshape(p, len(mu1), len(mu2)),
+                               edge=edge)
+        radius *= 2.0 if edge >= 1.0 else min(2.0, max(1.1, log(tol) / log(edge)))
 
 
 def w_value_whole_grid(gammas, v, pot, mp, nodes: int) -> complex:

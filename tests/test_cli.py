@@ -496,6 +496,7 @@ def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
     later = col["t"] > 0
     assert payload["informative_cells"] == int(np.count_nonzero(col["bound"][later] < 2.0))
     assert 0 < payload["informative_cells"] < np.count_nonzero(later)
+    assert record["values"]["vacuous"] is False
 
 
 def test_lr_summary_reports_v_crit(tmp_path):
@@ -577,10 +578,27 @@ def test_converge_informative_cells(tmp_path, t_max, n_t, informative):
     assert code == 0
     within = next(c for c in summary["checks"] if c["name"] == "within_bound")
     assert within["values"]["informative"] == informative
+    assert within["values"]["vacuous"] is (informative == 0)
     header, rows = read_csv(out / "converge.csv")
     cells = [(float(r[header.index("t")]), float(r[header.index("bound")])) for r in rows]
     assert len(cells) == 2 * n_t
     assert sum(t > 0 and b < 2.0 for t, b in cells) == informative
+
+
+@pytest.mark.parametrize("command, name, count", [
+    ("lr", "light_cone_bound", "informative_cells"),
+    ("converge", "within_bound", "informative"),
+])
+def test_reference_config_pass_is_flagged_vacuous(tmp_path, command, name, count):
+    # on the reference config no bound past t = 0 is below the trivial limit,
+    # so the pass says nothing about propagation; the record says so, and the
+    # verdict stays a pass
+    code, _, summary = run_cli(tmp_path, command)
+    assert code == 0
+    record = next(c for c in summary["checks"] if c["name"] == name)
+    assert record["passed"] is True
+    assert record["values"][count] == 0
+    assert record["values"]["vacuous"] is True
 
 
 def test_plotdata_lifecycle(tmp_path):
@@ -1117,6 +1135,28 @@ def test_import_loads_no_openssl(tmp_path):
         capture_output=True, text=True, env=_package_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, extra, artifact", [
+    ("gram", "", "summary.json"), ("bounds", "", "bounds.csv"),
+    ("decay", "\n[certificate]\np = 2\n", "decay_certificate.json"),
+], ids=["gram", "bounds", "decay"])
+def test_window_hash_commands_load_no_openssl(tmp_path, command, extra, artifact):
+    # the window_hash comes from CPython's builtin SHA-256, not from hashlib,
+    # which would map OpenSSL's libcrypto
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[lattice]\nalpha = 1.7724538509055159\nbeta = 1.7724538509055159\n"
+                   "radius = 12\n" + extra)
+    out = tmp_path / "out"
+    script = ("import sys, latframe.cli\n"
+              f"code = latframe.cli.main([{command!r}, '--config', {str(cfg)!r}, "
+              f"'--out', {str(out)!r}])\n"
+              "print(code, '_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_package_env(), cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+    assert "window_hash" in (out / artifact).read_text(encoding="utf-8")
 
 
 def test_wkernel_loads_no_numpy_random_or_openssl(tmp_path):

@@ -1,6 +1,7 @@
 """Gram spectra, frame bounds, inverse-power decay certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from latframe.frame_analysis import (
     verify_decay,
     window_coords,
 )
-from oracles import overlap_rate_constant
+from oracles import dual_coefficients_dense, overlap_rate_constant
 
 MP = MagneticParams(ell_b=1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -186,6 +187,33 @@ def test_dual_residual_sees_a_scaled_dual():
     assert dual_residual(dual, lp, MP) <= DUAL_RESIDUAL_TOL
     bad = replace(dual, coeffs=dual.coeffs * (1 + 1e-6))
     assert dual_residual(bad, lp, MP) > 1e-7
+
+
+@pytest.mark.parametrize("alpha, beta, p", [
+    (SQRT_PI, SQRT_PI, 1), (SQRT_PI, SQRT_PI, 2), (1.0, 3.0, 2), (2.3, 2.3, 2),
+], ids=["sqrt_pi-p1", "sqrt_pi-p2", "1x3-p2", "2.3-p2"])
+def test_dual_coefficients_match_the_dense_finite_section(alpha, beta, p):
+    # the conjugate-gradient solve against LU on the same disc, N G formed whole
+    lp = LatticeParams(alpha, beta, 4.0)
+    dual, dense = dual_coefficients(lp, MP, p), dual_coefficients_dense(lp, MP, p)
+    assert np.array_equal(dual.mu1, dense.mu1) and np.array_equal(dual.mu2, dense.mu2)
+    assert np.array_equal(dual.coeffs != 0, dense.coeffs != 0)  # the same patch sites
+    assert np.max(np.abs(dual.coeffs - dense.coeffs)) <= 1e-15
+    assert dual_residual(dual, lp, MP) <= DUAL_RESIDUAL_TOL
+
+
+def test_dual_coefficients_form_no_disc_matrix():
+    # 1401 disc sites at p = 2: N G whole would take 31.4 MB, and the einsum over
+    # its 77 x 25 box 59.3 MB
+    lp = LatticeParams(1.0, math.pi, 4.0)
+    tracemalloc.start()
+    try:
+        dual = dual_coefficients(lp, MP, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(dual.coeffs[0]) == 1401
+    assert peak < 10e6
 
 
 def test_schur_lower_bound():

@@ -243,6 +243,26 @@ def test_c_phi_validation():
         c_phi(density_density(big, 1.0, 1.0), 0.1, 0.3, family="brute")
 
 
+def test_c_phi_holds_one_term_table():
+    """On the certificate benchmark's 85-site radius-20 sqrt(pi) window the
+    terms x sites table emat is 2.43 MB; c_phi builds it in place and peaks
+    below two of it (1.53 traced).  Taking d(g, Z_t) from whole dists[p] and
+    dists[q] copies read 3.06."""
+    w = build_window(LatticeParams(math.sqrt(math.pi), math.sqrt(math.pi), 20.0))
+    inter = density_density(w, f0=1.0, mu=1.0)
+    n = len(w)
+    emat_bytes = n * (n - 1) // 2 * n * 8
+    assert n == 85
+    tracemalloc.start()
+    try:
+        res = c_phi(inter, 0.125, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(res.value) and res.value > 0
+    assert peak < 2 * emat_bytes
+
+
 def test_lr_velocity():
     assert lr_velocity(0.0, 0.5) == 0.0
     assert lr_velocity(0.5, 1.0) == pytest.approx(8.0)
