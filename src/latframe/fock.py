@@ -28,13 +28,16 @@ monomial_operator and anticommutator_norm act on dense matrices of the whole
 Real windows run in real arithmetic.  When the overlaps carry no phase (on a
 straight chain every wedge gamma ^ gamma' is 0), mode_basis factors the real
 part of Z, so V is float64, and with a real coupling or hopping matrix every
-Hamiltonian block and eigenbasis is real too.  The dtype alone decides this:
-windows whose overlaps carry phases keep the complex path.  On real V and H,
-complex conjugation K of the Jordan-Wigner basis fixes every a_g and sends
-tau_t to tau_-t while keeping norms, so ||{tau_t(a#_i), a#_j}|| =
-||{tau_-t(a#_i), a#_j}||, and applying the automorphism tau_t turns that into
-||{tau_t(a#_j), a#_i}||: the light-cone front is symmetric in the site pair,
-and lr_check computes each unordered pair once.
+Hamiltonian block and eigenbasis is real too; only the Heisenberg phases make
+a block complex, and a phased block multiplies real factors as two real
+products, on its real and on its imaginary part (_add_product).  The dtype
+alone decides this: windows whose overlaps carry phases keep the complex
+path.  On real V and H, complex conjugation K of the Jordan-Wigner basis fixes
+every a_g and sends tau_t to tau_-t while keeping norms, so
+||{tau_t(a#_i), a#_j}|| = ||{tau_-t(a#_i), a#_j}||, and applying the
+automorphism tau_t turns that into ||{tau_t(a#_j), a#_i}||: the light-cone
+front is symmetric in the site pair, and lr_check computes each unordered pair
+once.
 
 A straight chain with a distance-only coupling has a second symmetry, the
 site reversal R: k -> n - 1 - k.  When it fixes Z (Z[Rg, Rg'] = Z[g, g']),
@@ -49,6 +52,7 @@ to round-off) and on real inputs computes one cell of each orbit {(i, j),
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -346,13 +350,37 @@ def _anticommutator_norms(x, y) -> tuple[float, float]:
     sector N + 1 to N.  {x, y} maps sector N + 2 into N and {x, y*} keeps every
     sector (x y* alone on sector 0, y* x alone on the full sector), so each norm
     is the largest of its block norms."""
+    def norm(*products) -> float:
+        acc = np.zeros((len(products[0][0]), products[0][1].shape[1]), dtype=np.complex128)
+        for factors in products:
+            _add_product(acc, factors)
+        return operator_norm(acc)
+
     top = len(x)
-    plain = max((operator_norm(x[r] @ y[r + 1] + y[r] @ x[r + 1]) for r in range(top - 1)),
-                default=0.0)
-    mixed = max(operator_norm(x[0] @ y[0].conj().T), operator_norm(y[-1].conj().T @ x[-1]),
-                *(operator_norm(x[r] @ y[r].conj().T + y[r - 1].conj().T @ x[r - 1])
+    plain = max((norm((x[r], y[r + 1]), (y[r], x[r + 1])) for r in range(top - 1)), default=0.0)
+    mixed = max(norm((x[0], y[0].conj().T)), norm((y[-1].conj().T, x[-1])),
+                *(norm((x[r], y[r].conj().T), (y[r - 1].conj().T, x[r - 1]))
                   for r in range(1, top)))
     return plain, mixed
+
+
+def _add_product(out: np.ndarray, factors: tuple[np.ndarray, ...],
+                 subtract: bool = False) -> None:
+    """out += (or -=) the product of factors, left to right, in place.
+
+    A phased block between real factors (eigenbases, overlaps and blocks of a
+    real window) multiplies as two real products, one on its real part into
+    out.real and one on its imaginary part into out.imag: no real factor is
+    copied to complex and no complex GEMM runs.  The dtypes alone pick this
+    route; factors that are all complex multiply as they are."""
+    op = np.subtract if subtract else np.add
+    phased = [k for k, f in enumerate(factors) if np.iscomplexobj(f)]
+    if len(phased) != 1:
+        op(out, functools.reduce(np.matmul, factors), out=out)
+        return
+    k = phased[0]
+    for part, z in ((out.real, factors[k].real), (out.imag, factors[k].imag)):
+        op(part, functools.reduce(np.matmul, factors[:k] + (z,) + factors[k + 1:]), out=part)
 
 
 def lr_envelope(zeta: float, velocity: float, d, t):
@@ -573,7 +601,8 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
             w_next_h = w_next.conj().T
             for it, t in moving:
                 d = ev_full.heisenberg_block(b_full, r, t)
-                d -= w_here @ ev_small.heisenberg_block(b_small, r, t) @ w_next_h
+                _add_product(d, (w_here, ev_small.heisenberg_block(b_small, r, t), w_next_h),
+                             subtract=True)
                 diffs[it] = max(diffs[it], operator_norm(d))
                 del d  # no time's blocks outlive its norm
             del b_full, b_small, w_next_h

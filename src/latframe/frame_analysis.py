@@ -185,10 +185,15 @@ def _grid_factors(x1, x2, y1, y2, ell2: float) -> tuple[np.ndarray, ...]:
 
 def _grid_overlap_sum(x1, x2, y1, y2, coef: np.ndarray, ell2: float) -> np.ndarray:
     """sum_(k, l) <chi_(x1_i, x2_j), chi_(y1_k, y2_l)> coef[k, l] for every (i, j),
-    one row i at a time, so memory stays at one grid's size."""
+    one row i at a time, so memory stays at one grid's size.  Row i contracts
+    only the k from the first to the last nonzero u[i, k]: past them every
+    term is an exact zero (`_grid_factors` cuts the Gaussian)."""
     u, pv, v, pu = _grid_factors(x1, x2, y1, y2, ell2)
-    return np.array([np.sum(v * (pu @ (np.outer(u[i], pv[i]) * coef)), axis=1)
-                     for i in range(len(x1))])
+    nonzero = u != 0.0
+    lo = np.argmax(nonzero, axis=1)
+    hi = u.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.array([np.sum(v * (pu[:, a:b] @ (np.outer(u[i, a:b], pv[i]) * coef[a:b])), axis=1)
+                     for i, (a, b) in enumerate(zip(lo, hi))])
 
 
 @dataclass(frozen=True)

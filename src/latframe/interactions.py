@@ -176,11 +176,18 @@ def _probe_values(cm: np.ndarray, diam: np.ndarray, emat: np.ndarray, p: np.ndar
                   q: np.ndarray, zeta: float, xi: float, nu: int) -> np.ndarray:
     """vals[b, g] = e^{zeta d(g, B_b)} sum_t emat[t, g] e^{-xi d(Z_t, B_b)} / (1 + diam B_b)^nu
     for probe sets B_b given by cm[b, s] = d(s, B_b) and diam[b] = diam B_b."""
-    # d(Z_t, B_b) in C order: the operand layout sets BLAS's summation
-    # order, and so the last bits of C
-    sel = np.minimum(cm[:, p], cm[:, q], order="C")
-    inner = np.exp(-xi * sel) @ emat
-    return np.exp(zeta * cm) * inner / ((1.0 + diam) ** nu)[:, None]
+    # d(Z_t, B_b) in C order (take, where cm[:, p] would come out in F order),
+    # built in place: the operand layout sets BLAS's summation order, and so
+    # the last bits of C
+    sel = cm.take(p, axis=1)
+    np.minimum(sel, cm[:, q], out=sel)
+    sel *= -xi
+    np.exp(sel, out=sel)
+    inner = sel @ emat
+    del sel
+    inner *= np.exp(zeta * cm)
+    inner /= ((1.0 + diam) ** nu)[:, None]
+    return inner
 
 
 def _ball_probes(dists: np.ndarray):

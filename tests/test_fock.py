@@ -1,5 +1,6 @@
 """Fock-space machinery: mode maps, Hamiltonians, dynamics, quasi-free states."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -572,12 +573,11 @@ def test_volume_convergence_sectors_match_dense_oracle(six_modes):
         assert rep.diffs[-1] > 1e-3
 
 
-def test_volume_convergence_memory_is_one_sector_pair():
-    """On the 10-site unit chain (C(10, 5) = 252 states in the middle sector)
-    the sector loop holds the two eigenbases, the annihilator in the site
-    basis and in the full eigenbasis, and a few blocks of one sector pair: the
-    overlaps W_N, W_(N+1), the restricted block and one phased difference, or
-    the scatter arrays of one Hamiltonian block while H is built."""
+def _ten_site_convergence():
+    """The 10-site unit chain (C(10, 5) = 252 states in the middle sector) under
+    volume_convergence with inner chains 6 and 8 at times 0, 0.1 and 0.2:
+    tracemalloc's peak over the call and, in bytes, one eigenbasis' blocks,
+    the annihilator's blocks and one complex block of the middle sector."""
     lp = LatticeParams(1.0, 1.0, 10.0)
     w = build_chain(lp, 10)
     basis = mode_basis(w, MP)
@@ -596,6 +596,16 @@ def test_volume_convergence_memory_is_one_sector_pair():
     finally:
         tracemalloc.stop()
     assert basis.rank == 10 and all(rep.diffs[-1] > 1e-3 for rep in reports)
+    return peak, eigvecs, annihilator, middle
+
+
+def test_volume_convergence_memory_is_one_sector_pair():
+    """On the 10-site chain the sector loop holds the two eigenbases, the
+    annihilator in the site basis and in the full eigenbasis, and a few
+    blocks of one sector pair: the overlaps W_N, W_(N+1), the restricted
+    block and one phased difference, or the scatter arrays of one Hamiltonian
+    block while H is built."""
+    peak, eigvecs, annihilator, middle = _ten_site_convergence()
     assert peak < 2 * eigvecs + 2 * annihilator + 8 * middle
 
 
@@ -605,26 +615,47 @@ def test_volume_convergence_holds_one_annihilator_block():
     loop forms each block of a, in the site basis and in the full eigenbasis,
     only when it reaches that block.  Holding a in the full eigenbasis across
     the inner windows (1 343 680 bytes) breaks the bound."""
-    lp = LatticeParams(1.0, 1.0, 10.0)
-    w = build_chain(lp, 10)
-    basis = mode_basis(w, MP)
-    inter = density_density(w, f0=1.0, mu=1.0)
-    inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (6, 8)]
-    sizes = [math.comb(basis.rank, k) for k in range(basis.rank + 1)]
-    real = basis.v.dtype.itemsize
-    eigvecs = sum(d * d for d in sizes) * real
-    annihilator = sum(p * q for p, q in zip(sizes, sizes[1:])) * real
-    middle = max(sizes) ** 2 * 16
+    peak, eigvecs, annihilator, middle = _ten_site_convergence()
     assert 3 * eigvecs + annihilator + 3 * middle == 8_826_016
-    tracemalloc.start()
-    try:
-        reports = volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1, 0.2],
-                                     zeta=0.125, velocity=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(rep.diffs[-1] > 1e-3 for rep in reports)
     assert peak < 3 * eigvecs + annihilator + 3 * middle
+
+
+def test_volume_convergence_multiplies_phased_blocks_in_real_arithmetic():
+    """The same 10-site run stays below the two real eigenbases and five
+    complex middle-sector blocks (8 036 416 bytes).  At its peak the loop holds
+    the eigenbases and, of one sector pair, six real blocks, each at most half
+    a complex middle block (the overlaps W_N and W_(N+1), a_N in both
+    eigenbases, and the two real products W_N Re(P) and W_N Re(P) W_(N+1)*,
+    or the same on Im(P)), and two complex ones (the full phased block, into
+    which the difference is subtracted, and the restricted phased block P):
+    2 x 1 478 048 + 5 x 1 016 064 bytes.  Multiplying P by the real overlaps
+    as complex matrices copies each overlap to complex and adds two complex
+    products, and breaks the bound (8 438 681 bytes traced that way)."""
+    peak, eigvecs, _, middle = _ten_site_convergence()
+    assert 2 * eigvecs + 5 * middle == 8_036_416
+    assert peak < 2 * eigvecs + 5 * middle
+
+
+def test_real_windows_match_the_complex_route():
+    """On the 6-site chain, volume_convergence and lr_check give the same
+    differences and fronts from the real basis as from the same basis cast to
+    complex, where H, every eigenbasis and every product are complex: the
+    phased blocks multiplied by real factors as two real products agree with
+    complex products to round-off."""
+    w, basis, inter = _six_modes("chain")
+    assert np.isrealobj(basis.v)
+    as_complex = dataclasses.replace(basis, v=basis.v.astype(np.complex128))
+    t_grid = np.array([0.0, 0.35, 1.1])
+    inners = [frozenset({0, 1, 2, 3}), frozenset({2, 3})]
+    runs = [(volume_convergence(b, inter, inners, w.center_index(), t_grid,
+                                zeta=0.125, velocity=1.0),
+             lr_check(b, inter, t_grid, zeta=0.125, velocity=1.0)) for b in (basis, as_complex)]
+    (real_conv, real_lr), (complex_conv, complex_lr) = runs
+    for real, cplx in zip(real_conv, complex_conv):
+        assert real.diffs[-1] > 1e-3
+        assert np.max(np.abs(real.diffs - cplx.diffs)) < 1e-13
+    assert np.max(real_lr.f_table) > 0.1
+    assert np.max(np.abs(real_lr.f_table - complex_lr.f_table)) < 1e-13
 
 
 # ------------------------------------------- sector assembly vs per-term oracles
