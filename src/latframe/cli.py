@@ -40,9 +40,10 @@ from .fock import (
 )
 from .frame_analysis import (
     DUAL_RESIDUAL_TOL,
-    EXCEED_RTOL,
     OVERLAP_CONSTANT,
+    BoundCheck,
     FrameAnalysisError,
+    check_bound,
     dual_residual,
     frame_bounds_estimate,
     gram,
@@ -120,6 +121,17 @@ class CommandResult:
     parameters: dict
 
 
+def _bound_check(name: str, checks: list[BoundCheck], **values) -> Check:
+    """The record of a certified-bound check over `checks`: n_exceed, max_ratio,
+    and informative and vacuous where it has a trivial limit; then `values`."""
+    record = {"n_exceed": sum(c.n_exceed for c in checks),
+              "max_ratio": max(c.max_ratio for c in checks)}
+    if checks[0].informative is not None:
+        informative = sum(c.informative for c in checks)
+        record.update(informative=informative, vacuous=informative == 0)
+    return Check(name, record["n_exceed"] == 0, {**record, **values})
+
+
 def _rates(mp: MagneticParams) -> dict:
     """Localization rate lam (its overlap constant is OVERLAP_CONSTANT) and the
     decay-functional pair zeta = lam / 2 < xi = lam."""
@@ -166,12 +178,9 @@ def _cmd_bounds(ctx: RunContext) -> CommandResult:
              rec.regime, rec.window_hash) for rec in records]
     write_csv(ctx.out / "bounds.csv",
               ["n_sites", "rank", "a_est", "b_est", "upper", "regime", "window_hash"], rows)
-    below = all(r.b_est <= r.upper_closed_form * (1 + EXCEED_RTOL) for r in records)
-    checks = [
-        Check("b_below_closed_form", below,
-              {"max_b": max(r.b_est for r in records),
-               "upper": records[-1].upper_closed_form}),
-    ]
+    below = check_bound([r.b_est for r in records], [r.upper_closed_form for r in records])
+    checks = [_bound_check("b_below_closed_form", [below], max_b=max(r.b_est for r in records),
+                           upper=records[-1].upper_closed_form)]
     params = {
         "regime": records[-1].regime,
         "a_trend": [r.a_est for r in records],
@@ -236,15 +245,14 @@ def _cmd_decay(ctx: RunContext) -> CommandResult:
     report = verify_decay(elems.entries, d, cert)
     write_csv(ctx.out / "decay_check.csv",
               ["i", "j", "site_i", "site_j", "d", "abs_entry", "bound", "ratio"],
-              _pair_table(w.sites, sites, d, np.abs(elems.entries), report.bounds, report.ratio))
+              _pair_table(w.sites, sites, d, np.abs(elems.entries), report.bounds,
+                          report.check.ratio))
     write_json(ctx.out / "decay_certificate.json",
                {"g": OVERLAP_CONSTANT, **asdict(cert), "window_hash": w.content_hash(),
                 "n_sites": len(sites)})
     fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
     checks = [
-        Check("zero_violations", report.violations == 0,
-              {"violations": report.violations, "max_ratio": report.max_ratio,
-               "n_pairs": report.n_pairs}),
+        _bound_check("zero_violations", [report.check], n_pairs=report.n_pairs),
         Check("fitted_rate_at_least_lambda_p", fit_ok,
               {"fitted_rate": report.fitted_rate, "lambda_p": cert.lambda_p}),
         _residual_check(elems.dual, w.params, mp),
@@ -324,9 +332,7 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
     # versions, and numpy.random would map OpenSSL to draw four integers
     rng = random.Random(cfg.seed)
     rows = []
-    all_bounded = True
     all_converged = True
-    max_ratio = 0.0
     max_rel_err = 0.0
     for _ in range(cfg.n_quadruples):
         for _attempt in range(100000):
@@ -340,10 +346,7 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
             raise InteractionError("could not sample a quadruple within the diameter cap")
         res = w_kernel(quad, vres.coords, pair_w, mp, nodes=cfg.nodes)
         bound = kconst * float(np.exp(-sigma * diam))
-        ok = abs(res.value) <= bound * (1 + EXCEED_RTOL)
-        all_bounded = all_bounded and ok
         all_converged = all_converged and res.converged
-        max_ratio = max(max_ratio, abs(res.value) / bound)
         max_rel_err = max(max_rel_err, res.error_estimate / max(abs(res.value), 1e-12))
         rows.append((quad[0, 0], quad[0, 1], quad[1, 0], quad[1, 1],
                      quad[2, 0], quad[2, 1], quad[3, 0], quad[3, 1],
@@ -353,11 +356,11 @@ def _cmd_wkernel(ctx: RunContext) -> CommandResult:
               ["g1x", "g1y", "g2x", "g2y", "g3x", "g3y", "g4x", "g4y",
                "diam", "re_w", "im_w", "abs_w", "bound", "err_estimate", "converged"],
               rows)
+    bounded = check_bound([row[11] for row in rows], [row[12] for row in rows])  # abs_w, bound
     checks = [
         Check("dual_generator_residual", vres.residual < 1e-7, {"residual": vres.residual}),
-        Check("all_within_decay_bound", all_bounded,
-              {"n_quadruples": cfg.n_quadruples, "sigma": sigma, "k": kconst,
-               "max_ratio": max_ratio}),
+        _bound_check("all_within_decay_bound", [bounded], n_quadruples=cfg.n_quadruples,
+                     sigma=sigma, k=kconst),
         Check("quadrature_converged", all_converged,
               {"nodes": cfg.nodes, "max_rel_err": max_rel_err}),
     ]
@@ -415,19 +418,19 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
     # at the trivial limit, finite where the envelope overflows
     table = ColumnTable(t_grid[:, None], tokens[i], tokens[j], w.distance_matrix()[i, j],
                         report.f_table.max(axis=2), np.minimum(report.bounds, TRIVIAL_LIMIT),
-                        report.ratios)
+                        report.check.ratio)
     cell = report.v_crit_cell
     v_crit_cell = None if cell is None else {
         "t": cell[0], "site_g": site_token(w.sites[cell[1]]),
         "site_gp": site_token(w.sites[cell[2]])}
     write_csv(ctx.out / "lr.csv", header, table)
     write_csv(ctx.out / "lr_exceedances.csv", header,
-              ColumnTable(*(c[report.exceed] for c in table.columns)))
+              ColumnTable(*(c[report.check.exceed] for c in table.columns)))
     write_json(ctx.out / "lr_summary.json", {
-        "verdict": "pass" if report.passed else "fail",
-        "n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
+        "verdict": "pass" if report.check.passed else "fail",
+        "n_exceed": report.check.n_exceed, "max_ratio": report.check.max_ratio,
         "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
-        "informative_cells": report.informative_cells,
+        "informative_cells": report.check.informative,
         "g": OVERLAP_CONSTANT, "zeta": rates["zeta"], "xi": rates["xi"],
         "velocity": velocity, "c_phi": cres.value,
         "negative_control": ctx.negative_control,
@@ -440,12 +443,9 @@ def _cmd_lr(ctx: RunContext) -> CommandResult:
                          "the supremum over mixed combinations on the unit disc "
                          "lies between F and 2F and is not computed",
     })
-    checks = [Check("light_cone_bound", report.passed,
-                    {"n_exceed": report.n_exceed, "max_ratio": report.max_ratio,
-                     "max_ratio_off_diagonal": report.max_ratio_off_diagonal,
-                     "informative_cells": report.informative_cells,
-                     "vacuous": report.informative_cells == 0,
-                     "velocity": velocity})]
+    checks = [_bound_check("light_cone_bound", [report.check],
+                           max_ratio_off_diagonal=report.max_ratio_off_diagonal,
+                           velocity=velocity)]
     params = {"g": OVERLAP_CONSTANT, "zeta": rates["zeta"], "velocity": velocity,
               "c_phi": cres.value, "negative_control": ctx.negative_control,
               "modes": basis.rank}
@@ -464,32 +464,16 @@ def _cmd_converge(ctx: RunContext) -> CommandResult:
               for length in lengths[:-1]]
     basis = mode_basis(w_big, mp)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.n_t)
-    reports = list(zip(lengths[:-1], volume_convergence(
-        basis, inter, inners, center, t_grid, rates["zeta"], velocity)))
-    diffs = np.array([rep.diffs for _, rep in reports])
-    bounds = np.array([rep.bounds for _, rep in reports])
-    ratios = np.array([rep.ratios for _, rep in reports])
+    reports = volume_convergence(basis, inter, inners, center, t_grid, rates["zeta"], velocity)
     write_csv(ctx.out / "converge.csv", ["length", "t", "diff", "bound", "ratio"],
-              ColumnTable(np.array(lengths[:-1])[:, None], t_grid, diffs,
-                          np.minimum(bounds, TRIVIAL_LIMIT), ratios))
-    within = all(rep.passed for _, rep in reports)
-    informative = sum(rep.informative_cells for _, rep in reports)
-    monotone = True
-    for (l1, r1), (l2, r2) in zip(reports, reports[1:]):
-        # the smaller inner window omits more terms, so its difference dominates
-        tol = EXCEED_RTOL * max(1.0, float(np.max(r1.diffs))) + 1e-12
-        if np.any(r2.diffs > r1.diffs + tol):
-            monotone = False
-    checks = [
-        Check("within_bound", within,
-              {"max_ratio": max(rep.max_ratio for _, rep in reports),
-               "informative": informative, "vacuous": informative == 0}),
-        Check("monotone_in_window_gap", monotone,
-              {"lengths": list(lengths)}),
-    ]
+              ColumnTable(np.array(lengths[:-1])[:, None], t_grid,
+                          np.array([rep.diffs for rep in reports]),
+                          np.minimum([rep.bounds for rep in reports], TRIVIAL_LIMIT),
+                          np.array([rep.check.ratio for rep in reports])))
+    checks = [_bound_check("within_bound", [rep.check for rep in reports])]
     params = {"velocity": velocity, "g": OVERLAP_CONSTANT, "zeta": rates["zeta"],
               "c_phi": cres.value, "center_site": site_token(w_big.sites[center]),
-              "boundary_sums": [rep.boundary_sum for _, rep in reports]}
+              "boundary_sums": [rep.boundary_sum for rep in reports]}
     return CommandResult(checks, ["converge.csv"], params)
 
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_analysis import EXCEED_RTOL, OVERLAP_CONSTANT
+from .frame_analysis import EXCEED_RTOL, OVERLAP_CONSTANT, BoundCheck, check_bound
 from .interactions import Interaction
 from .lattice import Window
 from .magnetic import MagneticParams, overlap_matrix
@@ -402,12 +402,11 @@ class LRReport:
     exponential light-cone envelope G * exp(-zeta * (d - v|t|)), G =
     OVERLAP_CONSTANT, at the times t_grid passed to lr_check.
 
-    max_ratio includes the diagonal cells, where F(0) = Z_gg = 1 meets the
-    bound G at t = 0; max_ratio_off_diagonal is the maximum over pairs at
-    distance d > 0, and informative_cells counts the (time, pair) cells past
-    t = 0 whose bound lies below the trivial limit F <= 2 (at t = 0 the
-    check holds by construction).  ratios[t, pair] is F / bound, and exceed
-    marks the cells where it is above 1 + EXCEED_RTOL.  The columns of
+    check compares F with the bound cell by cell (`check_bound`, trivial
+    limit F <= 2 past t = 0, none at t = 0, where the check holds by
+    construction).  Its max_ratio includes the diagonal cells, where F(0) =
+    Z_gg = 1 meets the bound G at t = 0; max_ratio_off_diagonal is the
+    maximum over pairs at distance d > 0.  The columns of
     f_table[t, pair] are the flavors (a, a), (a, a*), (a*, a), (a*, a*) of
     ||{tau_t(a#_g), a#_g'}||; its t = 0 rows come from the CAR, 0 and
     |(V V*)_gg'|, and only the times t != 0 are normed.
@@ -424,13 +423,8 @@ class LRReport:
     pairs: tuple[tuple[int, int], ...]
     f_table: np.ndarray
     bounds: np.ndarray
-    ratios: np.ndarray
-    exceed: np.ndarray
-    n_exceed: int
-    max_ratio: float
+    check: BoundCheck
     max_ratio_off_diagonal: float
-    informative_cells: int
-    passed: bool
     v_crit: float | None
     v_crit_cell: tuple[float, int, int] | None
     v_cert_over_v_crit: float | None
@@ -448,8 +442,7 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
              zeta: float, velocity: float) -> LRReport:
     """Measure F(t) = max over flavors of ||{tau_t(a#_g), a#_g'}|| for every
     ordered site pair under the interaction's Hamiltonian and compare with
-    G * exp(-zeta(d(g, g') - v|t|)); a cell exceeds when F is above the bound
-    by more than EXCEED_RTOL relative.
+    G * exp(-zeta(d(g, g') - v|t|)) through `check_bound`.
 
     At t = 0 the CAR give every cell exactly: ||{a_i, a_j}|| = 0 and
     ||{a_i, a*_j}|| = |(V V*)_ij|, the anticommutator of the engine's own
@@ -497,14 +490,12 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
                     cells += [(n - 1 - i, n - 1 - j), (n - 1 - j, n - 1 - i)]
                 for p, q in cells:
                     f_table[it, p * n + q] = (plain, mixed, mixed, plain)
-    # an overflowing envelope holds trivially (ratio 0); callers that write the
-    # bounds out cap them at the trivial limit 2
+    # callers that write the bounds out cap them at the trivial limit 2
     d_pairs = basis.window.distance_matrix().ravel()
     bounds = lr_envelope(zeta, velocity, d_pairs[None, :], t_grid[:, None])
     fmax = f_table.max(axis=2)
-    ratios = fmax / bounds
-    exceed = ratios > 1.0 + EXCEED_RTOL
-    off_diagonal = ratios[:, d_pairs > 0]
+    check = check_bound(fmax, bounds, np.where(t_grid > 0, TRIVIAL_LIMIT, 0.0)[:, None])
+    off_diagonal = check.ratio[:, d_pairs > 0]
     # the least speed whose envelope covers every cell past t = 0 with F > 0
     it_m, ip_m = np.nonzero((t_grid[:, None] > 0) & (fmax > 0))
     speeds = (d_pairs[ip_m] + np.log(fmax[it_m, ip_m] / OVERLAP_CONSTANT) / zeta) / t_grid[it_m]
@@ -514,12 +505,8 @@ def lr_check(basis: ModeBasis, interaction: Interaction, t_grid,
     off_speeds = speeds[d_pairs[ip_m] > 0]
     d_max = float(d_pairs.max())
     return LRReport(
-        pairs=tuple(pairs), f_table=f_table, bounds=bounds, ratios=ratios, exceed=exceed,
-        n_exceed=int(np.count_nonzero(exceed)),
-        max_ratio=float(ratios.max()) if ratios.size else 0.0,
+        pairs=tuple(pairs), f_table=f_table, bounds=bounds, check=check,
         max_ratio_off_diagonal=float(off_diagonal.max()) if off_diagonal.size else 0.0,
-        informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < TRIVIAL_LIMIT)),
-        passed=not bool(exceed.any()),
         v_crit=v_crit,
         v_crit_cell=None if k is None else (float(t_grid[it_m[k]]), *pairs[ip_m[k]]),
         v_cert_over_v_crit=velocity / v_crit if v_crit is not None and v_crit > 0 else None,
@@ -535,19 +522,15 @@ class ConvergenceReport:
     the boundary-sum envelope 2 G (e^{zeta v |t|} - 1) * boundary_sum at the
     times t_grid passed to volume_convergence.
 
-    ratios[t] is diffs / bounds: inf where a zero bound meets a difference
-    above 1e-12, else 0 there.  informative_cells counts the times past t = 0
-    whose bound lies below the trivial limit ||tau_t(a) - tau'_t(a)|| <= 2, as
-    in LRReport; at t = 0 the two dynamics coincide, so diffs there is 0 and
-    only t != 0 is normed."""
+    check compares diffs with bounds per time (`check_bound`, 1e-12 absolute,
+    trivial limit ||tau_t(a) - tau'_t(a)|| <= 2 past t = 0 as in LRReport); at
+    t = 0 the two dynamics coincide, so diffs there is 0 and only t != 0 is
+    normed."""
 
     diffs: np.ndarray
     bounds: np.ndarray
-    ratios: np.ndarray
     boundary_sum: float
-    passed: bool
-    max_ratio: float
-    informative_cells: int
+    check: BoundCheck
 
 
 def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: int,
@@ -608,14 +591,9 @@ def volume_convergence(basis: ModeBasis, interaction: Interaction,
             del b_full, b_small, w_next_h
         del ev_small, v  # released before the next window's H and eigh
         boundary = boundary_sum(interaction, inner, site, zeta)
-        # an overflowing envelope holds trivially (ratio 0); callers that write
-        # the bounds out cap them at the trivial limit 2
+        # callers that write the bounds out cap them at the trivial limit 2
         bounds = convergence_envelope(zeta, velocity, boundary, t_grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(bounds > 0, diffs / bounds, np.where(diffs > 1e-12, np.inf, 0.0))
-        passed = bool(np.all(diffs <= bounds * (1.0 + EXCEED_RTOL) + 1e-12))
         reports.append(ConvergenceReport(
-            diffs=diffs, bounds=bounds, ratios=ratios, boundary_sum=boundary, passed=passed,
-            max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
-            informative_cells=int(np.count_nonzero(bounds[t_grid > 0] < TRIVIAL_LIMIT))))
+            diffs=diffs, bounds=bounds, boundary_sum=boundary,
+            check=check_bound(diffs, bounds, np.where(t_grid > 0, TRIVIAL_LIMIT, 0.0), 1e-12)))
     return reports

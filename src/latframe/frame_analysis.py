@@ -41,6 +41,8 @@ __all__ = [
     "DUAL_TOL",
     "DUAL_RESIDUAL_TOL",
     "EXCEED_RTOL",
+    "BoundCheck",
+    "check_bound",
     "FrameAnalysisError",
     "FrameOperatorTrunc",
     "AdjointDual",
@@ -75,6 +77,37 @@ _OVERLAP_CUT_ELL = 2.0 * sqrt(log(1e16))  # Gaussian overlaps past this many ell
 
 class FrameAnalysisError(ValueError):
     """Contract violation in frame-operator numerics."""
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """`check_bound`'s verdict: per-cell ratio and exceedance, their summary,
+    and the count of bounds below the trivial limit (None without one)."""
+
+    ratio: np.ndarray
+    exceed: np.ndarray
+    n_exceed: int
+    max_ratio: float
+    informative: int | None
+
+    @property
+    def passed(self) -> bool:
+        return self.n_exceed == 0
+
+
+def check_bound(measured, bound, trivial=None, atol: float = 0.0) -> BoundCheck:
+    """The rule of every certified-bound check: a cell exceeds when measured >
+    bound (1 + EXCEED_RTOL) + atol; its ratio is measured / bound, 0 where the
+    bound overflowed to inf, and at a zero bound inf if it exceeds, else 0; it
+    is informative when its bound lies below `trivial`, its limit per cell."""
+    measured, bound = np.asarray(measured, dtype=float), np.asarray(bound, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound > 0, measured / bound, np.where(measured > atol, np.inf, 0.0))
+    exceed = measured > bound * (1.0 + EXCEED_RTOL) + atol
+    return BoundCheck(
+        ratio=ratio, exceed=exceed, n_exceed=int(np.count_nonzero(exceed)),
+        max_ratio=float(ratio.max()) if ratio.size else 0.0,
+        informative=None if trivial is None else int(np.count_nonzero(bound < trivial)))
 
 
 @dataclass(frozen=True)
@@ -413,13 +446,11 @@ def neumann_certificate(lp: LatticeParams, lam: float, s_min: float, s_max: floa
 
 @dataclass(frozen=True)
 class DecayReport:
-    """The element table checked: bounds and ratio = |entry| / bound per pair."""
+    """The element table checked: bounds and check (`check_bound`) per pair."""
 
     bounds: np.ndarray
-    ratio: np.ndarray
-    violations: int
+    check: BoundCheck
     n_pairs: int
-    max_ratio: float
     fitted_rate: float | None
 
 
@@ -428,8 +459,9 @@ def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate)
 
     Also fits a decay rate to the off-diagonal elements above the numerical
     floor; certificates are honest when the fitted rate is at least
-    lambda_p.  A pair violates when |entry| exceeds the bound by more than
-    EXCEED_RTOL relative.
+    lambda_p.  The trivial limit is the Cauchy-Schwarz bound |<chi, S^-p chi'>|
+    <= ||S^-p|| <= s_min^-p = a_p / 2, so a pair's bound is informative only
+    past d = ln 2 / lambda_p.
     """
     entries = np.asarray(entries)
     dists = np.asarray(dists, dtype=np.float64)
@@ -437,19 +469,11 @@ def verify_decay(entries: np.ndarray, dists: np.ndarray, cert: DecayCertificate)
         raise FrameAnalysisError(f"shape mismatch {entries.shape} vs {dists.shape}")
     mags = np.abs(entries)
     bounds = cert.a_p * np.exp(-cert.lambda_p * dists)
-    ratio = mags / bounds
-    violations = int(np.sum(ratio > 1.0 + EXCEED_RTOL))
     floor = 1e-14 * mags.max() if mags.size and mags.max() > 0 else 0.0
     mask = (dists > 0) & (mags > floor)
     fitted = None
     if np.sum(mask) >= 2:
         slope = np.polyfit(dists[mask], np.log(mags[mask]), 1)[0]
         fitted = float(-slope)
-    return DecayReport(
-        bounds=bounds,
-        ratio=ratio,
-        violations=violations,
-        n_pairs=int(entries.size),
-        max_ratio=float(ratio.max()) if ratio.size else 0.0,
-        fitted_rate=fitted,
-    )
+    return DecayReport(bounds=bounds, check=check_bound(mags, bounds, cert.s_min**-cert.p),
+                       n_pairs=int(entries.size), fitted_rate=fitted)

@@ -160,7 +160,7 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
     count = 0
     probes = _subset_probes(dists) if family == "brute" else _ball_probes(dists)
     for cm, diam, member in probes:
-        vals = _probe_values(cm, diam, emat, p, q, zeta, xi, nu)
+        vals = _probe_values(cm, diam, emat, dists, p, q, weights, zeta, xi, nu)
         count += len(diam)
         b, g = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[b, g] > best:
@@ -172,10 +172,14 @@ def c_phi(inter: Interaction, zeta: float, xi: float, family: str = "auto") -> C
                       member_kind=kind, member_sites=best_members, family_size=count)
 
 
-def _probe_values(cm: np.ndarray, diam: np.ndarray, emat: np.ndarray, p: np.ndarray,
-                  q: np.ndarray, zeta: float, xi: float, nu: int) -> np.ndarray:
+def _probe_values(cm: np.ndarray, diam: np.ndarray, emat: np.ndarray, dists: np.ndarray,
+                  p: np.ndarray, q: np.ndarray, weights: np.ndarray, zeta: float, xi: float,
+                  nu: int) -> np.ndarray:
     """vals[b, g] = e^{zeta d(g, B_b)} sum_t emat[t, g] e^{-xi d(Z_t, B_b)} / (1 + diam B_b)^nu
-    for probe sets B_b given by cm[b, s] = d(s, B_b) and diam[b] = diam B_b."""
+    for probe sets B_b given by cm[b, s] = d(s, B_b) and diam[b] = diam B_b.
+
+    Where e^{zeta d(g, B_b)} overflows, the sum under it has underflowed: those
+    cells add e^{ln weights[t] + zeta (d(g, B_b) - d(g, Z_t)) - xi d(Z_t, B_b)}."""
     # d(Z_t, B_b) in C order (take, where cm[:, p] would come out in F order),
     # built in place: the operand layout sets BLAS's summation order, and so
     # the last bits of C
@@ -185,7 +189,16 @@ def _probe_values(cm: np.ndarray, diam: np.ndarray, emat: np.ndarray, p: np.ndar
     np.exp(sel, out=sel)
     inner = sel @ emat
     del sel
-    inner *= np.exp(zeta * cm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(zeta * cm)
+        inner *= scale
+    for g in np.nonzero(np.isinf(scale).any(axis=0))[0]:
+        b = np.isinf(scale[:, g])
+        to_set = np.minimum(cm[b].take(p, axis=1), cm[b].take(q, axis=1))
+        to_site = np.minimum(dists[g, p], dists[g, q])
+        with np.errstate(divide="ignore", over="ignore"):
+            inner[b, g] = np.exp(np.log(weights) + zeta * (cm[b, g, None] - to_site)
+                                 - xi * to_set).sum(axis=1)
     inner /= ((1.0 + diam) ** nu)[:, None]
     return inner
 

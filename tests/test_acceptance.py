@@ -167,9 +167,9 @@ def test_a04_inverse_power_decay_certificate():
         dists = w.distance_matrix()[np.ix_(elems.sites, elems.sites)]
         report = verify_decay(elems.entries, dists, cert)
         fit_ok = report.fitted_rate is None or report.fitted_rate >= cert.lambda_p
-        ok = ok and report.violations == 0 and fit_ok
+        ok = ok and report.check.n_exceed == 0 and fit_ok
         details.append(
-            f"p={p}: {report.violations}/{report.n_pairs} violations, fitted rate "
+            f"p={p}: {report.check.n_exceed}/{report.n_pairs} violations, fitted rate "
             f"{report.fitted_rate:.3f} >= lambda_p {cert.lambda_p:.2e}")
     assert _verdict("inverse-power matrix elements within certificate", ok,
                     "; ".join(details))
@@ -205,12 +205,12 @@ def test_a05_level_hamiltonian_coefficients():
     # the energy prefactor is the exact level spacing law q(1) / q(0) = 3
     t_0 = landau_coefficients(0, w, mp).entries
     prefactor_dev = float(np.max(np.abs(t_r - 3.0 * t_0)))
-    ok = (report.violations == 0 and cross < 1e-10 and norm_dev < 1e-10
+    ok = (report.check.n_exceed == 0 and cross < 1e-10 and norm_dev < 1e-10
           and prefactor_dev == 0.0 and bool(np.all(c_r > 0)))
     assert _verdict(
         "level Hamiltonian coefficients decay with exact prefactor", ok,
         f"cross-level max |<chi_0, chi_1>| = {cross:.1e} on 10 pairs (level-1 norm dev "
-        f"{norm_dev:.1e}), within-level {report.violations}/{report.n_pairs} violations, "
+        f"{norm_dev:.1e}), within-level {report.check.n_exceed}/{report.n_pairs} violations, "
         f"max |t_1 - 3 t_0| = {prefactor_dev:.1e}")
 
 
@@ -296,7 +296,7 @@ def test_a08_light_cone_with_negative_control(tmp_path):
     basis = mode_basis(w, MP)
     t_grid = np.linspace(0.0, 2.0, 21)
     report = lr_check(basis, inter, t_grid, zeta, velocity)
-    honest_ok = report.passed and report.n_exceed == 0
+    honest_ok = report.check.passed and report.check.n_exceed == 0
     # the control run must land at least one exceedance at 1% speed
     cfg = tmp_path / "lr.ini"
     cfg.write_text("[lattice]\nalpha = 1.0\nbeta = 1.0\nshape = chain\n"
@@ -310,7 +310,7 @@ def test_a08_light_cone_with_negative_control(tmp_path):
     ok = honest_ok and control_ok and elapsed < 600.0
     assert _verdict(
         "light cone holds and slowed control fails", ok,
-        f"honest: {report.n_exceed} exceedances, max ratio {report.max_ratio:.3f}, "
+        f"honest: {report.check.n_exceed} exceedances, max ratio {report.check.max_ratio:.3f}, "
         f"v = {velocity:.1f}; control at v/100: exit {code}, "
         f"{control['n_exceed']} exceedances (need >= 1); {elapsed:.0f}s")
 
@@ -327,14 +327,14 @@ def test_a09_volume_convergence():
     inners = [frozenset(w8.index(s) for s in build_chain(w8.params, length).sites)
               for length in (4, 6)]
     reports = volume_convergence(basis, inter, inners, center, t_grid, zeta, velocity)
-    within = all(rep.passed for rep in reports)
+    within = all(rep.check.passed for rep in reports)
     # the smaller inner window omits more of the generator
     monotone = bool(np.all(reports[0].diffs >= reports[1].diffs - 1e-12))
     nontrivial = reports[0].diffs[-1] > 1e-8
     ok = within and monotone and nontrivial
     assert _verdict(
         "restricted dynamics converge inside the envelope", ok,
-        f"max ratios {reports[0].max_ratio:.2e}, {reports[1].max_ratio:.2e}; "
+        f"max ratios {reports[0].check.max_ratio:.2e}, {reports[1].check.max_ratio:.2e}; "
         f"diff(4) >= diff(6) everywhere: {monotone}")
 
 

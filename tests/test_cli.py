@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -168,6 +169,19 @@ def test_decay_certificate_and_table(tmp_path):
         assert float(row[5]) <= float(row[6]) * (1 + 1e-9)  # abs_entry vs bound
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_decay_is_vacuous_on_the_default_config(tmp_path, p):
+    # a bound is informative below the Cauchy-Schwarz limit s_min^-p = a_p / 2,
+    # past d = ln 2 / lambda_p (84.3 at p = 1); the radius-12 window has no pair
+    # that far, so the pass is vacuous, and the record says so
+    code, _, summary = run_cli(tmp_path, "decay", f"[certificate]\np = {p}\n")
+    assert code == 0
+    record = next(c for c in summary["checks"] if c["name"] == "zero_violations")
+    assert record["passed"] is True
+    assert record["values"]["informative"] == 0
+    assert record["values"]["vacuous"] is True
+
+
 @pytest.mark.parametrize("command,cfg,table", [
     ("decay", SMALL_GRAM, "decay_check.csv"),
 ])
@@ -182,7 +196,7 @@ def test_decay_table_writes_the_report_arrays(tmp_path, monkeypatch, command, cf
     code, out, _ = run_cli(tmp_path, command, cfg)
     assert code == 0 and len(reports) == 1
     header, rows = read_csv(out / table)
-    for name, array in (("bound", reports[0].bounds), ("ratio", reports[0].ratio)):
+    for name, array in (("bound", reports[0].bounds), ("ratio", reports[0].check.ratio)):
         k = header.index(name)
         assert [r[k] for r in rows] == [fmt_float(x) for x in array.ravel()], name
 
@@ -439,8 +453,8 @@ def test_lr_tables_write_the_report_arrays(tmp_path, monkeypatch):
 
     def marked(*args, **kwargs):
         rep = real(*args, **kwargs)
-        marks = np.arange(rep.ratios.size).reshape(rep.ratios.shape) % 3 == 0
-        reports.append(replace(rep, exceed=marks))
+        marks = np.arange(rep.check.ratio.size).reshape(rep.check.ratio.shape) % 3 == 0
+        reports.append(replace(rep, check=replace(rep.check, exceed=marks)))
         return reports[-1]
 
     monkeypatch.setattr(latframe.cli, "lr_check", marked)
@@ -448,9 +462,9 @@ def test_lr_tables_write_the_report_arrays(tmp_path, monkeypatch):
     report, = reports
     header, rows = read_csv(out / "lr.csv")
     k = header.index("ratio")
-    assert [r[k] for r in rows] == [fmt_float(x) for x in report.ratios.ravel()]
+    assert [r[k] for r in rows] == [fmt_float(x) for x in report.check.ratio.ravel()]
     _, exceed = read_csv(out / "lr_exceedances.csv")
-    assert exceed == [r for r, hit in zip(rows, report.exceed.ravel()) if hit]
+    assert exceed == [r for r, hit in zip(rows, report.check.exceed.ravel()) if hit]
     assert len(exceed) == 16
 
 
@@ -460,7 +474,8 @@ def test_converge_table_writes_the_report_arrays(tmp_path, monkeypatch):
     real, reports = latframe.cli.volume_convergence, []
 
     def marked(*args, **kwargs):
-        reps = [replace(rep, ratios=10.0 * (k + 1) + np.arange(rep.ratios.size))
+        reps = [replace(rep, check=replace(rep.check,
+                                           ratio=10.0 * (k + 1) + np.arange(rep.check.ratio.size)))
                 for k, rep in enumerate(real(*args, **kwargs))]
         reports.extend(reps)
         return reps
@@ -471,7 +486,7 @@ def test_converge_table_writes_the_report_arrays(tmp_path, monkeypatch):
     assert len(reports) == 2
     header, rows = read_csv(out / "converge.csv")
     k = header.index("ratio")
-    assert [r[k] for r in rows] == [fmt_float(x) for rep in reports for x in rep.ratios]
+    assert [r[k] for r in rows] == [fmt_float(x) for rep in reports for x in rep.check.ratio]
 
 
 def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
@@ -482,8 +497,9 @@ def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
     assert code == 0
     payload = json.loads((out / "lr_summary.json").read_text())
     record = next(c for c in summary["checks"] if c["name"] == "light_cone_bound")
-    for key in ("max_ratio_off_diagonal", "informative_cells"):
-        assert record["values"][key] == payload[key]
+    for key, summary_key in (("max_ratio_off_diagonal", "max_ratio_off_diagonal"),
+                             ("informative", "informative_cells")):
+        assert record["values"][key] == payload[summary_key]
     header, rows = read_csv(out / "lr.csv")
     col = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)
            if name in ("t", "d", "bound", "ratio")}
@@ -497,6 +513,41 @@ def test_lr_off_diagonal_ratio_and_informative_cells(tmp_path):
     assert payload["informative_cells"] == int(np.count_nonzero(col["bound"][later] < 2.0))
     assert 0 < payload["informative_cells"] < np.count_nonzero(later)
     assert record["values"]["vacuous"] is False
+
+
+UNDERFLOW_CHAIN = """\
+[lattice]
+alpha = {a}
+beta = {a}
+shape = chain
+chain_length = 8
+"""
+
+
+def test_lr_reads_ratio_zero_where_bound_and_front_underflow(tmp_path):
+    # on the alpha = beta = 30 chain the couplings underflow to 0, so v = 0, and
+    # the far bounds e^(-zeta d) (d up to 6300) underflow to 0 where F = |Z| = 0:
+    # those cells read ratio 0, not nan
+    code, out, summary = run_cli(tmp_path, "lr", UNDERFLOW_CHAIN.format(a=30))
+    assert code == 0
+    header, rows = read_csv(out / "lr.csv")
+    col = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)
+           if name in ("f", "bound", "ratio")}
+    zero = col["bound"] == 0.0
+    assert zero.any() and np.all(col["f"][zero] == 0.0) and np.all(col["ratio"][zero] == 0.0)
+    assert np.all(np.isfinite(col["ratio"]))
+    assert check_map(summary)["light_cone_bound"]
+
+
+@pytest.mark.parametrize("a", [30, 40])
+def test_cphi_is_zero_where_every_coupling_underflows(tmp_path, a):
+    # e^{zeta d(g, B)} overflows on these chains while every coupling is 0:
+    # C is 0 exactly, with no inf x 0 and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, summary = run_cli(tmp_path, "cphi", UNDERFLOW_CHAIN.format(a=a))
+    assert code == 0
+    assert summary["parameters"]["value"] == 0.0 and summary["parameters"]["velocity"] == 0.0
 
 
 def test_lr_summary_reports_v_crit(tmp_path):
@@ -558,10 +609,26 @@ def test_converge_nested_chains(tmp_path):
     assert code == 0
     cm = check_map(summary)
     assert cm["within_bound"]
-    assert cm["monotone_in_window_gap"]
     header, rows = read_csv(out / "converge.csv")
     assert len(rows) == 2 * 5  # two inner lengths x five times
     assert len(summary["parameters"]["boundary_sums"]) == 2
+
+
+def test_converge_passes_when_a_larger_inner_window_differs_more(tmp_path):
+    # on the alpha = beta = 0.5 chain every difference past t = 0 lies near the
+    # trivial limit 2, and the 4-site window's exceeds the 2-site window's at
+    # t = 0.4; no theorem orders them, so the run passes, vacuously
+    cfg = ("[lattice]\nalpha = 0.5\nbeta = 0.5\nshape = chain\n\n"
+           "[windows]\nchain_lengths = 2 4 6\n")
+    code, out, summary = run_cli(tmp_path, "converge", cfg)
+    assert code == 0
+    header, rows = read_csv(out / "converge.csv")
+    k = {name: header.index(name) for name in ("length", "t", "diff")}
+    diff = {(r[k["length"]], float(r[k["t"]])): float(r[k["diff"]]) for r in rows}
+    assert diff[("4", 0.4)] > diff[("2", 0.4)]
+    within = next(c for c in summary["checks"] if c["name"] == "within_bound")
+    assert [c["name"] for c in summary["checks"]] == ["within_bound"]
+    assert within["values"]["vacuous"] is True and within["values"]["n_exceed"] == 0
 
 
 @pytest.mark.parametrize("t_max, n_t, informative", [(0.2, 2, 0), (1e-5, 3, 4)],
@@ -586,7 +653,7 @@ def test_converge_informative_cells(tmp_path, t_max, n_t, informative):
 
 
 @pytest.mark.parametrize("command, name, count", [
-    ("lr", "light_cone_bound", "informative_cells"),
+    ("lr", "light_cone_bound", "informative"),
     ("converge", "within_bound", "informative"),
 ])
 def test_reference_config_pass_is_flagged_vacuous(tmp_path, command, name, count):

@@ -248,8 +248,8 @@ def test_lr_check_static_dynamics():
     basis = mode_basis(w, MP)
     t_grid = np.linspace(0.0, 1.0, 3)
     rep = lr_check(basis, density_density(w, 0.0, 1.0), t_grid, zeta=0.125, velocity=1.0)
-    assert rep.passed
-    assert rep.n_exceed == 0
+    assert rep.check.passed
+    assert rep.check.n_exceed == 0
     assert len(rep.pairs) == 16
     d = w.distance_matrix()
     for ip, (i, j) in enumerate(rep.pairs):
@@ -285,7 +285,7 @@ def test_volume_convergence_full_inner_is_exact(chain4_setup):
                                [0.0, 0.5], zeta=0.125, velocity=2.0)
     assert rep.boundary_sum == 0.0
     assert np.allclose(rep.diffs, 0.0, atol=1e-12)
-    assert rep.passed
+    assert rep.check.passed
 
 
 def test_volume_convergence_boundary_envelope(chain4_setup):
@@ -308,7 +308,22 @@ def test_volume_convergence_boundary_envelope(chain4_setup):
     for it, t in enumerate(t_grid):
         want = 2.0 * OVERLAP_CONSTANT * (math.exp(zeta * vel * t) - 1.0) * boundary
         assert rep.bounds[it] == pytest.approx(want, rel=1e-12)
-    assert rep.passed
+    assert rep.check.passed
+
+
+def test_t0_cells_are_never_informative(chain4_setup):
+    """At t = 0 both dynamics checks hold by construction, so no bound there
+    counts as informative, although every one is below 2 (e^(-zeta d) for lr,
+    0 for the convergence envelope); past t = 0 each bound below 2 counts."""
+    w, basis, inter = chain4_setup
+    t_grid = [0.0, 1e-6]
+    rep = lr_check(basis, inter, t_grid, zeta=0.125, velocity=1.0)
+    assert np.all(rep.bounds < 2.0)
+    assert rep.check.informative == 16
+    [conv] = volume_convergence(basis, inter, [frozenset({1, 2})], w.center_index(), t_grid,
+                                zeta=0.125, velocity=1.0)
+    assert conv.bounds[0] == 0.0 and conv.bounds[1] < 2.0
+    assert conv.check.informative == 1
 
 
 # ------------------------------------------------- sector engine vs dense oracle

@@ -13,10 +13,12 @@ from latframe.lattice import LatticeParams, build_window, window_from_triples
 from latframe.magnetic import MagneticParams, bessel_bound, theta3
 from latframe.frame_analysis import (
     DUAL_RESIDUAL_TOL,
+    EXCEED_RTOL,
     OVERLAP_CONSTANT,
     PSEUDO_INVERSE_RTOL,
     FrameAnalysisError,
     RegimeError,
+    check_bound,
     dual_coefficients,
     dual_residual,
     frame_bounds_estimate,
@@ -404,11 +406,50 @@ def small_cert():
                                m_eps_value=M_EPS_1D)
 
 
+# a bound at which one ulp above bound (1 + EXCEED_RTOL) exceeds, while its
+# ratio measured / bound rounds back to 1 + EXCEED_RTOL
+_EDGE = 0.43249719552409716
+_ON_EDGE = _EDGE * (1.0 + EXCEED_RTOL)
+
+
+@pytest.mark.parametrize("measured, bound, trivial, atol, ratio, exceed, informative", [
+    ([0.0, 1e-300], [0.0, 0.0], None, 0.0, [0.0, np.inf], [False, True], None),
+    ([1.0], [np.inf], None, 0.0, [0.0], [False], None),
+    ([5e-13, 2e-12], [0.0, 0.0], None, 1e-12, [0.0, np.inf], [False, True], None),
+    ([0.5, 0.5, 0.5, 0.5], [1.0, 3.0, 1.0, 0.0], [2.0, 2.0, 0.0, 0.0], 0.0,
+     [0.5, 0.5 / 3.0, 0.5, np.inf], [False, False, False, True], 1),
+    ([_ON_EDGE, np.nextafter(_ON_EDGE, 2.0)], [_EDGE, _EDGE], None, 0.0,
+     [1.0 + EXCEED_RTOL, 1.0 + EXCEED_RTOL], [False, True], None),
+], ids=["zero_bound", "overflowed_bound", "atol", "trivial_per_cell", "threshold"])
+def test_check_bound_rule(measured, bound, trivial, atol, ratio, exceed, informative):
+    """The rule of every certified-bound check: exceed when measured > bound
+    (1 + EXCEED_RTOL) + atol, the ratio 0 where the bound is inf, and at a zero
+    bound inf where the cell exceeds, else 0; a cell is informative when its
+    bound lies below its own trivial limit (the 0 of the third cell stands for
+    a dynamics check at t = 0)."""
+    chk = check_bound(measured, bound, trivial, atol)
+    np.testing.assert_allclose(chk.ratio, ratio, rtol=1e-15)
+    assert chk.exceed.tolist() == exceed
+    assert chk.n_exceed == sum(exceed) and chk.passed is (sum(exceed) == 0)
+    assert chk.max_ratio == max(chk.ratio.tolist())
+    assert chk.informative == informative
+
+
+def test_verify_decay_counts_informative_pairs(small_cert):
+    """lam = 1, s_min = 1, s_max = 2: a pair's bound a_p e^(-lambda_p d) lies
+    below the trivial limit ||S^-1|| <= s_min^-1 = a_p / 2 past d = ln 2 / lambda_p."""
+    assert small_cert.s_min ** -small_cert.p == pytest.approx(small_cert.a_p / 2.0, rel=1e-12)
+    cut = math.log(2.0) / small_cert.lambda_p
+    d = np.array([[0.0, 0.5 * cut], [2.0 * cut, 3.0 * cut]])
+    rep = verify_decay(np.zeros((2, 2)), d, small_cert)
+    assert rep.check.informative == 2
+
+
 def test_verify_decay_zero_matrix(small_cert):
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = verify_decay(np.zeros((2, 2)), d, small_cert)
-    assert rep.violations == 0
-    assert rep.max_ratio == 0.0
+    assert rep.check.n_exceed == 0
+    assert rep.check.max_ratio == 0.0
     assert rep.n_pairs == 4
 
 
@@ -419,13 +460,13 @@ def test_verify_decay_saturated_and_violated(small_cert):
     np.fill_diagonal(d, 0.0)
     exact = small_cert.a_p * np.exp(-small_cert.lambda_p * d)
     rep = verify_decay(exact, d, small_cert)
-    assert rep.violations == 0
-    assert rep.max_ratio == pytest.approx(1.0, rel=1e-12)
+    assert rep.check.n_exceed == 0
+    assert rep.check.max_ratio == pytest.approx(1.0, rel=1e-12)
     bad = exact.copy()
     bad[2, 3] *= 1.5
     rep2 = verify_decay(bad, d, small_cert)
-    assert rep2.violations == 1
-    assert rep2.max_ratio == pytest.approx(1.5, rel=1e-12)
+    assert rep2.check.n_exceed == 1
+    assert rep2.check.max_ratio == pytest.approx(1.5, rel=1e-12)
 
 
 def test_verify_decay_scale_and_fit(small_cert):
@@ -434,7 +475,7 @@ def test_verify_decay_scale_and_fit(small_cert):
     rep = verify_decay(entries / (0.7 / small_cert.a_p), d, small_cert)
     # entries over 0.7 / a_p against a_p e^{-lambda_p d}: the bound 0.7 e^{-lambda_p d}
     # on the entries, and the data decay faster
-    assert rep.violations == 0
+    assert rep.check.n_exceed == 0
     assert rep.fitted_rate == pytest.approx(0.9, abs=1e-6)
     assert rep.fitted_rate >= small_cert.lambda_p
 
@@ -449,5 +490,5 @@ def test_decay_certificate_end_to_end():
         el = s_inverse_power_elements(w, MP, p=p)
         d = w.distance_matrix()[np.ix_(el.sites, el.sites)]
         rep = verify_decay(np.abs(el.entries), d, cert)
-        assert rep.violations == 0
+        assert rep.check.n_exceed == 0
         assert rep.fitted_rate >= cert.lambda_p

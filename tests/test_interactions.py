@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,33 @@ def test_c_phi_ball_supremum_matches_enumeration():
     assert auto.member_kind == "ball"
     for res in (auto, c_phi(inter, zeta, xi, family="brute")):
         assert res.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_c_phi_sums_overflowing_cells_term_by_term():
+    # on the alpha = beta = 30 chain, e^{zeta d(g, B)} overflows past d = 5672
+    # while the sum it multiplies underflows; at mu = 0.13 the far pairs set C,
+    # so the oracle adds each term as one exponent, ln weight included
+    w = build_chain(LatticeParams(30.0, 30.0, 10.0), 8)
+    inter = density_density(w, f0=1.0, mu=0.13)
+    zeta, xi = 0.125, 0.25
+    d, nu, n = w.distance_matrix(), w.params.dim, len(w)
+    terms = [(p, q, math.log(4 * inter.coupling[p, q]) + nu * math.log1p(d[p, q]))
+             for p, q in zip(*inter.pairs()) if inter.coupling[p, q] > 0]
+    expected = 0.0
+    for size in range(1, n + 1):
+        for probe in itertools.combinations(range(n), size):
+            pd = max(d[a, b] for a in probe for b in probe)
+            for g in range(n):
+                dist_pg = min(d[a, g] for a in probe)
+                tot = math.fsum(math.exp(lw + zeta * (dist_pg - min(d[p, g], d[q, g]))
+                                         - xi * min(d[a, b] for a in (p, q) for b in probe))
+                                for p, q, lw in terms)
+                expected = max(expected, tot / (1.0 + pd) ** nu)
+    assert zeta * d.max() > math.log(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for family in ("auto", "brute"):
+            assert c_phi(inter, zeta, xi, family=family).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_c_phi_reported_member_reproduces_value():
