@@ -18,12 +18,16 @@ states with N particles.  Every Hamiltonian built here commutes with the
 particle number, so it is held as its rank + 1 diagonal blocks, built
 straight from its normal-ordered mode form, and a_g as its blocks from sector
 N to N - 1.  Every eigendecomposition, Heisenberg step and norm runs on
-blocks of one sector, at most C(rank, rank // 2) states, and
-volume_convergence forms each block of its one annihilator, in the site
-basis and in the full eigenbasis, only when its sector loop reaches that
-block.  jw_lowering,
+blocks of one sector, at most C(rank, rank // 2) states.  jw_lowering,
 monomial_operator and anticommutator_norm act on dense matrices of the whole
 2**rank space: they are the oracle of the sector engine.
+
+A restricted dynamics tau^S, generated by the pairs inside a site set S, acts
+only on the modes that S touches.  volume_convergence turns the modes by a
+unitary Q (V -> V Q keeps Z = V V*) so that each of its nested inner windows
+touches only the leading m = min(|S|, rank) of them, and builds and diagonalises
+each restricted Hamiltonian on those m modes alone: H_S (x) 1 on 2**m states
+rather than 2**rank.
 
 Real windows run in real arithmetic.  When the overlaps carry no phase (on a
 straight chain every wedge gamma ^ gamma' is 0), mode_basis factors the real
@@ -364,23 +368,21 @@ def _anticommutator_norms(x, y) -> tuple[float, float]:
     return plain, mixed
 
 
-def _add_product(out: np.ndarray, factors: tuple[np.ndarray, ...],
-                 subtract: bool = False) -> None:
-    """out += (or -=) the product of factors, left to right, in place.
+def _add_product(out: np.ndarray, factors: tuple[np.ndarray, ...]) -> None:
+    """out += the product of factors, left to right, in place.
 
-    A phased block between real factors (eigenbases, overlaps and blocks of a
-    real window) multiplies as two real products, one on its real part into
+    A phased block between real factors (the eigenbases and blocks of a real
+    window) multiplies as two real products, one on its real part into
     out.real and one on its imaginary part into out.imag: no real factor is
     copied to complex and no complex GEMM runs.  The dtypes alone pick this
     route; factors that are all complex multiply as they are."""
-    op = np.subtract if subtract else np.add
     phased = [k for k, f in enumerate(factors) if np.iscomplexobj(f)]
     if len(phased) != 1:
-        op(out, functools.reduce(np.matmul, factors), out=out)
+        out += functools.reduce(np.matmul, factors)
         return
     k = phased[0]
     for part, z in ((out.real, factors[k].real), (out.imag, factors[k].imag)):
-        op(part, functools.reduce(np.matmul, factors[:k] + (z,) + factors[k + 1:]), out=part)
+        part += functools.reduce(np.matmul, factors[:k] + (z,) + factors[k + 1:])
 
 
 def lr_envelope(zeta: float, velocity: float, d, t):
@@ -548,52 +550,114 @@ def boundary_sum(interaction: Interaction, inner_sites: frozenset[int], site: in
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
+def _nested_order(inner_windows: list[frozenset[int]], n_sites: int) -> list[int]:
+    """The sites innermost first: the smallest inner window, then each shell of
+    the next larger one, then the rest, each group in index order.  The windows
+    must be nested, in any order."""
+    shells = sorted(inner_windows, key=len)
+    order: list[int] = []
+    for small, big in zip([frozenset()] + shells, shells):
+        if not small <= big or not big <= frozenset(range(n_sites)):
+            raise FockError("inner windows must be nested subsets of the window's sites")
+        order += sorted(big - small)
+    return order + sorted(frozenset(range(n_sites)).difference(order))
+
+
+def _embedding(rank: int, m: int, index: np.ndarray):
+    """Where the blocks from sector j + 1 to j of an operator on the leading m
+    of rank modes land in the blocks r + 1 -> r of the whole space, X (x) 1:
+    for each r, the (j, rows, cols) of the blocks j that meet it, so that
+    block[rows, cols] = X_j[:, :, None].  A whole-space state is an inner one
+    on the leading bits and an outer one on the trailing rank - m; rows[a, 0, o]
+    and cols[0, b, o] place inner states a of sector j and b of sector j + 1
+    next to outer state o of sector r - j."""
+    inner, outer = _sector_tables(m)[0], _sector_tables(rank - m)[0]
+    shift = rank - m
+    out = []
+    for r in range(rank):
+        meets = []
+        for j in range(max(0, r - shift), min(m - 1, r) + 1):
+            o = outer[r - j][None, :]
+            meets.append((j, index[(inner[j][:, None] << shift) + o][:, None, :],
+                          index[(inner[j + 1][:, None] << shift) + o][None, :, :]))
+        out.append(meets)
+    return out
+
+
+def _moved_block(evol: Evolution, static: np.ndarray, r: int, t: float) -> np.ndarray:
+    """Block r of tau_t(a) - a in the Jordan-Wigner basis, from block r of a in
+    the evolution's eigenbasis: U_r (P - A_r) U_(r+1)*, P the phased block."""
+    p = evol.heisenberg_block(static, r, t)
+    p -= static
+    out = np.zeros(p.shape, dtype=np.complex128)
+    _add_product(out, (evol.eigvecs[r], p, evol.eigvecs[r + 1].conj().T))
+    return out
+
+
 def volume_convergence(basis: ModeBasis, interaction: Interaction,
                        inner_windows: list[frozenset[int]], site: int, t_grid,
                        zeta: float, velocity: float) -> list[ConvergenceReport]:
-    """Compare tau_t under the full interaction against the dynamics generated
-    by the pairs inside each of inner_windows (site-index sets), for
-    the annihilator at one site; one report per inner window.
+    """Compare tau_t under the full interaction against the dynamics tau'_t
+    generated by the pairs inside each of inner_windows (site-index sets, which
+    must be nested), for the annihilator at one site; one report per inner
+    window, in the order given.
 
-    The full Hamiltonian is diagonalised once.  Each difference is the largest
-    over N of ||tau_t(A)_N - W_N tau'_t(A')_N W_(N+1)*||, in the full
-    eigenbasis, with the overlaps W_N = U_N* V_N of the two eigenbases.  The
-    loop runs over the blocks N + 1 -> N, sliding W_N and W_(N+1) along, and
-    forms block N of a (site and full eigenbasis) when it reaches it, so it
-    holds the two eigenbases and a few blocks of one sector pair, one block
-    of a among them.  Each block of a in the full eigenbasis is formed once
-    per inner window."""
+    The modes are turned so that each inner window S touches only the leading
+    m = min(|S|, rank) of them: with the sites ordered innermost first, the QR
+    factorization V[order]* = Q R makes V Q = (R*, reordered) lower-trapezoidal
+    in that order, and (V Q)(V Q)* = Z.  The restricted Hamiltonian H_S is then
+    H_in (x) 1, built and diagonalised on the 2^m states of the leading modes.
+    Split a = a_in + a_out over the leading and the other modes: the other
+    modes carry the parity string of the leading ones, which H_in keeps (it
+    conserves their particle number), so tau'_t(a) = tau'_in,t(a_in) (x) 1 +
+    a_out and tau_t(a) - tau'_t(a) = (tau_t(a) - a) - (tau'_in,t(a_in) - a_in)
+    (x) 1.
+
+    The full Hamiltonian is diagonalised once.  The loop runs over the blocks
+    r + 1 -> r of the whole space: it forms block r of a in the full
+    eigenbasis, and for each t != 0 block r of tau_t(a) - a in the
+    Jordan-Wigner basis, once; each inner window subtracts the blocks of
+    tau'_in,t(a_in) - a_in that land in it and takes one norm.  So it holds the
+    full eigenbasis, the small restricted ones and a few blocks of one sector
+    pair."""
     t_grid = np.asarray(t_grid, dtype=float)
-    ev_full = Evolution(build_interaction_hamiltonian(basis, interaction))
-    tables, c = _lowering_tables(basis.rank), basis.v[site]
+    order = _nested_order(inner_windows, basis.n_sites)
+    vq = basis.v @ np.linalg.qr(basis.v[order].conj().T, mode="complete")[0]
+    rank, c = basis.rank, vq[site]
+    ev_full = Evolution(build_interaction_hamiltonian(
+        ModeBasis(basis.window, basis.z, vq, rank), interaction))
+    index = _sector_tables(rank)[1]
+    # per inner window: its evolution on the leading m modes, a_in in that
+    # evolution's eigenbasis, and where its blocks land in the whole space
+    restricted = []
+    for inner in inner_windows:
+        m = min(len(inner), rank)
+        ev = Evolution(build_interaction_hamiltonian(
+            ModeBasis(basis.window, basis.z, vq[:, :m], m), interaction, support_within=inner))
+        static = [ev.eigenbasis_block(_lowering_block(table, c[:m]), j)
+                  for j, table in enumerate(_lowering_tables(m))]
+        restricted.append((ev, static, _embedding(rank, m, index)))
     # tau_0 and tau'_0 are both the identity, so t = 0 keeps a zero difference
     moving = [(it, float(t)) for it, t in enumerate(t_grid) if t != 0.0]
-    u, reports = ev_full.eigvecs, []
-    for inner in inner_windows:
-        ev_small = Evolution(build_interaction_hamiltonian(basis, interaction,
-                                                           support_within=inner))
-        v = ev_small.eigvecs
-        diffs = np.zeros(len(t_grid))
-        w_next = u[0].conj().T @ v[0]
-        for r, table in enumerate(tables):
-            w_here, w_next = w_next, u[r + 1].conj().T @ v[r + 1]
-            b = _lowering_block(table, c)
-            b_full = ev_full.eigenbasis_block(b, r)
-            b_small = ev_small.eigenbasis_block(b, r)
-            del b
-            w_next_h = w_next.conj().T
-            for it, t in moving:
-                d = ev_full.heisenberg_block(b_full, r, t)
-                _add_product(d, (w_here, ev_small.heisenberg_block(b_small, r, t), w_next_h),
-                             subtract=True)
-                diffs[it] = max(diffs[it], operator_norm(d))
-                del d  # no time's blocks outlive its norm
-            del b_full, b_small, w_next_h
-        del ev_small, v  # released before the next window's H and eigh
+    diffs = np.zeros((len(inner_windows), len(t_grid)))
+    for r, table in enumerate(_lowering_tables(rank)):
+        static_full = ev_full.eigenbasis_block(_lowering_block(table, c), r)
+        for it, t in moving:
+            moved = _moved_block(ev_full, static_full, r, t)
+            for k, (ev, static, embedding) in enumerate(restricted):
+                d = moved.copy()
+                for j, rows, cols in embedding[r]:
+                    d[rows, cols] -= _moved_block(ev, static[j], j, t)[:, :, None]
+                diffs[k, it] = max(diffs[k, it], operator_norm(d))
+                del d  # no window's difference outlives its norm
+            del moved
+        del static_full
+    reports = []
+    for inner, diff in zip(inner_windows, diffs):
         boundary = boundary_sum(interaction, inner, site, zeta)
         # callers that write the bounds out cap them at the trivial limit 2
         bounds = convergence_envelope(zeta, velocity, boundary, t_grid)
         reports.append(ConvergenceReport(
-            diffs=diffs, bounds=bounds, boundary_sum=boundary,
-            check=check_bound(diffs, bounds, np.where(t_grid > 0, TRIVIAL_LIMIT, 0.0), 1e-12)))
+            diffs=diff, bounds=bounds, boundary_sum=boundary,
+            check=check_bound(diff, bounds, np.where(t_grid > 0, TRIVIAL_LIMIT, 0.0), 1e-12)))
     return reports

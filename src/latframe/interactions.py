@@ -232,10 +232,17 @@ BRUTE_MAX_SITES = 12
 
 
 def lr_velocity(c: float, zeta: float) -> float:
-    """Propagation speed v = 16 G C / zeta, G = OVERLAP_CONSTANT, of the light-cone envelope."""
+    """Propagation speed v = 16 G C / zeta, G = OVERLAP_CONSTANT, of the light-cone envelope.
+
+    A C or a speed that overflowed to inf (or nan) certifies nothing: every
+    envelope built on it would be inf or nan."""
     if zeta <= 0 or c < 0:
         raise InteractionError(f"need zeta > 0, C >= 0; got {zeta}, {c}")
-    return 16.0 * OVERLAP_CONSTANT * c / zeta
+    v = 16.0 * OVERLAP_CONSTANT * c / zeta
+    if not np.isfinite(v):
+        raise InteractionError(f"propagation speed 16 G C / zeta overflows a float: "
+                               f"C(zeta, xi) = {c}, zeta = {zeta}")
+    return v
 
 
 # v_omega's envelope fit: radii span in ell_b, numbers of radii and angles

@@ -550,6 +550,26 @@ def test_cphi_is_zero_where_every_coupling_underflows(tmp_path, a):
     assert summary["parameters"]["value"] == 0.0 and summary["parameters"]["velocity"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["cphi", "lr", "converge"])
+def test_overflowing_c_exits_before_fock_work(tmp_path, capsys, monkeypatch, command):
+    # at mu = 0.01 the alpha = beta = 30 couplings no longer underflow and C
+    # overflows to inf: each command that reads the speed refuses it with one
+    # error record, no numpy warning and no Fock work
+    def reached(*args, **kwargs):
+        raise AssertionError("Fock work reached")
+
+    monkeypatch.setattr(latframe.cli, "mode_basis", reached)
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(UNDERFLOW_CHAIN.format(a=30) + "\n[model]\nmu = 0.01\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    record = read_error(capsys, out)
+    assert record["error"]["type"] == "InteractionError"
+    assert "overflows a float" in record["error"]["message"]
+
+
 def test_lr_summary_reports_v_crit(tmp_path):
     # v_crit = max over cells with t > 0 of (d + ln(F/g)/zeta)/t, from lr.csv
     _, out, _ = run_cli(tmp_path, "lr", LR_FAST)

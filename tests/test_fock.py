@@ -571,10 +571,9 @@ def test_patch_fronts_are_not_symmetric_in_the_pair():
     assert np.max(np.abs(table - table.transpose(0, 2, 1, 3))) > 1e-3
 
 
-def test_volume_convergence_sectors_match_dense_oracle(six_modes):
-    w, basis, inter = six_modes
+def _check_convergence_against_dense_oracle(w, basis, inter, inners):
+    """Every difference against e^{itH} by expm on the whole space."""
     site = w.center_index()
-    inners = [frozenset({0, 1, 2, 3}), frozenset({2, 3})]
     t_grid = np.array([0.0, 0.3, 0.9])
     reports = volume_convergence(basis, inter, inners, site, t_grid,
                                  zeta=0.125, velocity=1.0)
@@ -588,20 +587,80 @@ def test_volume_convergence_sectors_match_dense_oracle(six_modes):
         assert rep.diffs[-1] > 1e-3
 
 
+def test_volume_convergence_sectors_match_dense_oracle(six_modes):
+    w, basis, inter = six_modes
+    _check_convergence_against_dense_oracle(
+        w, basis, inter, [frozenset({0, 1, 2, 3}), frozenset({2, 3})])
+
+
+def _rank8_chain():
+    """The alpha = beta = 0.2 10-site chain, whose Gram matrix has rank 8, with
+    its inner chains of 4, 6 and 8 sites."""
+    lp = LatticeParams(0.2, 0.2, 10.0)
+    w = build_chain(lp, 10)
+    basis = mode_basis(w, MP)
+    assert basis.rank == 8
+    inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (4, 6, 8)]
+    return w, basis, density_density(w, f0=1.0, mu=1.0), inners
+
+
+def test_volume_convergence_rank_deficient_chain_matches_dense_oracle():
+    """With fewer modes than sites each inner window keeps min(|S|, rank)
+    modes: 4, 6 and all 8 here."""
+    _check_convergence_against_dense_oracle(*_rank8_chain())
+
+
+@pytest.mark.parametrize("chain", ["unit", "rank8"])
+def test_volume_convergence_restricts_each_window_to_its_modes(monkeypatch, chain):
+    """After the full Hamiltonian on every mode, each restricted Hamiltonian is
+    built on the min(|S|, rank) leading modes of its window S alone: 6 and 8
+    of the unit chain's 10 (64 and 256 states, not 1024), and 4, 6 and 8 of
+    the rank-8 chain's 8."""
+    if chain == "unit":
+        lp = LatticeParams(1.0, 1.0, 10.0)
+        w = build_chain(lp, 10)
+        basis = mode_basis(w, MP)
+        inter = density_density(w, f0=1.0, mu=1.0)
+        inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (8, 6)]
+    else:
+        w, basis, inter, inners = _rank8_chain()
+    real, calls = latframe.fock.build_interaction_hamiltonian, []
+
+    def spy(b, interaction, support_within=None):
+        calls.append((b.rank, b.v.shape, support_within))
+        return real(b, interaction, support_within=support_within)
+
+    monkeypatch.setattr(latframe.fock, "build_interaction_hamiltonian", spy)
+    volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.2],
+                       zeta=0.125, velocity=1.0)
+    n = basis.n_sites
+    want = [(basis.rank, (n, basis.rank), None)] + [
+        (min(len(s), basis.rank), (n, min(len(s), basis.rank)), s) for s in inners]
+    assert calls == want
+
+
+@pytest.mark.parametrize("inners", [[frozenset({0, 1, 2}), frozenset({2, 3})],
+                                    [frozenset({1, 2}), frozenset({1, 2, 7})]],
+                         ids=["crossing", "off_window"])
+def test_volume_convergence_rejects_windows_that_do_not_nest(chain4_setup, inners):
+    w, basis, inter = chain4_setup
+    with pytest.raises(FockError, match="nested"):
+        volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1],
+                           zeta=0.125, velocity=1.0)
+
+
 def _ten_site_convergence():
     """The 10-site unit chain (C(10, 5) = 252 states in the middle sector) under
     volume_convergence with inner chains 6 and 8 at times 0, 0.1 and 0.2:
-    tracemalloc's peak over the call and, in bytes, one eigenbasis' blocks,
-    the annihilator's blocks and one complex block of the middle sector."""
+    tracemalloc's peak over the call and, in bytes, the full eigenbasis'
+    blocks and one complex block of the middle sector."""
     lp = LatticeParams(1.0, 1.0, 10.0)
     w = build_chain(lp, 10)
     basis = mode_basis(w, MP)
     inter = density_density(w, f0=1.0, mu=1.0)
     inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (6, 8)]
     sizes = [math.comb(basis.rank, k) for k in range(basis.rank + 1)]
-    real = basis.v.dtype.itemsize
-    eigvecs = sum(d * d for d in sizes) * real
-    annihilator = sum(p * q for p, q in zip(sizes, sizes[1:])) * real
+    eigvecs = sum(d * d for d in sizes) * basis.v.dtype.itemsize
     middle = max(sizes) ** 2 * 16  # one complex block of the middle sector
     tracemalloc.start()
     try:
@@ -611,44 +670,24 @@ def _ten_site_convergence():
     finally:
         tracemalloc.stop()
     assert basis.rank == 10 and all(rep.diffs[-1] > 1e-3 for rep in reports)
-    return peak, eigvecs, annihilator, middle
+    return peak, eigvecs, middle
 
 
 def test_volume_convergence_memory_is_one_sector_pair():
-    """On the 10-site chain the sector loop holds the two eigenbases, the
-    annihilator in the site basis and in the full eigenbasis, and a few
-    blocks of one sector pair: the overlaps W_N, W_(N+1), the restricted
-    block and one phased difference, or the scatter arrays of one Hamiltonian
-    block while H is built."""
-    peak, eigvecs, annihilator, middle = _ten_site_convergence()
-    assert peak < 2 * eigvecs + 2 * annihilator + 8 * middle
-
-
-def test_volume_convergence_holds_one_annihilator_block():
-    """The same 10-site run stays below three eigenbases, one whole
-    annihilator and three complex middle-sector blocks (8 826 016 bytes): the
-    loop forms each block of a, in the site basis and in the full eigenbasis,
-    only when it reaches that block.  Holding a in the full eigenbasis across
-    the inner windows (1 343 680 bytes) breaks the bound."""
-    peak, eigvecs, annihilator, middle = _ten_site_convergence()
-    assert 3 * eigvecs + annihilator + 3 * middle == 8_826_016
-    assert peak < 3 * eigvecs + annihilator + 3 * middle
-
-
-def test_volume_convergence_multiplies_phased_blocks_in_real_arithmetic():
-    """The same 10-site run stays below the two real eigenbases and five
-    complex middle-sector blocks (8 036 416 bytes).  At its peak the loop holds
-    the eigenbases and, of one sector pair, six real blocks, each at most half
-    a complex middle block (the overlaps W_N and W_(N+1), a_N in both
-    eigenbases, and the two real products W_N Re(P) and W_N Re(P) W_(N+1)*,
-    or the same on Im(P)), and two complex ones (the full phased block, into
-    which the difference is subtracted, and the restricted phased block P):
-    2 x 1 478 048 + 5 x 1 016 064 bytes.  Multiplying P by the real overlaps
-    as complex matrices copies each overlap to complex and adds two complex
-    products, and breaks the bound (8 438 681 bytes traced that way)."""
-    peak, eigvecs, _, middle = _ten_site_convergence()
-    assert 2 * eigvecs + 5 * middle == 8_036_416
-    assert peak < 2 * eigvecs + 5 * middle
+    """On the 10-site chain the call stays below one real eigenbasis and four
+    complex middle-sector blocks (5 542 304 bytes).  Beside the full eigenbasis
+    and the restricted ones on 64 and 256 states, the sector loop holds a few
+    blocks of one sector pair: a_N in the full eigenbasis, its phased block
+    less a_N, the real products that turn it back to the Jordan-Wigner basis,
+    tau_t(a)_N - a_N there and one window's difference.  Diagonalising each
+    restricted Hamiltonian on all 1024 states next to the full one, with the
+    overlaps of the two eigenbases, breaks the bound (7 423 948 bytes traced
+    that way), and so does turning the phased block back with complex
+    products, which copies each real eigenbasis block to complex (6 799 283
+    bytes)."""
+    peak, eigvecs, middle = _ten_site_convergence()
+    assert eigvecs + 4 * middle == 5_542_304
+    assert peak < eigvecs + 4 * middle
 
 
 def test_real_windows_match_the_complex_route():

@@ -298,6 +298,10 @@ def test_lr_velocity():
         lr_velocity(1.0, 0.0)
     with pytest.raises(InteractionError):
         lr_velocity(-1.0, 1.0)
+    # an overflowed C, or a speed that overflows, certifies nothing
+    for c, zeta in ((math.inf, 1.0), (math.nan, 1.0), (1e308, 1e-3)):
+        with pytest.raises(InteractionError, match="overflows a float"):
+            lr_velocity(c, zeta)
 
 
 # ------------------------------------------------------------- dual generator
