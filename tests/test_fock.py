@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -649,16 +650,22 @@ def test_volume_convergence_rejects_windows_that_do_not_nest(chain4_setup, inner
                            zeta=0.125, velocity=1.0)
 
 
-def _ten_site_convergence():
-    """The 10-site unit chain (C(10, 5) = 252 states in the middle sector) under
-    volume_convergence with inner chains 6 and 8 at times 0, 0.1 and 0.2:
-    tracemalloc's peak over the call and, in bytes, the full eigenbasis'
-    blocks and one complex block of the middle sector."""
+def _ten_site_chain():
+    """The 10-site unit chain (C(10, 5) = 252 states in the middle sector) with
+    its inner chains 6 and 8."""
     lp = LatticeParams(1.0, 1.0, 10.0)
     w = build_chain(lp, 10)
     basis = mode_basis(w, MP)
     inter = density_density(w, f0=1.0, mu=1.0)
     inners = [frozenset(w.index(s) for s in build_chain(lp, m).sites) for m in (6, 8)]
+    return w, basis, inter, inners
+
+
+def _ten_site_convergence():
+    """volume_convergence on the 10-site chain at times 0, 0.1 and 0.2:
+    tracemalloc's peak over the call and, in bytes, the full eigenbasis'
+    blocks and one complex block of the middle sector."""
+    w, basis, inter, inners = _ten_site_chain()
     sizes = [math.comb(basis.rank, k) for k in range(basis.rank + 1)]
     eigvecs = sum(d * d for d in sizes) * basis.v.dtype.itemsize
     middle = max(sizes) ** 2 * 16  # one complex block of the middle sector
@@ -688,6 +695,48 @@ def test_volume_convergence_memory_is_one_sector_pair():
     peak, eigvecs, middle = _ten_site_convergence()
     assert eigvecs + 4 * middle == 5_542_304
     assert peak < eigvecs + 4 * middle
+
+
+def test_volume_convergence_holds_one_annihilator_block(monkeypatch):
+    """On the 10-site chain the loop forms block r of a in the full eigenbasis
+    only when it reaches r, and lets it go before it forms the next: whenever
+    the full evolution makes a block, none it made before is alive.  Forming
+    every block up front holds the whole annihilator there (1 343 680 bytes)."""
+    w, basis, inter, inners = _ten_site_chain()
+    real, made, alive = Evolution.eigenbasis_block, [], []
+
+    def spy(self, b, r):
+        full = len(self.eigvals) == basis.rank + 1
+        if full:
+            alive.append(sum(ref() is not None for ref in made))
+        out = real(self, b, r)
+        if full:
+            made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Evolution, "eigenbasis_block", spy)
+    volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1],
+                       zeta=0.125, velocity=1.0)
+    assert alive == [0] * basis.rank
+
+
+def test_volume_convergence_multiplies_phased_blocks_in_real_arithmetic(monkeypatch):
+    """On the 10-site chain, whose eigenbases are real, every product that
+    turns a phased block back to the Jordan-Wigner basis multiplies two real
+    matrices: no real factor meets a complex one, which would copy it to
+    complex and run a complex GEMM."""
+    w, basis, inter, inners = _ten_site_chain()
+    real, operands = np.matmul, []
+
+    def spy(a, b):
+        operands.append((np.iscomplexobj(a), np.iscomplexobj(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    volume_convergence(basis, inter, inners, w.center_index(), [0.0, 0.1],
+                       zeta=0.125, velocity=1.0)
+    assert np.isrealobj(basis.v) and operands
+    assert set(operands) == {(False, False)}
 
 
 def test_real_windows_match_the_complex_route():
